@@ -1,7 +1,7 @@
 # Tier-1 verification plus the race detector. `make verify` is what CI
 # and pre-merge checks should run.
 
-.PHONY: verify vet fmt-check build test race bench bench-compare bench-batch metrics-smoke cluster-smoke campaign-smoke loadgen-smoke trace-smoke cellfree-smoke adaptive-smoke
+.PHONY: verify vet fmt-check build test race bench bench-compare bench-batch metrics-smoke cluster-smoke campaign-smoke loadgen-smoke trace-smoke cellfree-smoke
 
 BENCH_DATE := $(shell date +%Y-%m-%d)
 BENCH_JSON := BENCH_$(BENCH_DATE).json
@@ -88,15 +88,6 @@ loadgen-smoke:
 # check of the cell-free scenario kernels (internal/cellfree).
 cellfree-smoke:
 	go run ./internal/tools/cellfreesmoke
-
-# Runs one deep-BER point under a Wilson-stopped adaptive budget and
-# asserts the CI target is certified, the realized spend is >=10x below
-# the fixed budget with a statistically identical answer, and the
-# recorded plan trace replays bit-identically both serially and across
-# a 3-worker loopback cluster with one worker killed. End-to-end check
-# of internal/adaptive.
-adaptive-smoke:
-	go run ./internal/tools/adaptivesmoke
 
 # Runs a checkpointing campaign in a child process, SIGKILLs it
 # mid-experiment, resumes from the durable checkpoints and requires the

@@ -77,21 +77,32 @@ func BenchmarkEbTableSamples(b *testing.B) {
 	}
 }
 
+// zbench.rayleigh.norm2 draws one 2x2 Rayleigh channel per trial and
+// scores its squared Frobenius norm: a small, allocation-bearing trial
+// for timing the chunk runner itself.
+func init() {
+	sim.RegisterKernel("zbench.rayleigh.norm2", func(map[string]float64) (sim.BatchFunc, error) {
+		return func(rng *rand.Rand, n int) mathx.Running {
+			var acc mathx.Running
+			for i := 0; i < n; i++ {
+				acc.Add(channel.Rayleigh(rng, 2, 2).FrobeniusNorm2())
+			}
+			return acc
+		}, nil
+	})
+}
+
 // BenchmarkMonteCarloParallel ablates worker counts on the shared
 // Monte-Carlo runner.
 func BenchmarkMonteCarloParallel(b *testing.B) {
-	trial := func(rng *rand.Rand) float64 {
-		h := channel.Rayleigh(rng, 2, 2)
-		return h.FrobeniusNorm2()
-	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			mc := sim.MonteCarlo{Seed: 1, Workers: workers}
 			for i := 0; i < b.N; i++ {
-				r := mc.RunMean(100000, trial)
-				if r.N() != 100000 {
-					b.Fatal("short run")
+				r, err := mc.RunKernelCtx(context.Background(), "zbench.rayleigh.norm2", nil, 100000)
+				if err != nil || r.N() != 100000 {
+					b.Fatalf("short run: N=%d err=%v", r.N(), err)
 				}
 			}
 		})

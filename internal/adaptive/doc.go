@@ -25,6 +25,10 @@
 //     allocation tilted — the property pinned by the A/B estimator
 //     test.
 //
+// Rounds of flat and stratified runs alike go to the sim.Executor
+// attached to the context (a cluster coordinator, the campaign
+// checkpoint executor) or, without one, to the local chunk pool.
+//
 // Everything here is deterministic given (seed, kernel, params, budget):
 // stopping rules are pure functions of prefix statistics, stratum seeds
 // derive from the master seed, and integer chunk apportionment breaks

@@ -210,10 +210,10 @@ func (r *stratRun) extend(ctx context.Context, n int) error {
 	lo, hi := r.chunks, r.chunks+n
 	var parts []mathx.Running
 	var err error
-	if re, ok := sim.ExecutorFrom(ctx).(sim.RangeExecutor); ok {
-		parts, err = re.RunChunkRange(ctx, r.run, lo, hi)
+	if ex := sim.ExecutorFrom(ctx); ex != nil {
+		parts, err = ex.RunChunkRange(ctx, r.run, lo, hi)
 		if err == nil && len(parts) != n {
-			err = fmt.Errorf("adaptive: range executor returned %d partials for [%d, %d)", len(parts), lo, hi)
+			err = fmt.Errorf("adaptive: executor returned %d partials for [%d, %d)", len(parts), lo, hi)
 		}
 	} else {
 		parts, err = r.mc.RunKernelChunksCtx(ctx, r.run.Kernel, r.run.Params, r.run.Trials, lo, hi)

@@ -41,8 +41,10 @@
 // checkpointing sim.Executor attached, so kernel-based experiments
 // (ext-coopber) checkpoint at chunk granularity; other drivers
 // checkpoint at whole-experiment granularity via the result store.
-// Kernel entries run the named kernel directly and render a one-row
-// report. Campaign IDs are content addresses of the spec, so
+// Kernel entries run the named kernel through sim.MonteCarlo.RunKernelCtx
+// under the same executor and render a one-row report. The executor's
+// one method, RunChunkRange, serves fixed runs, adaptive rounds and
+// trace replays alike from the same chunk checkpoint. Campaign IDs are content addresses of the spec, so
 // resubmitting the same spec resumes rather than restarts.
 //
 // # Storage

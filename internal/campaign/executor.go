@@ -17,9 +17,9 @@ import (
 
 // checkpoint is the durable progress record of one kernel run: the
 // per-chunk partials for chunks [0, len(Partials)). It stores per-chunk
-// snapshots rather than a folded prefix because sim.RunKernelCtx
-// demands one partial per chunk and folds them itself — resume must
-// hand back exactly the operation sequence an uninterrupted run folds.
+// snapshots rather than a folded prefix because sim.Executor hands back
+// one partial per chunk and sim folds them itself — resume must hand
+// back exactly the operation sequence an uninterrupted run folds.
 type checkpoint struct {
 	Version   int                     `json:"version"`
 	Kernel    string                  `json:"kernel"`
@@ -59,8 +59,8 @@ func runHash(run sim.KernelRun) string {
 // every kernel-named Monte-Carlo run, replays any checkpointed chunk
 // prefix, computes the remaining chunks in bounded ranges and persists
 // a new checkpoint after each range. It is safe for concurrent
-// RunShards calls (sweep drivers evaluate rows in parallel): distinct
-// runs checkpoint under distinct content-addressed keys.
+// RunChunkRange calls (sweep drivers evaluate rows in parallel):
+// distinct runs checkpoint under distinct content-addressed keys.
 type ckptExecutor struct {
 	store   *store.Store
 	cid     string
@@ -70,7 +70,7 @@ type ckptExecutor struct {
 	stats   *runCounters
 }
 
-// runCounters aggregates executor activity with atomics; RunShards
+// runCounters aggregates executor activity with atomics; RunChunkRange
 // runs concurrently under sweep parallelism.
 type runCounters struct {
 	chunksResumed  atomic.Int64
@@ -78,63 +78,14 @@ type runCounters struct {
 	checkpoints    atomic.Int64
 }
 
-func (e *ckptExecutor) RunShards(ctx context.Context, run sim.KernelRun) ([]mathx.Running, error) {
-	plan := run.Plan()
-	chunks := plan.Chunks()
-	key := ckptPrefix(e.cid, e.expIdx) + runHash(run)
-
-	ck := e.loadFull(key, run, chunks)
-	resumed := len(ck.Partials)
-
-	// The local chunk pool reports AddTotal when it runs; with an
-	// executor attached nothing else accounts for this run, so report
-	// the budget here and credit the replayed prefix as already done.
-	progress := obs.ProgressFrom(ctx)
-	progress.AddTotal(int64(run.Trials))
-	if resumed > 0 {
-		var replayedTrials int64
-		for c := 0; c < resumed; c++ {
-			replayedTrials += int64(plan.ChunkTrials(c))
-		}
-		progress.Add(replayedTrials)
-		e.stats.chunksResumed.Add(int64(resumed))
-		metChunksResumed.Add(int64(resumed))
-	}
-
-	mc := sim.MonteCarlo{Seed: run.Seed, Workers: e.workers}
-	for lo := resumed; lo < chunks; lo += e.every {
-		hi := lo + e.every
-		if hi > chunks {
-			hi = chunks
-		}
-		parts, err := mc.RunKernelChunksCtx(ctx, run.Kernel, run.Params, run.Trials, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range parts {
-			ck.Partials = append(ck.Partials, p.Snapshot())
-		}
-		e.stats.chunksComputed.Add(int64(hi - lo))
-		metChunksComputed.Add(int64(hi - lo))
-		if err := e.save(key, run, ck); err != nil {
-			return nil, fmt.Errorf("campaign: persisting checkpoint: %w", err)
-		}
-	}
-
-	out := make([]mathx.Running, len(ck.Partials))
-	for i, s := range ck.Partials {
-		out[i] = mathx.RunningFromSnapshot(s)
-	}
-	return out, nil
-}
-
-// RunChunkRange implements sim.RangeExecutor for adaptive runs: one
-// call per stopping round, each round extending the same checkpointed
-// chunk prefix. A replayed prefix (resume) is served from the
-// checkpoint without recomputation; the remainder computes in bounded
-// ranges with a checkpoint after each, exactly like RunShards. The
-// progress total is NOT grown here — the adaptive driver accounts the
-// budget — but replayed chunks are credited as done.
+// RunChunkRange implements sim.Executor: it serves chunks [lo, hi) of
+// the run, extending one checkpointed chunk prefix. A fixed run issues
+// one range covering the whole plan, an adaptive run one range per
+// stopping round. Chunks already in the checkpoint (resume) are served
+// without recomputation and credited as done; the remainder computes in
+// ranges of at most e.every chunks with a checkpoint after each. The
+// progress total is not grown here — the run schedule in sim accounts
+// the budget.
 func (e *ckptExecutor) RunChunkRange(ctx context.Context, run sim.KernelRun, lo, hi int) ([]mathx.Running, error) {
 	plan := run.Plan()
 	chunks := plan.Chunks()

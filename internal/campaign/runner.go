@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/mathx"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -184,7 +183,7 @@ func (r *Runner) runExperiment(ctx context.Context, cid string, i int, e Experim
 		}
 		err = rerr
 	} else {
-		section, err = r.runKernelEntry(rctx, ex, e)
+		section, err = r.runKernelEntry(rctx, e)
 	}
 	if r.Observer != nil {
 		r.Observer.ExperimentFinished(i, name, false, err)
@@ -200,17 +199,14 @@ func (r *Runner) runExperiment(ctx context.Context, cid string, i int, e Experim
 	return section, false, nil
 }
 
-// runKernelEntry executes a raw kernel entry through the checkpointing
-// executor and renders its statistics as a one-row report section.
-func (r *Runner) runKernelEntry(ctx context.Context, ex *ckptExecutor, e Experiment) (string, error) {
-	run := sim.KernelRun{Kernel: e.Kernel, Params: e.KernelParams, Seed: e.Seed, Trials: e.Trials}
-	parts, err := ex.RunShards(ctx, run)
+// runKernelEntry executes a raw kernel entry under ctx — which carries
+// the checkpointing executor — and renders its statistics as a one-row
+// report section.
+func (r *Runner) runKernelEntry(ctx context.Context, e Experiment) (string, error) {
+	mc := sim.MonteCarlo{Seed: e.Seed, Workers: r.Workers}
+	total, err := mc.RunKernelCtx(ctx, e.Kernel, e.KernelParams, e.Trials)
 	if err != nil {
 		return "", err
-	}
-	var total mathx.Running
-	for _, p := range parts {
-		total.Merge(p)
 	}
 	title := fmt.Sprintf("%d trials, seed %d", e.Trials, e.Seed)
 	if len(e.KernelParams) > 0 {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/mathx"
+	"repro/internal/obs"
 	"repro/internal/sim"
 
 	_ "repro/internal/simkern" // register coop.ber / multihop.ber
@@ -36,13 +37,10 @@ func localResult(t *testing.T, run sim.KernelRun) mathx.Running {
 	return got
 }
 
-// merge folds shard partials exactly as RunKernelCtx does.
-func merge(parts []mathx.Running) mathx.Running {
-	var total mathx.Running
-	for _, p := range parts {
-		total.Merge(p)
-	}
-	return total
+// distResult runs the kernel with co attached as the executor.
+func distResult(ctx context.Context, co *Coordinator, run sim.KernelRun) (mathx.Running, error) {
+	mc := sim.MonteCarlo{Seed: run.Seed}
+	return mc.RunKernelCtx(sim.WithExecutor(ctx, co), run.Kernel, run.Params, run.Trials)
 }
 
 func TestShardRanges(t *testing.T) {
@@ -178,11 +176,15 @@ func TestCoordinatorMatchesLocal(t *testing.T) {
 	reg := NewRegistry(lb, "a", "b", "c")
 	co := NewCoordinator(lb, reg, Config{Shards: 3})
 
-	parts, err := co.RunShards(context.Background(), run)
+	parts, err := co.RunChunkRange(context.Background(), run, 0, run.Plan().Chunks())
 	if err != nil {
-		t.Fatalf("RunShards: %v", err)
+		t.Fatalf("RunChunkRange: %v", err)
 	}
-	if got := merge(parts); got != want {
+	var got mathx.Running
+	for _, p := range parts {
+		got.Merge(p)
+	}
+	if got != want {
 		t.Fatalf("distributed stats differ from local:\n got %+v\nwant %+v", got, want)
 	}
 	used := 0
@@ -230,11 +232,11 @@ func TestRetryReassignsFromFailedWorker(t *testing.T) {
 	co := NewCoordinator(lb, reg, Config{Shards: 3, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond})
 
 	before := metShards.With("reassigned").Value()
-	parts, err := co.RunShards(context.Background(), run)
+	got, err := distResult(context.Background(), co, run)
 	if err != nil {
-		t.Fatalf("RunShards with failing worker: %v", err)
+		t.Fatalf("run with failing worker: %v", err)
 	}
-	if got := merge(parts); got != want {
+	if got != want {
 		t.Fatalf("stats after reassignment differ from local:\n got %+v\nwant %+v", got, want)
 	}
 	if lb.Node("a").Shards() != 0 {
@@ -263,11 +265,11 @@ func TestWorkerKilledMidRun(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		lb.Node("a").Kill()
 	}()
-	parts, err := co.RunShards(context.Background(), run)
+	got, err := distResult(context.Background(), co, run)
 	if err != nil {
-		t.Fatalf("RunShards with killed worker: %v", err)
+		t.Fatalf("run with killed worker: %v", err)
 	}
-	if got := merge(parts); got != want {
+	if got != want {
 		t.Fatalf("stats after worker death differ from local:\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -285,14 +287,14 @@ func TestHedgingBeatsStraggler(t *testing.T) {
 
 	before := metShards.With("hedged").Value()
 	start := time.Now()
-	parts, err := co.RunShards(context.Background(), run)
+	got, err := distResult(context.Background(), co, run)
 	if err != nil {
-		t.Fatalf("RunShards with straggler: %v", err)
+		t.Fatalf("run with straggler: %v", err)
 	}
 	if took := time.Since(start); took > 5*time.Second {
 		t.Fatalf("run took %v; hedge should have beaten the 10s straggler", took)
 	}
-	if got := merge(parts); got != want {
+	if got != want {
 		t.Fatalf("stats after hedging differ from local:\n got %+v\nwant %+v", got, want)
 	}
 	if after := metShards.With("hedged").Value(); after <= before {
@@ -300,7 +302,8 @@ func TestHedgingBeatsStraggler(t *testing.T) {
 	}
 }
 
-// TestLocalFallback runs with every worker dead and LocalFallback on.
+// TestLocalFallback runs with every worker dead and LocalFallback on;
+// the fallback shards count their trials once.
 func TestLocalFallback(t *testing.T) {
 	run := testRun()
 	want := localResult(t, run)
@@ -311,12 +314,16 @@ func TestLocalFallback(t *testing.T) {
 	reg.MarkFailed("a")
 	co := NewCoordinator(lb, reg, Config{Shards: 2, LocalFallback: true, LocalWorkers: 2})
 
-	parts, err := co.RunShards(context.Background(), run)
+	tracker := obs.NewTracker()
+	got, err := distResult(obs.WithProgress(context.Background(), tracker), co, run)
 	if err != nil {
-		t.Fatalf("RunShards with local fallback: %v", err)
+		t.Fatalf("run with local fallback: %v", err)
 	}
-	if got := merge(parts); got != want {
+	if got != want {
 		t.Fatalf("fallback stats differ from local:\n got %+v\nwant %+v", got, want)
+	}
+	if s := tracker.Snapshot(); s.Done != int64(run.Trials) || s.Total != int64(run.Trials) {
+		t.Fatalf("fallback progress %d/%d, want %d/%d", s.Done, s.Total, run.Trials, run.Trials)
 	}
 }
 
@@ -329,16 +336,16 @@ func TestAllWorkersDeadFailsCleanly(t *testing.T) {
 	reg := NewRegistry(lb, "a")
 	co := NewCoordinator(lb, reg, Config{Shards: 2, MaxAttempts: 2, RetryBase: time.Millisecond, RetryMax: time.Millisecond})
 
-	_, err := co.RunShards(context.Background(), run)
+	_, err := distResult(context.Background(), co, run)
 	if err == nil {
-		t.Fatal("RunShards succeeded with every worker dead")
+		t.Fatal("run succeeded with every worker dead")
 	}
 	if !strings.Contains(err.Error(), "failed after 2 attempts") {
 		t.Fatalf("error %q does not name the attempt budget", err)
 	}
 }
 
-func TestRunShardsHonoursCancellation(t *testing.T) {
+func TestCoordinatorHonoursCancellation(t *testing.T) {
 	run := testRun()
 	lb := NewLoopback("a")
 	lb.Node("a").SetDelay(10 * time.Second)
@@ -348,7 +355,7 @@ func TestRunShardsHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(10*time.Millisecond, cancel)
 	start := time.Now()
-	_, err := co.RunShards(ctx, run)
+	_, err := distResult(ctx, co, run)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -56,7 +56,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Coordinator shards kernel runs across a worker pool. It implements
-// sim.Executor: attach it with sim.WithExecutor and every RunKernelCtx
+// sim.Executor: attach it with sim.WithExecutor and every kernel run
 // under that context fans out to the pool and merges to a bit-identical
 // result (see doc.go for why scheduling cannot perturb the statistics).
 type Coordinator struct {
@@ -125,67 +125,15 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// RunShards implements sim.Executor: it splits the run into shards,
-// dispatches them concurrently, and returns every chunk's partial in
-// global chunk order. Any shard exhausting its attempts fails the whole
-// run — a partial distributed result would silently change statistics.
-func (c *Coordinator) RunShards(ctx context.Context, run sim.KernelRun) ([]mathx.Running, error) {
-	plan := run.Plan()
-	chunks := plan.Chunks()
-	if chunks == 0 {
-		return nil, nil
-	}
-	want := c.cfg.Shards
-	if want <= 0 {
-		want = len(c.reg.Ready())
-		if want == 0 {
-			want = 1
-		}
-	}
-	shards := shardRanges(chunks, want)
-
-	progress := obs.ProgressFrom(ctx)
-	progress.AddTotal(int64(run.Trials))
-
-	log := obs.Logger(ctx)
-	parts := make([]mathx.Running, chunks)
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		wg.Add(1)
-		go func(i int, sh shard) {
-			defer wg.Done()
-			res, err := c.runShard(ctx, run, sh)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			copy(parts[sh.lo:sh.hi], res)
-			n := int64(0)
-			for ch := sh.lo; ch < sh.hi; ch++ {
-				n += int64(plan.ChunkTrials(ch))
-			}
-			progress.Add(n)
-			log.Debug("shard done", "shard", i, "chunk_lo", sh.lo, "chunk_hi", sh.hi)
-		}(i, sh)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return parts, nil
-}
-
-// RunChunkRange implements sim.RangeExecutor: it computes chunks
-// [lo, hi) of the run's plan across the worker pool and returns their
-// partials indexed from lo. Adaptive runs call it once per stopping
-// round — the coordinator folds nothing and issues exactly the ranges
-// the round schedule asks for, so the realized prefix is bit-identical
-// to a local adaptive run. Unlike RunShards it must not grow the
-// progress total: the adaptive driver accounts the whole budget and
-// retires the unspent part when the stopping rule fires; the
-// coordinator only reports completion. Retry, hedging and dead-worker
-// reassignment are the same per-shard machinery RunShards uses.
+// RunChunkRange implements sim.Executor: it splits chunks [lo, hi) of
+// the run's plan into shards, dispatches them concurrently across the
+// worker pool and returns their partials indexed from lo. A fixed run
+// issues one range covering the whole plan, an adaptive run one range
+// per stopping round; the coordinator folds nothing, so the result is
+// bit-identical to a local run. It reports completed trials but never
+// grows the progress total — the run schedule in sim accounts the
+// budget. Any shard exhausting its attempts fails the whole range: a
+// partial distributed result would silently change statistics.
 func (c *Coordinator) RunChunkRange(ctx context.Context, run sim.KernelRun, lo, hi int) ([]mathx.Running, error) {
 	plan := run.Plan()
 	chunks := plan.Chunks()
@@ -222,7 +170,7 @@ func (c *Coordinator) RunChunkRange(ctx context.Context, run sim.KernelRun, lo, 
 				n += int64(plan.ChunkTrials(ch))
 			}
 			progress.Add(n)
-			log.Debug("round shard done", "shard", i, "chunk_lo", abs.lo, "chunk_hi", abs.hi)
+			log.Debug("shard done", "shard", i, "chunk_lo", abs.lo, "chunk_hi", abs.hi)
 		}(i, sh)
 	}
 	wg.Wait()
@@ -279,8 +227,10 @@ func (c *Coordinator) runShard(ctx context.Context, run sim.KernelRun, sh shard)
 				metShards.With("local").Inc()
 				span.Event("local_fallback")
 				log.Warn("no ready workers, running shard locally", "chunk_lo", sh.lo, "chunk_hi", sh.hi)
+				// RunChunkRange reports the shard's trials once it lands;
+				// the local pool must not report them a second time.
 				mc := sim.MonteCarlo{Seed: run.Seed, Workers: c.cfg.LocalWorkers}
-				return mc.RunKernelChunksCtx(ctx, run.Kernel, run.Params, run.Trials, sh.lo, sh.hi)
+				return mc.RunKernelChunksCtx(obs.WithProgress(ctx, obs.Nop), run.Kernel, run.Params, run.Trials, sh.lo, sh.hi)
 			}
 			lastErr = fmt.Errorf("cluster: no ready workers for shard [%d, %d)", sh.lo, sh.hi)
 		} else {

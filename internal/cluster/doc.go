@@ -11,11 +11,14 @@
 // shard is just a contiguous chunk range, so a worker computing chunks
 // [lo, hi) from (kernel, params, seed, trials) produces exactly the
 // partials the local pool would have produced for those chunks. The
-// coordinator places every returned partial at its global chunk index
-// and the caller folds them left to right — the same fold the local
-// runner does. Scheduling (which worker, how many retries, whether a
-// hedge won) decides where chunks are computed, never what they
-// compute.
+// Coordinator is a sim.Executor: its one method, RunChunkRange, shards
+// any chunk range of a run and places every returned partial at its
+// index in the range, and sim folds them left to right — the same fold
+// it applies to the local pool's partials. Fixed runs (one range
+// covering the plan), adaptive rounds and trace replays therefore all
+// ride the same shard machinery. Scheduling (which worker, how many
+// retries, whether a hedge won) decides where chunks are computed,
+// never what they compute.
 //
 // # Lifecycle
 //

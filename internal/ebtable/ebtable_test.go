@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/channel"
+	"repro/internal/mathx"
 	"repro/internal/modulation"
 )
 
@@ -160,6 +162,55 @@ func TestMonteCarloDeterministic(t *testing.T) {
 	c, _ := m3.EbBar(0.005, 2, 2, 2)
 	if a != c {
 		t.Errorf("worker count changed result: %g vs %g", a, c)
+	}
+}
+
+// TestMonteCarloBERWorkerInvariant: the BER reduction partitions the
+// samples into blocks that do not depend on Workers, so the estimate
+// is bit-identical at any worker count.
+func TestMonteCarloBERWorkerInvariant(t *testing.T) {
+	mc := &MonteCarlo{Samples: 20000, Seed: 3, Workers: 1}
+	want := mc.BER(2, 2, 2, 2e-20)
+	for _, workers := range []int{2, 3, 7, 8} {
+		mc.Workers = workers
+		if got := mc.BER(2, 2, 2, 2e-20); got != want {
+			t.Errorf("workers=%d: BER %v, want %v (workers=1)", workers, got, want)
+		}
+	}
+}
+
+// TestMonteCarloDrawsMatchFreshMatrices: drawing every channel into one
+// reused matrix yields exactly the samples a fresh matrix per draw
+// does, for Rayleigh and Rician fading alike.
+func TestMonteCarloDrawsMatchFreshMatrices(t *testing.T) {
+	for _, k := range []float64{0, 4} {
+		mc := &MonteCarlo{Samples: 500, Seed: 11, RicianK: k}
+		got := mc.norms(3, 2)
+		rng := mathx.NewRand(11 ^ int64(3)<<32 ^ int64(2)<<40)
+		for i, h2 := range got {
+			var h *mathx.CMat
+			if k > 0 {
+				h = channel.RicianMatrix(rng, 3, 2, k)
+			} else {
+				h = channel.Rayleigh(rng, 3, 2)
+			}
+			if want := h.FrobeniusNorm2(); h2 != want {
+				t.Fatalf("K=%v sample %d: %v, want %v", k, i, h2, want)
+			}
+		}
+	}
+}
+
+// TestMonteCarloDrawAllocs: drawing a fresh (mt, mr) sample set costs a
+// fixed number of allocations, whatever the sample count.
+func TestMonteCarloDrawAllocs(t *testing.T) {
+	allocs := func(samples int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			(&MonteCarlo{Samples: samples, Seed: 1}).norms(2, 2)
+		})
+	}
+	if small, large := allocs(100), allocs(10000); large > small {
+		t.Errorf("allocations grow with samples: %v at 100, %v at 10000", small, large)
 	}
 }
 

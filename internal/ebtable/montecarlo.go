@@ -53,14 +53,16 @@ func (mc *MonteCarlo) norms(mt, mr int) []float64 {
 	// Seed is salted per antenna pair so pairs are independent.
 	rng := mathx.NewRand(mc.Seed ^ int64(mt)<<32 ^ int64(mr)<<40)
 	s := make([]float64, n)
+	// Every draw lands in one reused matrix; the Into variants consume
+	// exactly the rng stream of a fresh allocation per draw.
+	var h *mathx.CMat
 	for i := range s {
-		var h2 float64
 		if mc.RicianK > 0 {
-			h2 = channel.RicianMatrix(rng, mt, mr, mc.RicianK).FrobeniusNorm2()
+			h = channel.RicianMatrixInto(rng, mt, mr, mc.RicianK, h)
 		} else {
-			h2 = channel.Rayleigh(rng, mt, mr).FrobeniusNorm2()
+			h = channel.RayleighInto(rng, mt, mr, h)
 		}
-		s[i] = h2
+		s[i] = h.FrobeniusNorm2()
 	}
 	mc.cache[key] = s
 	return s
@@ -98,46 +100,44 @@ func (mc *MonteCarlo) EbBar(p float64, b, mt, mr int) (float64, error) {
 	return eb, nil
 }
 
-// parallelMeanBER averages BER_AWGN(b, h2*scale) over the sample set,
-// fanning fixed slice chunks out to a bounded worker group. The chunk
-// partition is index-based, so the reduction order — and therefore the
-// result — is independent of scheduling.
+// berBlock is the sample count of one partial sum in parallelMeanBER.
+// The block partition depends on the sample count alone, never on the
+// worker count, which is what makes BER bit-identical at any Workers.
+// Blocks are small enough that even a 1000-sample set splits evenly
+// over two workers; the default 20000 samples make 79 blocks.
+const berBlock = 256
+
+// parallelMeanBER averages BER_AWGN(b, h2*scale) over the sample set.
+// Workers take fixed-size sample blocks in a fixed stride and the
+// per-block sums fold in block order, so the result is independent of
+// both the worker count and scheduling.
 func parallelMeanBER(samples []float64, b int, scale float64, workers int) float64 {
+	blocks := (len(samples) + berBlock - 1) / berBlock
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(samples) {
-		workers = len(samples)
+	if workers > blocks {
+		workers = blocks
 	}
-	if workers <= 1 {
-		var s float64
-		for _, h2 := range samples {
-			s += modulation.BERAWGN(b, h2*scale)
-		}
-		return s / float64(len(samples))
-	}
-	sums := make([]float64, workers)
-	var wg sync.WaitGroup
-	per := (len(samples) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > len(samples) {
-			hi = len(samples)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
+	sums := make([]float64, blocks)
+	sumBlocks := func(first int) {
+		for k := first; k < blocks; k += workers {
 			var s float64
-			for _, h2 := range samples[lo:hi] {
+			for _, h2 := range samples[k*berBlock : min((k+1)*berBlock, len(samples))] {
 				s += modulation.BERAWGN(b, h2*scale)
 			}
-			sums[w] = s
-		}(w, lo, hi)
+			sums[k] = s
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sumBlocks(w)
+		}(w)
+	}
+	sumBlocks(0)
 	wg.Wait()
 	var total float64
 	for _, s := range sums {

@@ -289,13 +289,16 @@ func TestValidationAndHealth(t *testing.T) {
 			t.Errorf("GET /v1/kernels = %v missing %q", body["kernels"], want)
 		}
 	}
-	// Capability flags: the adaptive registration advertises both caps,
-	// the scalar oracle neither.
-	if info := found["coop.ber.adaptive"]; info == nil || info["batch"] != true || info["adaptive"] != true {
-		t.Errorf("coop.ber.adaptive caps = %v, want batch+adaptive", found["coop.ber.adaptive"])
+	// Capability flags: the BER registrations all run the batch kernel
+	// and accept adaptive budgets; the test-only scalar oracles are not
+	// served.
+	for _, name := range []string{"coop.ber", "coop.ber.adaptive", "multihop.ber"} {
+		if info := found[name]; info == nil || info["batch"] != true || info["adaptive"] != true {
+			t.Errorf("%s caps = %v, want batch+adaptive", name, found[name])
+		}
 	}
-	if info := found["coop.ber.scalar"]; info == nil || info["batch"] != false || info["adaptive"] != false {
-		t.Errorf("coop.ber.scalar caps = %v, want no caps", found["coop.ber.scalar"])
+	if len(found) != 7 || found["coop.ber.scalar"] != nil || found["multihop.ber.scalar"] != nil {
+		t.Errorf("GET /v1/kernels lists %d kernels %v, want the 7 served ones", len(found), body["kernels"])
 	}
 
 	httpResp, err := http.Get(ts.URL + "/metrics")

@@ -118,9 +118,10 @@ func RunWith(ws *Workspace, cfg Config) (Result, error) {
 
 // RunScalarWith is RunWith with every hop crossed through coop's
 // per-block scalar transport instead of the batched engine. It is the
-// oracle the batch-vs-scalar bit-identity tests (and the
-// multihop.ber.scalar kernel) pin RunWith against: both consume
-// identical rng streams, so the results must match bit for bit.
+// oracle the batch-vs-scalar bit-identity tests (and simkern's
+// test-only multihop.ber.scalar kernel) pin the batched engines
+// against: both consume identical rng streams, so the results must
+// match bit for bit.
 func RunScalarWith(ws *Workspace, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err

@@ -25,19 +25,6 @@ type StopRule interface {
 	Done(prefix mathx.Running) bool
 }
 
-// A RangeExecutor computes one contiguous chunk range of a run
-// somewhere and returns the per-chunk partials indexed from lo. It is
-// the round-granular counterpart of Executor: adaptive runs issue one
-// range per stopping round, fold, and decide the next round, so an
-// executor that also implements RangeExecutor (internal/cluster's
-// Coordinator, internal/campaign's checkpoint executor) has each round
-// routed through it. Implementations must report completed trials via
-// the context's progress sink but must NOT grow the progress total —
-// the adaptive driver accounts the budget.
-type RangeExecutor interface {
-	RunChunkRange(ctx context.Context, run KernelRun, lo, hi int) ([]mathx.Running, error)
-}
-
 // A TraceSink receives the realized PlanTrace of an adaptive run. An
 // executor that implements it (the campaign checkpoint executor does)
 // gets every adaptive run's trace handed over for persistence the
@@ -79,20 +66,17 @@ func adaptiveRound(prev, chunks int) int {
 // bit-identical to a fixed run of that prefix, and the returned
 // PlanTrace makes the realized count reproducible (RunTraceCtx).
 //
-// When ctx carries an Executor that implements RangeExecutor, each
-// round's chunk range is delegated to it; otherwise rounds run on the
-// local pool. Progress accounting: the full budget is reported up
-// front (the honest expectation until the rule fires) and shrunk by
-// the saved trials at stop, keeping done <= total throughout. A nil
-// stop degenerates to a fixed-budget run with round-boundary
-// bookkeeping.
+// Rounds go to the Executor attached to ctx, or to the local pool.
+// Progress accounting: the full budget is reported up front (the honest
+// expectation until the rule fires) and shrunk by the saved trials at
+// stop, keeping done <= total throughout. A nil stop degenerates to a
+// fixed-budget run with round-boundary bookkeeping.
 func (mc MonteCarlo) RunAdaptiveCtx(ctx context.Context, kernel string, params map[string]float64, maxTrials int, stop StopRule) (AdaptiveResult, error) {
-	plan := Plan{Seed: mc.Seed, Trials: maxTrials}
-	chunks := plan.Chunks()
+	run := KernelRun{Kernel: kernel, Params: params, Seed: mc.Seed, Trials: maxTrials}
+	chunks := run.Plan().Chunks()
 	if chunks == 0 {
 		return AdaptiveResult{}, fmt.Errorf("sim: adaptive run needs a positive trial budget, got %d", maxTrials)
 	}
-	run := KernelRun{Kernel: kernel, Params: params, Seed: mc.Seed, Trials: maxTrials}
 	// Build the batch up front even when an executor will do the work:
 	// parameter errors must surface before any round is dispatched.
 	if _, err := NewKernelBatch(kernel, params); err != nil {
@@ -103,33 +87,21 @@ func (mc MonteCarlo) RunAdaptiveCtx(ctx context.Context, kernel string, params m
 	span.SetAttr("kernel", kernel).SetAttr("max_trials", strconv.Itoa(maxTrials))
 	defer span.End()
 
-	progress := obs.ProgressFrom(ctx)
-	progress.AddTotal(int64(maxTrials))
-
 	trace := PlanTrace{ChunkSize: ChunkSize, MaxTrials: maxTrials}
-	var prefix mathx.Running
-	lo := 0
-	for lo < chunks {
-		hi := adaptiveRound(lo, chunks)
-		parts, err := mc.runRange(ctx, run, lo, hi)
-		if err != nil {
-			return AdaptiveResult{}, err
-		}
-		// Incremental fold in chunk order: the same left-to-right merge
-		// sequence a fixed run of this prefix performs.
-		for _, p := range parts {
-			prefix.Merge(p)
-		}
-		trace.Rounds = append(trace.Rounds, hi)
-		lo = hi
-		if stop != nil && stop.Done(prefix) {
+	stats, rounds, err := mc.runRounds(ctx, run, maxTrials, func(lo int, prefix mathx.Running) int {
+		if lo > 0 && stop != nil && stop.Done(prefix) {
 			trace.Stopped = true
-			break
+			return lo
 		}
+		return adaptiveRound(lo, chunks)
+	})
+	if err != nil {
+		return AdaptiveResult{}, err
 	}
-	trace.Trials = realizedTrials(maxTrials, lo)
+	trace.Rounds = rounds
+	trace.Trials = realizedTrials(maxTrials, trace.Chunks())
 	if saved := trace.Saved(); saved > 0 {
-		progress.AddTotal(-int64(saved))
+		obs.ProgressFrom(ctx).AddTotal(-int64(saved))
 		mcTrialsSaved.Add(int64(saved))
 	}
 	span.SetAttr("trials", strconv.Itoa(trace.Trials)).
@@ -138,7 +110,7 @@ func (mc MonteCarlo) RunAdaptiveCtx(ctx context.Context, kernel string, params m
 	if ts, ok := ExecutorFrom(ctx).(TraceSink); ok {
 		ts.RecordPlanTrace(run, trace)
 	}
-	return AdaptiveResult{Stats: prefix, Trace: trace}, nil
+	return AdaptiveResult{Stats: stats, Trace: trace}, nil
 }
 
 // RunTraceCtx replays a recorded PlanTrace: it executes exactly the
@@ -162,38 +134,16 @@ func (mc MonteCarlo) RunTraceCtx(ctx context.Context, kernel string, params map[
 	span.SetAttr("kernel", kernel).SetAttr("trials", strconv.Itoa(trace.Trials))
 	defer span.End()
 
-	progress := obs.ProgressFrom(ctx)
-	progress.AddTotal(int64(trace.Trials))
-
-	var prefix mathx.Running
-	lo := 0
-	for _, hi := range trace.Rounds {
-		parts, err := mc.runRange(ctx, run, lo, hi)
-		if err != nil {
-			return AdaptiveResult{}, err
+	round := 0
+	stats, _, err := mc.runRounds(ctx, run, trace.Trials, func(lo int, _ mathx.Running) int {
+		if round == len(trace.Rounds) {
+			return lo
 		}
-		for _, p := range parts {
-			prefix.Merge(p)
-		}
-		lo = hi
+		round++
+		return trace.Rounds[round-1]
+	})
+	if err != nil {
+		return AdaptiveResult{}, err
 	}
-	return AdaptiveResult{Stats: prefix, Trace: trace}, nil
-}
-
-// runRange executes chunks [lo, hi) of run: through the context's
-// RangeExecutor when one is attached, on the local pool otherwise.
-// Both paths return per-chunk partials indexed from lo, so the caller's
-// fold is executor-independent.
-func (mc MonteCarlo) runRange(ctx context.Context, run KernelRun, lo, hi int) ([]mathx.Running, error) {
-	if re, ok := ExecutorFrom(ctx).(RangeExecutor); ok {
-		parts, err := re.RunChunkRange(ctx, run, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		if len(parts) != hi-lo {
-			return nil, fmt.Errorf("sim: range executor returned %d chunk partials for [%d, %d)", len(parts), lo, hi)
-		}
-		return parts, nil
-	}
-	return mc.RunKernelChunksCtx(ctx, run.Kernel, run.Params, run.Trials, lo, hi)
+	return AdaptiveResult{Stats: stats, Trace: trace}, nil
 }

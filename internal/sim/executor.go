@@ -2,12 +2,8 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"strconv"
-	"time"
 
 	"repro/internal/mathx"
-	"repro/internal/obs"
 )
 
 // KernelRun names one complete Monte-Carlo computation in transportable
@@ -24,21 +20,24 @@ type KernelRun struct {
 // Plan returns the run's chunk decomposition.
 func (r KernelRun) Plan() Plan { return Plan{Seed: r.Seed, Trials: r.Trials} }
 
-// An Executor computes every chunk of a KernelRun somewhere — typically
-// sharded across remote worker nodes — and returns the per-chunk
-// partials in chunk order, one per chunk of the run's Plan. The caller
-// folds them left to right, exactly as the local runner folds its own
-// chunks, so any executor that returns bit-identical per-chunk partials
-// yields a bit-identical total. internal/cluster's Coordinator is the
-// distributed implementation.
+// An Executor computes one contiguous chunk range [lo, hi) of a
+// KernelRun somewhere — typically sharded across remote worker nodes —
+// and returns the per-chunk partials indexed from lo. Every run schedule
+// (fixed, adaptive, trace replay) issues its rounds through it and folds
+// the partials left to right, exactly as it folds the local pool's, so
+// any executor that returns bit-identical per-chunk partials yields a
+// bit-identical total. Implementations report completed trials to the
+// context's progress sink but never grow the progress total: the run
+// schedule accounts the budget. internal/cluster's Coordinator and
+// internal/campaign's checkpoint executor implement it.
 type Executor interface {
-	RunShards(ctx context.Context, run KernelRun) ([]mathx.Running, error)
+	RunChunkRange(ctx context.Context, run KernelRun, lo, hi int) ([]mathx.Running, error)
 }
 
 type executorKey struct{}
 
-// WithExecutor routes every kernel-named Monte-Carlo run under ctx
-// through e instead of the local worker pool.
+// WithExecutor routes the rounds of every RunKernelCtx, RunAdaptiveCtx
+// and RunTraceCtx under ctx through e instead of the local worker pool.
 func WithExecutor(ctx context.Context, e Executor) context.Context {
 	return context.WithValue(ctx, executorKey{}, e)
 }
@@ -47,55 +46,4 @@ func WithExecutor(ctx context.Context, e Executor) context.Context {
 func ExecutorFrom(ctx context.Context) Executor {
 	e, _ := ctx.Value(executorKey{}).(Executor)
 	return e
-}
-
-// RunKernelCtx executes trials of a registered kernel and returns the
-// merged statistics. When ctx carries an Executor the chunk work is
-// delegated to it (and fanned out to worker nodes); otherwise the run
-// executes on the local pool via RunBatchesCtx. Both paths fold the
-// same per-chunk partials in the same chunk order, so they are
-// bit-identical — the property pinned by the cluster golden tests.
-func (mc MonteCarlo) RunKernelCtx(ctx context.Context, kernel string, params map[string]float64, trials int) (mathx.Running, error) {
-	if ex := ExecutorFrom(ctx); ex != nil {
-		run := KernelRun{Kernel: kernel, Params: params, Seed: mc.Seed, Trials: trials}
-		ctx, span := obs.StartSpan(ctx, "cluster.run")
-		span.SetAttr("kernel", kernel).
-			SetAttr("trials", strconv.Itoa(trials)).
-			SetAttr("chunks", strconv.Itoa(run.Plan().Chunks()))
-		defer span.End()
-		parts, err := ex.RunShards(ctx, run)
-		if err != nil {
-			return mathx.Running{}, err
-		}
-		if want := run.Plan().Chunks(); len(parts) != want {
-			return mathx.Running{}, fmt.Errorf("sim: executor returned %d chunk partials, want %d", len(parts), want)
-		}
-		foldStart := time.Now()
-		var total mathx.Running
-		for _, p := range parts {
-			total.Merge(p)
-		}
-		obs.RecordSpan(ctx, "mc.fold", foldStart, time.Now(),
-			obs.Attr{Key: "chunks", Value: strconv.Itoa(len(parts))})
-		return total, nil
-	}
-	batch, err := NewKernelBatch(kernel, params)
-	if err != nil {
-		return mathx.Running{}, err
-	}
-	return mc.RunBatchesCtx(ctx, trials, batch)
-}
-
-// RunKernelChunksCtx is the worker-side counterpart of RunKernelCtx: it
-// rebuilds the batch from the registry and executes only chunks
-// [lo, hi) of the run, returning their per-chunk partials. Shard
-// servers (cmd/cogmimod's POST /v1/shards) and the loopback transport
-// both call it, so the in-process test path exercises exactly the code
-// a remote worker runs.
-func (mc MonteCarlo) RunKernelChunksCtx(ctx context.Context, kernel string, params map[string]float64, trials, lo, hi int) ([]mathx.Running, error) {
-	batch, err := NewKernelBatch(kernel, params)
-	if err != nil {
-		return nil, err
-	}
-	return mc.RunChunkRangeCtx(ctx, trials, lo, hi, batch)
 }

@@ -9,14 +9,15 @@ import (
 	"repro/internal/mathx"
 )
 
-func testBatch(params map[string]float64) (BatchFunc, error) {
-	return func(rng *rand.Rand, n int) mathx.Running {
-		var acc mathx.Running
-		for i := 0; i < n; i++ {
-			acc.Add(rng.Float64())
-		}
-		return acc
-	}, nil
+// testBatch is the uniform test kernel: one rng.Float64 per trial.
+func testBatch(map[string]float64) (BatchFunc, error) { return uniformBatch, nil }
+
+func uniformBatch(rng *rand.Rand, n int) mathx.Running {
+	var acc mathx.Running
+	for i := 0; i < n; i++ {
+		acc.Add(rng.Float64())
+	}
+	return acc
 }
 
 func TestKernelsSortedAndDiscoverable(t *testing.T) {

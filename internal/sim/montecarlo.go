@@ -3,11 +3,11 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/mathx"
 	"repro/internal/obs"
@@ -19,7 +19,7 @@ import (
 var mcTrials = obs.Default.Counter("cogmimod_mc_trials_total",
 	"Monte-Carlo trials completed, summed over all runs.")
 
-// MonteCarlo distributes independent trials over a worker pool.
+// MonteCarlo executes registered kernels over a worker pool.
 //
 // Reproducibility contract: the trial set is split into fixed-size chunks;
 // chunk i is always driven by the i-th seed derived from Seed via
@@ -32,188 +32,57 @@ type MonteCarlo struct {
 	Workers int
 }
 
-// RunMean executes trials calls of trial, each with a chunk-local PRNG,
-// and returns merged streaming statistics of the returned values.
-func (mc MonteCarlo) RunMean(trials int, trial func(rng *rand.Rand) float64) mathx.Running {
-	r, _ := mc.RunMeanCtx(context.Background(), trials, trial)
-	return r
-}
-
-// RunMeanCtx is RunMean with cancellation: workers stop claiming chunks
-// once ctx is done and the statistics of every chunk that did complete
-// merge in chunk order, so the partial result is still deterministic for
-// a given set of completed chunks. The returned error is ctx.Err() when
-// the run was cut short and nil when it ran to completion.
-func (mc MonteCarlo) RunMeanCtx(ctx context.Context, trials int, trial func(rng *rand.Rand) float64) (mathx.Running, error) {
-	parts, done, err := runChunks(mc, ctx, trials, func(rng *rand.Rand, n int) mathx.Running {
-		var acc mathx.Running
-		for i := 0; i < n; i++ {
-			acc.Add(trial(rng))
-		}
-		return acc
-	})
-	return mergeDone(parts, done), err
-}
-
-// RunCount executes trials calls of trial and returns how many returned
-// true, e.g. bit errors out of bits sent.
-func (mc MonteCarlo) RunCount(trials int, trial func(rng *rand.Rand) bool) int64 {
-	n, _ := mc.RunCountCtx(context.Background(), trials, trial)
-	return n
-}
-
-// RunCountCtx is RunCount with cancellation; see RunMeanCtx for the
-// partial-result contract. Chunks accumulate exact integer counts, so no
-// floating-point rounding can ever perturb the total.
-func (mc MonteCarlo) RunCountCtx(ctx context.Context, trials int, trial func(rng *rand.Rand) bool) (int64, error) {
-	parts, done, err := runChunks(mc, ctx, trials, func(rng *rand.Rand, n int) int64 {
-		var hits int64
-		for i := 0; i < n; i++ {
-			if trial(rng) {
-				hits++
-			}
-		}
-		return hits
-	})
-	var total int64
-	for c, p := range parts {
-		if done[c] {
-			total += p
-		}
+// RunKernelCtx executes trials of a registered kernel and returns the
+// merged statistics. The whole plan runs as one round: through the
+// Executor attached to ctx when there is one (and fanned out to worker
+// nodes), on the local pool otherwise. Both paths fold the same
+// per-chunk partials in the same chunk order, so they are bit-identical
+// — the property pinned by the cluster golden tests. Zero trials yield
+// empty statistics; a cancelled run returns the context error.
+func (mc MonteCarlo) RunKernelCtx(ctx context.Context, kernel string, params map[string]float64, trials int) (mathx.Running, error) {
+	run := KernelRun{Kernel: kernel, Params: params, Seed: mc.Seed, Trials: trials}
+	if _, err := NewKernelBatch(kernel, params); err != nil {
+		return mathx.Running{}, err
 	}
-	return total, err
-}
-
-// RunBatches partitions trials into chunks and hands each chunk's size to
-// batch, so trial loops that amortise setup (e.g. drawing one channel
-// matrix and sending many symbols through it) can run without per-trial
-// overhead. Batch results merge in chunk order.
-func (mc MonteCarlo) RunBatches(trials int, batch func(rng *rand.Rand, n int) mathx.Running) mathx.Running {
-	r, _ := mc.RunBatchesCtx(context.Background(), trials, batch)
-	return r
-}
-
-// RunBatchesCtx is RunBatches with cancellation; see RunMeanCtx for the
-// partial-result contract.
-func (mc MonteCarlo) RunBatchesCtx(ctx context.Context, trials int, batch func(rng *rand.Rand, n int) mathx.Running) (mathx.Running, error) {
-	parts, done, err := runChunks(mc, ctx, trials, batch)
-	return mergeDone(parts, done), err
-}
-
-// RunBatchesScratch is RunBatches with a per-worker scratch workspace:
-// newScratch runs once per worker goroutine and its value is handed to
-// every batch that worker executes, so batches can reuse preallocated
-// buffers (e.g. a coop.Workspace) without any cross-goroutine sharing.
-// Chunk seeding and merge order are unchanged: results are bit-identical
-// to RunBatches whenever batch consumes the same rng stream.
-func RunBatchesScratch[S any](mc MonteCarlo, trials int, newScratch func() S, batch func(scratch S, rng *rand.Rand, n int) mathx.Running) mathx.Running {
-	r, _ := RunBatchesScratchCtx(mc, context.Background(), trials, newScratch, batch)
-	return r
-}
-
-// RunBatchesScratchCtx is RunBatchesScratch with cancellation; see
-// RunMeanCtx for the partial-result contract.
-func RunBatchesScratchCtx[S any](mc MonteCarlo, ctx context.Context, trials int, newScratch func() S, batch func(scratch S, rng *rand.Rand, n int) mathx.Running) (mathx.Running, error) {
-	parts, done, err := runChunksScratch(mc, ctx, trials, newScratch, batch)
-	return mergeDone(parts, done), err
-}
-
-// mergeDone folds the completed chunks in chunk order, skipping the ones
-// a cancellation left unrun.
-func mergeDone(parts []mathx.Running, done []bool) mathx.Running {
-	var total mathx.Running
-	for c, p := range parts {
-		if done[c] {
-			total.Merge(p)
-		}
+	chunks := run.Plan().Chunks()
+	if ExecutorFrom(ctx) != nil {
+		var span *obs.Span
+		ctx, span = obs.StartSpan(ctx, "cluster.run")
+		span.SetAttr("kernel", kernel).
+			SetAttr("trials", strconv.Itoa(trials)).
+			SetAttr("chunks", strconv.Itoa(chunks))
+		defer span.End()
 	}
-	return total
+	stats, _, err := mc.runRounds(ctx, run, trials, func(int, mathx.Running) int { return chunks })
+	return stats, err
 }
 
-// runChunks fans the chunk list out to the worker pool and returns the
-// per-chunk results indexed by chunk, plus a mask of which chunks ran.
-// Cancellation is observed between chunks — never inside one — so a
-// chunk is either absent or bit-identical to what an uncancelled run
-// produces: chunk i always draws from the i-th derived seed and the
-// derivation is a sequential splitmix64 walk, making seed prefixes
-// independent of the total chunk count.
+// RunKernelChunksCtx executes only chunks [lo, hi) of the run on the
+// local worker pool and returns their per-chunk partials indexed from
+// lo. It is the only worker pool in the package: RunKernelCtx and the
+// adaptive drivers reach it through runRounds, shard servers
+// (cmd/cogmimod's POST /v1/shards) and the loopback transport call it
+// directly, so the in-process test path exercises exactly the code a
+// remote worker runs. It never consults the context's Executor.
 //
-// Completed trials are reported per chunk to the context's progress
-// sink (obs.ProgressFrom) and to the cogmimod_mc_trials_total counter;
-// each chunk is also timed as an "mc.chunk" span. None of this touches
-// the trial math, so instrumented runs stay bit-identical.
-func runChunks[T any](mc MonteCarlo, ctx context.Context, trials int, batch func(rng *rand.Rand, n int) T) ([]T, []bool, error) {
-	return runChunksScratch(mc, ctx, trials,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, rng *rand.Rand, n int) T { return batch(rng, n) })
-}
-
-// runChunksScratch is the chunk pool shared by every run mode. Each
-// worker goroutine builds one scratch value and one reusable rng; chunk
-// c reseeds that rng to the c-th derived seed, which yields exactly the
-// stream a freshly allocated generator would, so worker-local reuse
-// never changes the statistics.
-func runChunksScratch[S, T any](mc MonteCarlo, ctx context.Context, trials int, newScratch func() S, batch func(scratch S, rng *rand.Rand, n int) T) ([]T, []bool, error) {
-	if trials <= 0 {
-		return nil, nil, ctx.Err()
+// Each chunk is driven by exactly the seed the full run would use:
+// chunk i always draws from the i-th derived seed and the derivation is
+// a sequential splitmix64 walk, so seed prefixes are independent of the
+// total chunk count. Each worker goroutine reseeds one reusable rng per
+// chunk, which yields exactly the stream a fresh generator would.
+//
+// Cancellation is observed between chunks, never inside one. An
+// incomplete range returns the context error and no partials — a range
+// is all-or-nothing, so a retried or re-assigned shard can never
+// double-count chunks. Completed trials are reported per chunk to the
+// context's progress sink (obs.ProgressFrom) and to the
+// cogmimod_mc_trials_total counter, and each chunk is timed as an
+// "mc.chunk" span; none of this touches the trial math.
+func (mc MonteCarlo) RunKernelChunksCtx(ctx context.Context, kernel string, params map[string]float64, trials, lo, hi int) ([]mathx.Running, error) {
+	batch, err := NewKernelBatch(kernel, params)
+	if err != nil {
+		return nil, err
 	}
-	plan := Plan{Seed: mc.Seed, Trials: trials}
-	chunks := plan.Chunks()
-	seeds := plan.Seeds()
-	parts := make([]T, chunks)
-	done := make([]bool, chunks)
-
-	progress := obs.ProgressFrom(ctx)
-	progress.AddTotal(int64(trials))
-
-	workers := mc.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > chunks {
-		workers = chunks
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := newScratch()
-			rng := mathx.NewReusableRand()
-			for ctx.Err() == nil {
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				n := plan.ChunkTrials(c)
-				rng.Reseed(seeds[c])
-				_, span := obs.StartSpan(ctx, "mc.chunk")
-				if span.Recording() {
-					span.SetAttr("chunk", strconv.Itoa(c))
-				}
-				parts[c] = batch(scratch, rng.Rand, n)
-				span.End()
-				done[c] = true
-				mcTrials.Add(int64(n))
-				progress.Add(int64(n))
-			}
-		}()
-	}
-	wg.Wait()
-	return parts, done, ctx.Err()
-}
-
-// RunChunkRangeCtx executes only chunks [lo, hi) of the run's Plan and
-// returns their per-chunk partials indexed from lo. It is the worker
-// side of the distributed executor: a shard covers a contiguous chunk
-// range, each chunk is driven by exactly the seed the full local run
-// would use, and the caller merges partials back in global chunk order.
-// An incomplete range (cancellation) returns the context error and no
-// partials — a shard is all-or-nothing, so a retried or re-assigned
-// shard can never double-count chunks.
-func (mc MonteCarlo) RunChunkRangeCtx(ctx context.Context, trials, lo, hi int, batch func(rng *rand.Rand, n int) mathx.Running) ([]mathx.Running, error) {
 	plan := Plan{Seed: mc.Seed, Trials: trials}
 	chunks := plan.Chunks()
 	if lo < 0 || hi > chunks || lo >= hi {
@@ -221,7 +90,6 @@ func (mc MonteCarlo) RunChunkRangeCtx(ctx context.Context, trials, lo, hi int, b
 	}
 	seeds := plan.Seeds()
 	parts := make([]mathx.Running, hi-lo)
-	done := make([]bool, hi-lo)
 
 	progress := obs.ProgressFrom(ctx)
 
@@ -254,20 +122,61 @@ func (mc MonteCarlo) RunChunkRangeCtx(ctx context.Context, trials, lo, hi int, b
 				}
 				parts[i] = batch(rng.Rand, n)
 				span.End()
-				done[i] = true
 				mcTrials.Add(int64(n))
 				progress.Add(int64(n))
 			}
 		}()
 	}
 	wg.Wait()
+	// Workers stop early only once ctx is done, so a live ctx here means
+	// every chunk of the range ran.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for _, ok := range done {
-		if !ok {
-			return nil, context.Canceled
-		}
-	}
 	return parts, nil
+}
+
+// runRounds is the round loop every run schedule shares. It reports
+// total to the progress sink, then executes run's chunk plan round by
+// round: next names the end of the round that starts at chunk lo, given
+// the statistics folded so far, and a return of lo or less ends the
+// run. Each round is dispatched to the Executor attached to ctx or, when
+// there is none, to the local pool; its partials fold left to right, so
+// any schedule yields statistics bit-identical to a fixed run of the
+// same chunk prefix. It returns the folded statistics and the chunk
+// count after each round.
+func (mc MonteCarlo) runRounds(ctx context.Context, run KernelRun, total int, next func(lo int, prefix mathx.Running) int) (mathx.Running, []int, error) {
+	obs.ProgressFrom(ctx).AddTotal(int64(total))
+	ex := ExecutorFrom(ctx)
+	var prefix mathx.Running
+	var ends []int
+	for lo := 0; ; {
+		hi := next(lo, prefix)
+		if hi <= lo {
+			return prefix, ends, nil
+		}
+		var parts []mathx.Running
+		var err error
+		if ex != nil {
+			parts, err = ex.RunChunkRange(ctx, run, lo, hi)
+			if err == nil && len(parts) != hi-lo {
+				err = fmt.Errorf("sim: executor returned %d chunk partials for [%d, %d)", len(parts), lo, hi)
+			}
+		} else {
+			parts, err = mc.RunKernelChunksCtx(ctx, run.Kernel, run.Params, run.Trials, lo, hi)
+		}
+		if err != nil {
+			return mathx.Running{}, nil, err
+		}
+		foldStart := time.Now()
+		for _, p := range parts {
+			prefix.Merge(p)
+		}
+		if ex != nil {
+			obs.RecordSpan(ctx, "mc.fold", foldStart, time.Now(),
+				obs.Attr{Key: "chunks", Value: strconv.Itoa(len(parts))})
+		}
+		ends = append(ends, hi)
+		lo = hi
+	}
 }

@@ -2,41 +2,22 @@ package sim
 
 import (
 	"context"
-	"math"
-	"math/rand"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/mathx"
 )
-
-func TestRunMeanCtxUncancelledMatchesRunMean(t *testing.T) {
-	trial := func(rng *rand.Rand) float64 { return rng.NormFloat64() }
-	want := MonteCarlo{Seed: 4, Workers: 3}.RunMean(3*chunkSize+11, trial)
-	got, err := MonteCarlo{Seed: 4, Workers: 3}.RunMeanCtx(context.Background(), 3*chunkSize+11, trial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N() != want.N() || got.Mean() != want.Mean() {
-		t.Errorf("ctx variant diverged: %v/%v vs %v/%v", got.N(), got.Mean(), want.N(), want.Mean())
-	}
-}
 
 func TestRunBatchesCtxCancellationStopsEarly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	const chunks = 64
 	var calls atomic.Int64
-	r, err := MonteCarlo{Seed: 1, Workers: 2}.RunBatchesCtx(ctx, chunks*chunkSize,
-		func(rng *rand.Rand, n int) mathx.Running {
-			if calls.Add(1) == 3 {
-				cancel()
-			}
-			var acc mathx.Running
-			for i := 0; i < n; i++ {
-				acc.Add(rng.Float64())
-			}
-			return acc
-		})
+	chunkHook = func() {
+		if calls.Add(1) == 3 {
+			cancel()
+		}
+	}
+	defer func() { chunkHook = nil }()
+	_, err := MonteCarlo{Seed: 1, Workers: 2}.RunKernelCtx(ctx, "ztest.kernel.hook", nil, chunks*ChunkSize)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -46,55 +27,19 @@ func TestRunBatchesCtxCancellationStopsEarly(t *testing.T) {
 	if got := calls.Load(); got >= chunks {
 		t.Errorf("ran %d chunks of %d despite cancellation", got, chunks)
 	}
-	if r.N() == 0 || r.N() >= chunks*chunkSize {
-		t.Errorf("partial N = %d, want in (0, %d)", r.N(), chunks*chunkSize)
-	}
-	if r.N()%chunkSize != 0 {
-		t.Errorf("partial N = %d is not a whole number of chunks", r.N())
-	}
-}
-
-func TestRunMeanCtxPartialMergesDeterministically(t *testing.T) {
-	// With one worker, chunks complete strictly in order, and a cancel
-	// landing on chunk 2's last trial lets chunk 2 finish but stops the
-	// worker before chunk 3: exactly chunks 0-2 merge. Those chunks are
-	// seeded by index via a sequential splitmix64 walk, so the partial
-	// result must be bit-identical to a full 3-chunk run from the same
-	// master seed.
-	trial := func(rng *rand.Rand) float64 { return rng.NormFloat64() }
-	ctx, cancel := context.WithCancel(context.Background())
-	var calls atomic.Int64
-	got, err := MonteCarlo{Seed: 42, Workers: 1}.RunMeanCtx(ctx, 20*chunkSize, func(rng *rand.Rand) float64 {
-		if calls.Add(1) == 3*chunkSize {
-			cancel()
-		}
-		return trial(rng)
-	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	want := MonteCarlo{Seed: 42, Workers: 1}.RunMean(3*chunkSize, trial)
-	if got.N() != want.N() {
-		t.Fatalf("partial N = %d, want %d", got.N(), want.N())
-	}
-	if math.Abs(got.Mean()-want.Mean()) > 0 || math.Abs(got.Variance()-want.Variance()) > 0 {
-		t.Errorf("partial merge not deterministic: mean %v vs %v, var %v vs %v",
-			got.Mean(), want.Mean(), got.Variance(), want.Variance())
-	}
 }
 
 func TestRunCountCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int64
-	n, err := MonteCarlo{Seed: 1}.RunCountCtx(ctx, 10*chunkSize, func(rng *rand.Rand) bool {
-		calls.Add(1)
-		return true
-	})
+	chunkHook = func() { calls.Add(1) }
+	defer func() { chunkHook = nil }()
+	r, err := MonteCarlo{Seed: 1}.RunKernelCtx(ctx, "ztest.kernel.hook", nil, 10*ChunkSize)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if n != 0 || calls.Load() != 0 {
-		t.Errorf("pre-cancelled run did work: count=%d calls=%d", n, calls.Load())
+	if r.N() != 0 || calls.Load() != 0 {
+		t.Errorf("pre-cancelled run did work: N=%d chunks=%d", r.N(), calls.Load())
 	}
 }

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"context"
-	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -30,14 +30,12 @@ func (r *recordingSink) Add(n int64) {
 }
 
 func TestMonteCarloReportsProgress(t *testing.T) {
-	const trials = 3*chunkSize + 123 // force a short tail chunk
+	const trials = 3*ChunkSize + 123 // force a short tail chunk
 	sink := &recordingSink{}
 	ctx := obs.WithProgress(context.Background(), sink)
 
 	mc := MonteCarlo{Seed: 42, Workers: 3}
-	if _, err := mc.RunMeanCtx(ctx, trials, func(rng *rand.Rand) float64 {
-		return rng.Float64()
-	}); err != nil {
+	if _, err := mc.RunKernelCtx(ctx, "ztest.kernel.adapt", nil, trials); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,12 +63,12 @@ func TestMonteCarloProgressViaTracker(t *testing.T) {
 	tr := obs.NewTracker()
 	ctx := obs.WithProgress(context.Background(), tr)
 	mc := MonteCarlo{Seed: 7}
-	want := mc.RunMean(5000, func(rng *rand.Rand) float64 { return rng.Float64() })
-	got, err := mc.RunMeanCtx(ctx, 5000, func(rng *rand.Rand) float64 { return rng.Float64() })
+	want := runKernel(t, mc, "ztest.kernel.adapt", 5000)
+	got, err := mc.RunKernelCtx(ctx, "ztest.kernel.adapt", nil, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Mean() != want.Mean() || got.N() != want.N() {
+	if got != want {
 		t.Fatal("progress instrumentation changed the statistics")
 	}
 	s := tr.Snapshot()
@@ -82,17 +80,12 @@ func TestMonteCarloProgressViaTracker(t *testing.T) {
 func TestMonteCarloCanceledProgressStaysPartial(t *testing.T) {
 	tr := obs.NewTracker()
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	ctx = obs.WithProgress(ctx, tr)
-	mc := MonteCarlo{Seed: 1, Workers: 1}
-	trials := 10 * chunkSize
-	fired := false
-	_, err := mc.RunMeanCtx(ctx, trials, func(rng *rand.Rand) float64 {
-		if !fired {
-			fired = true
-			cancel()
-		}
-		return 0
-	})
+	chunkHook = cancel
+	defer func() { chunkHook = nil }()
+	trials := 10 * ChunkSize
+	_, err := MonteCarlo{Seed: 1, Workers: 1}.RunKernelCtx(ctx, "ztest.kernel.hook", nil, trials)
 	if err == nil {
 		t.Fatal("expected cancellation error")
 	}
@@ -102,5 +95,35 @@ func TestMonteCarloCanceledProgressStaysPartial(t *testing.T) {
 	}
 	if s.Done >= s.Total {
 		t.Fatalf("cancelled run reported done=%d >= total=%d", s.Done, s.Total)
+	}
+}
+
+// TestMonteCarloChunkSpans: with a recorder attached, every chunk is
+// timed as one mc.chunk span carrying its chunk index, parented to the
+// caller's span.
+func TestMonteCarloChunkSpans(t *testing.T) {
+	rec := obs.NewTraceRecorder(4, 64)
+	ctx, root := obs.StartSpan(obs.WithRecorder(context.Background(), rec), "test.root")
+	if _, err := (MonteCarlo{Seed: 5, Workers: 2}).RunKernelCtx(ctx, "ztest.kernel.adapt", nil, 3*ChunkSize+1); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	seen := map[string]bool{}
+	for _, sd := range rec.Spans(root.TraceID()) {
+		if sd.Name != "mc.chunk" {
+			continue
+		}
+		if sd.ParentID != root.SpanID() {
+			t.Errorf("mc.chunk parent %q, want %q", sd.ParentID, root.SpanID())
+		}
+		seen[sd.Attr("chunk")] = true
+	}
+	for c := 0; c < 4; c++ {
+		if !seen[strconv.Itoa(c)] {
+			t.Errorf("no mc.chunk span for chunk %d (saw %v)", c, seen)
+		}
+	}
+	if len(seen) != 4 {
+		t.Errorf("mc.chunk spans cover chunks %v, want 0-3", seen)
 	}
 }

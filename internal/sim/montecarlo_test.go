@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,9 +9,63 @@ import (
 	"repro/internal/mathx"
 )
 
+func init() {
+	RegisterKernel("ztest.kernel.normal", func(map[string]float64) (BatchFunc, error) {
+		return func(rng *rand.Rand, n int) mathx.Running {
+			var acc mathx.Running
+			for i := 0; i < n; i++ {
+				acc.Add(rng.NormFloat64())
+			}
+			return acc
+		}, nil
+	})
+	// ztest.kernel.coin scores 1 with probability p (default 0.3).
+	RegisterKernel("ztest.kernel.coin", func(params map[string]float64) (BatchFunc, error) {
+		p, ok := params["p"]
+		if !ok {
+			p = 0.3
+		}
+		return func(rng *rand.Rand, n int) mathx.Running {
+			var acc mathx.Running
+			for i := 0; i < n; i++ {
+				if rng.Float64() < p {
+					acc.Add(1)
+				} else {
+					acc.Add(0)
+				}
+			}
+			return acc
+		}, nil
+	})
+	// ztest.kernel.hook calls chunkHook (when set) before every chunk,
+	// letting tests act at chunk boundaries, e.g. cancel mid-run.
+	RegisterKernel("ztest.kernel.hook", func(map[string]float64) (BatchFunc, error) {
+		return func(rng *rand.Rand, n int) mathx.Running {
+			if chunkHook != nil {
+				chunkHook()
+			}
+			return uniformBatch(rng, n)
+		}, nil
+	})
+}
+
+// chunkHook is set by a test before a ztest.kernel.hook run and cleared
+// after it returns; the pool has joined every worker by then.
+var chunkHook func()
+
+// runKernel is RunKernelCtx on a background context, failing the test
+// on error.
+func runKernel(t *testing.T, mc MonteCarlo, kernel string, trials int) mathx.Running {
+	t.Helper()
+	r, err := mc.RunKernelCtx(context.Background(), kernel, nil, trials)
+	if err != nil {
+		t.Fatalf("%s, %d trials: %v", kernel, trials, err)
+	}
+	return r
+}
+
 func TestRunMeanUniform(t *testing.T) {
-	mc := MonteCarlo{Seed: 1}
-	r := mc.RunMean(200000, func(rng *rand.Rand) float64 { return rng.Float64() })
+	r := runKernel(t, MonteCarlo{Seed: 1}, "ztest.kernel.adapt", 200000)
 	if r.N() != 200000 {
 		t.Fatalf("N = %d", r.N())
 	}
@@ -22,94 +77,102 @@ func TestRunMeanUniform(t *testing.T) {
 	}
 }
 
+// TestDeterminismAcrossWorkerCounts: the worker count changes
+// wall-clock time, never a bit of the statistics — including a short
+// tail chunk.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	trial := func(rng *rand.Rand) float64 { return rng.NormFloat64() }
-	ref := MonteCarlo{Seed: 42, Workers: 1}.RunMean(10000, trial)
+	ref := runKernel(t, MonteCarlo{Seed: 42, Workers: 1}, "ztest.kernel.normal", 10000)
 	for _, w := range []int{2, 3, 4, 7, 16} {
-		got := MonteCarlo{Seed: 42, Workers: w}.RunMean(10000, trial)
-		if got.N() != ref.N() {
-			t.Fatalf("workers=%d: N=%d want %d", w, got.N(), ref.N())
-		}
-		if math.Abs(got.Mean()-ref.Mean()) > 1e-12 {
-			t.Errorf("workers=%d: mean=%v want %v", w, got.Mean(), ref.Mean())
-		}
-		if math.Abs(got.Variance()-ref.Variance()) > 1e-9 {
-			t.Errorf("workers=%d: var=%v want %v", w, got.Variance(), ref.Variance())
+		got := runKernel(t, MonteCarlo{Seed: 42, Workers: w}, "ztest.kernel.normal", 10000)
+		if got.Snapshot() != ref.Snapshot() {
+			t.Errorf("workers=%d: %+v, want %+v", w, got.Snapshot(), ref.Snapshot())
 		}
 	}
 }
 
 func TestRunCount(t *testing.T) {
-	mc := MonteCarlo{Seed: 9}
-	n := mc.RunCount(100000, func(rng *rand.Rand) bool { return rng.Float64() < 0.3 })
-	if p := float64(n) / 100000; math.Abs(p-0.3) > 0.01 {
-		t.Errorf("fraction = %v, want ~0.3", p)
+	r := runKernel(t, MonteCarlo{Seed: 9}, "ztest.kernel.coin", 100000)
+	if math.Abs(r.Mean()-0.3) > 0.01 {
+		t.Errorf("fraction = %v, want ~0.3", r.Mean())
 	}
 	// Deterministic across worker counts too.
-	a := MonteCarlo{Seed: 5, Workers: 1}.RunCount(5000, func(rng *rand.Rand) bool { return rng.Intn(2) == 0 })
-	b := MonteCarlo{Seed: 5, Workers: 8}.RunCount(5000, func(rng *rand.Rand) bool { return rng.Intn(2) == 0 })
+	a := runKernel(t, MonteCarlo{Seed: 5, Workers: 1}, "ztest.kernel.coin", 5000)
+	b := runKernel(t, MonteCarlo{Seed: 5, Workers: 8}, "ztest.kernel.coin", 5000)
 	if a != b {
-		t.Errorf("RunCount not deterministic: %d vs %d", a, b)
+		t.Errorf("coin counts not deterministic: %+v vs %+v", a.Snapshot(), b.Snapshot())
 	}
 }
 
+// TestRunBatches: every batch call covers exactly one chunk — ChunkSize
+// trials, the last one the short remainder — so a kernel's batch sees
+// chunk-sized n no matter how many workers run.
 func TestRunBatches(t *testing.T) {
-	mc := MonteCarlo{Seed: 3, Workers: 4}
-	r := mc.RunBatches(100000, func(rng *rand.Rand, n int) mathx.Running {
-		var acc mathx.Running
-		for i := 0; i < n; i++ {
-			acc.Add(rng.Float64())
+	const trials = 3*ChunkSize + 5
+	for _, workers := range []int{1, 4} {
+		parts, err := MonteCarlo{Seed: 3, Workers: workers}.RunKernelChunksCtx(
+			context.Background(), "ztest.kernel.adapt", nil, trials, 0, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return acc
-	})
-	if r.N() != 100000 {
-		t.Fatalf("N = %d", r.N())
-	}
-	if math.Abs(r.Mean()-0.5) > 0.01 {
-		t.Errorf("mean = %v", r.Mean())
+		for c, p := range parts {
+			want := int64(ChunkSize)
+			if c == 3 {
+				want = 5
+			}
+			if p.N() != want {
+				t.Errorf("workers=%d: chunk %d covered %d trials, want %d", workers, c, p.N(), want)
+			}
+		}
 	}
 }
 
 func TestEdgeCases(t *testing.T) {
 	mc := MonteCarlo{Seed: 1, Workers: 64}
 	// More workers than trials must not deadlock or double-count.
-	r := mc.RunMean(3, func(rng *rand.Rand) float64 { return 1 })
-	if r.N() != 3 || r.Mean() != 1 {
-		t.Errorf("N=%d mean=%v", r.N(), r.Mean())
+	if r := runKernel(t, mc, "ztest.kernel.coin", 3); r.N() != 3 {
+		t.Errorf("N=%d, want 3", r.N())
 	}
-	// Zero trials.
-	r = mc.RunMean(0, func(rng *rand.Rand) float64 { return 1 })
-	if r.N() != 0 {
-		t.Errorf("zero trials N=%d", r.N())
+	// Zero trials: empty statistics and no error.
+	r, err := mc.RunKernelCtx(context.Background(), "ztest.kernel.adapt", nil, 0)
+	if err != nil || r.N() != 0 {
+		t.Errorf("zero trials: N=%d err=%v", r.N(), err)
 	}
-	if c := mc.RunCount(0, func(rng *rand.Rand) bool { return true }); c != 0 {
-		t.Errorf("zero trials count=%d", c)
+	if _, err := mc.RunKernelCtx(context.Background(), "ztest.kernel.nope", nil, 10); err == nil {
+		t.Error("unknown kernel accepted")
+	}
+	for _, r := range [][2]int{{-1, 1}, {0, 3}, {1, 1}} {
+		if _, err := mc.RunKernelChunksCtx(context.Background(), "ztest.kernel.adapt", nil, 2*ChunkSize, r[0], r[1]); err == nil {
+			t.Errorf("chunk range %v accepted", r)
+		}
 	}
 }
 
 func TestChunkingCoversExactly(t *testing.T) {
 	// Trial counts straddling chunk boundaries must all be visited exactly
 	// once: the merged N is the proof.
-	for _, n := range []int{1, chunkSize - 1, chunkSize, chunkSize + 1, 3*chunkSize + 17} {
-		r := MonteCarlo{Seed: 2, Workers: 5}.RunMean(n, func(rng *rand.Rand) float64 { return 1 })
-		if r.N() != int64(n) {
+	for _, n := range []int{1, ChunkSize - 1, ChunkSize, ChunkSize + 1, 3*ChunkSize + 17} {
+		if r := runKernel(t, MonteCarlo{Seed: 2, Workers: 5}, "ztest.kernel.adapt", n); r.N() != int64(n) {
 			t.Errorf("trials=%d: N=%d", n, r.N())
 		}
 	}
 }
 
+// TestRunBatchesDeterministicAcrossWorkers: a fixed run equals the
+// left-to-right fold of its chunk partials, whichever pool size
+// computed them.
 func TestRunBatchesDeterministicAcrossWorkers(t *testing.T) {
-	batch := func(rng *rand.Rand, n int) mathx.Running {
-		var acc mathx.Running
-		for i := 0; i < n; i++ {
-			acc.Add(rng.NormFloat64())
-		}
-		return acc
+	const trials = 3*ChunkSize + 5
+	want := runKernel(t, MonteCarlo{Seed: 77, Workers: 1}, "ztest.kernel.normal", trials)
+	parts, err := MonteCarlo{Seed: 77, Workers: 9}.RunKernelChunksCtx(
+		context.Background(), "ztest.kernel.normal", nil, trials, 0, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ref := MonteCarlo{Seed: 77, Workers: 1}.RunBatches(3*chunkSize+5, batch)
-	got := MonteCarlo{Seed: 77, Workers: 9}.RunBatches(3*chunkSize+5, batch)
-	if ref.N() != got.N() || math.Abs(ref.Mean()-got.Mean()) > 1e-15 {
-		t.Errorf("RunBatches not worker-count independent: %v/%v vs %v/%v",
-			ref.N(), ref.Mean(), got.N(), got.Mean())
+	var got mathx.Running
+	for _, p := range parts {
+		got.Merge(p)
+	}
+	if got.Snapshot() != want.Snapshot() {
+		t.Errorf("folded partials %+v != fixed run %+v", got.Snapshot(), want.Snapshot())
 	}
 }

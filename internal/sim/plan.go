@@ -11,12 +11,9 @@ import "repro/internal/mathx"
 // requests carry it and workers reject a mismatch.
 const ChunkSize = 2048
 
-// chunkSize is the package-internal alias predating the exported name.
-const chunkSize = ChunkSize
-
 // Plan is the chunk decomposition of one Monte-Carlo run: the single
 // source of truth for how a (seed, trials) pair maps onto chunk seeds
-// and chunk lengths. Both the local worker pool (runChunksScratch) and
+// and chunk lengths. Both the local worker pool (RunKernelChunksCtx) and
 // the distributed shard executor (internal/cluster) derive their work
 // from the same Plan, which is what makes a sharded run bit-identical
 // to a local one.

@@ -1,8 +1,9 @@
 // Golden cross-checks for the batched kernel registrations: the same
 // chunk-seeded plan must produce bit-identical statistics whether the
-// trials run through coop.ber.batch (the SoA chunk kernel), coop.ber
-// (the default engine) or coop.ber.scalar (the per-block oracle) — on
-// the serial pool, the parallel pool and a 3-worker loopback cluster.
+// trials run through coop.ber.batch or coop.ber (both the SoA chunk
+// kernel) or the test-registered coop.ber.scalar (the per-block oracle)
+// — on the serial pool, the parallel pool and a 3-worker loopback
+// cluster.
 // This package is external so it can drive internal/cluster, which
 // itself imports simkern for the registrations.
 package simkern_test
@@ -77,13 +78,10 @@ func TestBatchKernelGoldenCluster(t *testing.T) {
 	lb := cluster.NewLoopback("a", "b", "c")
 	reg := cluster.NewRegistry(lb, "a", "b", "c")
 	co := cluster.NewCoordinator(lb, reg, cluster.Config{Shards: 3})
-	parts, err := co.RunShards(context.Background(), run)
+	mc := sim.MonteCarlo{Seed: run.Seed}
+	merged, err := mc.RunKernelCtx(sim.WithExecutor(context.Background(), co), run.Kernel, run.Params, run.Trials)
 	if err != nil {
-		t.Fatalf("RunShards: %v", err)
-	}
-	var merged mathx.Running
-	for _, p := range parts {
-		merged.Merge(p)
+		t.Fatalf("cluster run: %v", err)
 	}
 	if merged != oracle {
 		t.Fatalf("3-worker cluster %+v differs from local scalar oracle %+v", merged, oracle)

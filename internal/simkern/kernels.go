@@ -26,21 +26,19 @@ func init() {
 	// Capability flags are discovery metadata (GET /v1/kernels): Batch
 	// marks chunk-level SoA entry points, Adaptive marks estimators that
 	// are well-defined under sequential stopping, and BernoulliUnits
-	// upgrades stopping from CLT to binomial (Wilson) intervals. The
-	// scalar oracles stay fixed-budget — they exist to pin the batched
-	// kernels, so their spend must never depend on a stopping rule.
-	sim.RegisterKernelCaps("coop.ber", coopBER,
-		sim.KernelCaps{Adaptive: true})
+	// upgrades stopping from CLT to binomial (Wilson) intervals. Each
+	// physics has one batch function; the names sharing it differ only
+	// in the stopping rule an adaptive budget picks for them.
+	sim.RegisterKernelCaps("coop.ber", coopBERBatch,
+		sim.KernelCaps{Batch: true, Adaptive: true})
 	sim.RegisterKernelCaps("coop.ber.batch", coopBERBatch,
 		sim.KernelCaps{Batch: true, Adaptive: true})
-	sim.RegisterKernel("coop.ber.scalar", coopBERScalar)
 	sim.RegisterKernelCaps("coop.ber.adaptive", coopBERBatch,
 		sim.KernelCaps{Batch: true, Adaptive: true, BernoulliUnits: coopBits})
-	sim.RegisterKernelCaps("multihop.ber", multihopBER,
-		sim.KernelCaps{Adaptive: true})
+	sim.RegisterKernelCaps("multihop.ber", multihopBERBatch,
+		sim.KernelCaps{Batch: true, Adaptive: true})
 	sim.RegisterKernelCaps("multihop.ber.batch", multihopBERBatch,
 		sim.KernelCaps{Batch: true, Adaptive: true, BernoulliUnits: multihopBits})
-	sim.RegisterKernel("multihop.ber.scalar", multihopBERScalar)
 }
 
 // coopBits returns the Bernoulli units one coop.ber trial contributes:
@@ -87,8 +85,9 @@ func intParam(params map[string]float64, name string, def int) (int, error) {
 	return int(v), nil
 }
 
-// coopBER measures the end-to-end BER of one cooperative hop
-// (internal/coop) per trial. Parameters:
+// coopBERBatch measures the end-to-end BER of one cooperative hop
+// (internal/coop) per trial, running each chunk through
+// coop.RunBatchWith, the SoA chunk kernel, in one call. Parameters:
 //
 //	mt, mr   cooperating node counts (default 2x2)
 //	b        bits per symbol (default 1)
@@ -98,15 +97,6 @@ func intParam(params map[string]float64, name string, def int) (int, error) {
 //
 // Each trial reseeds the hop from the chunk stream, so trial t of chunk
 // c is the same experiment no matter which worker runs the chunk.
-func coopBER(params map[string]float64) (sim.BatchFunc, error) {
-	return coopBERWith(params, coop.RunWith)
-}
-
-// coopBERBatch is the explicitly-batched registration: the chunk runs
-// through coop.RunBatchWith, the SoA chunk kernel, in one call. It is
-// bit-identical to coop.ber — each trial still reseeds from the chunk
-// stream in the same order — so campaigns and cluster shards can name
-// either and merge results freely.
 func coopBERBatch(params map[string]float64) (sim.BatchFunc, error) {
 	cfg, err := coopConfig(params)
 	if err != nil {
@@ -122,13 +112,6 @@ func coopBERBatch(params map[string]float64) (sim.BatchFunc, error) {
 		}
 		return acc
 	}, nil
-}
-
-// coopBERScalar pins the per-trial scalar oracle under its own name so
-// golden runs can cross-check the batched kernels through the same
-// registry plumbing (serial, parallel and cluster alike).
-func coopBERScalar(params map[string]float64) (sim.BatchFunc, error) {
-	return coopBERWith(params, coop.RunScalarWith)
 }
 
 // coopConfig builds and validates the coop.Config a kernel's flat
@@ -171,45 +154,16 @@ func coopConfig(params map[string]float64) (coop.Config, error) {
 	return cfg, nil
 }
 
-func coopBERWith(params map[string]float64, run func(*coop.Workspace, coop.Config) (coop.Result, error)) (sim.BatchFunc, error) {
-	cfg, err := coopConfig(params)
-	if err != nil {
-		return nil, err
-	}
-	return func(rng *rand.Rand, n int) mathx.Running {
-		ws := coop.GetWorkspace()
-		defer coop.PutWorkspace(ws)
-		var acc mathx.Running
-		c := cfg
-		for i := 0; i < n; i++ {
-			c.Seed = rng.Int63()
-			r, err := run(ws, c)
-			if err != nil {
-				// Validated above; unreachable for a registered run.
-				panic(err)
-			}
-			acc.Add(r.BER)
-		}
-		return acc
-	}, nil
-}
-
-// multihopBER measures the end-to-end BER of a route of identical
-// cooperative hops (internal/multihop) per trial. Parameters:
+// multihopBERBatch measures the end-to-end BER of a route of identical
+// cooperative hops (internal/multihop) per trial, running each chunk
+// through multihop.RunBatchWith, the SoA route kernel, in one call.
+// Parameters:
 //
 //	hops     hop count (default 2)
 //	mt, mr   node counts per hop (default 2x2)
 //	b        bits per symbol (default 1)
 //	snr_db   per-hop per-bit SNR in dB (default 10)
 //	bits     payload bits per trial (default 64)
-func multihopBER(params map[string]float64) (sim.BatchFunc, error) {
-	return multihopBERWith(params, multihop.RunWith)
-}
-
-// multihopBERBatch is the chunk-level SoA registration: the chunk runs
-// through multihop.RunBatchWith in one call. Bit-identical to
-// multihop.ber — each trial still reseeds from the chunk stream in the
-// same order — so campaigns and cluster shards can name either.
 func multihopBERBatch(params map[string]float64) (sim.BatchFunc, error) {
 	cfg, err := multihopConfig(params)
 	if err != nil {
@@ -225,13 +179,6 @@ func multihopBERBatch(params map[string]float64) (sim.BatchFunc, error) {
 		}
 		return acc
 	}, nil
-}
-
-// multihopBERScalar pins the per-hop scalar oracle under its own name,
-// mirroring coop.ber.scalar, so golden runs can cross-check the batched
-// route kernel through the same registry plumbing.
-func multihopBERScalar(params map[string]float64) (sim.BatchFunc, error) {
-	return multihopBERWith(params, multihop.RunScalarWith)
 }
 
 // multihopConfig builds and validates the multihop.Config a kernel's
@@ -275,26 +222,4 @@ func multihopConfig(params map[string]float64) (multihop.Config, error) {
 		return cfg, err
 	}
 	return cfg, nil
-}
-
-func multihopBERWith(params map[string]float64, run func(*multihop.Workspace, multihop.Config) (multihop.Result, error)) (sim.BatchFunc, error) {
-	cfg, err := multihopConfig(params)
-	if err != nil {
-		return nil, err
-	}
-	return func(rng *rand.Rand, n int) mathx.Running {
-		ws := multihop.GetWorkspace()
-		defer multihop.PutWorkspace(ws)
-		var acc mathx.Running
-		c := cfg
-		for i := 0; i < n; i++ {
-			c.Seed = rng.Int63()
-			r, err := run(ws, c)
-			if err != nil {
-				panic(err)
-			}
-			acc.Add(r.EndToEndBER)
-		}
-		return acc
-	}, nil
 }

@@ -1,11 +1,72 @@
 package simkern
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/coop"
 	"repro/internal/mathx"
+	"repro/internal/multihop"
 	"repro/internal/sim"
 )
+
+// The per-trial scalar oracles are registered for tests only: golden
+// runs cross-check the batch kernels against them through the same
+// registry plumbing (serial, parallel and cluster alike), but they are
+// never served.
+func init() {
+	sim.RegisterKernel("coop.ber.scalar", coopBERScalar)
+	sim.RegisterKernel("multihop.ber.scalar", multihopBERScalar)
+}
+
+// coopBERScalar runs coop.ber's trials one at a time on the per-block
+// scalar engine, reseeding each from the chunk stream in the order the
+// batch kernel does.
+func coopBERScalar(params map[string]float64) (sim.BatchFunc, error) {
+	cfg, err := coopConfig(params)
+	if err != nil {
+		return nil, err
+	}
+	return func(rng *rand.Rand, n int) mathx.Running {
+		ws := coop.GetWorkspace()
+		defer coop.PutWorkspace(ws)
+		var acc mathx.Running
+		c := cfg
+		for i := 0; i < n; i++ {
+			c.Seed = rng.Int63()
+			r, err := coop.RunScalarWith(ws, c)
+			if err != nil {
+				panic(err)
+			}
+			acc.Add(r.BER)
+		}
+		return acc
+	}, nil
+}
+
+// multihopBERScalar is coopBERScalar for multihop.ber: every hop
+// crosses coop's scalar engine.
+func multihopBERScalar(params map[string]float64) (sim.BatchFunc, error) {
+	cfg, err := multihopConfig(params)
+	if err != nil {
+		return nil, err
+	}
+	return func(rng *rand.Rand, n int) mathx.Running {
+		ws := multihop.GetWorkspace()
+		defer multihop.PutWorkspace(ws)
+		var acc mathx.Running
+		c := cfg
+		for i := 0; i < n; i++ {
+			c.Seed = rng.Int63()
+			r, err := multihop.RunScalarWith(ws, c)
+			if err != nil {
+				panic(err)
+			}
+			acc.Add(r.EndToEndBER)
+		}
+		return acc
+	}, nil
+}
 
 func TestKernelsRegistered(t *testing.T) {
 	for _, name := range []string{"coop.ber", "multihop.ber", "cellfree.se", "cellfree.se.mmse"} {
@@ -94,9 +155,9 @@ func TestCellfreeKernelOrdering(t *testing.T) {
 }
 
 // TestMultihopBatchMatchesScalar pins the SoA tier's contract at the
-// registry level: multihop.ber.batch and multihop.ber.scalar (and the
-// transport-engine multihop.ber) produce bit-identical statistics from
-// the same rng stream, so swapping engines never moves a golden.
+// registry level: multihop.ber, multihop.ber.batch and the scalar
+// oracle produce bit-identical statistics from the same rng stream, so
+// swapping engines never moves a golden.
 func TestMultihopBatchMatchesScalar(t *testing.T) {
 	params := map[string]float64{"hops": 3, "mt": 2, "mr": 2, "snr_db": 8, "bits": 240}
 	run := func(kernel string) mathx.Running {
@@ -106,12 +167,12 @@ func TestMultihopBatchMatchesScalar(t *testing.T) {
 		}
 		return batch(mathx.NewRand(99), 40)
 	}
-	batch, scalar, transport := run("multihop.ber.batch"), run("multihop.ber.scalar"), run("multihop.ber")
+	batch, scalar, def := run("multihop.ber.batch"), run("multihop.ber.scalar"), run("multihop.ber")
 	if batch != scalar {
 		t.Fatalf("multihop.ber.batch %+v != multihop.ber.scalar %+v", batch, scalar)
 	}
-	if batch != transport {
-		t.Fatalf("multihop.ber.batch %+v != multihop.ber %+v", batch, transport)
+	if batch != def {
+		t.Fatalf("multihop.ber.batch %+v != multihop.ber %+v", batch, def)
 	}
 	if batch.N() != 40 {
 		t.Fatalf("N = %d, want 40", batch.N())
@@ -124,15 +185,13 @@ func TestKernelCapsAdvertised(t *testing.T) {
 	for name, want := range map[string]struct {
 		batch, adaptive, bernoulli bool
 	}{
-		"coop.ber":            {false, true, false},
-		"coop.ber.batch":      {true, true, false},
-		"coop.ber.scalar":     {false, false, false},
-		"coop.ber.adaptive":   {true, true, true},
-		"multihop.ber":        {false, true, false},
-		"multihop.ber.batch":  {true, true, true},
-		"multihop.ber.scalar": {false, false, false},
-		"cellfree.se":         {false, true, false},
-		"cellfree.se.mmse":    {false, true, false},
+		"coop.ber":           {true, true, false},
+		"coop.ber.batch":     {true, true, false},
+		"coop.ber.adaptive":  {true, true, true},
+		"multihop.ber":       {true, true, false},
+		"multihop.ber.batch": {true, true, true},
+		"cellfree.se":        {false, true, false},
+		"cellfree.se.mmse":   {false, true, false},
 	} {
 		caps, ok := sim.KernelCapsFor(name)
 		if !ok {

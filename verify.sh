@@ -38,9 +38,6 @@ go run ./internal/tools/tracesmoke
 echo ">> cellfree smoke (MMSE >= MR per quantile, distributed golden identity)"
 go run ./internal/tools/cellfreesmoke
 
-echo ">> adaptive smoke (CI target, >=10x trial savings, replay identity)"
-go run ./internal/tools/adaptivesmoke
-
 echo ">> campaign smoke (SIGKILL mid-experiment, resume from checkpoints)"
 go run ./internal/tools/campaignsmoke
 
