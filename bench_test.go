@@ -2,9 +2,9 @@ package cogmimo
 
 // The benchmark harness: one benchmark per paper artifact (Figures 6a,
 // 6b, 7, 8 and Tables 1-4) regenerating the corresponding report, plus
-// the ablation benchmarks DESIGN.md calls out (ēb solver sampling,
-// parallel Monte-Carlo scaling, constellation search, phase models,
-// clustering, STBC decoding, CSMA contention).
+// the ablation benchmarks DESIGN.md calls out (ēb solver sampling and
+// table build, parallel Monte-Carlo scaling, constellation search,
+// phase models, clustering, STBC decoding, CSMA contention).
 
 import (
 	"context"
@@ -75,6 +75,29 @@ func BenchmarkEbTableSamples(b *testing.B) {
 			b.ReportMetric(relErr, "relerr")
 		})
 	}
+}
+
+// BenchmarkEbTableBuild builds the Monte-Carlo ēb table over the
+// cogbench paper grid — p {0.01, 0.001} × b {1, 2, 4} × mt, mr 1..4, 96
+// cells at 20000 samples — with a fresh seed per iteration, so channel
+// draws are included. It reports the BER estimates each cell's solve
+// took.
+func BenchmarkEbTableBuild(b *testing.B) {
+	grid := ebtable.Grid{
+		Ps: []float64{0.01, 0.001}, Bs: []int{1, 2, 4}, Mts: []int{1, 2, 3, 4}, Mrs: []int{1, 2, 3, 4},
+	}
+	b.ReportAllocs()
+	var evals, cells int64
+	for i := 0; i < b.N; i++ {
+		mc := &ebtable.MonteCarlo{Samples: 20000, Seed: int64(i + 1)}
+		tab, err := ebtable.Build(mc, grid)
+		if err != nil {
+			b.Fatal(err)
+		}
+		evals += mc.Evals()
+		cells += int64(tab.Len())
+	}
+	b.ReportMetric(float64(evals)/float64(cells), "evals/cell")
 }
 
 // zbench.rayleigh.norm2 draws one 2x2 Rayleigh channel per trial and

@@ -11,9 +11,10 @@
 //     combining, so ēb reduces to a one-dimensional root find on an
 //     exact expression.
 //   - MonteCarlo: the paper's "numerical analysis" — draw channel
-//     matrices, average eq. (5)/(6) over them, and invert by bisection.
-//     It generalises to non-Rayleigh fading and is the ablation baseline
-//     for the analytic path.
+//     matrices once, average eq. (5)/(6) over them, and invert with
+//     Brent's method on log BER over log ēb. It generalises to
+//     non-Rayleigh fading and is the ablation baseline for the analytic
+//     path.
 //
 // Preprocessing (Algorithm 1/2) builds a Table over a (p, b, mt, mr)
 // grid with either solver; the table serialises with encoding/gob for
@@ -33,7 +34,7 @@ import (
 const DefaultN0 = 7.943282347242789e-21
 
 // ebCeiling and ebFloor bracket every physically sensible ēb in joules;
-// the bisection searches this range on a log grid.
+// both solvers search this range on a log scale.
 const (
 	ebFloor   = 1e-26
 	ebCeiling = 1e-8

@@ -2,6 +2,7 @@ package ebtable
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -157,25 +158,88 @@ func TestMonteCarloDeterministic(t *testing.T) {
 	if a != b {
 		t.Errorf("same seed gave %g and %g", a, b)
 	}
-	// Worker count must not change the estimate.
-	m3 := &MonteCarlo{Samples: 5000, Seed: 9, Workers: 1}
-	c, _ := m3.EbBar(0.005, 2, 2, 2)
-	if a != c {
-		t.Errorf("worker count changed result: %g vs %g", a, c)
+}
+
+// TestMonteCarloBERMatchesBERAWGN: BER with the constellation constants
+// hoisted out of the sample loop is bit-identical to summing
+// modulation.BERAWGN over 256-sample blocks in block order, the
+// reduction the estimator has always used. 1000 samples leave a short
+// last block.
+func TestMonteCarloBERMatchesBERAWGN(t *testing.T) {
+	mc := &MonteCarlo{Samples: 1000, Seed: 3}
+	samples := mc.norms(2, 3)
+	for _, b := range []int{1, 2, 4, 7, 16} {
+		for _, eb := range []float64{-1e-20, 0, 1e-22, 3e-21, 2e-20, 7e-19, 1e-16} {
+			scale := max(eb, 0) / (DefaultN0 * 2)
+			var want float64
+			for lo := 0; lo < len(samples); lo += 256 {
+				var s float64
+				for _, h2 := range samples[lo:min(lo+256, len(samples))] {
+					s += modulation.BERAWGN(b, h2*scale)
+				}
+				want += s
+			}
+			want /= float64(len(samples))
+			if got := mc.BER(b, 2, 3, eb); got != want {
+				t.Errorf("b=%d eb=%g: BER %v, want %v", b, eb, got, want)
+			}
+		}
 	}
 }
 
-// TestMonteCarloBERWorkerInvariant: the BER reduction partitions the
-// samples into blocks that do not depend on Workers, so the estimate
-// is bit-identical at any worker count.
-func TestMonteCarloBERWorkerInvariant(t *testing.T) {
-	mc := &MonteCarlo{Samples: 20000, Seed: 3, Workers: 1}
-	want := mc.BER(2, 2, 2, 2e-20)
-	for _, workers := range []int{2, 3, 7, 8} {
-		mc.Workers = workers
-		if got := mc.BER(2, 2, 2, 2e-20); got != want {
-			t.Errorf("workers=%d: BER %v, want %v (workers=1)", workers, got, want)
+// TestMonteCarloRootBrackets: over Rayleigh and Rician K=4, every p, b
+// and antenna pair, the MC root brackets the target within ±1e-6
+// relative — BER(ēb(1-1e-6)) >= p >= BER(ēb(1+1e-6)) — and agrees within
+// 1e-6 with a bisection reference solved to 1e-9.
+func TestMonteCarloRootBrackets(t *testing.T) {
+	for _, k := range []float64{0, 4} {
+		mc := &MonteCarlo{Samples: 500, Seed: 21, RicianK: k}
+		for _, p := range []float64{0.1, 0.01, 0.001, 0.0005} {
+			for _, b := range []int{1, 2, 4, 8, 16} {
+				for mt := 1; mt <= 4; mt++ {
+					for mr := 1; mr <= 4; mr++ {
+						eb, err := mc.EbBar(p, b, mt, mr)
+						if err != nil {
+							t.Fatalf("K=%v p=%g b=%d %dx%d: %v", k, p, b, mt, mr, err)
+						}
+						lo, hi := mc.BER(b, mt, mr, eb*(1-1e-6)), mc.BER(b, mt, mr, eb*(1+1e-6))
+						if !(lo >= p && p >= hi) {
+							t.Errorf("K=%v p=%g b=%d %dx%d: ēb=%g does not bracket: BER %g .. %g",
+								k, p, b, mt, mr, eb, lo, hi)
+						}
+						ref, err := mathx.BisectLog(func(e float64) float64 { return mc.BER(b, mt, mr, e) - p },
+							ebFloor, ebCeiling, 1e-9)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if math.Abs(eb/ref-1) > 1e-6 {
+							t.Errorf("K=%v p=%g b=%d %dx%d: ēb=%g, bisection %g", k, p, b, mt, mr, eb, ref)
+						}
+					}
+				}
+			}
 		}
+	}
+	// So much noise that even the ceiling energy misses the target: the
+	// root cannot be bracketed, and the solve must say so.
+	loud := &MonteCarlo{Samples: 500, Seed: 21, N0: 1}
+	if _, err := loud.EbBar(0.001, 2, 2, 2); !errors.Is(err, mathx.ErrNoBracket) {
+		t.Errorf("unbracketable target: err = %v, want ErrNoBracket", err)
+	}
+}
+
+// TestMonteCarloEvalsPerCell: over the cogbench paper grid at its 20000
+// samples, a solve averages at most 14 BER estimates per cell;
+// bisection over the same bracket to the same tolerance takes 28.
+func TestMonteCarloEvalsPerCell(t *testing.T) {
+	grid := Grid{Ps: []float64{0.01, 0.001}, Bs: []int{1, 2, 4}, Mts: []int{1, 2, 3, 4}, Mrs: []int{1, 2, 3, 4}}
+	mc := &MonteCarlo{Seed: 1}
+	tab, err := Build(mc, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perCell := float64(mc.Evals()) / float64(tab.Len()); perCell > 14 {
+		t.Errorf("%.2f BER estimates per cell, want at most 14", perCell)
 	}
 }
 

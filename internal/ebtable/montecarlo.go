@@ -2,19 +2,20 @@ package ebtable
 
 import (
 	"fmt"
-	"runtime"
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/channel"
 	"repro/internal/mathx"
-	"repro/internal/modulation"
 )
 
 // MonteCarlo estimates ēb by averaging eq. (5)/(6) over sampled channel
-// matrices and inverting by bisection — the paper's preprocessing
-// procedure. Common random numbers (one ||H||_F^2 sample set reused for
-// every bisection probe) make the estimated BER curve strictly monotone
-// in ēb, so the bisection is well-posed despite the sampling noise.
+// matrices and inverting for ēb — the paper's preprocessing procedure.
+// Common random numbers (one ||H||_F^2 sample set reused for every probe)
+// make the estimated BER a smooth, strictly monotone function of ēb, so
+// EbBar root-finds log BER over log ēb with Brent's method. One solve
+// runs on the calling goroutine; Build parallelises across cells.
 type MonteCarlo struct {
 	// N0 is the noise spectral density in W/Hz; 0 means DefaultN0.
 	N0 float64
@@ -22,14 +23,13 @@ type MonteCarlo struct {
 	Samples int
 	// Seed drives the channel sampling.
 	Seed int64
-	// Workers caps the parallel BER reduction; 0 means GOMAXPROCS.
-	Workers int
 	// RicianK, when positive, samples Rician instead of Rayleigh fading —
 	// a what-if the closed form cannot cover.
 	RicianK float64
 	// Convention selects the gamma_b normalisation (default ConvPaper).
 	Convention Convention
 
+	evals atomic.Int64 // BER estimates made, one pass over a sample set each
 	mu    sync.Mutex
 	cache map[[2]int][]float64 // (mt, mr) -> ||H||_F^2 samples
 }
@@ -68,8 +68,16 @@ func (mc *MonteCarlo) norms(mt, mr int) []float64 {
 	return s
 }
 
-// BER estimates the average BER at per-bit receive energy eb.
+// berBlock is the sample count of one partial sum in BER. The partial
+// sums fold in block order: that order defines the estimate's bits, and
+// short partial sums keep its rounding error small.
+const berBlock = 256
+
+// BER estimates the average BER at per-bit receive energy eb: the mean
+// of BER_AWGN(b, ||H||_F^2 * eb / (N0 * norm)) over the sample set,
+// where norm is mt under ConvPaper and 1 under ConvArray.
 func (mc *MonteCarlo) BER(b, mt, mr int, eb float64) float64 {
+	mc.evals.Add(1)
 	n0 := mc.N0
 	if n0 == 0 {
 		n0 = DefaultN0
@@ -79,11 +87,28 @@ func (mc *MonteCarlo) BER(b, mt, mr int, eb float64) float64 {
 	if mc.Convention == ConvArray {
 		norm = 1
 	}
-	scale := eb / (n0 * norm)
-	return parallelMeanBER(samples, b, scale, mc.Workers)
+	// A negative energy clamps to zero SNR, as modulation.BERAWGN does.
+	scale := max(eb, 0) / (n0 * norm)
+	pre, k := berShape(b)
+	var total float64
+	for lo := 0; lo < len(samples); lo += berBlock {
+		var s float64
+		for _, h2 := range samples[lo:min(lo+berBlock, len(samples))] {
+			s += pre * mathx.Q(math.Sqrt(k*(h2*scale)))
+		}
+		total += s
+	}
+	return total / float64(len(samples))
 }
 
-// EbBar inverts the Monte-Carlo BER estimate for the target p.
+// Evals returns the number of BER estimates made so far, counting the
+// probes of every EbBar solve.
+func (mc *MonteCarlo) Evals() int64 { return mc.evals.Load() }
+
+// EbBar inverts the Monte-Carlo BER estimate for the target p. It solves
+// log BER(e^u) = log p over u = log ēb on [ebFloor, ebCeiling] to a
+// relative 1e-6 in ēb. The BER is clamped to the smallest positive
+// float64 first, since at high energy every sample's Q underflows to 0.
 func (mc *MonteCarlo) EbBar(p float64, b, mt, mr int) (float64, error) {
 	if err := checkArgs(p, b, mt, mr); err != nil {
 		return 0, err
@@ -92,56 +117,13 @@ func (mc *MonteCarlo) EbBar(p float64, b, mt, mr int) (float64, error) {
 		return 0, fmt.Errorf("ebtable: BER target %g unreachable with b=%d (saturates at %g)",
 			p, b, saturationBER(b))
 	}
-	f := func(eb float64) float64 { return mc.BER(b, mt, mr, eb) - p }
-	eb, err := mathx.BisectLog(f, ebFloor, ebCeiling, 1e-6)
+	logP := math.Log(p)
+	f := func(u float64) float64 {
+		return math.Log(max(mc.BER(b, mt, mr, math.Exp(u)), math.SmallestNonzeroFloat64)) - logP
+	}
+	u, err := mathx.Brent(f, math.Log(ebFloor), math.Log(ebCeiling), math.Log1p(1e-6))
 	if err != nil {
 		return 0, fmt.Errorf("ebtable: MC solve ēb(p=%g, b=%d, %dx%d): %w", p, b, mt, mr, err)
 	}
-	return eb, nil
-}
-
-// berBlock is the sample count of one partial sum in parallelMeanBER.
-// The block partition depends on the sample count alone, never on the
-// worker count, which is what makes BER bit-identical at any Workers.
-// Blocks are small enough that even a 1000-sample set splits evenly
-// over two workers; the default 20000 samples make 79 blocks.
-const berBlock = 256
-
-// parallelMeanBER averages BER_AWGN(b, h2*scale) over the sample set.
-// Workers take fixed-size sample blocks in a fixed stride and the
-// per-block sums fold in block order, so the result is independent of
-// both the worker count and scheduling.
-func parallelMeanBER(samples []float64, b int, scale float64, workers int) float64 {
-	blocks := (len(samples) + berBlock - 1) / berBlock
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > blocks {
-		workers = blocks
-	}
-	sums := make([]float64, blocks)
-	sumBlocks := func(first int) {
-		for k := first; k < blocks; k += workers {
-			var s float64
-			for _, h2 := range samples[k*berBlock : min((k+1)*berBlock, len(samples))] {
-				s += modulation.BERAWGN(b, h2*scale)
-			}
-			sums[k] = s
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sumBlocks(w)
-		}(w)
-	}
-	sumBlocks(0)
-	wg.Wait()
-	var total float64
-	for _, s := range sums {
-		total += s
-	}
-	return total / float64(len(samples))
+	return math.Exp(u), nil
 }

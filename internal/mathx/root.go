@@ -11,10 +11,8 @@ import (
 var ErrNoBracket = errors.New("mathx: f(a) and f(b) have the same sign")
 
 // Bisect finds x in [a, b] with f(x) = 0 to within tol using bisection.
-// f(a) and f(b) must have opposite signs. Bisection is used for the
-// ebtable inversion because the Monte-Carlo BER estimate is monotone in
-// the transmit energy but noisy enough that derivative-based methods
-// misbehave.
+// f(a) and f(b) must have opposite signs. It needs nothing but a sign
+// change, so it also suits discontinuous or step-valued functions.
 func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
 	fa, fb := f(a), f(b)
 	if fa == 0 {
@@ -56,10 +54,13 @@ func BisectLog(f func(float64) float64, a, b, rtol float64) (float64, error) {
 	return math.Exp(u), nil
 }
 
-// Brent finds a root of f in [a, b] using Brent's method: inverse
-// quadratic interpolation with bisection fallback. It converges much
-// faster than Bisect for smooth deterministic functions, e.g. the
-// distance inversions of the overlay analysis (Section 6.1).
+// Brent finds a root of f in [a, b] to within tol by Brent's safeguarded
+// method (zeroin): inverse quadratic or secant steps, with bisection
+// whenever interpolation would leave the bracket or shrink it too
+// slowly. Every step moves at least tol/2, so the bracket always closes.
+// An endpoint may evaluate to ±Inf, as log(0) does; interpolation is
+// skipped while it needs that value. The Monte-Carlo ēb inversion runs
+// it on log BER over log energy, smooth under common random numbers.
 func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 	fa, fb := f(a), f(b)
 	if fa == 0 {
@@ -71,54 +72,51 @@ func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 	if math.Signbit(fa) == math.Signbit(fb) {
 		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
 	}
-	if math.Abs(fa) < math.Abs(fb) {
-		a, b = b, a
-		fa, fb = fb, fa
-	}
-	c, fc := a, fa
-	mflag := true
-	var d float64
+	// b is the best estimate, c the other end of the bracket, a the
+	// previous b; d is the last step and e the one before it.
+	c, fc, d, e := a, fa, b-a, b-a
 	for i := 0; i < 200; i++ {
-		if fb == 0 || math.Abs(b-a) < tol {
+		if math.Signbit(fb) == math.Signbit(fc) {
+			c, fc, d, e = a, fa, b-a, b-a
+		}
+		if math.Abs(fc) < math.Abs(fb) {
+			a, b, c = b, c, b
+			fa, fb, fc = fb, fc, fb
+		}
+		tol1 := 0x1p-51*math.Abs(b) + tol/2 // 2·ε·|b| absorbs rounding
+		xm := (c - b) / 2
+		if fb == 0 || math.Abs(xm) <= tol1 {
 			return b, nil
 		}
-		var s float64
-		if fa != fc && fb != fc {
-			// Inverse quadratic interpolation.
-			s = a*fb*fc/((fa-fb)*(fa-fc)) +
-				b*fa*fc/((fb-fa)*(fb-fc)) +
-				c*fa*fb/((fc-fa)*(fc-fb))
+		if math.Abs(e) < tol1 || math.Abs(fa) <= math.Abs(fb) || math.IsInf(fa, 0) {
+			d, e = xm, xm // bisection
 		} else {
-			// Secant.
-			s = b - fb*(b-a)/(fb-fa)
+			s := fb / fa
+			var p, q float64
+			if a == c {
+				p, q = 2*xm*s, 1-s // secant
+			} else {
+				qa, r := fa/fc, fb/fc // inverse quadratic
+				p = s * (2*xm*qa*(qa-r) - (b-a)*(r-1))
+				q = (qa - 1) * (r - 1) * (s - 1)
+			}
+			if p > 0 {
+				q = -q
+			}
+			p = math.Abs(p)
+			if 2*p < math.Min(3*xm*q-math.Abs(tol1*q), math.Abs(e*q)) {
+				d, e = p/q, d
+			} else {
+				d, e = xm, xm
+			}
 		}
-		lo, hi := (3*a+b)/4, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		cond := s < lo || s > hi ||
-			(mflag && math.Abs(s-b) >= math.Abs(b-c)/2) ||
-			(!mflag && math.Abs(s-b) >= math.Abs(c-d)/2) ||
-			(mflag && math.Abs(b-c) < tol) ||
-			(!mflag && math.Abs(c-d) < tol)
-		if cond {
-			s = (a + b) / 2
-			mflag = true
+		a, fa = b, fb
+		if math.Abs(d) > tol1 {
+			b += d
 		} else {
-			mflag = false
+			b += math.Copysign(tol1, xm)
 		}
-		fs := f(s)
-		d = c
-		c, fc = b, fb
-		if math.Signbit(fa) != math.Signbit(fs) {
-			b, fb = s, fs
-		} else {
-			a, fa = s, fs
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a, b = b, a
-			fa, fb = fb, fa
-		}
+		fb = f(b)
 	}
 	return b, nil
 }

@@ -94,6 +94,45 @@ func TestBrentMatchesBisect(t *testing.T) {
 	}
 }
 
+// TestBrentInfiniteEndpoint: log(0) = -Inf at the lower endpoint must
+// neither poison the interpolation nor stop the bracket from closing.
+func TestBrentInfiniteEndpoint(t *testing.T) {
+	for _, iv := range [][2]float64{{0, 5}, {5, 0}} {
+		x, err := Brent(math.Log, iv[0], iv[1], 1e-12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(x-1) > 1e-11 {
+			t.Errorf("Brent(log, %v) = %v, want 1", iv, x)
+		}
+	}
+}
+
+// TestBrentSteepLogLogSigmoid solves the shape of the ēb inversion:
+// the log of an AWGN BPSK BER over 41 nats of log-energy, flat at the
+// low end and falling ever faster until Q underflows to 0 and the log
+// to -Inf at the high end. Safeguarded Brent must converge to 1e-6 in
+// at most 16 evaluations.
+func TestBrentSteepLogLogSigmoid(t *testing.T) {
+	const p = 1e-3
+	var evals int
+	f := func(u float64) float64 {
+		evals++
+		return math.Log(Q(math.Sqrt(2*math.Exp(u)))) - math.Log(p)
+	}
+	u, err := Brent(f, -20, 21, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 2 * math.Log(QInv(p)/math.Sqrt2)
+	if math.Abs(u-want) > 1e-6 {
+		t.Errorf("root %v, want %v", u, want)
+	}
+	if evals > 16 {
+		t.Errorf("%d evaluations, want at most 16", evals)
+	}
+}
+
 func TestMinimizeGrid(t *testing.T) {
 	f := func(x float64) float64 { return (x - 0.3) * (x - 0.3) }
 	x, fx := MinimizeGrid(f, 0, 1, 1000)

@@ -18,8 +18,8 @@ func Q(x float64) float64 {
 
 // QInv returns the x with Q(x) = p for p in (0, 1).
 //
-// It is used to invert BER targets into required SNRs when seeding the
-// ebtable bisection with a good initial bracket. Newton iteration refines
+// The energy detector uses it to turn a false-alarm target into a
+// threshold (internal/sensing). Newton iteration refines
 // an asymptotic initial guess; accuracy is ~1e-12 over p in [1e-300, 1-1e-16].
 func QInv(p float64) float64 {
 	switch {

@@ -11,6 +11,10 @@
 // -threshold (fraction, default 0.20):
 //
 //	go run ./internal/tools/benchjson -compare BENCH_old.json BENCH_new.json
+//
+// Each artifact carries a machine stamp (goos, goarch, cpu and
+// GOMAXPROCS); compare warns when the two artifacts' cpu or GOMAXPROCS
+// differ, since their ns/op then measure different hosts.
 package main
 
 import (
@@ -35,10 +39,17 @@ type Result struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// File is the artifact schema.
+// File is the artifact schema. GOOS, GOARCH and CPU come from the
+// `go test -bench` header lines, GOMAXPROCS from the -N suffix of the
+// benchmark names (go test omits it at GOMAXPROCS 1): together they say
+// which machine produced the numbers.
 type File struct {
 	Date       string   `json:"date"`
 	GoVersion  string   `json:"go_version,omitempty"`
+	GOOS       string   `json:"goos,omitempty"`
+	GOARCH     string   `json:"goarch,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -97,23 +108,29 @@ func main() {
 //
 //	BenchmarkCoopScheme/2x2-8  100  1318036 ns/op  0 B/op  0 allocs/op
 //
-// The trailing -N on the name is the GOMAXPROCS suffix and is
-// stripped so artifacts from differently sized machines line up.
+// The trailing -N on the name is the GOMAXPROCS suffix: it is stripped
+// so artifacts from differently sized machines line up, and the first
+// benchmark line's value is recorded in the machine stamp.
 func parseBench(r io.Reader) (*File, error) {
 	f := &File{Date: time.Now().Format("2006-01-02")}
+	header := map[string]*string{
+		"goos:": &f.GOOS, "goarch:": &f.GOARCH, "cpu:": &f.CPU, "go version ": &f.GoVersion,
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		if res, ok := parseLine(line); ok {
+			if len(f.Benchmarks) == 0 {
+				_, f.GOMAXPROCS = splitProcs(strings.Fields(line)[0])
+			}
 			f.Benchmarks = append(f.Benchmarks, res)
 			continue
 		}
-		if v, ok := strings.CutPrefix(line, "goos:"); ok {
-			_ = v // goos recorded implicitly by date; ignore
-		}
-		if v, ok := strings.CutPrefix(line, "go version "); ok {
-			f.GoVersion = strings.TrimSpace(v)
+		for prefix, dst := range header {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				*dst = strings.TrimSpace(v)
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -160,7 +177,8 @@ func parseLine(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	res := Result{Name: stripProcs(fields[0]), Iters: iters, Metrics: map[string]float64{}}
+	name, _ := splitProcs(fields[0])
+	res := Result{Name: name, Iters: iters, Metrics: map[string]float64{}}
 	// Remaining fields come in "value unit" pairs.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
@@ -175,17 +193,19 @@ func parseLine(line string) (Result, bool) {
 	return res, true
 }
 
-// stripProcs removes the trailing -N GOMAXPROCS suffix from a
-// benchmark name, leaving sub-benchmark paths intact.
-func stripProcs(name string) string {
+// splitProcs separates the trailing -N GOMAXPROCS suffix from a
+// benchmark name, leaving sub-benchmark paths intact. A name without
+// the suffix ran at GOMAXPROCS 1.
+func splitProcs(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }
 
 // minMeasuredNs is the total measured time (iterations x ns/op) below
@@ -219,6 +239,10 @@ func compareFiles(oldPath, newPath string, threshold float64, w io.Writer) (bool
 	newF, err := readFile(newPath)
 	if err != nil {
 		return false, err
+	}
+	if oldF.CPU != newF.CPU || oldF.GOMAXPROCS != newF.GOMAXPROCS {
+		fmt.Fprintf(w, "benchjson: warning: machines differ (baseline cpu %q GOMAXPROCS %d, new cpu %q GOMAXPROCS %d); ns/op deltas mix host and code changes\n",
+			oldF.CPU, oldF.GOMAXPROCS, newF.CPU, newF.GOMAXPROCS)
 	}
 	oldBy := make(map[string]Result, len(oldF.Benchmarks))
 	for _, b := range oldF.Benchmarks {

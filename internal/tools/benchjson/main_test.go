@@ -50,6 +50,66 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// TestParseBenchMachineStamp: the goos/goarch/cpu header lines and the
+// GOMAXPROCS name suffix land in the artifact.
+func TestParseBenchMachineStamp(t *testing.T) {
+	f, err := parseBench(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.GOOS != "linux" || f.GOARCH != "amd64" || f.CPU != "some CPU" || f.GOMAXPROCS != 8 {
+		t.Errorf("stamp goos=%q goarch=%q cpu=%q gomaxprocs=%d, want linux amd64 \"some CPU\" 8",
+			f.GOOS, f.GOARCH, f.CPU, f.GOMAXPROCS)
+	}
+	// go test prints no suffix at GOMAXPROCS 1.
+	f, err = parseBench(strings.NewReader("cpu: other CPU\nBenchmarkA  100  5 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.CPU != "other CPU" || f.GOMAXPROCS != 1 {
+		t.Errorf("stamp cpu=%q gomaxprocs=%d, want \"other CPU\" 1", f.CPU, f.GOMAXPROCS)
+	}
+}
+
+// TestCompareWarnsAcrossMachines: a cpu or GOMAXPROCS mismatch prints a
+// warning but never fails the compare on its own; matching stamps stay
+// quiet.
+func TestCompareWarnsAcrossMachines(t *testing.T) {
+	dir := t.TempDir()
+	oldP := filepath.Join(dir, "old.json")
+	newP := filepath.Join(dir, "new.json")
+	write := func(path, stamp string) {
+		t.Helper()
+		body := `{"date":"2026-01-01",` + stamp + `"benchmarks":[{"name":"BenchmarkA","iters":100,"metrics":{"ns/op":1000}}]}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(oldP, `"cpu":"host A","gomaxprocs":2,`)
+	for _, tc := range []struct {
+		stamp string
+		warn  bool
+	}{
+		{`"cpu":"host A","gomaxprocs":2,`, false},
+		{`"cpu":"host B","gomaxprocs":2,`, true},
+		{`"cpu":"host A","gomaxprocs":8,`, true},
+		{``, true}, // an unstamped artifact cannot be shown to match
+	} {
+		write(newP, tc.stamp)
+		var sb strings.Builder
+		worse, err := compareFiles(oldP, newP, 0.20, &sb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if worse {
+			t.Errorf("stamp %s: identical timings reported as regression:\n%s", tc.stamp, sb.String())
+		}
+		if got := strings.Contains(sb.String(), "warning: machines differ"); got != tc.warn {
+			t.Errorf("stamp %s: warning printed = %v, want %v:\n%s", tc.stamp, got, tc.warn, sb.String())
+		}
+	}
+}
+
 func TestParseLineRejectsNonBench(t *testing.T) {
 	for _, line := range []string{
 		"PASS",
