@@ -1,7 +1,7 @@
 # Tier-1 verification plus the race detector. `make verify` is what CI
 # and pre-merge checks should run.
 
-.PHONY: verify vet fmt-check build test race bench bench-compare bench-batch metrics-smoke cluster-smoke campaign-smoke loadgen-smoke trace-smoke cellfree-smoke
+.PHONY: verify vet fmt-check build test race fuzz-rng bench bench-compare bench-batch metrics-smoke cluster-smoke campaign-smoke loadgen-smoke trace-smoke cellfree-smoke
 
 BENCH_DATE := $(shell date +%Y-%m-%d)
 BENCH_JSON := BENCH_$(BENCH_DATE).json
@@ -24,6 +24,12 @@ test:
 
 race:
 	go test -race ./...
+
+# Fuzzes the table-seeded generator source against math/rand's for
+# 10 s: any seed whose Uint64/Int63 stream or derived variates differ
+# from rand.NewSource's fails. The edge seeds are the seed corpus.
+fuzz-rng:
+	go test -run=NONE -fuzz=FuzzSourceMatchesStdlib -fuzztime=10s ./internal/mathx
 
 # Runs the repo-root benchmark suite and records ns/op, B/op and
 # allocs/op into BENCH_<date>.json via internal/tools/benchjson.

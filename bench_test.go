@@ -397,6 +397,27 @@ func BenchmarkAdaptiveBudget(b *testing.B) {
 	b.ReportMetric(float64(trials), "trials-to-target")
 }
 
+// BenchmarkReseed is the primitive rung under every per-trial kernel:
+// resetting a generator to a fresh seed. stdlib is math/rand's serial
+// 1,841-step Park–Miller walk; mathx is the table-driven source that
+// reproduces the same stream (internal/mathx/source.go).
+func BenchmarkReseed(b *testing.B) {
+	b.Run("stdlib", func(b *testing.B) {
+		b.ReportAllocs()
+		src := rand.NewSource(1)
+		for i := 0; i < b.N; i++ {
+			src.Seed(int64(i))
+		}
+	})
+	b.Run("mathx", func(b *testing.B) {
+		b.ReportAllocs()
+		rng := mathx.NewReusableRand()
+		for i := 0; i < b.N; i++ {
+			rng.Reseed(int64(i))
+		}
+	})
+}
+
 // BenchmarkEnergyDetector measures one sensing decision.
 func BenchmarkEnergyDetector(b *testing.B) {
 	b.ReportAllocs()

@@ -10,7 +10,7 @@ import (
 )
 
 // The batched structure-of-arrays hop engine. The scalar transport loop
-// (transport_scalar.go) walks one STBC block at a time: every block
+// (transportScalar in scheme.go) walks one STBC block at a time: every block
 // pays a modulate call, per-antenna encodes, a 4x4-at-most matrix
 // multiply, a matched-filter decode and per-symbol hard decisions —
 // short, pointer-chased loops the compiler cannot do much with. The
@@ -88,13 +88,14 @@ func (bs *batchScratch) ensureSyms(count, k, n int) {
 }
 
 // transport pushes src through one cooperative hop with the batched
-// engine, writing decoded bits into dst. It is the default path under
+// engine, writing decoded bits into dst. It draws from ws.rng as the
+// caller left it — freshly seeded with cfg.Seed by RunWith or
+// TransportInto — and never reseeds. It is the default path under
 // Run/RunWith/TransportInto; transportScalar is the per-block oracle.
 func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	ws.rng.Reseed(cfg.Seed)
 	rng := ws.rng.Rand
 	mod, err := ws.scheme(cfg.B)
 	if err != nil {
@@ -313,11 +314,11 @@ func scaleLanes(b *mathx.BatchCF64, lanes, n int, scale complex128) {
 }
 
 // RunBatchWith executes n Monte-Carlo trials of the hop on a
-// caller-owned workspace, drawing each trial's seed from rng exactly as
-// the per-trial coop.ber kernel does, and folds the per-trial BERs into
-// one running statistic. It is the chunk-level entry point the
-// coop.ber.batch kernel registers: bit-identical to n sequential
-// RunWith calls with c.Seed = rng.Int63() per trial.
+// caller-owned workspace, drawing each trial's seed from rng, and folds
+// the per-trial BERs into one running statistic: bit-identical to n
+// sequential RunWith calls with c.Seed = rng.Int63() per trial. It is
+// the chunk-level entry point of every registered name of the hop
+// physics — coop.ber, coop.ber.batch and coop.ber.adaptive.
 func RunBatchWith(ws *Workspace, cfg Config, rng *rand.Rand, n int) (mathx.Running, error) {
 	var acc mathx.Running
 	if err := cfg.Validate(); err != nil {

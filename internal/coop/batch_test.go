@@ -141,3 +141,42 @@ func TestTransportBatchParallelWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunWithSingleSeedPinned: RunWith seeds once and forks the state
+// for the source bits, where the plain shape seeds twice. It must still
+// match the two-seed scalar oracle and the per-trial BERs the two-seed
+// path produced, recorded here for a fixed seed list. Seeds 0 and
+// 89482311 share a stream by math/rand's seed reduction.
+func TestRunWithSingleSeedPinned(t *testing.T) {
+	pinned := []struct {
+		seed          int64
+		ber, localBER float64
+	}{
+		{0, 0.0390625, 0.04296875},
+		{1, 0.0390625, 0.03515625},
+		{2, 0.0546875, 0.05078125},
+		{3, 0.05859375, 0.0390625},
+		{-7, 0.02734375, 0.0390625},
+		{89482311, 0.0390625, 0.04296875},
+		{1 << 40, 0.05078125, 0.03125},
+		{-1 << 62, 0.05078125, 0.0390625},
+	}
+	ws, wsS := NewWorkspace(), NewWorkspace()
+	for _, p := range pinned {
+		c := Config{Mt: 2, Mr: 2, B: 2, SNRPerBit: 1.5, LocalSNRPerBit: 1.5, ForwardSNR: 6, Bits: 256, Seed: p.seed}
+		got, err := RunWith(ws, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := RunScalarWith(wsS, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("seed %d: RunWith %+v, scalar oracle %+v", p.seed, got, want)
+		}
+		if got.BER != p.ber || got.LocalBER != p.localBER {
+			t.Errorf("seed %d: BER %v local %v, pinned %v local %v", p.seed, got.BER, got.LocalBER, p.ber, p.localBER)
+		}
+	}
+}

@@ -108,7 +108,10 @@ type Result struct {
 // exactly the rng stream a fresh run would, so results stay bit-identical.
 // A Workspace is not safe for concurrent use; keep one per worker.
 type Workspace struct {
-	rng    *mathx.ReusableRand
+	rng *mathx.ReusableRand
+	// bits is RunWith's fork of the freshly seeded rng, from which it
+	// draws the source bits while the hop draws from rng itself.
+	bits   *mathx.ReusableRand
 	fading *channel.BlockFading
 	mods   [17]*modulation.Scheme // index = bits per symbol
 
@@ -133,6 +136,7 @@ type Workspace struct {
 func NewWorkspace() *Workspace {
 	return &Workspace{
 		rng:    mathx.NewReusableRand(),
+		bits:   mathx.NewReusableRand(),
 		fading: channel.NewBlockFading(nil, 1, 1, 0, 0),
 	}
 }
@@ -180,6 +184,11 @@ func Run(cfg Config) (Result, error) {
 
 // RunWith is Run on a caller-owned workspace, for hot loops that keep
 // one workspace per goroutine instead of hitting the pool per trial.
+//
+// The source bits and the hop both draw from the start of cfg.Seed's
+// stream. RunWith seeds once and draws the bits from a copy of the
+// seeded state, leaving the original for the hop: the same streams two
+// Reseed calls would give, for the price of one.
 func RunWith(ws *Workspace, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -194,7 +203,8 @@ func RunWith(ws *Workspace, cfg Config) (Result, error) {
 		blocks = 1
 	}
 	ws.rng.Reseed(cfg.Seed)
-	rng := ws.rng.Rand
+	ws.bits.CopyFrom(ws.rng)
+	rng := ws.bits.Rand
 	ws.src = growBytes(ws.src, blocks*bitsPerBlock)
 	for i := range ws.src {
 		ws.src[i] = byte(rng.Intn(2))
@@ -222,15 +232,18 @@ func Transport(cfg Config, src []byte) ([]byte, Result, error) {
 // TransportInto is Transport on a caller-owned workspace, writing the
 // decoded bits into dst (which must have length len(src)). Relay chains
 // ping-pong two buffers through it so the whole route stays
-// allocation-free.
+// allocation-free. Every call reseeds the workspace with cfg.Seed.
 func TransportInto(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
+	ws.rng.Reseed(cfg.Seed)
 	return transport(ws, cfg, src, dst)
 }
 
 // RunScalarWith is RunWith on the per-block scalar engine — the oracle
 // the batched default path is tested against. It consumes the same rng
 // stream and performs the same floating-point operations per block, so
-// its results are bit-identical to RunWith's.
+// its results are bit-identical to RunWith's. It keeps the plain
+// two-seed shape (seed, draw the bits, reseed for the hop) that
+// RunWith's single seed and fork must reproduce.
 func RunScalarWith(ws *Workspace, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err

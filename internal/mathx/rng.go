@@ -7,9 +7,13 @@ import (
 
 // NewRand returns a deterministic *rand.Rand for the given seed.
 // Every stochastic component in the repository takes an injected source
-// so experiments replay bit-for-bit.
+// so experiments replay bit-for-bit. The stream is exactly
+// rand.New(rand.NewSource(seed))'s; the source is the table-seeded
+// reimplementation in source.go.
 func NewRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+	src := new(source64)
+	src.Seed(seed)
+	return rand.New(src)
 }
 
 // ReusableRand couples a *rand.Rand with its source so hot paths can
@@ -18,17 +22,25 @@ func NewRand(seed int64) *rand.Rand {
 // workspaces preserve bit-identical reproducibility.
 type ReusableRand struct {
 	Rand *rand.Rand
-	src  rand.Source
+	src  *source64
 }
 
-// NewReusableRand returns a reusable generator; call Reseed before use.
+// NewReusableRand returns a reusable generator on the stream of seed 0;
+// call Reseed before use.
 func NewReusableRand() *ReusableRand {
-	src := rand.NewSource(0)
+	src := new(source64)
+	src.Seed(0)
 	return &ReusableRand{Rand: rand.New(src), src: src}
 }
 
 // Reseed resets the generator to the deterministic stream of seed.
 func (r *ReusableRand) Reseed(seed int64) { r.src.Seed(seed) }
+
+// CopyFrom sets r to o's current position in o's stream: afterwards
+// both generators yield the same values. It forks a seeded generator
+// for the price of one state copy instead of a second Reseed. Only the
+// source state is copied: bytes o.Rand.Read has buffered are not.
+func (r *ReusableRand) CopyFrom(o *ReusableRand) { *r.src = *o.src }
 
 // SplitMix64 advances a splitmix64 state and returns the next value.
 // It is used to derive statistically independent per-worker seeds from a

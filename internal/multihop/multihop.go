@@ -130,13 +130,12 @@ func RunScalarWith(ws *Workspace, cfg Config) (Result, error) {
 }
 
 // RunBatchWith executes n Monte-Carlo trials of the route on a
-// caller-owned workspace, drawing each trial's seed from rng exactly as
-// the per-trial multihop.ber kernel does, and folds the per-trial
-// end-to-end BERs into one running statistic. It is the chunk-level
-// entry point the multihop.ber.batch kernel registers — bit-identical
-// to n sequential RunWith calls with c.Seed = rng.Int63() per trial —
-// and reuses a workspace-held per-hop buffer so the trial loop does not
-// allocate.
+// caller-owned workspace, drawing each trial's seed from rng, and folds
+// the per-trial end-to-end BERs into one running statistic:
+// bit-identical to n sequential RunWith calls with c.Seed = rng.Int63()
+// per trial. It is the chunk-level entry point of both registered names
+// of the route physics, multihop.ber and multihop.ber.batch, and reuses
+// a workspace-held per-hop buffer so the trial loop does not allocate.
 func RunBatchWith(ws *Workspace, cfg Config, rng *rand.Rand, n int) (mathx.Running, error) {
 	var acc mathx.Running
 	if err := cfg.Validate(); err != nil {

@@ -432,6 +432,10 @@ func (s *Service) SubmitCtx(ctx context.Context, req Request) (JobView, error) {
 	s.submitted++
 	s.mu.Unlock()
 
+	// Snapshot before a worker can see the job: the caller gets the job
+	// as submitted, and nothing after Enqueue reads j's mutable fields,
+	// which the worker writes under s.mu.
+	view := s.snapshot(j)
 	if err := s.sched.Enqueue(tid, j); err != nil {
 		s.mu.Lock()
 		s.rejected++
@@ -457,8 +461,8 @@ func (s *Service) SubmitCtx(ctx context.Context, req Request) (JobView, error) {
 	metJobs.With("submitted").Inc()
 	metTenantJobs.With(tid).Inc()
 	s.logger.Debug("job queued",
-		"job_id", j.id, "tenant", tid, "experiment", j.req.ID, "trace_id", j.traceID)
-	return s.snapshot(j), nil
+		"job_id", j.id, "tenant", tid, "experiment", j.req.ID, "trace_id", view.TraceID)
+	return view, nil
 }
 
 // Job returns a snapshot by ID.
@@ -734,19 +738,21 @@ func (s *Service) run(j *job, schedWait time.Duration) {
 	// watcher that fetches the trace on completion sees it whole.
 	jobSpan.SetAttr("state", string(st)).SetAttr("cache_hit", strconv.FormatBool(hit && st == StateDone))
 	jobSpan.End()
+	// Pin a slow trace before finish closes the done channel too, so a
+	// watcher sees it pinned on completion. Once the job is queued,
+	// j.started and j.traceID are written only by this goroutine.
+	if slow := time.Since(j.started); s.cfg.Recorder != nil && s.cfg.SlowTrace > 0 && !hit &&
+		slow >= s.cfg.SlowTrace && j.traceID != "" {
+		if s.cfg.Recorder.Pin(j.traceID) {
+			logger.Warn("slow job: trace pinned",
+				"duration", slow, "threshold", s.cfg.SlowTrace)
+		}
+	}
 	s.finish(j, st, hit && st == StateDone, msg)
 
 	s.mu.Lock()
 	state, errMsg, elapsed := j.state, j.errMsg, j.finished.Sub(j.started)
-	traceID := j.traceID
 	s.mu.Unlock()
-	if s.cfg.Recorder != nil && s.cfg.SlowTrace > 0 && !hit &&
-		elapsed >= s.cfg.SlowTrace && traceID != "" {
-		if s.cfg.Recorder.Pin(traceID) {
-			logger.Warn("slow job: trace pinned",
-				"duration", elapsed, "threshold", s.cfg.SlowTrace)
-		}
-	}
 	switch state {
 	case StateDone:
 		logger.Info("job done", "duration", elapsed, "cache_hit", hit)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/mathx"
@@ -174,5 +176,36 @@ func TestRunBatchesDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if got.Snapshot() != want.Snapshot() {
 		t.Errorf("folded partials %+v != fixed run %+v", got.Snapshot(), want.Snapshot())
+	}
+}
+
+// TestRunKernelChunksReusesGenerators: chunk generators come from a
+// pool, so once it is warm a call allocates far less than one ~4.9 KB
+// generator state, however many workers it starts. Adaptive runs call
+// the pool once per doubling round, which is what makes this matter.
+func TestRunKernelChunksReusesGenerators(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Put items at random")
+	}
+	const calls = 50
+	mc := MonteCarlo{Seed: 5, Workers: 2}
+	run := func() {
+		if _, err := mc.RunKernelChunksCtx(context.Background(), "ztest.kernel.normal", nil, 4*ChunkSize, 0, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A collection empties sync.Pools; keep it from landing mid-count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 10; i++ {
+		run()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 4<<10 {
+		t.Errorf("RunKernelChunksCtx allocates %d B per call on a warm pool, want < 4 KiB", perCall)
 	}
 }

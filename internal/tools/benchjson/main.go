@@ -12,9 +12,11 @@
 //
 //	go run ./internal/tools/benchjson -compare BENCH_old.json BENCH_new.json
 //
-// Each artifact carries a machine stamp (goos, goarch, cpu and
-// GOMAXPROCS); compare warns when the two artifacts' cpu or GOMAXPROCS
-// differ, since their ns/op then measure different hosts.
+// Each artifact carries a machine stamp (Go version, goos, goarch, cpu
+// and GOMAXPROCS); compare warns when the two artifacts' cpu or
+// GOMAXPROCS differ, since their ns/op then measure different hosts,
+// and when their Go versions differ, since the compiler and runtime
+// then changed under the code.
 package main
 
 import (
@@ -24,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,7 +45,9 @@ type Result struct {
 // File is the artifact schema. GOOS, GOARCH and CPU come from the
 // `go test -bench` header lines, GOMAXPROCS from the -N suffix of the
 // benchmark names (go test omits it at GOMAXPROCS 1): together they say
-// which machine produced the numbers.
+// which machine produced the numbers. GoVersion is runtime.Version() of
+// the toolchain running benchjson; `make bench` runs it with `go run`
+// next to the `go test` that measured, so it names that toolchain too.
 type File struct {
 	Date       string   `json:"date"`
 	GoVersion  string   `json:"go_version,omitempty"`
@@ -112,9 +117,9 @@ func main() {
 // so artifacts from differently sized machines line up, and the first
 // benchmark line's value is recorded in the machine stamp.
 func parseBench(r io.Reader) (*File, error) {
-	f := &File{Date: time.Now().Format("2006-01-02")}
+	f := &File{Date: time.Now().Format("2006-01-02"), GoVersion: runtime.Version()}
 	header := map[string]*string{
-		"goos:": &f.GOOS, "goarch:": &f.GOARCH, "cpu:": &f.CPU, "go version ": &f.GoVersion,
+		"goos:": &f.GOOS, "goarch:": &f.GOARCH, "cpu:": &f.CPU,
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -243,6 +248,10 @@ func compareFiles(oldPath, newPath string, threshold float64, w io.Writer) (bool
 	if oldF.CPU != newF.CPU || oldF.GOMAXPROCS != newF.GOMAXPROCS {
 		fmt.Fprintf(w, "benchjson: warning: machines differ (baseline cpu %q GOMAXPROCS %d, new cpu %q GOMAXPROCS %d); ns/op deltas mix host and code changes\n",
 			oldF.CPU, oldF.GOMAXPROCS, newF.CPU, newF.GOMAXPROCS)
+	}
+	if oldF.GoVersion != newF.GoVersion {
+		fmt.Fprintf(w, "benchjson: warning: Go versions differ (baseline %q, new %q); ns/op deltas mix toolchain and code changes\n",
+			oldF.GoVersion, newF.GoVersion)
 	}
 	oldBy := make(map[string]Result, len(oldF.Benchmarks))
 	for _, b := range oldF.Benchmarks {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -50,8 +51,9 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
-// TestParseBenchMachineStamp: the goos/goarch/cpu header lines and the
-// GOMAXPROCS name suffix land in the artifact.
+// TestParseBenchMachineStamp: the goos/goarch/cpu header lines, the
+// GOMAXPROCS name suffix and the running toolchain's Go version land in
+// the artifact.
 func TestParseBenchMachineStamp(t *testing.T) {
 	f, err := parseBench(strings.NewReader(sample))
 	if err != nil {
@@ -60,6 +62,9 @@ func TestParseBenchMachineStamp(t *testing.T) {
 	if f.GOOS != "linux" || f.GOARCH != "amd64" || f.CPU != "some CPU" || f.GOMAXPROCS != 8 {
 		t.Errorf("stamp goos=%q goarch=%q cpu=%q gomaxprocs=%d, want linux amd64 \"some CPU\" 8",
 			f.GOOS, f.GOARCH, f.CPU, f.GOMAXPROCS)
+	}
+	if f.GoVersion != runtime.Version() {
+		t.Errorf("stamp go_version=%q, want %q", f.GoVersion, runtime.Version())
 	}
 	// go test prints no suffix at GOMAXPROCS 1.
 	f, err = parseBench(strings.NewReader("cpu: other CPU\nBenchmarkA  100  5 ns/op\n"))
@@ -368,5 +373,47 @@ func TestCompareShortBenchmarkFloor(t *testing.T) {
 	}
 	if !worse {
 		t.Errorf("measured 2x regression not flagged:\n%s", sb.String())
+	}
+}
+
+// TestCompareWarnsAcrossGoVersions: a Go version mismatch, including an
+// artifact recorded before the stamp had one, prints its own warning
+// but never fails the compare; matching versions stay quiet.
+func TestCompareWarnsAcrossGoVersions(t *testing.T) {
+	dir := t.TempDir()
+	oldP := filepath.Join(dir, "old.json")
+	newP := filepath.Join(dir, "new.json")
+	write := func(path, version string) {
+		t.Helper()
+		body := `{"date":"2026-01-01","cpu":"host A","gomaxprocs":2,` + version +
+			`"benchmarks":[{"name":"BenchmarkA","iters":100,"metrics":{"ns/op":1000}}]}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(oldP, `"go_version":"go1.24.0",`)
+	for _, tc := range []struct {
+		version string
+		warn    bool
+	}{
+		{`"go_version":"go1.24.0",`, false},
+		{`"go_version":"go1.25.1",`, true},
+		{``, true},
+	} {
+		write(newP, tc.version)
+		var sb strings.Builder
+		worse, err := compareFiles(oldP, newP, 0.20, &sb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if worse {
+			t.Errorf("version %s: identical timings reported as regression:\n%s", tc.version, sb.String())
+		}
+		if got := strings.Contains(sb.String(), "warning: Go versions differ"); got != tc.warn {
+			t.Errorf("version %s: warning printed = %v, want %v:\n%s", tc.version, got, tc.warn, sb.String())
+		}
+		if strings.Contains(sb.String(), "warning: machines differ") {
+			t.Errorf("version %s: matching machines reported as different:\n%s", tc.version, sb.String())
+		}
 	}
 }

@@ -23,6 +23,9 @@ go test -race ./internal/obs ./internal/service ./internal/httpapi
 echo ">> go test -race ./..."
 go test -race ./...
 
+echo ">> fuzz rng (table-seeded source vs math/rand, 10 s)"
+make fuzz-rng
+
 echo ">> bench smoke (1 iteration)"
 go test -run=NONE -bench=. -benchtime=1x . >/dev/null
 
