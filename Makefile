@@ -1,7 +1,7 @@
 # Tier-1 verification plus the race detector. `make verify` is what CI
 # and pre-merge checks should run.
 
-.PHONY: verify vet fmt-check build test race fuzz-rng bench bench-compare bench-batch metrics-smoke cluster-smoke campaign-smoke loadgen-smoke trace-smoke cellfree-smoke
+.PHONY: verify vet fmt-check build test race fuzz-rng bench bench-compare cogbench-ab bench-batch metrics-smoke cluster-smoke campaign-smoke loadgen-smoke trace-smoke cellfree-smoke
 
 BENCH_DATE := $(shell date +%Y-%m-%d)
 BENCH_JSON := BENCH_$(BENCH_DATE).json
@@ -51,6 +51,17 @@ bench-compare: bench
 	else \
 		go run ./internal/tools/benchjson -compare $(BENCH_BASE) $(BENCH_JSON); \
 	fi
+
+# Paired A/B run of the repository benchmark: builds cogbench from
+# revision BASE (extracted locally, no network) and from the working
+# tree, runs both on WORKLOAD once per seed in alternating order, and
+# prints cogbench -compare over the pairs. Host load drifts by tens of
+# percent between back-to-back runs, so speed claims cite paired runs.
+BASE ?= HEAD
+WORKLOAD ?= tail-ber
+SEEDS ?= 1 2 3
+cogbench-ab:
+	./cogbench-ab.sh "$(BASE)" "$(WORKLOAD)" "$(SEEDS)" $(AB_SECONDS)
 
 # Scalar-vs-batched comparison of the cooperative trial engine: runs
 # the interleaved min-of-rounds A/B harness over the 1x1/2x2/4x4

@@ -100,17 +100,23 @@ func BenchmarkEbTableBuild(b *testing.B) {
 	b.ReportMetric(float64(evals)/float64(cells), "evals/cell")
 }
 
-// zbench.rayleigh.norm2 draws one 2x2 Rayleigh channel per trial and
-// scores its squared Frobenius norm: a small, allocation-bearing trial
-// for timing the chunk runner itself.
+// zbench.rayleigh.norm2 scores the squared Frobenius norm of one 2x2
+// Rayleigh channel per trial. Each |h|² of a CN(0, 1) entry is an Exp(1)
+// variate, so a trial is four -ln u draws over splitmix64 uniforms of
+// its seed: a small, allocation-free trial for timing the chunk runner
+// itself rather than the garbage collector.
 func init() {
-	sim.RegisterKernel("zbench.rayleigh.norm2", func(map[string]float64) (sim.BatchFunc, error) {
-		return func(rng *rand.Rand, n int) mathx.Running {
-			var acc mathx.Running
-			for i := 0; i < n; i++ {
-				acc.Add(channel.Rayleigh(rng, 2, 2).FrobeniusNorm2())
+	sim.RegisterKernel("zbench.rayleigh.norm2", func(map[string]float64) (sim.TrialFunc, error) {
+		return func(seeds []int64, vals []float64) {
+			for i, s := range seeds {
+				st := uint64(s)
+				var norm2 float64
+				for e := 0; e < 4; e++ {
+					u := float64(mathx.SplitMix64(&st)>>11+1) / (1 << 53)
+					norm2 -= math.Log(u)
+				}
+				vals[i] = norm2
 			}
-			return acc
 		}, nil
 	})
 }
@@ -126,6 +132,26 @@ func BenchmarkMonteCarloParallel(b *testing.B) {
 				r, err := mc.RunKernelCtx(context.Background(), "zbench.rayleigh.norm2", nil, 100000)
 				if err != nil || r.N() != 100000 {
 					b.Fatalf("short run: N=%d err=%v", r.N(), err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRunKernelChunks times a one-chunk range of coop.ber — the
+// pilot round of every adaptive run — at one and two workers. The
+// chunk runner splits a chunk's trials across idle workers, so the
+// second worker should close most of the gap to half the time.
+func BenchmarkRunKernelChunks(b *testing.B) {
+	params := map[string]float64{"bits": 16}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("chunks=1/workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			mc := sim.MonteCarlo{Seed: 1, Workers: workers}
+			for i := 0; i < b.N; i++ {
+				parts, err := mc.RunKernelChunksCtx(context.Background(), "coop.ber", params, sim.ChunkSize, 0, 1)
+				if err != nil || parts[0].N() != sim.ChunkSize {
+					b.Fatalf("short run: %v err=%v", parts, err)
 				}
 			}
 		})

@@ -1,7 +1,6 @@
 package adaptive
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/mathx"
@@ -12,24 +11,23 @@ func init() {
 	// Test kernels for this package's contract tests. atest.bernoulli
 	// emits per-trial error rates over "units" Bernoulli draws at rate
 	// "p" — a miniature BER kernel; atest.mean emits Uniform(0, 2*"mu").
-	sim.RegisterKernelCaps("atest.bernoulli", func(params map[string]float64) (sim.BatchFunc, error) {
+	sim.RegisterKernelCaps("atest.bernoulli", func(params map[string]float64) (sim.TrialFunc, error) {
 		p := params["p"]
 		units := int(params["units"])
 		if units <= 0 {
 			units = 16
 		}
-		return func(rng *rand.Rand, n int) mathx.Running {
-			var acc mathx.Running
-			for i := 0; i < n; i++ {
+		return func(seeds []int64, vals []float64) {
+			for i, s := range seeds {
+				st := uint64(s)
 				errs := 0
 				for u := 0; u < units; u++ {
-					if rng.Float64() < p {
+					if unitFloat(&st) < p {
 						errs++
 					}
 				}
-				acc.Add(float64(errs) / float64(units))
+				vals[i] = float64(errs) / float64(units)
 			}
-			return acc
 		}, nil
 	}, sim.KernelCaps{Batch: true, Adaptive: true, BernoulliUnits: func(params map[string]float64) float64 {
 		if u := params["units"]; u > 0 {
@@ -37,16 +35,21 @@ func init() {
 		}
 		return 16
 	}})
-	sim.RegisterKernelCaps("atest.mean", func(params map[string]float64) (sim.BatchFunc, error) {
+	sim.RegisterKernelCaps("atest.mean", func(params map[string]float64) (sim.TrialFunc, error) {
 		mu := params["mu"]
-		return func(rng *rand.Rand, n int) mathx.Running {
-			var acc mathx.Running
-			for i := 0; i < n; i++ {
-				acc.Add(2 * mu * rng.Float64())
+		return func(seeds []int64, vals []float64) {
+			for i, s := range seeds {
+				st := uint64(s)
+				vals[i] = 2 * mu * unitFloat(&st)
 			}
-			return acc
 		}, nil
 	}, sim.KernelCaps{Batch: true, Adaptive: true})
+}
+
+// unitFloat advances a splitmix64 state and maps the draw to [0, 1):
+// the test kernels derive each trial's draws from its seed this way.
+func unitFloat(state *uint64) float64 {
+	return float64(mathx.SplitMix64(state)>>11) / (1 << 53)
 }
 
 func TestBudgetValidate(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // ShardRequest is the wire form of one shard: a contiguous chunk range
 // of a named kernel run. Everything the worker needs to reproduce the
 // chunks bit-exactly is here — the kernel name and flat params rebuild
-// the batch, Seed and Trials rebuild the Plan (and thus the per-chunk
+// the trials, Seed and Trials rebuild the Plan (and thus the per-chunk
 // seeds), and [ChunkLo, ChunkHi) selects the slice of that plan this
 // shard owns. ChunkSize is carried explicitly so a worker built with a
 // different chunk constant refuses the shard instead of silently

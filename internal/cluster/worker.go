@@ -10,7 +10,7 @@ import (
 )
 
 // ExecuteShard runs one shard on this node: it validates the request
-// against the local plan geometry, rebuilds the kernel batch from the
+// against the local plan geometry, rebuilds the kernel trials from the
 // registry, executes exactly the requested chunk range with workers
 // goroutines, and returns the per-chunk partials in chunk order. Both
 // the HTTP shard endpoint (cmd/cogmimod) and the loopback transport

@@ -3,7 +3,6 @@ package coop
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/mathx"
 	"repro/internal/stbc"
@@ -311,27 +310,4 @@ func scaleLanes(b *mathx.BatchCF64, lanes, n int, scale complex128) {
 			lane[i] *= scale
 		}
 	}
-}
-
-// RunBatchWith executes n Monte-Carlo trials of the hop on a
-// caller-owned workspace, drawing each trial's seed from rng, and folds
-// the per-trial BERs into one running statistic: bit-identical to n
-// sequential RunWith calls with c.Seed = rng.Int63() per trial. It is
-// the chunk-level entry point of every registered name of the hop
-// physics — coop.ber, coop.ber.batch and coop.ber.adaptive.
-func RunBatchWith(ws *Workspace, cfg Config, rng *rand.Rand, n int) (mathx.Running, error) {
-	var acc mathx.Running
-	if err := cfg.Validate(); err != nil {
-		return acc, err
-	}
-	c := cfg
-	for i := 0; i < n; i++ {
-		c.Seed = rng.Int63()
-		r, err := RunWith(ws, c)
-		if err != nil {
-			return acc, err
-		}
-		acc.Add(r.BER)
-	}
-	return acc, nil
 }

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-
-	"repro/internal/mathx"
 )
 
 // batchIdentityConfigs sweeps the impairment space the transport
@@ -58,36 +56,6 @@ func TestTransportBatchMatchesScalar(t *testing.T) {
 				t.Fatalf("%s: batch %+v differs from scalar %+v", name, got, want)
 			}
 		}
-	}
-}
-
-// TestRunBatchWithMatchesScalarLoop checks the chunk kernel: one
-// RunBatchWith call must equal a hand loop of scalar runs reseeded
-// from the same stream — the contract the simkern registration and the
-// cluster shard executor distribute.
-func TestRunBatchWithMatchesScalarLoop(t *testing.T) {
-	cfg := Config{Mt: 2, Mr: 2, B: 1, SNRPerBit: 9, LocalSNRPerBit: 10, Bits: 96, Seed: 1}
-	const n = 40
-
-	ws := NewWorkspace()
-	got, err := RunBatchWith(ws, cfg, mathx.NewRand(77), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := mathx.NewRand(77)
-	var want mathx.Running
-	c := cfg
-	for i := 0; i < n; i++ {
-		c.Seed = rng.Int63()
-		r, err := RunScalarWith(ws, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want.Add(r.BER)
-	}
-	if got != want {
-		t.Fatalf("RunBatchWith %+v differs from scalar loop %+v", got, want)
 	}
 }
 

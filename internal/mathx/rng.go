@@ -46,11 +46,22 @@ func (r *ReusableRand) CopyFrom(o *ReusableRand) { *r.src = *o.src }
 // It is used to derive statistically independent per-worker seeds from a
 // single experiment seed without the correlation hazards of seed+i.
 func SplitMix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
+	*state += splitMixGamma
 	z := *state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// splitMixGamma is splitmix64's state increment.
+const splitMixGamma = 0x9e3779b97f4a7c15
+
+// DeriveSeed returns child seed i of master: DeriveSeeds(master, n)[i]
+// for any n > i. Each splitmix64 step adds a constant to the state, so
+// the i-th state is a closed form and no earlier seed is computed.
+func DeriveSeed(master int64, i int) int64 {
+	state := uint64(master) + uint64(i)*splitMixGamma
+	return int64(SplitMix64(&state))
 }
 
 // DeriveSeeds expands one master seed into n child seeds via splitmix64.

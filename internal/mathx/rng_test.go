@@ -45,6 +45,19 @@ func TestDeriveSeeds(t *testing.T) {
 	}
 }
 
+// TestDeriveSeedMatchesWalk: the closed-form i-th seed is the i-th
+// seed of the sequential walk, for masters that wrap the state.
+func TestDeriveSeedMatchesWalk(t *testing.T) {
+	for _, master := range []int64{0, 1, -1, 99, math.MaxInt64, math.MinInt64} {
+		walk := DeriveSeeds(master, 300)
+		for i, want := range walk {
+			if got := DeriveSeed(master, i); got != want {
+				t.Fatalf("DeriveSeed(%d, %d) = %d, want %d", master, i, got, want)
+			}
+		}
+	}
+}
+
 func TestRayleighMoments(t *testing.T) {
 	rng := NewRand(5)
 	var r Running

@@ -8,7 +8,6 @@ package multihop
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/coop"
@@ -72,8 +71,8 @@ type Result struct {
 }
 
 // Workspace holds the reusable scratch state for one goroutine's route
-// transports: a hop workspace plus the payload and ping-pong relay
-// buffers, so repeated runs allocate only the returned per-hop slice.
+// transports: a hop workspace plus the payload, ping-pong relay and
+// per-hop buffers, so repeated runs do not allocate.
 // Not safe for concurrent use; keep one per worker.
 type Workspace struct {
 	rng    *mathx.ReusableRand
@@ -98,22 +97,29 @@ func GetWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
 func PutWorkspace(ws *Workspace) { wsPool.Put(ws) }
 
 // Run transports a random payload along the route, using a pooled
-// workspace.
+// workspace, and returns a self-contained result.
 func Run(cfg Config) (Result, error) {
 	ws := GetWorkspace()
 	defer PutWorkspace(ws)
-	return RunWith(ws, cfg)
+	r, err := RunWith(ws, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	r.PerHopBER = append([]float64(nil), r.PerHopBER...)
+	return r, nil
 }
 
 // RunWith is Run on a caller-owned workspace. Hop i's decoded bits feed
 // hop i+1 through two ping-pong buffers, so the whole route reuses the
 // workspace's scratch while consuming exactly the rng streams a fresh
-// run would. Each hop crosses through coop's batched SoA engine.
+// run would. Each hop crosses through coop's batched SoA engine. The
+// returned PerHopBER aliases the workspace: the next run on it
+// overwrites the slice.
 func RunWith(ws *Workspace, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	return runRoute(ws, cfg, coop.TransportInto, make([]float64, len(cfg.Hops)))
+	return runRoute(ws, cfg, coop.TransportInto)
 }
 
 // RunScalarWith is RunWith with every hop crossed through coop's
@@ -121,46 +127,23 @@ func RunWith(ws *Workspace, cfg Config) (Result, error) {
 // oracle the batch-vs-scalar bit-identity tests (and simkern's
 // test-only multihop.ber.scalar kernel) pin the batched engines
 // against: both consume identical rng streams, so the results must
-// match bit for bit.
+// match bit for bit. PerHopBER aliases the workspace, as in RunWith.
 func RunScalarWith(ws *Workspace, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	return runRoute(ws, cfg, coop.TransportScalarInto, make([]float64, len(cfg.Hops)))
+	return runRoute(ws, cfg, coop.TransportScalarInto)
 }
 
-// RunBatchWith executes n Monte-Carlo trials of the route on a
-// caller-owned workspace, drawing each trial's seed from rng, and folds
-// the per-trial end-to-end BERs into one running statistic:
-// bit-identical to n sequential RunWith calls with c.Seed = rng.Int63()
-// per trial. It is the chunk-level entry point of both registered names
-// of the route physics, multihop.ber and multihop.ber.batch, and reuses
-// a workspace-held per-hop buffer so the trial loop does not allocate.
-func RunBatchWith(ws *Workspace, cfg Config, rng *rand.Rand, n int) (mathx.Running, error) {
-	var acc mathx.Running
-	if err := cfg.Validate(); err != nil {
-		return acc, err
-	}
+// runRoute is the shared route engine: transport crosses one hop
+// (batched or scalar), and the workspace's per-hop buffer receives the
+// per-hop BERs and backs the returned Result.PerHopBER. The caller has
+// validated cfg.
+func runRoute(ws *Workspace, cfg Config, transport func(*coop.Workspace, coop.Config, []byte, []byte) (coop.Result, error)) (Result, error) {
 	if cap(ws.perHop) < len(cfg.Hops) {
 		ws.perHop = make([]float64, len(cfg.Hops))
 	}
 	perHop := ws.perHop[:len(cfg.Hops)]
-	c := cfg
-	for i := 0; i < n; i++ {
-		c.Seed = rng.Int63()
-		r, err := runRoute(ws, c, coop.TransportInto, perHop)
-		if err != nil {
-			return acc, err
-		}
-		acc.Add(r.EndToEndBER)
-	}
-	return acc, nil
-}
-
-// runRoute is the shared route engine: transport crosses one hop
-// (batched or scalar), perHop receives the per-hop BERs and backs the
-// returned Result.PerHopBER. The caller has validated cfg.
-func runRoute(ws *Workspace, cfg Config, transport func(*coop.Workspace, coop.Config, []byte, []byte) (coop.Result, error), perHop []float64) (Result, error) {
 	ws.rng.Reseed(cfg.Seed)
 	rng := ws.rng.Rand
 	if cap(ws.seeds) < len(cfg.Hops) {

@@ -2,10 +2,7 @@ package multihop
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-
-	"repro/internal/mathx"
 )
 
 func route(snrDB float64, pairs ...[2]int) Config {
@@ -141,16 +138,17 @@ func TestDeterminism(t *testing.T) {
 // transport route agree bit for bit per seed — same channel streams,
 // same detector, different inner engine.
 func TestScalarMatchesTransport(t *testing.T) {
-	ws := NewWorkspace()
+	// Two workspaces: each result's PerHopBER aliases its own.
+	wsA, wsB := NewWorkspace(), NewWorkspace()
 	cfg := route(6, [2]int{2, 2}, [2]int{1, 2})
 	cfg.Bits = 600
 	for seed := int64(1); seed <= 20; seed++ {
 		cfg.Seed = seed
-		a, err := RunWith(ws, cfg)
+		a, err := RunWith(wsA, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunScalarWith(ws, cfg)
+		b, err := RunScalarWith(wsB, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,55 +160,5 @@ func TestScalarMatchesTransport(t *testing.T) {
 				t.Fatalf("seed %d hop %d: %g != %g", seed, h, a.PerHopBER[h], b.PerHopBER[h])
 			}
 		}
-	}
-}
-
-// TestBatchMatchesSequential is the SoA-tier contract: RunBatchWith
-// over n trials folds to exactly the statistics of n sequential RunWith
-// calls drawing per-trial seeds from the same stream.
-func TestBatchMatchesSequential(t *testing.T) {
-	cfg := route(8, [2]int{2, 2}, [2]int{2, 1}, [2]int{1, 1})
-	cfg.Bits = 240
-	const n = 50
-	const seed = 314159
-
-	wsA := NewWorkspace()
-	rng := rand.New(rand.NewSource(seed))
-	batch, err := RunBatchWith(wsA, cfg, rng, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wsB := NewWorkspace()
-	rngB := rand.New(rand.NewSource(seed))
-	var want mathx.Running
-	for i := 0; i < n; i++ {
-		c := cfg
-		c.Seed = rngB.Int63()
-		res, err := RunWith(wsB, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want.Add(res.EndToEndBER)
-	}
-	if batch.Snapshot() != want.Snapshot() {
-		t.Fatalf("batch fold %+v != sequential fold %+v", batch.Snapshot(), want.Snapshot())
-	}
-}
-
-// TestBatchValidates: a bad route fails before any trial runs, and a
-// zero batch is an empty fold.
-func TestBatchValidates(t *testing.T) {
-	ws := NewWorkspace()
-	bad := Config{}
-	if _, err := RunBatchWith(ws, bad, rand.New(rand.NewSource(1)), 5); err == nil {
-		t.Fatal("invalid route accepted")
-	}
-	acc, err := RunBatchWith(ws, route(10, [2]int{2, 2}), rand.New(rand.NewSource(1)), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc.N() != 0 {
-		t.Fatalf("zero-trial batch folded %d trials", acc.N())
 	}
 }

@@ -10,25 +10,37 @@ import (
 	"repro/internal/mathx"
 )
 
+// TrialFunc evaluates one independent Monte-Carlo trial per seed:
+// vals[i] is the value of the trial seeded with seeds[i], and the two
+// slices have equal length. A trial must depend on its seed alone — not
+// on which call, goroutine or neighbouring seeds it arrives with —
+// because the chunk runner splits a chunk's seeds into blocks and hands
+// them to whichever workers are idle. Calls may run concurrently, so a
+// kernel keeps its scratch in pooled workspaces taken per call.
+type TrialFunc func(seeds []int64, vals []float64)
+
 // BatchFunc runs n Monte-Carlo trials on the given chunk stream and
-// returns their streaming statistics. It is the unit of work a chunk
-// executes, locally or on a remote shard worker.
+// returns their streaming statistics: trial t's seed is the t-th Int63
+// of rng, and the values fold in trial order. NewKernelBatch builds one
+// from a kernel's TrialFunc; it is the serial form of what a chunk of
+// the worker pool computes, bit for bit.
 type BatchFunc func(rng *rand.Rand, n int) mathx.Running
 
-// KernelFunc builds a BatchFunc from flat numeric parameters. Building
-// must validate the parameters — the returned batch runs on hot paths
-// and on remote workers, so it has no error channel of its own. The
-// flat map is deliberate: it is the whole cross-process contract, which
-// keeps the shard wire format free of per-kernel types.
-type KernelFunc func(params map[string]float64) (BatchFunc, error)
+// KernelFunc builds a TrialFunc from flat numeric parameters. Building
+// must validate the parameters — the returned trials run on hot paths
+// and on remote workers, so they have no error channel of their own.
+// The flat map is deliberate: it is the whole cross-process contract,
+// which keeps the shard wire format free of per-kernel types.
+type KernelFunc func(params map[string]float64) (TrialFunc, error)
 
 // KernelCaps advertises what a kernel supports beyond plain fixed-budget
 // execution. Capabilities are discovery metadata — they never change
 // what a chunk computes — and are served to clients via GET /v1/kernels
 // so a caller can tell which kernels accept adaptive budgets.
 type KernelCaps struct {
-	// Batch marks kernels whose chunk executes through a
-	// structure-of-arrays batch engine rather than a per-trial loop.
+	// Batch marks kernels whose trials execute through a
+	// structure-of-arrays batch engine rather than scalar per-symbol
+	// code.
 	Batch bool
 	// Adaptive marks kernels whose estimator is well-defined under
 	// sequential stopping, i.e. safe to run via RunAdaptiveCtx.
@@ -51,7 +63,7 @@ type kernelEntry struct {
 // kernels is the process-wide registry of named Monte-Carlo kernels.
 // A kernel name is meaningful across processes: a coordinator ships
 // (kernel, params, seed, trials, chunk range) and the worker rebuilds
-// the identical batch from its own registry, so both binaries must
+// the identical trials from its own registry, so both binaries must
 // register the same kernels (cmd/cogmimod does, via the experiments
 // package's dependency on internal/simkern).
 var kernels = struct {
@@ -124,8 +136,8 @@ func KernelInfos() []KernelInfo {
 	return infos
 }
 
-// NewKernelBatch builds the batch function of a registered kernel.
-func NewKernelBatch(name string, params map[string]float64) (BatchFunc, error) {
+// newKernelTrial builds the trial function of a registered kernel.
+func newKernelTrial(name string, params map[string]float64) (TrialFunc, error) {
 	kernels.RLock()
 	e, ok := kernels.m[name]
 	kernels.RUnlock()
@@ -133,4 +145,26 @@ func NewKernelBatch(name string, params map[string]float64) (BatchFunc, error) {
 		return nil, fmt.Errorf("sim: unknown kernel %q (have %s)", name, strings.Join(Kernels(), ", "))
 	}
 	return e.fn(params)
+}
+
+// NewKernelBatch builds the batch function of a registered kernel: the
+// serial draw-evaluate-fold loop over its TrialFunc.
+func NewKernelBatch(name string, params map[string]float64) (BatchFunc, error) {
+	trial, err := newKernelTrial(name, params)
+	if err != nil {
+		return nil, err
+	}
+	return func(rng *rand.Rand, n int) mathx.Running {
+		w := workerPool.Get().(*chunkWorker)
+		defer workerPool.Put(w)
+		var acc mathx.Running
+		for n > 0 {
+			m := min(n, ChunkSize)
+			drawSeeds(rng, w.seeds[:m])
+			trial(w.seeds[:m], w.vals[:m])
+			foldInto(&acc, w.vals[:m])
+			n -= m
+		}
+		return acc
+	}, nil
 }

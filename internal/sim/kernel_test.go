@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -9,15 +8,22 @@ import (
 	"repro/internal/mathx"
 )
 
-// testBatch is the uniform test kernel: one rng.Float64 per trial.
-func testBatch(map[string]float64) (BatchFunc, error) { return uniformBatch, nil }
+// testBatch is the uniform test kernel: one Uniform[0, 1) draw per
+// trial, derived from the trial's seed.
+func testBatch(map[string]float64) (TrialFunc, error) { return uniformTrial, nil }
 
-func uniformBatch(rng *rand.Rand, n int) mathx.Running {
-	var acc mathx.Running
-	for i := 0; i < n; i++ {
-		acc.Add(rng.Float64())
+func uniformTrial(seeds []int64, vals []float64) {
+	for i, s := range seeds {
+		st := uint64(s)
+		vals[i] = unitFloat(&st)
 	}
-	return acc
+}
+
+// unitFloat advances a splitmix64 state and maps the draw to [0, 1).
+// Test kernels derive each trial's randomness from its seed this way,
+// without a generator to seed or allocate.
+func unitFloat(state *uint64) float64 {
+	return float64(mathx.SplitMix64(state)>>11) / (1 << 53)
 }
 
 func TestKernelsSortedAndDiscoverable(t *testing.T) {

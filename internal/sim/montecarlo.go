@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strconv"
 	"sync"
@@ -18,11 +19,6 @@ import (
 // the registry, but cogsim runs feed the same counter).
 var mcTrials = obs.Default.Counter("cogmimod_mc_trials_total",
 	"Monte-Carlo trials completed, summed over all runs.")
-
-// rngPool recycles the chunk generators. A generator's state is ~4.9 KB
-// and adaptive runs call the pool once per doubling round, so taking a
-// fresh one per worker per call would dominate what a run allocates.
-var rngPool = sync.Pool{New: func() any { return mathx.NewReusableRand() }}
 
 // MonteCarlo executes registered kernels over a worker pool.
 //
@@ -71,13 +67,18 @@ func (mc MonteCarlo) RunKernelCtx(ctx context.Context, kernel string, params map
 // remote worker runs. It never consults the context's Executor.
 //
 // Each chunk is driven by exactly the seed the full run would use:
-// chunk i always draws from the i-th derived seed and the derivation is
-// a sequential splitmix64 walk, so seed prefixes are independent of the
-// total chunk count. Each worker goroutine takes one reusable rng from
-// a shared pool and reseeds it per chunk, which yields exactly the
-// stream a fresh generator would.
+// chunk i always draws from the i-th derived seed, and the derivation
+// is a splitmix64 walk whose i-th step has a closed form, so seed
+// prefixes are independent of the total chunk count and only the
+// range's own seeds are derived. A worker owns a chunk: it draws the
+// chunk's trial seeds from the chunk stream, lets idle workers evaluate
+// blocks of them, and folds the values in trial order — the serial
+// loop of NewKernelBatch, so every partial is bit-identical at any
+// worker count. Workers are not capped by the chunk count: a worker
+// that finds no unclaimed chunk helps with the chunks in flight, so a
+// one-chunk round still uses every worker.
 //
-// Cancellation is observed between chunks, never inside one. An
+// Cancellation is observed between trial blocks, never inside one. An
 // incomplete range returns the context error and no partials — a range
 // is all-or-nothing, so a retried or re-assigned shard can never
 // double-count chunks. Completed trials are reported per chunk to the
@@ -85,7 +86,7 @@ func (mc MonteCarlo) RunKernelCtx(ctx context.Context, kernel string, params map
 // cogmimod_mc_trials_total counter, and each chunk is timed as an
 // "mc.chunk" span; none of this touches the trial math.
 func (mc MonteCarlo) RunKernelChunksCtx(ctx context.Context, kernel string, params map[string]float64, trials, lo, hi int) ([]mathx.Running, error) {
-	batch, err := NewKernelBatch(kernel, params)
+	trial, err := newKernelTrial(kernel, params)
 	if err != nil {
 		return nil, err
 	}
@@ -94,44 +95,30 @@ func (mc MonteCarlo) RunKernelChunksCtx(ctx context.Context, kernel string, para
 	if lo < 0 || hi > chunks || lo >= hi {
 		return nil, fmt.Errorf("sim: chunk range [%d, %d) outside plan of %d chunks", lo, hi, chunks)
 	}
-	seeds := plan.Seeds()
-	parts := make([]mathx.Running, hi-lo)
-
-	progress := obs.ProgressFrom(ctx)
-
 	workers := mc.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > hi-lo {
-		workers = hi - lo
+	r := &chunkRun{
+		ctx:       ctx,
+		trial:     trial,
+		plan:      plan,
+		lo:        lo,
+		hi:        hi,
+		workers:   workers,
+		parts:     make([]mathx.Running, hi-lo),
+		progress:  obs.ProgressFrom(ctx),
+		recording: obs.RecorderFrom(ctx) != nil,
+		nextChunk: lo,
+		active:    make([]*chunkWorker, 0, workers),
 	}
-
-	var next atomic.Int64
+	r.cond.L = &r.mu
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rng := rngPool.Get().(*mathx.ReusableRand)
-			defer rngPool.Put(rng)
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= hi-lo {
-					return
-				}
-				c := lo + i
-				n := plan.ChunkTrials(c)
-				rng.Reseed(seeds[c])
-				_, span := obs.StartSpan(ctx, "mc.chunk")
-				if span.Recording() {
-					span.SetAttr("chunk", strconv.Itoa(c))
-				}
-				parts[i] = batch(rng.Rand, n)
-				span.End()
-				mcTrials.Add(int64(n))
-				progress.Add(int64(n))
-			}
+			r.work()
 		}()
 	}
 	wg.Wait()
@@ -140,7 +127,210 @@ func (mc MonteCarlo) RunKernelChunksCtx(ctx context.Context, kernel string, para
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return parts, nil
+	return r.parts, nil
+}
+
+// minBlock is the smallest block of trials a worker claims: below it
+// the claim and the kernel's per-call workspace checkout stop paying
+// for themselves.
+const minBlock = 8
+
+// chunkWorker is the reusable state of a worker that owns a chunk: the
+// generator that draws the chunk's trial seeds, the seed and value
+// buffers of its n trials, and the claim state through which idle
+// workers help with it. It is pooled as a unit because adaptive runs
+// start a pool once per doubling round; helpers never take one.
+type chunkWorker struct {
+	rng   *mathx.ReusableRand
+	seeds [ChunkSize]int64
+	vals  [ChunkSize]float64
+	n     int
+	// next is the first unclaimed trial.
+	next atomic.Int64
+	// pins counts the helpers working on the chunk; chunkRun.mu guards
+	// it. A helper pins a chunk only while it is published, and its
+	// owner moves on to another chunk only once this one is unpublished
+	// and unpinned, so every claim a helper makes lands in the chunk it
+	// pinned.
+	pins int
+}
+
+var workerPool = sync.Pool{New: func() any { return &chunkWorker{rng: mathx.NewReusableRand()} }}
+
+// claim takes the chunk's next block of trials by guided
+// self-scheduling: half of the remaining trials' per-worker share, but
+// at least minBlock. ok is false once every trial is claimed.
+func (w *chunkWorker) claim(workers int) (lo, hi int, ok bool) {
+	for {
+		next := w.next.Load()
+		rem := w.n - int(next)
+		if rem <= 0 {
+			return 0, 0, false
+		}
+		blk := min(rem, max(minBlock, rem/(2*workers)))
+		if w.next.CompareAndSwap(next, next+int64(blk)) {
+			return int(next), int(next) + blk, true
+		}
+	}
+}
+
+// chunkRun is the shared state of one RunKernelChunksCtx call.
+type chunkRun struct {
+	ctx       context.Context
+	trial     TrialFunc
+	plan      Plan
+	lo, hi    int
+	workers   int
+	parts     []mathx.Running
+	progress  obs.Progress
+	recording bool
+
+	// mu guards the fields below and every chunk's pins; cond signals a
+	// published chunk and an unpinned one.
+	mu        sync.Mutex
+	cond      sync.Cond
+	nextChunk int            // first unclaimed chunk
+	drawing   int            // claimed chunks whose seeds are not published yet
+	active    []*chunkWorker // owners of the published chunks
+}
+
+// work is one worker's life: own chunks while any are unclaimed, then
+// help with the ones still in flight.
+func (r *chunkRun) work() {
+	if c, ok := r.claimChunk(); ok {
+		w := workerPool.Get().(*chunkWorker)
+		for ok {
+			r.own(w, c)
+			c, ok = r.claimChunk()
+		}
+		workerPool.Put(w)
+	}
+	r.help()
+}
+
+// claimChunk takes the next unclaimed chunk. It counts the chunk as
+// drawing in the same critical section, so no helper can see the
+// chunks exhausted while one of them is still to be published.
+func (r *chunkRun) claimChunk() (int, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.nextChunk == r.hi || r.ctx.Err() != nil {
+		return 0, false
+	}
+	c := r.nextChunk
+	r.nextChunk++
+	r.drawing++
+	return c, true
+}
+
+// own runs chunk c on w: it draws the chunk's seeds, publishes the
+// chunk, evaluates blocks alongside any helpers, waits for the helpers'
+// blocks, and folds the values in trial order.
+func (r *chunkRun) own(w *chunkWorker, c int) {
+	start := time.Now()
+	w.n = r.plan.ChunkTrials(c)
+	w.next.Store(0)
+	w.rng.Reseed(r.plan.ChunkSeed(c))
+	drawSeeds(w.rng.Rand, w.seeds[:w.n])
+
+	r.mu.Lock()
+	r.drawing--
+	r.active = append(r.active, w)
+	r.cond.Broadcast()
+	r.mu.Unlock()
+
+	r.runBlocks(w)
+
+	r.mu.Lock()
+	for i, a := range r.active {
+		if a == w {
+			last := len(r.active) - 1
+			r.active[i] = r.active[last]
+			r.active = r.active[:last]
+			break
+		}
+	}
+	for w.pins > 0 {
+		r.cond.Wait()
+	}
+	r.mu.Unlock()
+	// A live ctx means runBlocks ended with every trial claimed, and
+	// every claimed block has finished.
+	if r.ctx.Err() != nil {
+		return
+	}
+	var acc mathx.Running
+	foldInto(&acc, w.vals[:w.n])
+	r.parts[c-r.lo] = acc
+	// The chunk attribute is built only for a recorder: variadic
+	// attributes escape, so passing one unconditionally would allocate
+	// per chunk.
+	if r.recording {
+		obs.RecordSpan(r.ctx, "mc.chunk", start, time.Now(), obs.Attr{Key: "chunk", Value: strconv.Itoa(c)})
+	} else {
+		obs.RecordSpan(r.ctx, "mc.chunk", start, time.Now())
+	}
+	mcTrials.Add(int64(w.n))
+	r.progress.Add(int64(w.n))
+}
+
+// help evaluates blocks of the chunks other workers own until no chunk
+// is left to draw and no published one has unclaimed trials. With
+// nothing to claim yet it waits on cond for the next publication.
+func (r *chunkRun) help() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.ctx.Err() == nil {
+		var w *chunkWorker
+		most := 0
+		for _, a := range r.active {
+			if rem := a.n - int(a.next.Load()); rem > most {
+				w, most = a, rem
+			}
+		}
+		if w == nil {
+			if r.drawing == 0 {
+				return
+			}
+			r.cond.Wait()
+			continue
+		}
+		w.pins++
+		r.mu.Unlock()
+		r.runBlocks(w)
+		r.mu.Lock()
+		if w.pins--; w.pins == 0 {
+			r.cond.Broadcast()
+		}
+	}
+}
+
+// runBlocks claims and evaluates blocks of w's chunk until every trial
+// is claimed or ctx is done.
+func (r *chunkRun) runBlocks(w *chunkWorker) {
+	for r.ctx.Err() == nil {
+		lo, hi, ok := w.claim(r.workers)
+		if !ok {
+			return
+		}
+		r.trial(w.seeds[lo:hi], w.vals[lo:hi])
+	}
+}
+
+// drawSeeds fills seeds with successive Int63 draws of rng: trial t of
+// a chunk is seeded by the chunk stream's t-th draw.
+func drawSeeds(rng *rand.Rand, seeds []int64) {
+	for i := range seeds {
+		seeds[i] = rng.Int63()
+	}
+}
+
+// foldInto adds vals to acc in order. Running.Add is order-sensitive,
+// so trial order is what makes a chunk's partial bit-reproducible.
+func foldInto(acc *mathx.Running, vals []float64) {
+	for _, v := range vals {
+		acc.Add(v)
+	}
 }
 
 // runRounds is the round loop every run schedule shares. It reports

@@ -3,50 +3,51 @@ package sim
 import (
 	"context"
 	"math"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/mathx"
 )
 
 func init() {
-	RegisterKernel("ztest.kernel.normal", func(map[string]float64) (BatchFunc, error) {
-		return func(rng *rand.Rand, n int) mathx.Running {
-			var acc mathx.Running
-			for i := 0; i < n; i++ {
-				acc.Add(rng.NormFloat64())
+	// ztest.kernel.normal scores one N(0, 1) draw per trial, by
+	// Box-Muller over two uniforms of the trial's seed.
+	RegisterKernel("ztest.kernel.normal", func(map[string]float64) (TrialFunc, error) {
+		return func(seeds []int64, vals []float64) {
+			for i, s := range seeds {
+				st := uint64(s)
+				u1, u2 := 1-unitFloat(&st), unitFloat(&st)
+				vals[i] = math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 			}
-			return acc
 		}, nil
 	})
 	// ztest.kernel.coin scores 1 with probability p (default 0.3).
-	RegisterKernel("ztest.kernel.coin", func(params map[string]float64) (BatchFunc, error) {
+	RegisterKernel("ztest.kernel.coin", func(params map[string]float64) (TrialFunc, error) {
 		p, ok := params["p"]
 		if !ok {
 			p = 0.3
 		}
-		return func(rng *rand.Rand, n int) mathx.Running {
-			var acc mathx.Running
-			for i := 0; i < n; i++ {
-				if rng.Float64() < p {
-					acc.Add(1)
-				} else {
-					acc.Add(0)
+		return func(seeds []int64, vals []float64) {
+			for i, s := range seeds {
+				st := uint64(s)
+				vals[i] = 0
+				if unitFloat(&st) < p {
+					vals[i] = 1
 				}
 			}
-			return acc
 		}, nil
 	})
-	// ztest.kernel.hook calls chunkHook (when set) before every chunk,
-	// letting tests act at chunk boundaries, e.g. cancel mid-run.
-	RegisterKernel("ztest.kernel.hook", func(map[string]float64) (BatchFunc, error) {
-		return func(rng *rand.Rand, n int) mathx.Running {
+	// ztest.kernel.hook calls chunkHook (when set) before every block
+	// of trials, letting tests act between blocks, e.g. cancel mid-run.
+	RegisterKernel("ztest.kernel.hook", func(map[string]float64) (TrialFunc, error) {
+		return func(seeds []int64, vals []float64) {
 			if chunkHook != nil {
 				chunkHook()
 			}
-			return uniformBatch(rng, n)
+			uniformTrial(seeds, vals)
 		}, nil
 	})
 }
@@ -105,9 +106,9 @@ func TestRunCount(t *testing.T) {
 	}
 }
 
-// TestRunBatches: every batch call covers exactly one chunk — ChunkSize
-// trials, the last one the short remainder — so a kernel's batch sees
-// chunk-sized n no matter how many workers run.
+// TestRunBatches: every partial covers exactly one chunk — ChunkSize
+// trials, the last one the short remainder — no matter how many
+// workers split its trials.
 func TestRunBatches(t *testing.T) {
 	const trials = 3*ChunkSize + 5
 	for _, workers := range []int{1, 4} {
@@ -179,33 +180,107 @@ func TestRunBatchesDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunKernelChunksReusesGenerators: chunk generators come from a
-// pool, so once it is warm a call allocates far less than one ~4.9 KB
-// generator state, however many workers it starts. Adaptive runs call
-// the pool once per doubling round, which is what makes this matter.
+// TestRunKernelChunksReusesGenerators: chunk workers — generator plus
+// seed and value buffers — come from a pool, so once it is warm a call
+// allocates far less than one ~4.9 KB generator state, however many
+// workers it starts. Adaptive runs call the pool once per doubling
+// round, which is what makes this matter. The single-chunk ranges at
+// two workers take the helper path: the idle worker splits the chunk.
 func TestRunKernelChunksReusesGenerators(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops Put items at random")
 	}
 	const calls = 50
 	mc := MonteCarlo{Seed: 5, Workers: 2}
-	run := func() {
-		if _, err := mc.RunKernelChunksCtx(context.Background(), "ztest.kernel.normal", nil, 4*ChunkSize, 0, 4); err != nil {
-			t.Fatal(err)
+	for _, r := range []struct{ trials, lo, hi int }{
+		{4 * ChunkSize, 0, 4},
+		{ChunkSize, 0, 1},
+		{3*ChunkSize + 300, 3, 4},
+	} {
+		run := func() {
+			if _, err := mc.RunKernelChunksCtx(context.Background(), "ztest.kernel.normal", nil, r.trials, r.lo, r.hi); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A collection empties sync.Pools; keep it from landing mid-count.
+		gc := debug.SetGCPercent(-1)
+		for i := 0; i < 10; i++ {
+			run()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(gc)
+		if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 4<<10 {
+			t.Errorf("chunks [%d, %d): RunKernelChunksCtx allocates %d B per call on a warm pool, want < 4 KiB", r.lo, r.hi, perCall)
 		}
 	}
-	// A collection empties sync.Pools; keep it from landing mid-count.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for i := 0; i < 10; i++ {
-		run()
+}
+
+// TestTrialGranularityInvariance: for every registered kernel, chunk
+// ranges [0,1), [1,3) and [0,3) of a plan with a short tail chunk equal
+// the serial NewKernelBatch loop over the same chunk streams bit for
+// bit, at any worker count — however the runner splits chunks into
+// trial blocks across workers.
+func TestTrialGranularityInvariance(t *testing.T) {
+	const trials = 2*ChunkSize + 300
+	plan := Plan{Seed: 23, Trials: trials}
+	for _, name := range Kernels() {
+		batch, err := NewKernelBatch(name, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		serial := make([]mathx.Running, plan.Chunks())
+		for c := range serial {
+			serial[c] = batch(mathx.NewRand(plan.ChunkSeed(c)), plan.ChunkTrials(c))
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			mc := MonteCarlo{Seed: plan.Seed, Workers: workers}
+			for _, r := range [][2]int{{0, 1}, {1, 3}, {0, 3}} {
+				parts, err := mc.RunKernelChunksCtx(context.Background(), name, nil, trials, r[0], r[1])
+				if err != nil {
+					t.Fatalf("%s, workers=%d, chunks %v: %v", name, workers, r, err)
+				}
+				for i, p := range parts {
+					if c := r[0] + i; p.Snapshot() != serial[c].Snapshot() {
+						t.Errorf("%s, workers=%d, chunks %v: chunk %d = %+v, serial %+v",
+							name, workers, r, c, p.Snapshot(), serial[c].Snapshot())
+					}
+				}
+			}
+		}
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		run()
+}
+
+// TestSingleChunkSplitsAcrossWorkers: a one-chunk range at two workers
+// runs two trial blocks of that chunk at once. The first block waits
+// for a second one to start, which only a helper can start.
+func TestSingleChunkSplitsAcrossWorkers(t *testing.T) {
+	var calls atomic.Int64
+	joined := make(chan struct{})
+	chunkHook = func() {
+		if calls.Add(1) == 2 {
+			close(joined)
+		}
+		select {
+		case <-joined:
+		case <-time.After(5 * time.Second):
+		}
 	}
-	runtime.ReadMemStats(&after)
-	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 4<<10 {
-		t.Errorf("RunKernelChunksCtx allocates %d B per call on a warm pool, want < 4 KiB", perCall)
+	defer func() { chunkHook = nil }()
+	parts, err := MonteCarlo{Seed: 4, Workers: 2}.RunKernelChunksCtx(context.Background(), "ztest.kernel.hook", nil, ChunkSize, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-joined:
+	default:
+		t.Fatal("no second worker joined the only chunk")
+	}
+	if parts[0].N() != ChunkSize {
+		t.Fatalf("chunk covered %d trials, want %d", parts[0].N(), ChunkSize)
 	}
 }

@@ -41,6 +41,12 @@ func (p Plan) ChunkTrials(c int) int {
 	return ChunkSize
 }
 
+// ChunkSeed returns chunk c's seed, Seeds()[c], without deriving the
+// seeds of the chunks before it.
+func (p Plan) ChunkSeed(c int) int64 {
+	return mathx.DeriveSeed(p.Seed, c)
+}
+
 // Seeds derives the per-chunk seeds: a sequential splitmix64 walk from
 // the master seed. The derivation is prefix-stable — chunk i's seed
 // never depends on the total chunk count — so any contiguous range of

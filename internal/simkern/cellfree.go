@@ -3,10 +3,9 @@ package simkern
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"sync"
 
 	"repro/internal/cellfree"
-	"repro/internal/mathx"
 	"repro/internal/sim"
 )
 
@@ -37,40 +36,47 @@ func init() {
 //	realizations channel realizations per snapshot (default 1)
 //	q            SE quantile to report, in [0, 1] (default 0.5)
 //
-// Both combiner registrations consume identical rng streams (the
-// per-trial seed is drawn before any combiner-specific code), so runs
-// of cellfree.se and cellfree.se.mmse with the same plan score the
-// same snapshots — which is what makes the MMSE >= MR comparison in
-// ext-cellfree exact rather than statistical.
+// Both combiner registrations score the snapshot a trial's seed draws,
+// and the seed comes from the chunk stream, not from combiner-specific
+// code. So runs of cellfree.se and cellfree.se.mmse with the same plan
+// score the same snapshots — which is what makes the MMSE >= MR
+// comparison in ext-cellfree exact rather than statistical.
 func cellfreeSE(comb cellfree.Combiner) sim.KernelFunc {
-	return func(params map[string]float64) (sim.BatchFunc, error) {
+	return func(params map[string]float64) (sim.TrialFunc, error) {
 		cfg, q, err := cellfreeConfig(params)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Combiner = comb
-		return func(rng *rand.Rand, n int) mathx.Running {
-			ws := cellfree.GetWorkspace()
-			defer cellfree.PutWorkspace(ws)
-			var acc mathx.Running
-			var scratch []float64
+		return func(seeds []int64, vals []float64) {
+			ws := cellfreePool.Get().(*cellfreeWorkspace)
+			defer cellfreePool.Put(ws)
 			c := cfg
-			for i := 0; i < n; i++ {
-				c.Seed = rng.Int63()
-				r, err := cellfree.RunWith(ws, c)
+			for i, s := range seeds {
+				c.Seed = s
+				r, err := cellfree.RunWith(ws.run, c)
 				if err != nil {
 					// Validated at build time; unreachable for a
 					// registered run.
 					panic(err)
 				}
-				var v float64
-				v, scratch = r.Quantile(q, scratch)
-				acc.Add(v)
+				vals[i], ws.quantile = r.Quantile(q, ws.quantile)
 			}
-			return acc
 		}, nil
 	}
 }
+
+// cellfreeWorkspace pairs a cellfree workspace with the scratch
+// Result.Quantile sorts in, so a warm block of trials allocates
+// nothing.
+type cellfreeWorkspace struct {
+	run      *cellfree.Workspace
+	quantile []float64
+}
+
+var cellfreePool = sync.Pool{New: func() any {
+	return &cellfreeWorkspace{run: cellfree.NewWorkspace()}
+}}
 
 // cellfreeConfig builds and validates the cellfree.Config a kernel's
 // flat parameters describe, plus the reported SE quantile. The seed is

@@ -1,9 +1,9 @@
 // Package simkern registers the repository's named Monte-Carlo kernels
 // with the sim registry. A kernel is the transportable form of a trial
 // function: a name plus flat numeric parameters, from which any process
-// holding this package can rebuild the identical batch. That is what
+// holding this package can rebuild the identical trials. That is what
 // lets internal/cluster ship chunk ranges to remote cogmimod workers —
-// coordinator and worker both derive the batch from the same
+// coordinator and worker both derive the trials from the same
 // (kernel, params) pair, so a shard computed anywhere is bit-identical
 // to the chunk the local pool would have run.
 //
@@ -14,30 +14,29 @@ package simkern
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/coop"
-	"repro/internal/mathx"
 	"repro/internal/multihop"
 	"repro/internal/sim"
 )
 
 func init() {
 	// Capability flags are discovery metadata (GET /v1/kernels): Batch
-	// marks chunk-level SoA entry points, Adaptive marks estimators that
-	// are well-defined under sequential stopping, and BernoulliUnits
-	// upgrades stopping from CLT to binomial (Wilson) intervals. Each
-	// physics has one batch function; the names sharing it differ only
-	// in the stopping rule an adaptive budget picks for them.
-	sim.RegisterKernelCaps("coop.ber", coopBERBatch,
+	// marks trials that run on the SoA batch engine, Adaptive marks
+	// estimators that are well-defined under sequential stopping, and
+	// BernoulliUnits upgrades stopping from CLT to binomial (Wilson)
+	// intervals. Each physics has one trial function; the names sharing
+	// it differ only in the stopping rule an adaptive budget picks for
+	// them.
+	sim.RegisterKernelCaps("coop.ber", coopBERKernel,
 		sim.KernelCaps{Batch: true, Adaptive: true})
-	sim.RegisterKernelCaps("coop.ber.batch", coopBERBatch,
+	sim.RegisterKernelCaps("coop.ber.batch", coopBERKernel,
 		sim.KernelCaps{Batch: true, Adaptive: true})
-	sim.RegisterKernelCaps("coop.ber.adaptive", coopBERBatch,
+	sim.RegisterKernelCaps("coop.ber.adaptive", coopBERKernel,
 		sim.KernelCaps{Batch: true, Adaptive: true, BernoulliUnits: coopBits})
-	sim.RegisterKernelCaps("multihop.ber", multihopBERBatch,
+	sim.RegisterKernelCaps("multihop.ber", multihopBERKernel,
 		sim.KernelCaps{Batch: true, Adaptive: true})
-	sim.RegisterKernelCaps("multihop.ber.batch", multihopBERBatch,
+	sim.RegisterKernelCaps("multihop.ber.batch", multihopBERKernel,
 		sim.KernelCaps{Batch: true, Adaptive: true, BernoulliUnits: multihopBits})
 }
 
@@ -85,9 +84,9 @@ func intParam(params map[string]float64, name string, def int) (int, error) {
 	return int(v), nil
 }
 
-// coopBERBatch measures the end-to-end BER of one cooperative hop
-// (internal/coop) per trial, running each chunk through
-// coop.RunBatchWith, the SoA chunk kernel, in one call. Parameters:
+// coopBERKernel measures the end-to-end BER of one cooperative hop
+// (internal/coop) per trial, each trial one coop.RunWith on the SoA
+// batch engine. Parameters:
 //
 //	mt, mr   cooperating node counts (default 2x2)
 //	b        bits per symbol (default 1)
@@ -95,22 +94,26 @@ func intParam(params map[string]float64, name string, def int) (int, error) {
 //	local_db intra-cluster per-bit SNR in dB (absent = ideal links)
 //	bits     information bits per trial (default 64)
 //
-// Each trial reseeds the hop from the chunk stream, so trial t of chunk
-// c is the same experiment no matter which worker runs the chunk.
-func coopBERBatch(params map[string]float64) (sim.BatchFunc, error) {
+// A trial seeds the hop with its own seed, so trial t of chunk c is the
+// same experiment no matter which worker runs it.
+func coopBERKernel(params map[string]float64) (sim.TrialFunc, error) {
 	cfg, err := coopConfig(params)
 	if err != nil {
 		return nil, err
 	}
-	return func(rng *rand.Rand, n int) mathx.Running {
+	return func(seeds []int64, vals []float64) {
 		ws := coop.GetWorkspace()
 		defer coop.PutWorkspace(ws)
-		acc, err := coop.RunBatchWith(ws, cfg, rng, n)
-		if err != nil {
-			// Validated at build time; unreachable for a registered run.
-			panic(err)
+		c := cfg
+		for i, s := range seeds {
+			c.Seed = s
+			r, err := coop.RunWith(ws, c)
+			if err != nil {
+				// Validated at build time; unreachable for a registered run.
+				panic(err)
+			}
+			vals[i] = r.BER
 		}
-		return acc
 	}, nil
 }
 
@@ -154,30 +157,33 @@ func coopConfig(params map[string]float64) (coop.Config, error) {
 	return cfg, nil
 }
 
-// multihopBERBatch measures the end-to-end BER of a route of identical
-// cooperative hops (internal/multihop) per trial, running each chunk
-// through multihop.RunBatchWith, the SoA route kernel, in one call.
-// Parameters:
+// multihopBERKernel measures the end-to-end BER of a route of
+// identical cooperative hops (internal/multihop) per trial, each trial
+// one multihop.RunWith on the SoA batch engine. Parameters:
 //
 //	hops     hop count (default 2)
 //	mt, mr   node counts per hop (default 2x2)
 //	b        bits per symbol (default 1)
 //	snr_db   per-hop per-bit SNR in dB (default 10)
 //	bits     payload bits per trial (default 64)
-func multihopBERBatch(params map[string]float64) (sim.BatchFunc, error) {
+func multihopBERKernel(params map[string]float64) (sim.TrialFunc, error) {
 	cfg, err := multihopConfig(params)
 	if err != nil {
 		return nil, err
 	}
-	return func(rng *rand.Rand, n int) mathx.Running {
+	return func(seeds []int64, vals []float64) {
 		ws := multihop.GetWorkspace()
 		defer multihop.PutWorkspace(ws)
-		acc, err := multihop.RunBatchWith(ws, cfg, rng, n)
-		if err != nil {
-			// Validated at build time; unreachable for a registered run.
-			panic(err)
+		c := cfg
+		for i, s := range seeds {
+			c.Seed = s
+			r, err := multihop.RunWith(ws, c)
+			if err != nil {
+				// Validated at build time; unreachable for a registered run.
+				panic(err)
+			}
+			vals[i] = r.EndToEndBER
 		}
-		return acc
 	}, nil
 }
 

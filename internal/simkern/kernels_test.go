@@ -1,9 +1,10 @@
 package simkern
 
 import (
-	"math/rand"
+	"runtime/debug"
 	"testing"
 
+	"repro/internal/cellfree"
 	"repro/internal/coop"
 	"repro/internal/mathx"
 	"repro/internal/multihop"
@@ -19,53 +20,149 @@ func init() {
 	sim.RegisterKernel("multihop.ber.scalar", multihopBERScalar)
 }
 
-// coopBERScalar runs coop.ber's trials one at a time on the per-block
-// scalar engine, reseeding each from the chunk stream in the order the
-// batch kernel does.
-func coopBERScalar(params map[string]float64) (sim.BatchFunc, error) {
+// coopBERScalar runs coop.ber's trials on the per-block scalar engine,
+// seeding each exactly as the batch kernel does.
+func coopBERScalar(params map[string]float64) (sim.TrialFunc, error) {
 	cfg, err := coopConfig(params)
 	if err != nil {
 		return nil, err
 	}
-	return func(rng *rand.Rand, n int) mathx.Running {
+	return func(seeds []int64, vals []float64) {
 		ws := coop.GetWorkspace()
 		defer coop.PutWorkspace(ws)
-		var acc mathx.Running
 		c := cfg
-		for i := 0; i < n; i++ {
-			c.Seed = rng.Int63()
+		for i, s := range seeds {
+			c.Seed = s
 			r, err := coop.RunScalarWith(ws, c)
 			if err != nil {
 				panic(err)
 			}
-			acc.Add(r.BER)
+			vals[i] = r.BER
 		}
-		return acc
 	}, nil
 }
 
 // multihopBERScalar is coopBERScalar for multihop.ber: every hop
 // crosses coop's scalar engine.
-func multihopBERScalar(params map[string]float64) (sim.BatchFunc, error) {
+func multihopBERScalar(params map[string]float64) (sim.TrialFunc, error) {
 	cfg, err := multihopConfig(params)
 	if err != nil {
 		return nil, err
 	}
-	return func(rng *rand.Rand, n int) mathx.Running {
+	return func(seeds []int64, vals []float64) {
 		ws := multihop.GetWorkspace()
 		defer multihop.PutWorkspace(ws)
-		var acc mathx.Running
 		c := cfg
-		for i := 0; i < n; i++ {
-			c.Seed = rng.Int63()
+		for i, s := range seeds {
+			c.Seed = s
 			r, err := multihop.RunScalarWith(ws, c)
 			if err != nil {
 				panic(err)
 			}
-			acc.Add(r.EndToEndBER)
+			vals[i] = r.EndToEndBER
 		}
-		return acc
 	}, nil
+}
+
+// TestCoopKernelMatchesSequentialRuns checks the hop kernel: a batch
+// of coop.ber trials must equal a hand loop of coop.RunWith calls
+// seeded from the same stream — the contract the simkern registration
+// and the cluster shard executor distribute.
+func TestCoopKernelMatchesSequentialRuns(t *testing.T) {
+	params := map[string]float64{"mt": 2, "mr": 2, "snr_db": 9.5, "local_db": 10, "bits": 96}
+	const n = 40
+	batch, err := sim.NewKernelBatch("coop.ber", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := batch(mathx.NewRand(77), n)
+
+	cfg, err := coopConfig(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := coop.NewWorkspace()
+	rng := mathx.NewRand(77)
+	var want mathx.Running
+	for i := 0; i < n; i++ {
+		cfg.Seed = rng.Int63()
+		r, err := coop.RunWith(ws, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Add(r.BER)
+	}
+	if got != want {
+		t.Fatalf("coop.ber batch %+v differs from sequential runs %+v", got, want)
+	}
+}
+
+// TestMultihopKernelMatchesSequentialRuns is the route kernel's
+// contract: n trials fold to exactly the statistics of n sequential
+// multihop.RunWith calls drawing per-trial seeds from the same stream,
+// and a zero-trial batch is an empty fold.
+func TestMultihopKernelMatchesSequentialRuns(t *testing.T) {
+	params := map[string]float64{"hops": 3, "mt": 2, "mr": 1, "snr_db": 9, "bits": 240}
+	const n = 50
+	const seed = 314159
+	batch, err := sim.NewKernelBatch("multihop.ber", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := batch(mathx.NewRand(seed), n)
+
+	cfg, err := multihopConfig(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := multihop.NewWorkspace()
+	rng := mathx.NewRand(seed)
+	var want mathx.Running
+	for i := 0; i < n; i++ {
+		cfg.Seed = rng.Int63()
+		r, err := multihop.RunWith(ws, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Add(r.EndToEndBER)
+	}
+	if got.Snapshot() != want.Snapshot() {
+		t.Fatalf("multihop.ber batch %+v != sequential fold %+v", got.Snapshot(), want.Snapshot())
+	}
+	if empty := batch(mathx.NewRand(seed), 0); empty.N() != 0 {
+		t.Fatalf("zero-trial batch folded %d trials", empty.N())
+	}
+}
+
+// TestTrialKernelsAllocationFree: a warm block of each physics'
+// trials allocates nothing — workspaces and the cellfree quantile
+// scratch come from pools.
+func TestTrialKernelsAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Put items at random")
+	}
+	// A collection empties sync.Pools; keep it from landing mid-count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name   string
+		kernel sim.KernelFunc
+		params map[string]float64
+	}{
+		{"coop.ber", coopBERKernel, map[string]float64{"local_db": 10}},
+		{"multihop.ber", multihopBERKernel, map[string]float64{"hops": 3}},
+		{"cellfree.se.mmse", cellfreeSE(cellfree.CombinerMMSE), map[string]float64{"l": 10, "k": 6, "tau_p": 3}},
+	} {
+		trial, err := tc.kernel(tc.params)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		seeds := mathx.DeriveSeeds(5, 16)
+		vals := make([]float64, len(seeds))
+		trial(seeds, vals)
+		if allocs := testing.AllocsPerRun(10, func() { trial(seeds, vals) }); allocs != 0 {
+			t.Errorf("%s: a warm block of %d trials allocates %v times", tc.name, len(seeds), allocs)
+		}
+	}
 }
 
 func TestKernelsRegistered(t *testing.T) {
