@@ -61,7 +61,7 @@ BASE ?= HEAD
 WORKLOAD ?= tail-ber
 SEEDS ?= 1 2 3
 cogbench-ab:
-	./cogbench-ab.sh "$(BASE)" "$(WORKLOAD)" "$(SEEDS)" $(AB_SECONDS)
+	./cogbench-ab.sh "$(BASE)" "$(WORKLOAD)" "$(SEEDS)"
 
 # Scalar-vs-batched comparison of the cooperative trial engine: runs
 # the interleaved min-of-rounds A/B harness over the 1x1/2x2/4x4

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired A/B run of the repository benchmark (cogbench, under bench/):
 #
-#   ./cogbench-ab.sh BASE WORKLOAD "SEEDS" [SECONDS]
+#   ./cogbench-ab.sh BASE WORKLOAD "SEEDS"
 #   make cogbench-ab BASE=<rev> WORKLOAD=<name> SEEDS="1 2 3"
 #
 # Extracts revision BASE of this repository into a scratch directory
@@ -10,16 +10,16 @@
 # order alternates per seed — base first on odd positions, the working
 # tree first on even ones — so drift in host load lands on both sides.
 # Each side runs in its own checkout, so it reads its own BENCHMARK.json.
-# Ends with cogbench -compare over the paired runs. SECONDS defaults to
-# run_seconds of BENCHMARK.json; AB_DIR names the scratch directory
+# Every run lasts run_seconds of BENCHMARK.json. Ends with cogbench
+# -compare over the paired runs. AB_DIR names the scratch directory
 # (default: a fresh one under $TMPDIR, kept for inspection).
 set -euo pipefail
 
-if [ $# -lt 3 ]; then
-	echo "usage: $0 BASE WORKLOAD \"SEEDS\" [SECONDS]" >&2
+if [ $# -ne 3 ]; then
+	echo "usage: $0 BASE WORKLOAD \"SEEDS\"" >&2
 	exit 2
 fi
-base="$1" workload="$2" seeds="$3" seconds="${4:-}"
+base="$1" workload="$2" seeds="$3"
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 dir="${AB_DIR:-$(mktemp -d "${TMPDIR:-/tmp}/cogbench-ab.XXXXXX")}"
 rm -rf "$dir/base" "$dir/out"
@@ -36,9 +36,8 @@ echo "cogbench-ab: base $(git -C "$root" rev-parse --short "$base") vs working t
 run() {
 	local side="$1" seed="$2" dir_side="$root"
 	[ "$side" = base ] && dir_side="$dir/base"
-	local args=(-workload "$workload" -seed "$seed" -json "$dir/out/$side-$seed.json")
-	[ -n "$seconds" ] && args+=(-seconds "$seconds")
-	(cd "$dir_side" && COGBENCH_LAUNCH_NS="$(date +%s%N)" "$dir/cogbench-$side" "${args[@]}" >"$dir/out/$side-$seed.txt")
+	(cd "$dir_side" && COGBENCH_LAUNCH_NS="$(date +%s%N)" "$dir/cogbench-$side" \
+		-workload "$workload" -seed "$seed" -json "$dir/out/$side-$seed.json" >"$dir/out/$side-$seed.txt")
 	grep -E "^$workload (op_p50_s|digest) " "$dir/out/$side-$seed.txt" | sed "s/^/seed $seed $side: /"
 }
 

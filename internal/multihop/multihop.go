@@ -61,7 +61,9 @@ func (c Config) Validate() error {
 type Result struct {
 	// EndToEndBER compares delivered bits against the source.
 	EndToEndBER float64
-	// PerHopBER is each hop's own error rate (against its input).
+	// PerHopBER is each hop's own error rate (against its input). Run
+	// returns an owned slice; from RunWith and RunScalarWith it aliases
+	// the workspace, and the next run on that workspace overwrites it.
 	PerHopBER []float64
 	// PredictedBER is the small-error approximation: the sum of each
 	// hop's closed-form BER.

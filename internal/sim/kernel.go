@@ -155,14 +155,14 @@ func NewKernelBatch(name string, params map[string]float64) (BatchFunc, error) {
 		return nil, err
 	}
 	return func(rng *rand.Rand, n int) mathx.Running {
-		w := workerPool.Get().(*chunkWorker)
-		defer workerPool.Put(w)
+		b := bufPool.Get().(*chunkBuf)
+		defer bufPool.Put(b)
 		var acc mathx.Running
 		for n > 0 {
 			m := min(n, ChunkSize)
-			drawSeeds(rng, w.seeds[:m])
-			trial(w.seeds[:m], w.vals[:m])
-			foldInto(&acc, w.vals[:m])
+			drawSeeds(rng, b.seeds[:m])
+			trial(b.seeds[:m], b.vals[:m])
+			foldInto(&acc, b.vals[:m])
 			n -= m
 		}
 		return acc

@@ -70,13 +70,13 @@ func (mc MonteCarlo) RunKernelCtx(ctx context.Context, kernel string, params map
 // chunk i always draws from the i-th derived seed, and the derivation
 // is a splitmix64 walk whose i-th step has a closed form, so seed
 // prefixes are independent of the total chunk count and only the
-// range's own seeds are derived. A worker owns a chunk: it draws the
-// chunk's trial seeds from the chunk stream, lets idle workers evaluate
-// blocks of them, and folds the values in trial order — the serial
-// loop of NewKernelBatch, so every partial is bit-identical at any
-// worker count. Workers are not capped by the chunk count: a worker
-// that finds no unclaimed chunk helps with the chunks in flight, so a
-// one-chunk round still uses every worker.
+// range's own seeds are derived. Workers claim blocks of trials, never
+// crossing a chunk boundary, from one counter over the range's trials.
+// The first block of a chunk draws the chunk's trial seeds from the
+// chunk stream, and the last block to finish folds the chunk's values
+// in trial order — the serial loop of NewKernelBatch, so every partial
+// is bit-identical at any worker count. Workers are not capped by the
+// chunk count, so a one-chunk round still uses every worker.
 //
 // Cancellation is observed between trial blocks, never inside one. An
 // incomplete range returns the context error and no partials — a range
@@ -99,20 +99,23 @@ func (mc MonteCarlo) RunKernelChunksCtx(ctx context.Context, kernel string, para
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	r := &chunkRun{
+	r := runPool.Get().(*chunkRun)
+	slots := r.slots
+	if cap(slots) < hi-lo {
+		slots = make([]chunkSlot, hi-lo)
+	}
+	*r = chunkRun{
 		ctx:       ctx,
 		trial:     trial,
 		plan:      plan,
 		lo:        lo,
-		hi:        hi,
 		workers:   workers,
+		total:     min(plan.Trials, hi*ChunkSize) - lo*ChunkSize,
+		slots:     slots[:hi-lo],
 		parts:     make([]mathx.Running, hi-lo),
 		progress:  obs.ProgressFrom(ctx),
 		recording: obs.RecorderFrom(ctx) != nil,
-		nextChunk: lo,
-		active:    make([]*chunkWorker, 0, workers),
 	}
-	r.cond.L = &r.mu
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -122,12 +125,16 @@ func (mc MonteCarlo) RunKernelChunksCtx(ctx context.Context, kernel string, para
 		}()
 	}
 	wg.Wait()
+	parts := r.parts
+	clear(r.slots)
+	*r = chunkRun{slots: r.slots[:0]}
+	runPool.Put(r)
 	// Workers stop early only once ctx is done, so a live ctx here means
 	// every chunk of the range ran.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return r.parts, nil
+	return parts, nil
 }
 
 // minBlock is the smallest block of trials a worker claims: below it
@@ -135,186 +142,117 @@ func (mc MonteCarlo) RunKernelChunksCtx(ctx context.Context, kernel string, para
 // for themselves.
 const minBlock = 8
 
-// chunkWorker is the reusable state of a worker that owns a chunk: the
-// generator that draws the chunk's trial seeds, the seed and value
-// buffers of its n trials, and the claim state through which idle
-// workers help with it. It is pooled as a unit because adaptive runs
-// start a pool once per doubling round; helpers never take one.
-type chunkWorker struct {
+// chunkBuf is the scratch of one chunk in flight: the generator that
+// draws the chunk's trial seeds, the seeds, and the values of its
+// trials. It is pooled because adaptive runs start a pool once per
+// doubling round.
+type chunkBuf struct {
 	rng   *mathx.ReusableRand
 	seeds [ChunkSize]int64
 	vals  [ChunkSize]float64
-	n     int
-	// next is the first unclaimed trial.
-	next atomic.Int64
-	// pins counts the helpers working on the chunk; chunkRun.mu guards
-	// it. A helper pins a chunk only while it is published, and its
-	// owner moves on to another chunk only once this one is unpublished
-	// and unpinned, so every claim a helper makes lands in the chunk it
-	// pinned.
-	pins int
+	start time.Time
 }
 
-var workerPool = sync.Pool{New: func() any { return &chunkWorker{rng: mathx.NewReusableRand()} }}
+var bufPool = sync.Pool{New: func() any { return &chunkBuf{rng: mathx.NewReusableRand()} }}
 
-// claim takes the chunk's next block of trials by guided
-// self-scheduling: half of the remaining trials' per-worker share, but
-// at least minBlock. ok is false once every trial is claimed.
-func (w *chunkWorker) claim(workers int) (lo, hi int, ok bool) {
-	for {
-		next := w.next.Load()
-		rem := w.n - int(next)
-		if rem <= 0 {
-			return 0, 0, false
-		}
-		blk := min(rem, max(minBlock, rem/(2*workers)))
-		if w.next.CompareAndSwap(next, next+int64(blk)) {
-			return int(next), int(next) + blk, true
-		}
-	}
+// chunkSlot is one chunk of the range. The first worker to claim a
+// block of the chunk draws its seeds inside once; workers claiming
+// later blocks block in once until the seeds are there. The worker
+// whose block brings done to the chunk's trial count folds the values
+// and returns buf to the pool, so no buffer is reused while a block of
+// its chunk can still touch it.
+type chunkSlot struct {
+	buf  *chunkBuf
+	once sync.Once
+	done atomic.Int32
 }
 
-// chunkRun is the shared state of one RunKernelChunksCtx call.
+// chunkRun is the shared state of one RunKernelChunksCtx call. It is
+// pooled, slots included, because adaptive runs make one call per
+// doubling round.
 type chunkRun struct {
 	ctx       context.Context
 	trial     TrialFunc
 	plan      Plan
-	lo, hi    int
+	lo        int
 	workers   int
+	total     int          // trials in the range
+	next      atomic.Int64 // first unclaimed trial, counted from the range's first
+	slots     []chunkSlot
 	parts     []mathx.Running
 	progress  obs.Progress
 	recording bool
-
-	// mu guards the fields below and every chunk's pins; cond signals a
-	// published chunk and an unpinned one.
-	mu        sync.Mutex
-	cond      sync.Cond
-	nextChunk int            // first unclaimed chunk
-	drawing   int            // claimed chunks whose seeds are not published yet
-	active    []*chunkWorker // owners of the published chunks
 }
 
-// work is one worker's life: own chunks while any are unclaimed, then
-// help with the ones still in flight.
+var runPool = sync.Pool{New: func() any { return new(chunkRun) }}
+
+// work is one worker's life: claim, evaluate and account trial blocks
+// until every trial of the range is claimed or ctx is done.
 func (r *chunkRun) work() {
-	if c, ok := r.claimChunk(); ok {
-		w := workerPool.Get().(*chunkWorker)
-		for ok {
-			r.own(w, c)
-			c, ok = r.claimChunk()
+	for r.ctx.Err() == nil {
+		i, lo, hi, ok := r.claim()
+		if !ok {
+			return
 		}
-		workerPool.Put(w)
-	}
-	r.help()
-}
-
-// claimChunk takes the next unclaimed chunk. It counts the chunk as
-// drawing in the same critical section, so no helper can see the
-// chunks exhausted while one of them is still to be published.
-func (r *chunkRun) claimChunk() (int, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.nextChunk == r.hi || r.ctx.Err() != nil {
-		return 0, false
-	}
-	c := r.nextChunk
-	r.nextChunk++
-	r.drawing++
-	return c, true
-}
-
-// own runs chunk c on w: it draws the chunk's seeds, publishes the
-// chunk, evaluates blocks alongside any helpers, waits for the helpers'
-// blocks, and folds the values in trial order.
-func (r *chunkRun) own(w *chunkWorker, c int) {
-	start := time.Now()
-	w.n = r.plan.ChunkTrials(c)
-	w.next.Store(0)
-	w.rng.Reseed(r.plan.ChunkSeed(c))
-	drawSeeds(w.rng.Rand, w.seeds[:w.n])
-
-	r.mu.Lock()
-	r.drawing--
-	r.active = append(r.active, w)
-	r.cond.Broadcast()
-	r.mu.Unlock()
-
-	r.runBlocks(w)
-
-	r.mu.Lock()
-	for i, a := range r.active {
-		if a == w {
-			last := len(r.active) - 1
-			r.active[i] = r.active[last]
-			r.active = r.active[:last]
-			break
+		s := &r.slots[i]
+		s.once.Do(func() { r.draw(s, i) })
+		r.trial(s.buf.seeds[lo:hi], s.buf.vals[lo:hi])
+		if int(s.done.Add(int32(hi-lo))) == r.plan.ChunkTrials(r.lo+i) {
+			r.finish(s, i)
 		}
 	}
-	for w.pins > 0 {
-		r.cond.Wait()
+}
+
+// claim takes the range's next block of trials by guided
+// self-scheduling — half of the remaining trials' per-worker share, but
+// at least minBlock — capped at the end of the chunk the block starts
+// in. It returns the chunk's index in the range and the block's trials
+// within the chunk; ok is false once every trial is claimed.
+func (r *chunkRun) claim() (i, lo, hi int, ok bool) {
+	for {
+		next := r.next.Load()
+		rem := r.total - int(next)
+		if rem <= 0 {
+			return 0, 0, 0, false
+		}
+		lo = int(next) % ChunkSize
+		blk := min(max(minBlock, rem/(2*r.workers)), rem, ChunkSize-lo)
+		if r.next.CompareAndSwap(next, next+int64(blk)) {
+			return int(next) / ChunkSize, lo, lo + blk, true
+		}
 	}
-	r.mu.Unlock()
-	// A live ctx means runBlocks ended with every trial claimed, and
-	// every claimed block has finished.
-	if r.ctx.Err() != nil {
-		return
-	}
+}
+
+// draw takes a buffer for the range's i-th chunk and fills it with the
+// chunk's trial seeds.
+func (r *chunkRun) draw(s *chunkSlot, i int) {
+	b := bufPool.Get().(*chunkBuf)
+	b.start = time.Now()
+	c := r.lo + i
+	b.rng.Reseed(r.plan.ChunkSeed(c))
+	drawSeeds(b.rng.Rand, b.seeds[:r.plan.ChunkTrials(c)])
+	s.buf = b
+}
+
+// finish folds the range's i-th chunk, whose trials have all been
+// evaluated, in trial order and returns its buffer to the pool.
+func (r *chunkRun) finish(s *chunkSlot, i int) {
+	c := r.lo + i
+	n := r.plan.ChunkTrials(c)
 	var acc mathx.Running
-	foldInto(&acc, w.vals[:w.n])
-	r.parts[c-r.lo] = acc
+	foldInto(&acc, s.buf.vals[:n])
+	r.parts[i] = acc
 	// The chunk attribute is built only for a recorder: variadic
 	// attributes escape, so passing one unconditionally would allocate
 	// per chunk.
 	if r.recording {
-		obs.RecordSpan(r.ctx, "mc.chunk", start, time.Now(), obs.Attr{Key: "chunk", Value: strconv.Itoa(c)})
+		obs.RecordSpan(r.ctx, "mc.chunk", s.buf.start, time.Now(), obs.Attr{Key: "chunk", Value: strconv.Itoa(c)})
 	} else {
-		obs.RecordSpan(r.ctx, "mc.chunk", start, time.Now())
+		obs.RecordSpan(r.ctx, "mc.chunk", s.buf.start, time.Now())
 	}
-	mcTrials.Add(int64(w.n))
-	r.progress.Add(int64(w.n))
-}
-
-// help evaluates blocks of the chunks other workers own until no chunk
-// is left to draw and no published one has unclaimed trials. With
-// nothing to claim yet it waits on cond for the next publication.
-func (r *chunkRun) help() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.ctx.Err() == nil {
-		var w *chunkWorker
-		most := 0
-		for _, a := range r.active {
-			if rem := a.n - int(a.next.Load()); rem > most {
-				w, most = a, rem
-			}
-		}
-		if w == nil {
-			if r.drawing == 0 {
-				return
-			}
-			r.cond.Wait()
-			continue
-		}
-		w.pins++
-		r.mu.Unlock()
-		r.runBlocks(w)
-		r.mu.Lock()
-		if w.pins--; w.pins == 0 {
-			r.cond.Broadcast()
-		}
-	}
-}
-
-// runBlocks claims and evaluates blocks of w's chunk until every trial
-// is claimed or ctx is done.
-func (r *chunkRun) runBlocks(w *chunkWorker) {
-	for r.ctx.Err() == nil {
-		lo, hi, ok := w.claim(r.workers)
-		if !ok {
-			return
-		}
-		r.trial(w.seeds[lo:hi], w.vals[lo:hi])
-	}
+	bufPool.Put(s.buf)
+	mcTrials.Add(int64(n))
+	r.progress.Add(int64(n))
 }
 
 // drawSeeds fills seeds with successive Int63 draws of rng: trial t of

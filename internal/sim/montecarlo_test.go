@@ -180,12 +180,13 @@ func TestRunBatchesDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunKernelChunksReusesGenerators: chunk workers — generator plus
-// seed and value buffers — come from a pool, so once it is warm a call
-// allocates far less than one ~4.9 KB generator state, however many
-// workers it starts. Adaptive runs call the pool once per doubling
+// TestRunKernelChunksReusesGenerators: chunk buffers — generator plus
+// seed and value arrays — and the per-call run state with its chunk
+// slots come from pools, so once they are warm a call allocates far
+// less than one ~4.9 KB generator state, however many workers it
+// starts. Adaptive runs call the pool once per doubling
 // round, which is what makes this matter. The single-chunk ranges at
-// two workers take the helper path: the idle worker splits the chunk.
+// two workers split the chunk into trial blocks across both workers.
 func TestRunKernelChunksReusesGenerators(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops Put items at random")
@@ -257,7 +258,7 @@ func TestTrialGranularityInvariance(t *testing.T) {
 
 // TestSingleChunkSplitsAcrossWorkers: a one-chunk range at two workers
 // runs two trial blocks of that chunk at once. The first block waits
-// for a second one to start, which only a helper can start.
+// for a second one to start, which only the other worker can start.
 func TestSingleChunkSplitsAcrossWorkers(t *testing.T) {
 	var calls atomic.Int64
 	joined := make(chan struct{})

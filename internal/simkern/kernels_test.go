@@ -1,7 +1,9 @@
 package simkern
 
 import (
+	"context"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"repro/internal/cellfree"
@@ -131,6 +133,43 @@ func TestMultihopKernelMatchesSequentialRuns(t *testing.T) {
 	}
 	if empty := batch(mathx.NewRand(seed), 0); empty.N() != 0 {
 		t.Fatalf("zero-trial batch folded %d trials", empty.N())
+	}
+}
+
+// TestChunkSplitMatchesSerialBatch: for every kernel this package
+// registers, a one-chunk range evaluated by one worker and split into
+// trial blocks across two equals the serial NewKernelBatch loop over
+// the chunk's stream bit for bit. The range is the short tail chunk of
+// a two-chunk plan, with small payloads, so the check stays cheap.
+func TestChunkSplitMatchesSerialBatch(t *testing.T) {
+	plan := sim.Plan{Seed: 11, Trials: sim.ChunkSize + 96}
+	for _, name := range sim.Kernels() {
+		var params map[string]float64
+		switch {
+		case strings.HasPrefix(name, "coop."):
+			params = map[string]float64{"bits": 32}
+		case strings.HasPrefix(name, "multihop."):
+			params = map[string]float64{"hops": 3, "bits": 60}
+		case strings.HasPrefix(name, "cellfree."):
+			params = map[string]float64{"l": 10, "k": 6, "tau_p": 3}
+		default:
+			continue
+		}
+		batch, err := sim.NewKernelBatch(name, params)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := batch(mathx.NewRand(plan.ChunkSeed(1)), plan.ChunkTrials(1))
+		for _, workers := range []int{1, 2} {
+			mc := sim.MonteCarlo{Seed: plan.Seed, Workers: workers}
+			parts, err := mc.RunKernelChunksCtx(context.Background(), name, params, plan.Trials, 1, 2)
+			if err != nil {
+				t.Fatalf("%s, workers=%d: %v", name, workers, err)
+			}
+			if parts[0].Snapshot() != want.Snapshot() {
+				t.Errorf("%s, workers=%d: chunk %+v, serial batch %+v", name, workers, parts[0].Snapshot(), want.Snapshot())
+			}
+		}
 	}
 }
 
