@@ -1,7 +1,7 @@
 # Tier-1 verification plus the race detector. `make verify` is what CI
 # and pre-merge checks should run.
 
-.PHONY: verify vet fmt-check build test race fuzz-rng bench bench-compare cogbench-ab bench-batch metrics-smoke cluster-smoke campaign-smoke loadgen-smoke trace-smoke cellfree-smoke
+.PHONY: verify vet fmt-check build test race fuzz-rng bench bench-compare cogbench-ab bench-batch metrics-smoke campaign-smoke loadgen-smoke
 
 BENCH_DATE := $(shell date +%Y-%m-%d)
 BENCH_JSON := BENCH_$(BENCH_DATE).json
@@ -63,32 +63,17 @@ SEEDS ?= 1 2 3
 cogbench-ab:
 	./cogbench-ab.sh "$(BASE)" "$(WORKLOAD)" "$(SEEDS)"
 
-# Scalar-vs-batched comparison of the cooperative trial engine: runs
-# the interleaved min-of-rounds A/B harness over the 1x1/2x2/4x4
-# shapes, printing ns/op for both tiers, and fails when the worst
-# shape's speedup drops below 2x or the batched tier allocates.
+# Batched-vs-scalar gate of the cooperative trial engine: runs
+# internal/coop's TestBatchEngineSpeedup, which alternates the batched
+# engine with the per-block reference engine over the 1x1/2x2/4x4
+# shapes and fails when the worst shape's speedup drops below 2x.
 bench-batch:
-	go run ./internal/tools/benchbatch
+	go test -count=1 -run '^TestBatchEngineSpeedup$$' -v ./internal/coop
 
 # Boots a cogmimod daemon, scrapes /metrics/prom and checks the core
 # metric names are exposed. A cheap end-to-end observability check.
 metrics-smoke:
 	go run ./internal/tools/metricssmoke
-
-# Runs ext-coopber through a loopback coordinator with 3 workers, kills
-# one mid-run, and requires the merged report to match the serial
-# golden file byte-for-byte. End-to-end determinism check of
-# internal/cluster.
-cluster-smoke:
-	go run ./internal/tools/clustersmoke
-
-# Serves the full HTTP stack over a 3-worker loopback cluster with one
-# induced shard failure, fetches the merged trace from /v1/traces/{id}
-# and requires per-worker shard spans, retry evidence, a valid Chrome
-# export and a golden-identical report. End-to-end check of
-# distributed tracing.
-trace-smoke:
-	go run ./internal/tools/tracesmoke
 
 # Drives 50 tenants — one with a 10× burst submitted first — through
 # the real HTTP stack and fails if the light tenants' p99 queue wait
@@ -97,14 +82,6 @@ trace-smoke:
 # check of internal/tenant scheduling.
 loadgen-smoke:
 	go run ./internal/tools/loadgen/cmd
-
-# Runs ext-cellfree serially — asserting MMSE combining beats MR at
-# every SE quantile, an exact seed-sharing invariant — then through a
-# 3-worker loopback cluster with one induced death, requiring the
-# merged report to match the serial golden byte-for-byte. End-to-end
-# check of the cell-free scenario kernels (internal/cellfree).
-cellfree-smoke:
-	go run ./internal/tools/cellfreesmoke
 
 # Runs a checkpointing campaign in a child process, SIGKILLs it
 # mid-experiment, resumes from the durable checkpoints and requires the

@@ -34,8 +34,8 @@
 //
 // Because the MMSE combiner maximizes the instantaneous SINR that both
 // combiners are scored by, MMSE SE >= MR SE holds per user per
-// realization — the ordering the ext-cellfree experiment and the
-// cellfree-smoke gate assert.
+// realization — the ordering the ext-cellfree experiment and
+// internal/cluster's TestCellfreeDistributedMatchesSerialGolden assert.
 //
 // Determinism: a Config fully determines the result. The PRNG walk
 // from Config.Seed is fixed (AP positions, UE positions, AP shadowing,

@@ -8,8 +8,8 @@ import (
 	"repro/internal/stbc"
 )
 
-// The batched structure-of-arrays hop engine. The scalar transport loop
-// (transportScalar in scheme.go) walks one STBC block at a time: every block
+// The batched structure-of-arrays hop engine. The per-block reference
+// engine (scalar_test.go) walks one STBC block at a time: every block
 // pays a modulate call, per-antenna encodes, a 4x4-at-most matrix
 // multiply, a matched-filter decode and per-symbol hard decisions —
 // short, pointer-chased loops the compiler cannot do much with. The
@@ -89,8 +89,9 @@ func (bs *batchScratch) ensureSyms(count, k, n int) {
 // transport pushes src through one cooperative hop with the batched
 // engine, writing decoded bits into dst. It draws from ws.rng as the
 // caller left it — freshly seeded with cfg.Seed by RunWith or
-// TransportInto — and never reseeds. It is the default path under
-// Run/RunWith/TransportInto; transportScalar is the per-block oracle.
+// TransportInto — and never reseeds. It is the one path under
+// Run/RunWith/TransportInto; the per-block reference engine in
+// scalar_test.go is the oracle it is pinned against.
 func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -115,7 +116,9 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 	blocks := len(src) / bitsPerBlock
 	res := Result{Scheme: cfg.SchemeName(), Bits: len(src)}
 
-	// Per-antenna per-slot symbol energy; see transportScalar.
+	// Per-antenna per-slot symbol energy so that the post-combining
+	// per-bit SNR is ||H||^2 * SNRPerBit / mt, including the code's rate
+	// penalty (see the derivation in scheme_test.go).
 	ea := cfg.SNRPerBit * float64(cfg.B) * code.Rate() / float64(cfg.Mt)
 	scale := complex(math.Sqrt(ea), 0)
 

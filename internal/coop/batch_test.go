@@ -1,11 +1,13 @@
 package coop
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // batchIdentityConfigs sweeps the impairment space the transport
@@ -33,43 +35,73 @@ func batchIdentityConfigs() []Config {
 }
 
 // TestTransportBatchMatchesScalar is the tentpole identity: the SoA
-// engine behind RunWith must reproduce the per-block scalar oracle's
-// Result — the BER, not an approximation of it — for every impairment
-// combination and several seeds each.
+// engine behind RunWith and TransportInto must reproduce the per-block
+// reference engine's Result — the BER, not an approximation of it — and
+// its decoded bits, for every impairment combination and several seeds
+// each. The second hop of every case relays the first hop's noisy
+// output, as a multihop route does, so the identity also holds on a
+// source that is not RunWith's own freshly drawn bits.
 func TestTransportBatchMatchesScalar(t *testing.T) {
-	wsB, wsS := NewWorkspace(), NewWorkspace()
+	ws, sc := NewWorkspace(), newScalarScratch()
 	for _, cfg := range batchIdentityConfigs() {
 		for ds := int64(0); ds < 3; ds++ {
 			c := cfg
 			c.Seed += ds * 1000003
 			name := fmt.Sprintf("%dx%d/b=%d/loc=%v/fwd=%v/coh=%d/seed=%d",
 				c.Mt, c.Mr, c.B, c.LocalSNRPerBit, c.ForwardSNR, c.CoherenceBlocks, c.Seed)
-			got, err := RunWith(wsB, c)
+			got, err := RunWith(ws, c)
 			if err != nil {
 				t.Fatalf("%s: batch: %v", name, err)
 			}
-			want, err := RunScalarWith(wsS, c)
+			want, err := runScalar(sc, c)
 			if err != nil {
 				t.Fatalf("%s: scalar: %v", name, err)
 			}
 			if got != want {
 				t.Fatalf("%s: batch %+v differs from scalar %+v", name, got, want)
 			}
+			if !bytes.Equal(ws.out, sc.out) {
+				t.Fatalf("%s: batch and scalar decoded bits differ", name)
+			}
+
+			// Relay hop: the first hop's decoded bits are the source.
+			relay := c
+			relay.Seed = c.Seed ^ 0x5eed
+			src := append([]byte(nil), sc.out...)
+			dst, dstS := make([]byte, len(src)), make([]byte, len(src))
+			got, err = TransportInto(ws, relay, src, dst)
+			if err != nil {
+				t.Fatalf("%s: relay batch: %v", name, err)
+			}
+			want, err = transportScalar(sc, relay, src, dstS)
+			if err != nil {
+				t.Fatalf("%s: relay scalar: %v", name, err)
+			}
+			if got != want {
+				t.Fatalf("%s: relay batch %+v differs from scalar %+v", name, got, want)
+			}
+			if !bytes.Equal(dst, dstS) {
+				t.Fatalf("%s: relay batch and scalar decoded bits differ", name)
+			}
 		}
+	}
+	src := make([]byte, 240)
+	if _, err := TransportInto(ws, batchIdentityConfigs()[0], src, make([]byte, len(src)-1)); err == nil {
+		t.Error("short dst accepted")
 	}
 }
 
 // TestTransportBatchParallelWorkers runs the batch engine on every
 // impairment combination from several goroutines at once (one
 // workspace per worker, as the pool hands out) and checks each against
-// the scalar oracle — under -race this also proves the SoA scratch
+// the scalar reference engine — under -race this also proves the SoA scratch
 // holds no hidden shared state.
 func TestTransportBatchParallelWorkers(t *testing.T) {
 	cfgs := batchIdentityConfigs()
 	want := make([]Result, len(cfgs))
-	ws := NewWorkspace()
+	sc := newScalarScratch()
 	for i, cfg := range cfgs {
-		r, err := RunScalarWith(ws, cfg)
+		r, err := runScalar(sc, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,14 +161,14 @@ func TestRunWithSingleSeedPinned(t *testing.T) {
 		{1 << 40, 0.05078125, 0.03125},
 		{-1 << 62, 0.05078125, 0.0390625},
 	}
-	ws, wsS := NewWorkspace(), NewWorkspace()
+	ws, sc := NewWorkspace(), newScalarScratch()
 	for _, p := range pinned {
 		c := Config{Mt: 2, Mr: 2, B: 2, SNRPerBit: 1.5, LocalSNRPerBit: 1.5, ForwardSNR: 6, Bits: 256, Seed: p.seed}
 		got, err := RunWith(ws, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := RunScalarWith(wsS, c)
+		want, err := runScalar(sc, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,4 +179,64 @@ func TestRunWithSingleSeedPinned(t *testing.T) {
 			t.Errorf("seed %d: BER %v local %v, pinned %v local %v", p.seed, got.BER, got.LocalBER, p.ber, p.localBER)
 		}
 	}
+}
+
+// TestBatchEngineSpeedup is the batched engine's reason to exist: on
+// the 1x1, 2x2 and 4x4 hops of the root BenchmarkCoopScheme it must run
+// at least twice as fast as the per-block reference engine. The engines
+// alternate call by call and each keeps its fastest call: the two see
+// the same host load, and the min discards the calls a load spike hit.
+// Each shape is measured for minBudget. While its ratio is below
+// target the measurement goes on, up to maxBudget: a neighbour's load
+// burst can slow the batched engine's calls for a while, and more
+// calls give both minima a chance at a quiet moment. A genuine
+// regression still fails, after maxBudget.
+func TestBatchEngineSpeedup(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation distorts the engines' speed ratio")
+	}
+	const (
+		target    = 2.0
+		minBudget = 600 * time.Millisecond // per shape
+		maxBudget = 8 * time.Second        // per shape
+	)
+	ws, sc := NewWorkspace(), newScalarScratch()
+	worst := math.Inf(1)
+	for _, geom := range [][2]int{{1, 1}, {2, 2}, {4, 4}} {
+		cfg := Config{Mt: geom[0], Mr: geom[1], B: 1, SNRPerBit: 10, Bits: 6000, Seed: 1}
+		batch := func() error { _, err := RunWith(ws, cfg); return err }
+		scalar := func() error { _, err := runScalar(sc, cfg); return err }
+		// Warm both scratches, then start from a collected heap as
+		// testing.Benchmark does.
+		timeOp(t, batch)
+		timeOp(t, scalar)
+		runtime.GC()
+		batchNs, scalarNs := math.Inf(1), math.Inf(1)
+		start := time.Now()
+		for {
+			scalarNs = math.Min(scalarNs, timeOp(t, scalar))
+			batchNs = math.Min(batchNs, timeOp(t, batch))
+			el := time.Since(start)
+			if el >= maxBudget || (el >= minBudget && scalarNs >= target*batchNs) {
+				break
+			}
+		}
+		ratio := scalarNs / batchNs
+		t.Logf("%dx%d: scalar %.0f ns/op, batch %.0f ns/op, speedup %.2fx (%v)",
+			geom[0], geom[1], scalarNs, batchNs, ratio, time.Since(start).Round(time.Millisecond))
+		worst = math.Min(worst, ratio)
+	}
+	if worst < target {
+		t.Errorf("worst batch-over-scalar speedup %.2fx below %.1fx", worst, target)
+	}
+}
+
+// timeOp returns the wall time of one call to op in nanoseconds.
+func timeOp(t *testing.T, op func() error) float64 {
+	t.Helper()
+	start := time.Now()
+	if err := op(); err != nil {
+		t.Fatal(err)
+	}
+	return float64(time.Since(start).Nanoseconds())
 }

@@ -17,7 +17,6 @@ package coop
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"repro/internal/channel"
@@ -32,8 +31,9 @@ type Config struct {
 	Mt, Mr int
 	// B is the constellation size in bits per symbol.
 	B int
-	// SNRPerBit is the long-haul mean per-bit receive SNR scale: the
-	// paper's gamma_b equals ||H||_F^2 * SNRPerBit / mt per codeword.
+	// SNRPerBit is the long-haul mean per-bit receive SNR scale, positive
+	// and finite: the paper's gamma_b equals ||H||_F^2 * SNRPerBit / mt
+	// per codeword.
 	SNRPerBit float64
 	// LocalSNRPerBit is the intra-cluster per-bit SNR for Step 1's
 	// broadcast; +Inf (or 0, meaning "ideal") disables local errors.
@@ -57,11 +57,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("coop: node counts %dx%d outside [1, 4]", c.Mt, c.Mr)
 	case c.B < 1 || c.B > 16:
 		return fmt.Errorf("coop: constellation size %d outside [1, 16]", c.B)
-	case c.SNRPerBit <= 0:
-		return fmt.Errorf("coop: SNR per bit %g must be positive", c.SNRPerBit)
-	case c.LocalSNRPerBit < 0:
+	case !(c.SNRPerBit > 0) || math.IsInf(c.SNRPerBit, 1):
+		return fmt.Errorf("coop: SNR per bit %g must be positive and finite", c.SNRPerBit)
+	case !(c.LocalSNRPerBit >= 0):
 		return fmt.Errorf("coop: local SNR %g must be non-negative", c.LocalSNRPerBit)
-	case c.ForwardSNR < 0:
+	case !(c.ForwardSNR >= 0):
 		return fmt.Errorf("coop: forward SNR %g must be non-negative", c.ForwardSNR)
 	case c.Bits < 1:
 		return fmt.Errorf("coop: bit count %d must be positive", c.Bits)
@@ -103,7 +103,7 @@ type Result struct {
 
 // Workspace holds the reusable scratch state for one goroutine's hop
 // simulations: the generator, modulation schemes, fading process and
-// every buffer the per-block loop touches. Reusing a Workspace across
+// every buffer the batched engine touches. Reusing a Workspace across
 // runs makes the kernel allocation-free in steady state while consuming
 // exactly the rng stream a fresh run would, so results stay bit-identical.
 // A Workspace is not safe for concurrent use; keep one per worker.
@@ -115,20 +115,11 @@ type Workspace struct {
 	fading *channel.BlockFading
 	mods   [17]*modulation.Scheme // index = bits per symbol
 
-	src     []byte
-	out     []byte
-	decided []byte
-	copies  [][]byte
-	locSyms []complex128
-	syms    []complex128
-	est     []complex128
-	perAnt  []*mathx.CMat
-	x       *mathx.CMat
-	hT      *mathx.CMat
-	y       *mathx.CMat
+	// src and out are RunWith's source and decoded bits.
+	src []byte
+	out []byte
 
-	// batch holds the SoA tile buffers of the batched engine (batch.go),
-	// the default transport path.
+	// batch holds the SoA tile buffers of the batched engine (batch.go).
 	batch batchScratch
 }
 
@@ -213,223 +204,16 @@ func RunWith(ws *Workspace, cfg Config) (Result, error) {
 	return transport(ws, cfg, ws.src, ws.out)
 }
 
-// Transport pushes the given source bits through one cooperative hop and
-// returns the bits decoded at the head of the receive cluster alongside
-// the measured rates. len(src) must be a positive multiple of the STBC
-// block payload (BlockSymbols * b); multi-hop relays chain Transport
-// calls, feeding each hop's output to the next.
-func Transport(cfg Config, src []byte) ([]byte, Result, error) {
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	dst := make([]byte, len(src))
-	res, err := TransportInto(ws, cfg, src, dst)
-	if err != nil {
-		return nil, res, err
-	}
-	return dst, res, nil
-}
-
-// TransportInto is Transport on a caller-owned workspace, writing the
-// decoded bits into dst (which must have length len(src)). Relay chains
-// ping-pong two buffers through it so the whole route stays
-// allocation-free. Every call reseeds the workspace with cfg.Seed.
+// TransportInto pushes the given source bits through one cooperative
+// hop on a caller-owned workspace, writing the bits decoded at the head
+// of the receive cluster into dst (which must have length len(src)) and
+// returning the measured rates. len(src) must be a positive multiple of
+// the STBC block payload (BlockSymbols * b). Multi-hop relays chain
+// TransportInto calls, ping-ponging two buffers so the whole route
+// stays allocation-free. Every call reseeds the workspace with cfg.Seed.
 func TransportInto(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 	ws.rng.Reseed(cfg.Seed)
 	return transport(ws, cfg, src, dst)
-}
-
-// RunScalarWith is RunWith on the per-block scalar engine — the oracle
-// the batched default path is tested against. It consumes the same rng
-// stream and performs the same floating-point operations per block, so
-// its results are bit-identical to RunWith's. It keeps the plain
-// two-seed shape (seed, draw the bits, reseed for the hop) that
-// RunWith's single seed and fork must reproduce.
-func RunScalarWith(ws *Workspace, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	code, err := stbc.ForTransmitters(cfg.Mt)
-	if err != nil {
-		return Result{}, err
-	}
-	bitsPerBlock := code.BlockSymbols() * cfg.B
-	blocks := cfg.Bits / bitsPerBlock
-	if blocks == 0 {
-		blocks = 1
-	}
-	ws.rng.Reseed(cfg.Seed)
-	rng := ws.rng.Rand
-	ws.src = growBytes(ws.src, blocks*bitsPerBlock)
-	for i := range ws.src {
-		ws.src[i] = byte(rng.Intn(2))
-	}
-	ws.out = growBytes(ws.out, len(ws.src))
-	return transportScalar(ws, cfg, ws.src, ws.out)
-}
-
-// TransportScalarInto is TransportInto on the per-block scalar engine,
-// kept as the bit-identity oracle for the batched default path.
-func TransportScalarInto(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
-	return transportScalar(ws, cfg, src, dst)
-}
-
-func transportScalar(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	ws.rng.Reseed(cfg.Seed)
-	rng := ws.rng.Rand
-	mod, err := ws.scheme(cfg.B)
-	if err != nil {
-		return Result{}, err
-	}
-	code, err := stbc.ForTransmitters(cfg.Mt)
-	if err != nil {
-		return Result{}, err
-	}
-	bitsPerBlock := code.BlockSymbols() * cfg.B
-	if len(src) == 0 || len(src)%bitsPerBlock != 0 {
-		return Result{}, fmt.Errorf("coop: %d source bits not a positive multiple of the %d-bit block",
-			len(src), bitsPerBlock)
-	}
-	if len(dst) != len(src) {
-		return Result{}, fmt.Errorf("coop: dst holds %d bits, need %d", len(dst), len(src))
-	}
-	blocks := len(src) / bitsPerBlock
-	res := Result{Scheme: cfg.SchemeName(), Bits: len(src)}
-
-	// Per-antenna per-slot symbol energy so that the post-combining
-	// per-bit SNR is ||H||^2 * SNRPerBit / mt, including the code's rate
-	// penalty (see the derivation in scheme_test.go).
-	ea := cfg.SNRPerBit * float64(cfg.B) * code.Rate() / float64(cfg.Mt)
-	scale := complex(math.Sqrt(ea), 0)
-
-	ws.fading.Reset(rng, cfg.Mt, cfg.Mr, cfg.CoherenceBlocks, 0)
-
-	if cap(ws.copies) < cfg.Mt {
-		ws.copies = append(ws.copies[:cap(ws.copies)], make([][]byte, cfg.Mt-cap(ws.copies))...)
-	}
-	ws.copies = ws.copies[:cfg.Mt]
-	for i := range ws.copies {
-		ws.copies[i] = growBytes(ws.copies[i], bitsPerBlock)
-	}
-	if cap(ws.perAnt) < cfg.Mt {
-		ws.perAnt = append(ws.perAnt[:cap(ws.perAnt)], make([]*mathx.CMat, cfg.Mt-cap(ws.perAnt))...)
-	}
-	ws.perAnt = ws.perAnt[:cfg.Mt]
-	ws.decided = growBytes(ws.decided, cfg.B)
-
-	var bitErrs, localErrs, localBits int
-	for blk := 0; blk < blocks; blk++ {
-		blockSrc := src[blk*bitsPerBlock : (blk+1)*bitsPerBlock]
-
-		// Step 1: head x broadcasts; each other member receives its own
-		// noisy copy (the head's copy is exact).
-		copy(ws.copies[0], blockSrc)
-		for m := 1; m < cfg.Mt; m++ {
-			broadcastCopy(ws, mod, blockSrc, ws.copies[m], cfg.LocalSNRPerBit)
-			for i := range blockSrc {
-				localBits++
-				if ws.copies[m][i] != blockSrc[i] {
-					localErrs++
-				}
-			}
-		}
-
-		// Step 2: each antenna encodes its own copy; disagreement between
-		// copies corrupts the space-time structure, exactly as it would
-		// over the air.
-		h := ws.fading.Next()
-		y := transmitPerAntenna(ws, code, mod, scale, h)
-		channel.AWGN(rng, y.Data, 1)
-
-		// Step 3: members forward their samples to head y; forwarding
-		// adds noise per sample when ForwardSNR is finite.
-		if cfg.Mr > 1 && cfg.ForwardSNR > 0 {
-			forwardNoise(rng, y, ea, h, cfg.ForwardSNR)
-		}
-
-		ws.est = code.DecodeInto(y, h, ws.est)
-		for k, sym := range ws.est {
-			mod.DecideSymbol(sym/scale, ws.decided)
-			for j := 0; j < cfg.B; j++ {
-				if ws.decided[j] != blockSrc[k*cfg.B+j] {
-					bitErrs++
-				}
-			}
-			copy(dst[blk*bitsPerBlock+k*cfg.B:], ws.decided)
-		}
-	}
-	res.BER = float64(bitErrs) / float64(res.Bits)
-	if localBits > 0 {
-		res.LocalBER = float64(localErrs) / float64(localBits)
-	}
-	return res, nil
-}
-
-// broadcastCopy sends bits over one AWGN local link and writes the
-// receiver's hard decisions to dst. localSNR = 0 means ideal.
-func broadcastCopy(ws *Workspace, mod *modulation.Scheme, src, dst []byte, localSNR float64) {
-	if localSNR == 0 || math.IsInf(localSNR, 1) {
-		copy(dst, src)
-		return
-	}
-	syms, err := mod.ModulateInto(src, ws.locSyms)
-	if err != nil {
-		// Block sizes are whole multiples of b by construction.
-		panic(err)
-	}
-	ws.locSyms = syms
-	// Unit-energy symbols; noise variance sets the per-bit SNR:
-	// Es/N0 = b * localSNR.
-	n0 := 1 / (float64(mod.BitsPerSymbol) * localSNR)
-	channel.AWGN(ws.rng.Rand, syms, n0)
-	mod.DemodulateInto(syms, dst)
-}
-
-// transmitPerAntenna builds the received block when each antenna encodes
-// its own (possibly divergent) bit copy. With identical copies this
-// reduces exactly to code.Transmit(code.Encode(...)). The returned matrix
-// is workspace scratch, valid until the next call.
-func transmitPerAntenna(ws *Workspace, code *stbc.Code, mod *modulation.Scheme, scale complex128, h *mathx.CMat) *mathx.CMat {
-	mt := code.Nt()
-	// Encode each antenna's view of the block.
-	for a := 0; a < mt; a++ {
-		syms, err := mod.ModulateInto(ws.copies[a], ws.syms)
-		if err != nil {
-			panic(err)
-		}
-		ws.syms = syms
-		for i := range syms {
-			syms[i] *= scale
-		}
-		ws.perAnt[a] = code.EncodeInto(syms, ws.perAnt[a])
-	}
-	// Antenna a transmits column a of its own encoding.
-	x := mathx.EnsureShape(ws.x, ws.perAnt[0].Rows, mt)
-	ws.x = x
-	for t := 0; t < x.Rows; t++ {
-		for a := 0; a < mt; a++ {
-			x.Set(t, a, ws.perAnt[a].At(t, a))
-		}
-	}
-	// y[t][j] = sum_a x[t][a] h[j][a].
-	ws.hT = h.TransposeInto(ws.hT)
-	ws.y = x.MulInto(ws.hT, ws.y)
-	return ws.y
-}
-
-// forwardNoise models Step 3: every sample travelling from a non-head
-// receiver to the head picks up noise proportional to the mean sample
-// power. Receiver 0 is the head and forwards nothing.
-func forwardNoise(rng *rand.Rand, y *mathx.CMat, ea float64, h *mathx.CMat, fwdSNR float64) {
-	meanPower := ea * h.FrobeniusNorm2() / float64(h.Rows)
-	variance := meanPower / fwdSNR
-	for t := 0; t < y.Rows; t++ {
-		for j := 1; j < y.Cols; j++ {
-			y.Set(t, j, y.At(t, j)+mathx.ComplexCN(rng, variance))
-		}
-	}
 }
 
 // PredictBER returns the closed-form BER this hop should approach when

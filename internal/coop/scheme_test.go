@@ -27,14 +27,23 @@ func TestValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// +Inf local SNR is the documented "ideal links" value.
+	good.LocalSNRPerBit = math.Inf(1)
+	if err := good.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	cases := []func(*Config){
 		func(c *Config) { c.Mt = 0 },
 		func(c *Config) { c.Mr = 5 },
 		func(c *Config) { c.B = 0 },
 		func(c *Config) { c.B = 17 },
 		func(c *Config) { c.SNRPerBit = 0 },
+		func(c *Config) { c.SNRPerBit = math.NaN() },
+		func(c *Config) { c.SNRPerBit = math.Inf(1) },
 		func(c *Config) { c.LocalSNRPerBit = -1 },
+		func(c *Config) { c.LocalSNRPerBit = math.NaN() },
 		func(c *Config) { c.ForwardSNR = -1 },
+		func(c *Config) { c.ForwardSNR = math.NaN() },
 		func(c *Config) { c.Bits = 0 },
 	}
 	for i, mutate := range cases {

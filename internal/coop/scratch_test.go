@@ -38,37 +38,6 @@ func TestRunWithMatchesRun(t *testing.T) {
 	}
 }
 
-// TestTransportIntoMatchesTransport checks the in-place relay path
-// produces the same bits and rates as the allocating one.
-func TestTransportIntoMatchesTransport(t *testing.T) {
-	cfg := Config{Mt: 2, Mr: 2, B: 2, SNRPerBit: 9, LocalSNRPerBit: 10, Bits: 1200, Seed: 5}
-	src := make([]byte, 1200)
-	for i := range src {
-		src[i] = byte(i % 2)
-	}
-	wantOut, wantRes, err := Transport(cfg, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := NewWorkspace()
-	dst := make([]byte, len(src))
-	res, err := TransportInto(ws, cfg, src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != wantRes {
-		t.Errorf("TransportInto res = %+v, Transport = %+v", res, wantRes)
-	}
-	for i := range dst {
-		if dst[i] != wantOut[i] {
-			t.Fatalf("bit %d: TransportInto = %d, Transport = %d", i, dst[i], wantOut[i])
-		}
-	}
-	if _, err := TransportInto(ws, cfg, src, make([]byte, len(src)-1)); err == nil {
-		t.Error("short dst accepted")
-	}
-}
-
 // TestRunWithAllocationFree proves the tentpole claim: a warmed
 // workspace runs the whole hop kernel without allocating.
 func TestRunWithAllocationFree(t *testing.T) {

@@ -19,7 +19,8 @@ func init() {
 // one deployment scale; both combiners in a row run from the same
 // derived seed, so they score identical network snapshots and the
 // MMSE column dominates the MR column exactly, not just in expectation
-// — the invariant the cellfree-smoke gate asserts on the median row.
+// — the invariant internal/cluster's
+// TestCellfreeDistributedMatchesSerialGolden asserts on every row.
 func ExtCellfree(ctx context.Context, opts Options) (*Report, error) {
 	type scale struct{ l, n, k, tauP int }
 	trials := 256

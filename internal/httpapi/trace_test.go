@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -97,8 +99,9 @@ func fetchTrace(t *testing.T, base, id string, want ...string) obs.Trace {
 // the issue: a distributed job over 3 loopback workers with one induced
 // transient failure must yield, via GET /v1/traces/{id}, one merged
 // timeline from HTTP arrival through per-worker shard execution to the
-// fold — including the retry evidence — and the Chrome export of that
-// trace must be valid JSON.
+// fold — including the retry evidence — while the report stays
+// byte-identical to the serial golden snapshot, and the Chrome export of
+// that trace must be valid JSON.
 func TestTraceEndpointMergedDistributedTimeline(t *testing.T) {
 	rec := obs.NewTraceRecorder(16, 8192)
 	ts, lb := newTracedClusterServer(t, rec)
@@ -124,6 +127,15 @@ func TestTraceEndpointMergedDistributedTimeline(t *testing.T) {
 	}
 	if jr.TraceID != tid {
 		t.Fatalf("job view trace id %q != header %q", jr.TraceID, tid)
+	}
+	// Recording spans across the retried distributed run must not
+	// perturb the simulation: the report is the serial golden snapshot.
+	want, err := os.ReadFile(filepath.Join("..", "experiments", "testdata", "golden", "ext-coopber_quick_seed1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jr.Report != string(want) {
+		t.Fatalf("traced distributed report differs from serial golden\n--- got ---\n%s--- want ---\n%s", jr.Report, want)
 	}
 
 	tr := fetchTrace(t, ts.URL, tid,

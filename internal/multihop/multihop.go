@@ -62,8 +62,8 @@ type Result struct {
 	// EndToEndBER compares delivered bits against the source.
 	EndToEndBER float64
 	// PerHopBER is each hop's own error rate (against its input). Run
-	// returns an owned slice; from RunWith and RunScalarWith it aliases
-	// the workspace, and the next run on that workspace overwrites it.
+	// returns an owned slice; from RunWith it aliases the workspace, and
+	// the next run on that workspace overwrites it.
 	PerHopBER []float64
 	// PredictedBER is the small-error approximation: the sum of each
 	// hop's closed-form BER.
@@ -114,34 +114,13 @@ func Run(cfg Config) (Result, error) {
 // RunWith is Run on a caller-owned workspace. Hop i's decoded bits feed
 // hop i+1 through two ping-pong buffers, so the whole route reuses the
 // workspace's scratch while consuming exactly the rng streams a fresh
-// run would. Each hop crosses through coop's batched SoA engine. The
-// returned PerHopBER aliases the workspace: the next run on it
-// overwrites the slice.
+// run would. Each hop crosses one coop.TransportInto. The returned
+// PerHopBER aliases the workspace: the next run on it overwrites the
+// slice.
 func RunWith(ws *Workspace, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	return runRoute(ws, cfg, coop.TransportInto)
-}
-
-// RunScalarWith is RunWith with every hop crossed through coop's
-// per-block scalar transport instead of the batched engine. It is the
-// oracle the batch-vs-scalar bit-identity tests (and simkern's
-// test-only multihop.ber.scalar kernel) pin the batched engines
-// against: both consume identical rng streams, so the results must
-// match bit for bit. PerHopBER aliases the workspace, as in RunWith.
-func RunScalarWith(ws *Workspace, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	return runRoute(ws, cfg, coop.TransportScalarInto)
-}
-
-// runRoute is the shared route engine: transport crosses one hop
-// (batched or scalar), and the workspace's per-hop buffer receives the
-// per-hop BERs and backs the returned Result.PerHopBER. The caller has
-// validated cfg.
-func runRoute(ws *Workspace, cfg Config, transport func(*coop.Workspace, coop.Config, []byte, []byte) (coop.Result, error)) (Result, error) {
 	if cap(ws.perHop) < len(cfg.Hops) {
 		ws.perHop = make([]float64, len(cfg.Hops))
 	}
@@ -157,10 +136,8 @@ func runRoute(ws *Workspace, cfg Config, transport func(*coop.Workspace, coop.Co
 		ws.seeds[i] = int64(mathx.SplitMix64(&state))
 	}
 
-	// Block payloads may differ per hop (mt fixes the STBC); use a bit
-	// count divisible by every hop's block size: blocks are at most
-	// 3 symbols * 16 bits = 48 bits, so lcm <= 48*... simply round up to
-	// a multiple of the product of distinct block sizes.
+	// Block payloads may differ per hop (mt fixes the STBC), so the
+	// payload is rounded up to a size every hop's block divides.
 	bits := roundUpToBlocks(cfg)
 	if cap(ws.src) < bits {
 		ws.src = make([]byte, bits)
@@ -184,7 +161,7 @@ func runRoute(ws *Workspace, cfg Config, transport func(*coop.Workspace, coop.Co
 			ws.pong[i%2] = make([]byte, bits)
 		}
 		dst := ws.pong[i%2][:bits]
-		hopRes, err := transport(ws.hop, hopCfg, cur, dst)
+		hopRes, err := coop.TransportInto(ws.hop, hopCfg, cur, dst)
 		if err != nil {
 			return Result{}, fmt.Errorf("multihop: hop %d: %w", i, err)
 		}

@@ -133,32 +133,3 @@ func TestDeterminism(t *testing.T) {
 		t.Errorf("same seed diverged: %v vs %v", a.EndToEndBER, b.EndToEndBER)
 	}
 }
-
-// TestScalarMatchesTransport: the scalar oracle route and the batched
-// transport route agree bit for bit per seed — same channel streams,
-// same detector, different inner engine.
-func TestScalarMatchesTransport(t *testing.T) {
-	// Two workspaces: each result's PerHopBER aliases its own.
-	wsA, wsB := NewWorkspace(), NewWorkspace()
-	cfg := route(6, [2]int{2, 2}, [2]int{1, 2})
-	cfg.Bits = 600
-	for seed := int64(1); seed <= 20; seed++ {
-		cfg.Seed = seed
-		a, err := RunWith(wsA, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RunScalarWith(wsB, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.EndToEndBER != b.EndToEndBER {
-			t.Fatalf("seed %d: transport BER %g != scalar BER %g", seed, a.EndToEndBER, b.EndToEndBER)
-		}
-		for h := range a.PerHopBER {
-			if a.PerHopBER[h] != b.PerHopBER[h] {
-				t.Fatalf("seed %d hop %d: %g != %g", seed, h, a.PerHopBER[h], b.PerHopBER[h])
-			}
-		}
-	}
-}

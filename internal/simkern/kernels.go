@@ -70,6 +70,23 @@ func multihopBits(params map[string]float64) float64 {
 	return float64(bits)
 }
 
+// maxBits caps the per-trial payload of the coop and multihop kernels:
+// every trial allocates buffers proportional to it, so one request must
+// not be able to make each trial allocate gigabytes.
+const maxBits = 1 << 20
+
+// bitsParam reads the per-trial payload size, capped at maxBits.
+func bitsParam(params map[string]float64) (int, error) {
+	bits, err := intParam(params, "bits", 64)
+	if err != nil {
+		return 0, err
+	}
+	if bits > maxBits {
+		return 0, fmt.Errorf("simkern: bits = %d above the %d cap", bits, maxBits)
+	}
+	return bits, nil
+}
+
 // intParam reads an integral parameter, rejecting NaN, fractions and
 // out-of-range values so bad requests fail at kernel build time — the
 // batch itself has no error channel.
@@ -92,7 +109,7 @@ func intParam(params map[string]float64, name string, def int) (int, error) {
 //	b        bits per symbol (default 1)
 //	snr_db   long-haul per-bit SNR in dB (default 10)
 //	local_db intra-cluster per-bit SNR in dB (absent = ideal links)
-//	bits     information bits per trial (default 64)
+//	bits     information bits per trial (default 64, at most 1<<20)
 //
 // A trial seeds the hop with its own seed, so trial t of chunk c is the
 // same experiment no matter which worker runs it.
@@ -134,7 +151,7 @@ func coopConfig(params map[string]float64) (coop.Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	bits, err := intParam(params, "bits", 64)
+	bits, err := bitsParam(params)
 	if err != nil {
 		return cfg, err
 	}
@@ -165,7 +182,7 @@ func coopConfig(params map[string]float64) (coop.Config, error) {
 //	mt, mr   node counts per hop (default 2x2)
 //	b        bits per symbol (default 1)
 //	snr_db   per-hop per-bit SNR in dB (default 10)
-//	bits     payload bits per trial (default 64)
+//	bits     payload bits per trial (default 64, at most 1<<20)
 func multihopBERKernel(params map[string]float64) (sim.TrialFunc, error) {
 	cfg, err := multihopConfig(params)
 	if err != nil {
@@ -211,7 +228,7 @@ func multihopConfig(params map[string]float64) (multihop.Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	bits, err := intParam(params, "bits", 64)
+	bits, err := bitsParam(params)
 	if err != nil {
 		return cfg, err
 	}

@@ -2,6 +2,7 @@ package simkern
 
 import (
 	"context"
+	"math"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -13,126 +14,90 @@ import (
 	"repro/internal/sim"
 )
 
-// The per-trial scalar oracles are registered for tests only: golden
-// runs cross-check the batch kernels against them through the same
-// registry plumbing (serial, parallel and cluster alike), but they are
-// never served.
-func init() {
-	sim.RegisterKernel("coop.ber.scalar", coopBERScalar)
-	sim.RegisterKernel("multihop.ber.scalar", multihopBERScalar)
-}
-
-// coopBERScalar runs coop.ber's trials on the per-block scalar engine,
-// seeding each exactly as the batch kernel does.
-func coopBERScalar(params map[string]float64) (sim.TrialFunc, error) {
-	cfg, err := coopConfig(params)
-	if err != nil {
-		return nil, err
+// GoldenParams exercises the coop.ber impairment branches end to end;
+// bits is kept small because the golden plans span several chunks of
+// trials. The external golden tests share it.
+func GoldenParams() []map[string]float64 {
+	return []map[string]float64{
+		{"mt": 2, "mr": 2, "snr_db": 6, "bits": 16},
+		{"mt": 4, "mr": 2, "b": 2, "snr_db": 10, "local_db": 8, "bits": 24},
+		{"mt": 1, "mr": 1, "snr_db": 4, "bits": 16},
 	}
-	return func(seeds []int64, vals []float64) {
-		ws := coop.GetWorkspace()
-		defer coop.PutWorkspace(ws)
-		c := cfg
-		for i, s := range seeds {
-			c.Seed = s
-			r, err := coop.RunScalarWith(ws, c)
-			if err != nil {
-				panic(err)
-			}
-			vals[i] = r.BER
-		}
-	}, nil
-}
-
-// multihopBERScalar is coopBERScalar for multihop.ber: every hop
-// crosses coop's scalar engine.
-func multihopBERScalar(params map[string]float64) (sim.TrialFunc, error) {
-	cfg, err := multihopConfig(params)
-	if err != nil {
-		return nil, err
-	}
-	return func(seeds []int64, vals []float64) {
-		ws := multihop.GetWorkspace()
-		defer multihop.PutWorkspace(ws)
-		c := cfg
-		for i, s := range seeds {
-			c.Seed = s
-			r, err := multihop.RunScalarWith(ws, c)
-			if err != nil {
-				panic(err)
-			}
-			vals[i] = r.EndToEndBER
-		}
-	}, nil
 }
 
 // TestCoopKernelMatchesSequentialRuns checks the hop kernel: a batch
 // of coop.ber trials must equal a hand loop of coop.RunWith calls
 // seeded from the same stream — the contract the simkern registration
-// and the cluster shard executor distribute.
+// and the cluster shard executor distribute. coop's own tests pin
+// RunWith to the per-block reference engine.
 func TestCoopKernelMatchesSequentialRuns(t *testing.T) {
-	params := map[string]float64{"mt": 2, "mr": 2, "snr_db": 9.5, "local_db": 10, "bits": 96}
 	const n = 40
-	batch, err := sim.NewKernelBatch("coop.ber", params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := batch(mathx.NewRand(77), n)
-
-	cfg, err := coopConfig(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := coop.NewWorkspace()
-	rng := mathx.NewRand(77)
-	var want mathx.Running
-	for i := 0; i < n; i++ {
-		cfg.Seed = rng.Int63()
-		r, err := coop.RunWith(ws, cfg)
+	for pi, params := range GoldenParams() {
+		batch, err := sim.NewKernelBatch("coop.ber", params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want.Add(r.BER)
-	}
-	if got != want {
-		t.Fatalf("coop.ber batch %+v differs from sequential runs %+v", got, want)
+		got := batch(mathx.NewRand(77), n)
+
+		cfg, err := coopConfig(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := coop.NewWorkspace()
+		rng := mathx.NewRand(77)
+		var want mathx.Running
+		for i := 0; i < n; i++ {
+			cfg.Seed = rng.Int63()
+			r, err := coop.RunWith(ws, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Add(r.BER)
+		}
+		if got != want {
+			t.Fatalf("params %d: coop.ber batch %+v differs from sequential runs %+v", pi, got, want)
+		}
 	}
 }
 
 // TestMultihopKernelMatchesSequentialRuns is the route kernel's
-// contract: n trials fold to exactly the statistics of n sequential
-// multihop.RunWith calls drawing per-trial seeds from the same stream,
-// and a zero-trial batch is an empty fold.
+// contract: for both registrations, n trials fold to exactly the
+// statistics of n sequential multihop.RunWith calls drawing per-trial
+// seeds from the same stream, and a zero-trial batch is an empty fold.
 func TestMultihopKernelMatchesSequentialRuns(t *testing.T) {
-	params := map[string]float64{"hops": 3, "mt": 2, "mr": 1, "snr_db": 9, "bits": 240}
 	const n = 50
 	const seed = 314159
-	batch, err := sim.NewKernelBatch("multihop.ber", params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := batch(mathx.NewRand(seed), n)
-
-	cfg, err := multihopConfig(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := multihop.NewWorkspace()
-	rng := mathx.NewRand(seed)
-	var want mathx.Running
-	for i := 0; i < n; i++ {
-		cfg.Seed = rng.Int63()
-		r, err := multihop.RunWith(ws, cfg)
+	for _, params := range []map[string]float64{
+		{"hops": 3, "mt": 2, "mr": 1, "snr_db": 9, "bits": 240},
+		{"hops": 3, "mt": 2, "mr": 2, "snr_db": 8, "bits": 240},
+	} {
+		cfg, err := multihopConfig(params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want.Add(r.EndToEndBER)
-	}
-	if got.Snapshot() != want.Snapshot() {
-		t.Fatalf("multihop.ber batch %+v != sequential fold %+v", got.Snapshot(), want.Snapshot())
-	}
-	if empty := batch(mathx.NewRand(seed), 0); empty.N() != 0 {
-		t.Fatalf("zero-trial batch folded %d trials", empty.N())
+		ws := multihop.NewWorkspace()
+		rng := mathx.NewRand(seed)
+		var want mathx.Running
+		for i := 0; i < n; i++ {
+			cfg.Seed = rng.Int63()
+			r, err := multihop.RunWith(ws, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Add(r.EndToEndBER)
+		}
+		for _, kernel := range []string{"multihop.ber", "multihop.ber.batch"} {
+			batch, err := sim.NewKernelBatch(kernel, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := batch(mathx.NewRand(seed), n); got != want {
+				t.Fatalf("%s %v: batch %+v != sequential fold %+v", kernel, params, got.Snapshot(), want.Snapshot())
+			}
+			if empty := batch(mathx.NewRand(seed), 0); empty.N() != 0 {
+				t.Fatalf("%s: zero-trial batch folded %d trials", kernel, empty.N())
+			}
+		}
 	}
 }
 
@@ -220,6 +185,12 @@ func TestKernelRejectsBadParams(t *testing.T) {
 		{"coop.ber", map[string]float64{"mt": 2.5}},
 		{"coop.ber", map[string]float64{"mt": 9}},
 		{"coop.ber", map[string]float64{"bits": -1}},
+		{"coop.ber", map[string]float64{"bits": 1<<20 + 1}},
+		{"coop.ber", map[string]float64{"snr_db": 4000}},
+		{"coop.ber", map[string]float64{"snr_db": math.NaN()}},
+		{"coop.ber", map[string]float64{"local_db": math.NaN()}},
+		{"multihop.ber", map[string]float64{"bits": 1<<20 + 1}},
+		{"multihop.ber", map[string]float64{"snr_db": 4000}},
 		{"multihop.ber", map[string]float64{"hops": 0}},
 		{"multihop.ber", map[string]float64{"b": 99}},
 		{"cellfree.se", map[string]float64{"l": 0}},
@@ -287,31 +258,6 @@ func TestCellfreeKernelOrdering(t *testing.T) {
 	}
 	if mm.Mean() < mr.Mean() {
 		t.Fatalf("MMSE median SE %v below MR %v on shared snapshots", mm.Mean(), mr.Mean())
-	}
-}
-
-// TestMultihopBatchMatchesScalar pins the SoA tier's contract at the
-// registry level: multihop.ber, multihop.ber.batch and the scalar
-// oracle produce bit-identical statistics from the same rng stream, so
-// swapping engines never moves a golden.
-func TestMultihopBatchMatchesScalar(t *testing.T) {
-	params := map[string]float64{"hops": 3, "mt": 2, "mr": 2, "snr_db": 8, "bits": 240}
-	run := func(kernel string) mathx.Running {
-		batch, err := sim.NewKernelBatch(kernel, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return batch(mathx.NewRand(99), 40)
-	}
-	batch, scalar, def := run("multihop.ber.batch"), run("multihop.ber.scalar"), run("multihop.ber")
-	if batch != scalar {
-		t.Fatalf("multihop.ber.batch %+v != multihop.ber.scalar %+v", batch, scalar)
-	}
-	if batch != def {
-		t.Fatalf("multihop.ber.batch %+v != multihop.ber %+v", batch, def)
-	}
-	if batch.N() != 40 {
-		t.Fatalf("N = %d, want 40", batch.N())
 	}
 }
 

@@ -32,15 +32,6 @@ go test -run=NONE -bench=. -benchtime=1x . >/dev/null
 echo ">> bench compare (ns/op + allocs/op gate vs committed baseline)"
 make bench-compare
 
-echo ">> cluster smoke (loopback coordinator, 3 workers, 1 induced death)"
-go run ./internal/tools/clustersmoke
-
-echo ">> trace smoke (distributed trace merge, retry evidence, chrome export)"
-go run ./internal/tools/tracesmoke
-
-echo ">> cellfree smoke (MMSE >= MR per quantile, distributed golden identity)"
-go run ./internal/tools/cellfreesmoke
-
 echo ">> campaign smoke (SIGKILL mid-experiment, resume from checkpoints)"
 go run ./internal/tools/campaignsmoke
 
