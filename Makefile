@@ -1,14 +1,14 @@
 # Tier-1 verification plus the race detector. `make verify` is what CI
 # and pre-merge checks should run.
 
-.PHONY: verify vet fmt-check build test race fuzz-rng bench bench-compare cogbench-ab bench-batch metrics-smoke campaign-smoke loadgen-smoke
+.PHONY: verify vet fmt-check build test race bench-module fuzz-rng bench bench-compare cogbench-ab bench-batch metrics-smoke campaign-smoke loadgen-smoke
 
 BENCH_DATE := $(shell date +%Y-%m-%d)
 BENCH_JSON := BENCH_$(BENCH_DATE).json
 # Newest committed artifact other than today's, used as the baseline.
 BENCH_BASE := $(lastword $(sort $(filter-out $(BENCH_JSON),$(wildcard BENCH_*.json))))
 
-verify: vet fmt-check build race
+verify: vet fmt-check build race bench-module
 
 vet:
 	go vet ./...
@@ -24,6 +24,14 @@ test:
 
 race:
 	go test -race ./...
+
+# Vets and tests the benchmark module (bench/, its own go.mod). Its
+# workloads run kernels under their legacy names (coop.ber.batch,
+# coop.ber.adaptive, multihop.ber.batch), which the registry keeps as
+# aliases of the physics names.
+bench-module:
+	go -C bench vet ./...
+	go -C bench test ./...
 
 # Fuzzes the table-seeded generator source against math/rand's for
 # 10 s: any seed whose Uint64/Int63 stream or derived variates differ

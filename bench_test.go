@@ -106,7 +106,7 @@ func BenchmarkEbTableBuild(b *testing.B) {
 // its seed: a small, allocation-free trial for timing the chunk runner
 // itself rather than the garbage collector.
 func init() {
-	sim.RegisterKernel("zbench.rayleigh.norm2", func(map[string]float64) (sim.TrialFunc, error) {
+	sim.RegisterKernel("zbench.rayleigh.norm2", sim.Kernel{Build: func(map[string]float64) (sim.TrialFunc, error) {
 		return func(seeds []int64, vals []float64) {
 			for i, s := range seeds {
 				st := uint64(s)
@@ -118,7 +118,7 @@ func init() {
 				vals[i] = norm2
 			}
 		}, nil
-	})
+	}})
 }
 
 // BenchmarkMonteCarloParallel ablates worker counts on the shared

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/sim"
 
-	_ "repro/internal/simkern" // register coop.ber.adaptive
+	_ "repro/internal/simkern" // register coop.ber
 )
 
 // TestDeepBERStopsEarly is the end-to-end promise of adaptive budgets on
@@ -20,7 +20,7 @@ import (
 // worker, is pinned by TestReplayFuzz and TestAdaptiveRunAcrossCluster.
 func TestDeepBERStopsEarly(t *testing.T) {
 	const (
-		kernel = "coop.ber.adaptive"
+		kernel = "coop.ber"
 		bits   = 64
 	)
 	params := map[string]float64{"mt": 2, "mr": 2, "snr_db": 6, "bits": bits}

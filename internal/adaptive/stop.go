@@ -43,16 +43,18 @@ func (b Budget) Validate() error {
 }
 
 // RuleFor compiles the budget into the stopping rule appropriate for a
-// registered kernel: a Wilson binomial rule when the kernel declares a
-// Bernoulli-units capability (BER-style rates, where one trial carries
-// many bits), the CLT rule otherwise. A disabled budget compiles to
-// nil, which sim.RunAdaptiveCtx treats as "run the whole budget".
+// registered kernel: a Wilson binomial rule when the kernel's physics
+// declares Bernoulli units (BER-style rates, where one trial carries
+// many bits), the CLT rule otherwise. Aliases resolve to their
+// physics, so every name of a kernel compiles to the same rule. A
+// disabled budget compiles to nil, which sim.RunAdaptiveCtx treats as
+// "run the whole budget".
 func (b Budget) RuleFor(kernel string, params map[string]float64) sim.StopRule {
 	if !b.Enabled() {
 		return nil
 	}
-	if caps, ok := sim.KernelCapsFor(kernel); ok && caps.BernoulliUnits != nil {
-		if u := caps.BernoulliUnits(params); u > 0 {
+	if k, ok := sim.LookupKernel(kernel); ok && k.BernoulliUnits != nil {
+		if u := k.BernoulliUnits(params); u > 0 {
 			return WilsonRule{Target: b.TargetRelCI, UnitsPerTrial: u, MinTrials: int64(b.MinTrials)}
 		}
 	}

@@ -11,7 +11,7 @@ func init() {
 	// Test kernels for this package's contract tests. atest.bernoulli
 	// emits per-trial error rates over "units" Bernoulli draws at rate
 	// "p" — a miniature BER kernel; atest.mean emits Uniform(0, 2*"mu").
-	sim.RegisterKernelCaps("atest.bernoulli", func(params map[string]float64) (sim.TrialFunc, error) {
+	sim.RegisterKernel("atest.bernoulli", sim.Kernel{Build: func(params map[string]float64) (sim.TrialFunc, error) {
 		p := params["p"]
 		units := int(params["units"])
 		if units <= 0 {
@@ -29,13 +29,13 @@ func init() {
 				vals[i] = float64(errs) / float64(units)
 			}
 		}, nil
-	}, sim.KernelCaps{Batch: true, Adaptive: true, BernoulliUnits: func(params map[string]float64) float64 {
+	}, BernoulliUnits: func(params map[string]float64) float64 {
 		if u := params["units"]; u > 0 {
 			return u
 		}
 		return 16
 	}})
-	sim.RegisterKernelCaps("atest.mean", func(params map[string]float64) (sim.TrialFunc, error) {
+	sim.RegisterKernel("atest.mean", sim.Kernel{Build: func(params map[string]float64) (sim.TrialFunc, error) {
 		mu := params["mu"]
 		return func(seeds []int64, vals []float64) {
 			for i, s := range seeds {
@@ -43,7 +43,7 @@ func init() {
 				vals[i] = 2 * mu * unitFloat(&st)
 			}
 		}, nil
-	}, sim.KernelCaps{Batch: true, Adaptive: true})
+	}})
 }
 
 // unitFloat advances a splitmix64 state and maps the draw to [0, 1):
@@ -76,7 +76,8 @@ func TestBudgetValidate(t *testing.T) {
 }
 
 // TestRuleForSelection: Bernoulli-capable kernels get the Wilson rule
-// with the kernel's own units; everything else gets CLT.
+// with the kernel's own units under every registered name, including
+// the BER physics' legacy aliases; everything else gets CLT.
 func TestRuleForSelection(t *testing.T) {
 	b := Budget{TargetRelCI: 0.1, MaxTrials: 10000, MinTrials: 128}
 	r := b.RuleFor("atest.bernoulli", map[string]float64{"units": 64})
@@ -87,8 +88,26 @@ func TestRuleForSelection(t *testing.T) {
 	if w.UnitsPerTrial != 64 || w.Target != 0.1 || w.MinTrials != 128 {
 		t.Fatalf("WilsonRule misconfigured: %+v", w)
 	}
-	if _, ok := b.RuleFor("atest.mean", nil).(CLTRule); !ok {
-		t.Fatal("RuleFor(mean kernel) not a CLTRule")
+	for _, tc := range []struct {
+		kernel string
+		params map[string]float64
+		units  float64
+	}{
+		{"coop.ber", map[string]float64{"bits": 128}, 128},
+		{"coop.ber.batch", map[string]float64{"bits": 128}, 128},
+		{"coop.ber.adaptive", map[string]float64{"bits": 128}, 128},
+		{"multihop.ber", map[string]float64{"bits": 100}, 102},
+		{"multihop.ber.batch", map[string]float64{"bits": 100}, 102},
+	} {
+		w, ok := b.RuleFor(tc.kernel, tc.params).(WilsonRule)
+		if !ok || w.UnitsPerTrial != tc.units {
+			t.Errorf("RuleFor(%s) = %+v, want WilsonRule over %g units", tc.kernel, b.RuleFor(tc.kernel, tc.params), tc.units)
+		}
+	}
+	for _, kernel := range []string{"atest.mean", "cellfree.se", "cellfree.se.mmse"} {
+		if _, ok := b.RuleFor(kernel, nil).(CLTRule); !ok {
+			t.Fatalf("RuleFor(%s) not a CLTRule", kernel)
+		}
 	}
 	if _, ok := b.RuleFor("no.such.kernel", nil).(CLTRule); !ok {
 		t.Fatal("RuleFor(unknown kernel) should fall back to CLT")

@@ -86,10 +86,6 @@ func (s Spec) Validate() error {
 	for _, id := range experiments.IDs() {
 		knownIDs[id] = true
 	}
-	knownKernels := make(map[string]bool)
-	for _, k := range sim.Kernels() {
-		knownKernels[k] = true
-	}
 	for i, e := range s.Experiments {
 		switch {
 		case e.ID != "" && e.Kernel != "":
@@ -105,7 +101,7 @@ func (s Spec) Validate() error {
 				return fmt.Errorf("campaign: experiment %d: trials budget only applies to kernel entries", i)
 			}
 		default:
-			if !knownKernels[e.Kernel] {
+			if _, ok := sim.LookupKernel(e.Kernel); !ok {
 				return fmt.Errorf("campaign: experiment %d: unknown kernel %q (have %s)",
 					i, e.Kernel, strings.Join(sim.Kernels(), ", "))
 			}

@@ -31,13 +31,14 @@ func TestParseSpecValidation(t *testing.T) {
 
 	good := `{"name":"ok","experiments":[
 		{"id":"fig6a","seed":1,"quick":true},
-		{"kernel":"coop.ber","seed":2,"kernel_params":{"mt":2,"mr":2,"snr_db":8,"bits":16},"trials":4096}]}`
+		{"kernel":"coop.ber","seed":2,"kernel_params":{"mt":2,"mr":2,"snr_db":8,"bits":16},"trials":4096},
+		{"kernel":"multihop.ber.batch","seed":3,"trials":4096}]}`
 	spec, err := ParseSpec([]byte(good))
 	if err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
-	if len(spec.Experiments) != 2 {
-		t.Fatalf("parsed %d experiments, want 2", len(spec.Experiments))
+	if len(spec.Experiments) != 3 {
+		t.Fatalf("parsed %d experiments, want 3", len(spec.Experiments))
 	}
 }
 

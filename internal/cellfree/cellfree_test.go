@@ -212,6 +212,19 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.PathLoss.D0 = 0 },
 		func(c *Config) { c.Realizations = 0 },
 		func(c *Config) { c.Combiner = Combiner(9) },
+		func(c *Config) { c.L, c.N = 4096, 64 },
+		func(c *Config) { c.L, c.N = 257, 4 },
+		func(c *Config) { c.K = 4096 },
+		func(c *Config) { c.TauP, c.TauC = 2000, 4000 },
+		func(c *Config) { c.Realizations = 2e9 },
+		func(c *Config) { c.SquareLength = 1e308 },
+		func(c *Config) { c.SquareLength = math.NaN() },
+		func(c *Config) { c.PowerMW = math.Inf(1) },
+		func(c *Config) { c.PowerMW, c.NoiseMW = 1e21, 1 },
+		func(c *Config) { c.NoiseMW = math.NaN() },
+		func(c *Config) { c.SigmaShadowDB = 1e300 },
+		func(c *Config) { c.SigmaShadowDB = math.NaN() },
+		func(c *Config) { c.PathLoss.D1 = math.Inf(1) },
 	}
 	for i, mut := range bad {
 		cfg := Quick()
@@ -225,5 +238,14 @@ func TestValidate(t *testing.T) {
 	}
 	if err := Paper(4).Validate(); err != nil {
 		t.Errorf("Paper preset invalid: %v", err)
+	}
+	// The paper's own scale: L*N = 400 antennas, K = 100 UEs, 1000
+	// realizations per setup.
+	for _, ln := range [][2]int{{400, 1}, {100, 4}} {
+		cfg := Paper(ln[1])
+		cfg.L, cfg.K, cfg.Realizations = ln[0], 100, 1000
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("paper scale L=%d N=%d invalid: %v", ln[0], ln[1], err)
+		}
 	}
 }

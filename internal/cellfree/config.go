@@ -2,6 +2,7 @@ package cellfree
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/channel"
 )
@@ -98,38 +99,64 @@ func Paper(n int) Config {
 	return cfg
 }
 
+// Bounds on a configuration. The sizes cap what one trial allocates
+// and computes: the MMSE Gram matrix is (L*N)^2 and the channel arrays
+// L*N*K, so L*N <= 1024 and K <= 1024 keep each under 16 MiB while
+// admitting the paper scale (L = 400, N = 1 or L = 100, N = 4, with
+// K = 100 and 1000 realizations). The physical ranges keep every
+// large-scale gain finite and the MMSE Gram matrix numerically
+// positive definite, with wide margin: NaN SE and a failed Cholesky
+// factorization both first appear far outside them.
+const (
+	maxAntennas     = 1024 // L*N
+	maxUEs          = 1024
+	maxPilots       = 1024
+	maxRealizations = 4096
+	maxSquareM      = 1e6
+	maxShadowDB     = 20
+	minSNRDB        = -100 // rho = PowerMW/NoiseMW in dB
+	maxSNRDB        = 200
+)
+
 // Validate checks the configuration; every error is a configuration
 // mistake a kernel build must surface before trials start.
 func (c Config) Validate() error {
 	switch {
-	case c.L < 1 || c.L > 4096:
-		return fmt.Errorf("cellfree: L = %d outside [1, 4096]", c.L)
+	case c.L < 1 || c.L > maxAntennas:
+		return fmt.Errorf("cellfree: L = %d outside [1, %d]", c.L, maxAntennas)
 	case c.N < 1 || c.N > 64:
 		return fmt.Errorf("cellfree: N = %d outside [1, 64]", c.N)
-	case c.K < 1 || c.K > 4096:
-		return fmt.Errorf("cellfree: K = %d outside [1, 4096]", c.K)
-	case c.TauP < 1:
-		return fmt.Errorf("cellfree: TauP = %d, need >= 1", c.TauP)
+	case c.L*c.N > maxAntennas:
+		return fmt.Errorf("cellfree: L*N = %d antennas above %d", c.L*c.N, maxAntennas)
+	case c.K < 1 || c.K > maxUEs:
+		return fmt.Errorf("cellfree: K = %d outside [1, %d]", c.K, maxUEs)
+	case c.TauP < 1 || c.TauP > maxPilots:
+		return fmt.Errorf("cellfree: TauP = %d outside [1, %d]", c.TauP, maxPilots)
 	case c.TauC <= c.TauP:
 		return fmt.Errorf("cellfree: TauC = %d must exceed TauP = %d", c.TauC, c.TauP)
-	case !(c.SquareLength > 0):
-		return fmt.Errorf("cellfree: SquareLength = %g, need > 0", c.SquareLength)
+	case !(c.SquareLength > 0 && c.SquareLength <= maxSquareM):
+		return fmt.Errorf("cellfree: SquareLength = %g outside (0, %g] m", c.SquareLength, float64(maxSquareM))
 	case !(c.PowerMW > 0):
 		return fmt.Errorf("cellfree: PowerMW = %g, need > 0", c.PowerMW)
 	case !(c.NoiseMW > 0):
 		return fmt.Errorf("cellfree: NoiseMW = %g, need > 0", c.NoiseMW)
-	case c.SigmaShadowDB < 0:
-		return fmt.Errorf("cellfree: SigmaShadowDB = %g, need >= 0", c.SigmaShadowDB)
-	case !(c.PathLoss.D0 > 0) || c.PathLoss.D1 < c.PathLoss.D0:
-		return fmt.Errorf("cellfree: path-loss breakpoints D0 = %g, D1 = %g need 0 < D0 <= D1",
+	case !(c.snrDB() >= minSNRDB && c.snrDB() <= maxSNRDB): // also rejects infinite powers
+		return fmt.Errorf("cellfree: SNR PowerMW/NoiseMW = %g dB outside [%d, %d]", c.snrDB(), minSNRDB, maxSNRDB)
+	case !(c.SigmaShadowDB >= 0 && c.SigmaShadowDB <= maxShadowDB):
+		return fmt.Errorf("cellfree: SigmaShadowDB = %g outside [0, %d]", c.SigmaShadowDB, maxShadowDB)
+	case !(c.PathLoss.D0 > 0) || c.PathLoss.D1 < c.PathLoss.D0 || math.IsInf(c.PathLoss.D1, 0):
+		return fmt.Errorf("cellfree: path-loss breakpoints D0 = %g, D1 = %g need 0 < D0 <= D1 < Inf",
 			c.PathLoss.D0, c.PathLoss.D1)
-	case c.Realizations < 1:
-		return fmt.Errorf("cellfree: Realizations = %d, need >= 1", c.Realizations)
+	case c.Realizations < 1 || c.Realizations > maxRealizations:
+		return fmt.Errorf("cellfree: Realizations = %d outside [1, %d]", c.Realizations, maxRealizations)
 	case c.Combiner != CombinerMR && c.Combiner != CombinerMMSE:
 		return fmt.Errorf("cellfree: unknown combiner %d", int(c.Combiner))
 	}
 	return nil
 }
+
+// snrDB returns rho = PowerMW/NoiseMW in dB.
+func (c Config) snrDB() float64 { return 10 * math.Log10(c.snr()) }
 
 // snr returns the per-antenna transmit SNR rho = p/sigma2 that the
 // noise-normalized channel units are scaled by.

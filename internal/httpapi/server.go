@@ -190,7 +190,7 @@ func NewMux(svc *service.Service, cfg Config) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/kernels", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"kernels": sim.KernelInfos()})
+		writeJSON(w, http.StatusOK, map[string]any{"kernels": sim.Kernels()})
 	})
 
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {

@@ -44,8 +44,7 @@
 // and point-in-time events (Event — "retry", "hedge_fired",
 // "worker_dead", ...). End then also records a SpanData into the
 // recorder. RecordSpan is the retroactive form for intervals whose
-// start predates the observing code (queue wait); ObserveSpan is its
-// duration-only shorthand. Span names become histogram label values —
+// start predates the observing code (queue wait). Span names become histogram label values —
 // keep them to the small fixed vocabulary already in use:
 // http.request, job.run, queue.wait, driver.run, cache.lookup,
 // cluster.run, cluster.shard, shard.execute, mc.chunk, mc.fold,

@@ -362,10 +362,11 @@ func TestSpanEndProbesStartingContext(t *testing.T) {
 		t.Fatalf("unmarked ctx: %d log lines, want still 1", h.count())
 	}
 
-	// ObserveSpan uses the same passed-ctx probe.
-	ObserveSpan(WithLogger(on, logger), "probe.obs", time.Millisecond)
+	// RecordSpan uses the same passed-ctx probe.
+	now := time.Now()
+	RecordSpan(WithLogger(on, logger), "probe.obs", now.Add(-time.Millisecond), now)
 	if h.count() != 2 {
-		t.Fatalf("ObserveSpan marked ctx: %d lines, want 2", h.count())
+		t.Fatalf("RecordSpan marked ctx: %d lines, want 2", h.count())
 	}
 }
 

@@ -207,10 +207,3 @@ func RecordSpan(ctx context.Context, name string, start, end time.Time, attrs ..
 		l.DebugContext(ctx, "span", "span", name, "duration", d)
 	}
 }
-
-// ObserveSpan records a stage that ended now and lasted d. Kept for
-// call sites that only have a duration; RecordSpan is the precise form.
-func ObserveSpan(ctx context.Context, name string, d time.Duration) {
-	now := time.Now()
-	RecordSpan(ctx, name, now.Add(-d), now)
-}

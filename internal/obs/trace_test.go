@@ -55,9 +55,10 @@ func TestSpanRecordsDurationAndLog(t *testing.T) {
 		t.Errorf("span debug log missing: %q", buf.String())
 	}
 
-	ObserveSpan(ctx, "test.span", 3*time.Millisecond)
+	now := time.Now()
+	RecordSpan(ctx, "test.span", now.Add(-3*time.Millisecond), now)
 	if got := spanDurations.With("test.span").Snapshot().Count; got != after+1 {
-		t.Fatalf("ObserveSpan did not record: count = %d", got)
+		t.Fatalf("RecordSpan did not record: count = %d", got)
 	}
 
 	var nilSpan *Span

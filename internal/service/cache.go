@@ -18,6 +18,16 @@ import (
 // request's canonical form.
 type Key string
 
+// keyVersion names the semantics the keys address. Bump it whenever an
+// unchanged request starts computing a different result, so a durable
+// store (-data-dir) never serves results of the old semantics as
+// current ones.
+//
+//	1 (unversioned): coop.ber and multihop.ber stopped adaptive budgets
+//	  on the CLT rule.
+//	2: every BER kernel stops adaptive budgets on the Wilson rule.
+const keyVersion = 2
+
 // CanonicalKey hashes a request into its content address. The hash
 // covers the experiment ID, seed, quick flag and every solver parameter
 // as sorted key=value lines, so two requests that differ only in field
@@ -25,9 +35,11 @@ type Key string
 // onto the same Key. Parameter values are canonicalized first: numeric
 // spellings of the same value ("10", "10.0", "1e1", " 10 ") address
 // the same result. Workers and Tenant are excluded: both change who
-// runs the computation or how fast, never what it computes.
+// runs the computation or how fast, never what it computes. A version
+// line (keyVersion) leads the hash.
 func CanonicalKey(req Request) Key {
 	h := sha256.New()
+	fmt.Fprintf(h, "version=%d\n", keyVersion)
 	fmt.Fprintf(h, "id=%s\n", req.ID)
 	fmt.Fprintf(h, "quick=%s\n", strconv.FormatBool(req.Quick))
 	fmt.Fprintf(h, "seed=%s\n", strconv.FormatInt(req.Seed, 10))

@@ -47,6 +47,20 @@ func TestCanonicalKeySeparatesRequests(t *testing.T) {
 	}
 }
 
+// TestCanonicalKeyPinned pins the content address of one budgeted
+// ext-coopber request. The key feeds durable stores and campaign
+// results, so it may change only together with keyVersion; the
+// unversioned hash of the same request (a55fac3d…, from before the BER
+// kernels stopped on the Wilson rule) must never come back.
+func TestCanonicalKeyPinned(t *testing.T) {
+	req := Request{ID: "ext-coopber", Seed: 1, Quick: true,
+		Params: map[string]string{"target_ci": "0.05", "max_trials": "131072"}}
+	const want = "8b843193096179ca85cc867390cb7bc61d740604ef115e7b75a703861203138d"
+	if got := CanonicalKey(req); got != want {
+		t.Fatalf("CanonicalKey = %s, want %s", got, want)
+	}
+}
+
 func TestCacheSingleFlight(t *testing.T) {
 	c := newCache(16)
 	var computations atomic.Int64

@@ -2,13 +2,15 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
+	"sort"
 	"testing"
 
 	"repro/internal/mathx"
 	"repro/internal/obs"
 )
 
-func init() { RegisterKernel("ztest.kernel.adapt", testBatch) }
+func init() { RegisterKernel("ztest.kernel.adapt", Kernel{Build: testBatch}) }
 
 // stopAfterTrials stops once the prefix holds at least n trials — a
 // deterministic rule for pinning round behavior in tests.
@@ -192,46 +194,99 @@ func TestPlanTraceValidate(t *testing.T) {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
 	for name, tr := range map[string]PlanTrace{
-		"wrong chunk size":   {ChunkSize: ChunkSize + 1, MaxTrials: ChunkSize, Trials: ChunkSize, Rounds: []int{1}},
-		"no rounds":          {ChunkSize: ChunkSize, MaxTrials: ChunkSize, Trials: ChunkSize},
-		"zero budget":        {ChunkSize: ChunkSize, MaxTrials: 0, Trials: 0, Rounds: []int{1}},
-		"non-monotonic":      {ChunkSize: ChunkSize, MaxTrials: 4 * ChunkSize, Trials: 2 * ChunkSize, Rounds: []int{2, 1}},
-		"beyond budget":      {ChunkSize: ChunkSize, MaxTrials: 2 * ChunkSize, Trials: 2 * ChunkSize, Rounds: []int{1, 5}},
-		"trials mismatch":    {ChunkSize: ChunkSize, MaxTrials: 4 * ChunkSize, Trials: ChunkSize, Rounds: []int{1, 2}},
-		"strata sum wrong":   {ChunkSize: ChunkSize, MaxTrials: 4 * ChunkSize, Trials: 2 * ChunkSize, Rounds: []int{2}, Strata: []StratumAlloc{{Name: "a", Chunks: 1}}},
-		"strata trial wrong": {ChunkSize: ChunkSize, MaxTrials: 4 * ChunkSize, Trials: ChunkSize, Rounds: []int{2}, Strata: []StratumAlloc{{Name: "a", Chunks: 1}, {Name: "b", Chunks: 1}}},
+		"wrong chunk size": {ChunkSize: ChunkSize + 1, MaxTrials: ChunkSize, Trials: ChunkSize, Rounds: []int{1}},
+		"no rounds":        {ChunkSize: ChunkSize, MaxTrials: ChunkSize, Trials: ChunkSize},
+		"zero budget":      {ChunkSize: ChunkSize, MaxTrials: 0, Trials: 0, Rounds: []int{1}},
+		"non-monotonic":    {ChunkSize: ChunkSize, MaxTrials: 4 * ChunkSize, Trials: 2 * ChunkSize, Rounds: []int{2, 1}},
+		"beyond budget":    {ChunkSize: ChunkSize, MaxTrials: 2 * ChunkSize, Trials: 2 * ChunkSize, Rounds: []int{1, 5}},
+		"trials mismatch":  {ChunkSize: ChunkSize, MaxTrials: 4 * ChunkSize, Trials: ChunkSize, Rounds: []int{1, 2}},
 	} {
 		if err := tr.Validate(); err == nil {
 			t.Errorf("%s: trace accepted", name)
 		}
 	}
-	strat := PlanTrace{ChunkSize: ChunkSize, MaxTrials: 4 * ChunkSize, Trials: 3 * ChunkSize,
-		Rounds: []int{2, 3}, Strata: []StratumAlloc{{Name: "a", Chunks: 2}, {Name: "b", Chunks: 1}}}
-	if err := strat.Validate(); err != nil {
-		t.Fatalf("valid stratified trace rejected: %v", err)
-	}
 }
 
+// FuzzPlanTraceValidate pins the Validate contract at a trust
+// boundary: traces arrive inside results and campaign checkpoints, so
+// for any JSON-decoded trace Validate must not panic, and every trace
+// it accepts must replay through RunTraceCtx to exactly trace.Trials
+// trials — the statistics of the traced chunk prefix, round by round.
+// Accepted traces longer than 16 chunks are not replayed, to keep each
+// input cheap; their validation still runs.
+func FuzzPlanTraceValidate(f *testing.F) {
+	for _, seed := range []string{
+		`{"chunk_size":2048,"max_trials":8192,"trials":4096,"stopped":true,"rounds":[1,2]}`,
+		`{"chunk_size":2048,"max_trials":3000,"trials":3000,"stopped":false,"rounds":[1,2]}`,
+		`{"chunk_size":2048,"max_trials":9223372036854775807,"trials":2048,"rounds":[1]}`,
+		`{"chunk_size":2048,"max_trials":9223372036854773760,"trials":2048,"rounds":[1]}`,
+		// A trace with the strata field older binaries declared: the
+		// field is ignored, the rest must still validate on its own.
+		`{"chunk_size":2048,"max_trials":4096,"trials":4096,"rounds":[2],"strata":[{"name":"a","chunks":2}]}`,
+		`{"chunk_size":2048,"max_trials":4096,"trials":4096,"rounds":[2,1]}`,
+		`{"chunk_size":2048,"max_trials":-1,"trials":0,"rounds":[0]}`,
+		`{"rounds":null}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tr PlanTrace
+		if json.Unmarshal(data, &tr) != nil || tr.Validate() != nil || tr.Chunks() > 16 {
+			return
+		}
+		mc := MonteCarlo{Seed: 9, Workers: 2}
+		res, err := mc.RunTraceCtx(context.Background(), "ztest.kernel.adapt", nil, tr)
+		if err != nil {
+			t.Fatalf("accepted trace %+v does not replay: %v", tr, err)
+		}
+		if res.Stats.N() != int64(tr.Trials) {
+			t.Fatalf("trace %+v replayed %d trials, want %d", tr, res.Stats.N(), tr.Trials)
+		}
+		parts, err := mc.RunKernelChunksCtx(context.Background(), "ztest.kernel.adapt", nil, tr.MaxTrials, 0, tr.Chunks())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want mathx.Running
+		for _, p := range parts {
+			want.Merge(p)
+		}
+		if res.Stats != want {
+			t.Fatalf("trace %+v replayed %+v, its chunk prefix folds to %+v", tr, res.Stats, want)
+		}
+	})
+}
+
+// TestKernelCapsRegistry: a registration stores one entry under its
+// physics name and every alias, and only the physics name is listed.
 func TestKernelCapsRegistry(t *testing.T) {
-	RegisterKernelCaps("ztest.kernel.caps", testBatch,
-		KernelCaps{Batch: true, Adaptive: true, BernoulliUnits: func(map[string]float64) float64 { return 8 }})
-	caps, ok := KernelCapsFor("ztest.kernel.caps")
-	if !ok || !caps.Batch || !caps.Adaptive || caps.BernoulliUnits == nil {
-		t.Fatalf("caps not stored: %+v ok=%v", caps, ok)
-	}
-	if _, ok := KernelCapsFor("ztest.kernel.caps.nope"); ok {
-		t.Fatal("caps reported for unknown kernel")
-	}
-	var found bool
-	for _, info := range KernelInfos() {
-		if info.Name == "ztest.kernel.caps" {
-			found = true
-			if !info.Batch || !info.Adaptive {
-				t.Fatalf("KernelInfos entry lost flags: %+v", info)
-			}
+	units := func(map[string]float64) float64 { return 8 }
+	RegisterKernel("ztest.kernel.caps", Kernel{Build: testBatch, BernoulliUnits: units,
+		Aliases: []string{"ztest.kernel.caps.legacy"}})
+	for _, name := range []string{"ztest.kernel.caps", "ztest.kernel.caps.legacy"} {
+		k, ok := LookupKernel(name)
+		if !ok || k.BernoulliUnits == nil || k.BernoulliUnits(nil) != 8 {
+			t.Fatalf("%s: entry not stored: %+v ok=%v", name, k, ok)
 		}
 	}
-	if !found {
-		t.Fatal("KernelInfos missing registered kernel")
+	if _, ok := LookupKernel("ztest.kernel.caps.nope"); ok {
+		t.Fatal("entry reported for unknown kernel")
 	}
+	names := Kernels()
+	if i := sort.SearchStrings(names, "ztest.kernel.caps"); i == len(names) || names[i] != "ztest.kernel.caps" {
+		t.Fatalf("Kernels() = %v missing the physics name", names)
+	}
+	if i := sort.SearchStrings(names, "ztest.kernel.caps.legacy"); i < len(names) && names[i] == "ztest.kernel.caps.legacy" {
+		t.Fatalf("Kernels() = %v lists an alias", names)
+	}
+	mc := MonteCarlo{Seed: 5, Workers: 2}
+	a := runKernel(t, mc, "ztest.kernel.caps", 3*ChunkSize/2)
+	if b := runKernel(t, mc, "ztest.kernel.caps.legacy", 3*ChunkSize/2); a != b {
+		t.Fatalf("alias run %+v differs from the physics run %+v", b, a)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an alias colliding with a registered name did not panic")
+		}
+	}()
+	RegisterKernel("ztest.kernel.caps.other", Kernel{Build: testBatch, Aliases: []string{"ztest.kernel.caps"}})
 }

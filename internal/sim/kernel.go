@@ -33,18 +33,14 @@ type BatchFunc func(rng *rand.Rand, n int) mathx.Running
 // which keeps the shard wire format free of per-kernel types.
 type KernelFunc func(params map[string]float64) (TrialFunc, error)
 
-// KernelCaps advertises what a kernel supports beyond plain fixed-budget
-// execution. Capabilities are discovery metadata — they never change
-// what a chunk computes — and are served to clients via GET /v1/kernels
-// so a caller can tell which kernels accept adaptive budgets.
-type KernelCaps struct {
-	// Batch marks kernels whose trials execute through a
-	// structure-of-arrays batch engine rather than scalar per-symbol
-	// code.
-	Batch bool
-	// Adaptive marks kernels whose estimator is well-defined under
-	// sequential stopping, i.e. safe to run via RunAdaptiveCtx.
-	Adaptive bool
+// Kernel is one registry entry: the trial constructor of one physics
+// plus what a stopping rule needs to know about its estimate. The
+// registry holds one entry per physics, never one per execution
+// strategy — every name that reaches an entry runs the same trials
+// under the same stopping rule.
+type Kernel struct {
+	// Build makes the trials from flat parameters.
+	Build KernelFunc
 	// BernoulliUnits, when non-nil, declares the kernel's estimate to be
 	// a Bernoulli rate and returns how many Bernoulli units (e.g. bits)
 	// one trial contributes under the given parameters. Stopping rules
@@ -52,99 +48,73 @@ type KernelCaps struct {
 	// (Wilson / Clopper-Pearson) intervals; nil means the estimate is a
 	// general mean and CLT rules apply.
 	BernoulliUnits func(params map[string]float64) float64
+	// Aliases are legacy names that resolve to this entry wherever a
+	// kernel name is accepted (runs, shard requests, campaign specs,
+	// LookupKernel). Kernels does not list them.
+	Aliases []string
 }
 
-// kernelEntry pairs a kernel constructor with its capabilities.
-type kernelEntry struct {
-	fn   KernelFunc
-	caps KernelCaps
-}
-
-// kernels is the process-wide registry of named Monte-Carlo kernels.
-// A kernel name is meaningful across processes: a coordinator ships
-// (kernel, params, seed, trials, chunk range) and the worker rebuilds
-// the identical trials from its own registry, so both binaries must
-// register the same kernels (cmd/cogmimod does, via the experiments
-// package's dependency on internal/simkern).
+// kernels is the process-wide registry of named Monte-Carlo kernels,
+// keyed by physics name and by alias. A kernel name is meaningful
+// across processes: a coordinator ships (kernel, params, seed, trials,
+// chunk range) and the worker rebuilds the identical trials from its
+// own registry, so both binaries must register the same kernels
+// (cmd/cogmimod does, via the experiments package's dependency on
+// internal/simkern).
 var kernels = struct {
 	sync.RWMutex
-	m map[string]kernelEntry
-}{m: make(map[string]kernelEntry)}
+	m     map[string]Kernel
+	names []string // physics names, sorted
+}{m: make(map[string]Kernel)}
 
-// RegisterKernel adds a named kernel with no advertised capabilities;
-// duplicate names panic, exactly like duplicate experiment IDs would,
-// because registration happens at package init time.
-func RegisterKernel(name string, k KernelFunc) {
-	RegisterKernelCaps(name, k, KernelCaps{})
-}
-
-// RegisterKernelCaps adds a named kernel together with its capability
-// flags. Duplicate names panic; see RegisterKernel.
-func RegisterKernelCaps(name string, k KernelFunc, caps KernelCaps) {
-	if name == "" || k == nil {
+// RegisterKernel adds a physics under its name and aliases. Duplicate
+// names panic, exactly like duplicate experiment IDs would, because
+// registration happens at package init time.
+func RegisterKernel(name string, k Kernel) {
+	if name == "" || k.Build == nil {
 		panic("sim: RegisterKernel needs a name and a kernel")
 	}
+	all := append([]string{name}, k.Aliases...)
 	kernels.Lock()
 	defer kernels.Unlock()
-	if _, dup := kernels.m[name]; dup {
-		panic(fmt.Sprintf("sim: kernel %q registered twice", name))
+	for _, n := range all {
+		if _, dup := kernels.m[n]; dup || n == "" {
+			panic(fmt.Sprintf("sim: kernel %q registered twice", n))
+		}
 	}
-	kernels.m[name] = kernelEntry{fn: k, caps: caps}
+	for _, n := range all {
+		kernels.m[n] = k
+	}
+	kernels.names = append(kernels.names, name)
+	sort.Strings(kernels.names)
 }
 
-// Kernels lists the registered kernel names in sorted order. It is the
-// discovery surface both for operators (GET /v1/kernels on the daemon)
-// and for error messages, so its order must be stable across processes.
+// Kernels lists the registered physics names in sorted order, without
+// aliases. It is the discovery surface both for operators (GET
+// /v1/kernels on the daemon) and for error messages, so its order must
+// be stable across processes.
 func Kernels() []string {
 	kernels.RLock()
 	defer kernels.RUnlock()
-	ids := make([]string, 0, len(kernels.m))
-	for id := range kernels.m {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return append([]string(nil), kernels.names...)
 }
 
-// KernelCapsFor returns the registered capabilities of a kernel; ok is
-// false for an unknown name.
-func KernelCapsFor(name string) (KernelCaps, bool) {
+// LookupKernel returns the entry a kernel name or alias resolves to;
+// ok is false for an unknown name.
+func LookupKernel(name string) (Kernel, bool) {
 	kernels.RLock()
 	defer kernels.RUnlock()
-	e, ok := kernels.m[name]
-	return e.caps, ok
-}
-
-// KernelInfo is the wire form of one registry entry: the name plus its
-// boolean capability flags, as served by GET /v1/kernels.
-type KernelInfo struct {
-	Name     string `json:"name"`
-	Batch    bool   `json:"batch"`
-	Adaptive bool   `json:"adaptive"`
-}
-
-// KernelInfos lists every registered kernel with its capabilities, in
-// name order.
-func KernelInfos() []KernelInfo {
-	kernels.RLock()
-	defer kernels.RUnlock()
-	infos := make([]KernelInfo, 0, len(kernels.m))
-	for id, e := range kernels.m {
-		infos = append(infos, KernelInfo{Name: id, Batch: e.caps.Batch, Adaptive: e.caps.Adaptive})
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	return infos
+	k, ok := kernels.m[name]
+	return k, ok
 }
 
 // newKernelTrial builds the trial function of a registered kernel.
 func newKernelTrial(name string, params map[string]float64) (TrialFunc, error) {
-	kernels.RLock()
-	e, ok := kernels.m[name]
-	kernels.RUnlock()
+	k, ok := LookupKernel(name)
 	if !ok {
 		return nil, fmt.Errorf("sim: unknown kernel %q (have %s)", name, strings.Join(Kernels(), ", "))
 	}
-	return e.fn(params)
+	return k.Build(params)
 }
 
 // NewKernelBatch builds the batch function of a registered kernel: the

@@ -27,8 +27,8 @@ func unitFloat(state *uint64) float64 {
 }
 
 func TestKernelsSortedAndDiscoverable(t *testing.T) {
-	RegisterKernel("ztest.kernel.b", testBatch)
-	RegisterKernel("ztest.kernel.a", testBatch)
+	RegisterKernel("ztest.kernel.b", Kernel{Build: testBatch})
+	RegisterKernel("ztest.kernel.a", Kernel{Build: testBatch})
 	names := Kernels()
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("Kernels() not sorted: %v", names)
@@ -51,7 +51,7 @@ func TestKernelsSortedAndDiscoverable(t *testing.T) {
 }
 
 func TestRegisterKernelDuplicatePanics(t *testing.T) {
-	RegisterKernel("ztest.kernel.dup", testBatch)
+	RegisterKernel("ztest.kernel.dup", Kernel{Build: testBatch})
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -62,7 +62,7 @@ func TestRegisterKernelDuplicatePanics(t *testing.T) {
 			t.Fatalf("panic %v does not name the duplicate kernel", r)
 		}
 	}()
-	RegisterKernel("ztest.kernel.dup", testBatch)
+	RegisterKernel("ztest.kernel.dup", Kernel{Build: testBatch})
 }
 
 func TestRegisterKernelRejectsEmpty(t *testing.T) {
@@ -76,7 +76,7 @@ func TestRegisterKernelRejectsEmpty(t *testing.T) {
 					t.Errorf("RegisterKernel(%q, %v) did not panic", tc.name, tc.k == nil)
 				}
 			}()
-			RegisterKernel(tc.name, tc.k)
+			RegisterKernel(tc.name, Kernel{Build: tc.k})
 		}()
 	}
 }

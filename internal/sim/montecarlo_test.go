@@ -15,7 +15,7 @@ import (
 func init() {
 	// ztest.kernel.normal scores one N(0, 1) draw per trial, by
 	// Box-Muller over two uniforms of the trial's seed.
-	RegisterKernel("ztest.kernel.normal", func(map[string]float64) (TrialFunc, error) {
+	RegisterKernel("ztest.kernel.normal", Kernel{Build: func(map[string]float64) (TrialFunc, error) {
 		return func(seeds []int64, vals []float64) {
 			for i, s := range seeds {
 				st := uint64(s)
@@ -23,9 +23,9 @@ func init() {
 				vals[i] = math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 			}
 		}, nil
-	})
+	}})
 	// ztest.kernel.coin scores 1 with probability p (default 0.3).
-	RegisterKernel("ztest.kernel.coin", func(params map[string]float64) (TrialFunc, error) {
+	RegisterKernel("ztest.kernel.coin", Kernel{Build: func(params map[string]float64) (TrialFunc, error) {
 		p, ok := params["p"]
 		if !ok {
 			p = 0.3
@@ -39,17 +39,17 @@ func init() {
 				}
 			}
 		}, nil
-	})
+	}})
 	// ztest.kernel.hook calls chunkHook (when set) before every block
 	// of trials, letting tests act between blocks, e.g. cancel mid-run.
-	RegisterKernel("ztest.kernel.hook", func(map[string]float64) (TrialFunc, error) {
+	RegisterKernel("ztest.kernel.hook", Kernel{Build: func(map[string]float64) (TrialFunc, error) {
 		return func(seeds []int64, vals []float64) {
 			if chunkHook != nil {
 				chunkHook()
 			}
 			uniformTrial(seeds, vals)
 		}, nil
-	})
+	}})
 }
 
 // chunkHook is set by a test before a ztest.kernel.hook run and cleared

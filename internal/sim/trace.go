@@ -2,15 +2,6 @@ package sim
 
 import "fmt"
 
-// StratumAlloc records how many chunks one stratum of a stratified
-// adaptive run ended up executing. The stratified controller
-// (internal/adaptive) fills these; plain adaptive runs leave the slice
-// empty.
-type StratumAlloc struct {
-	Name   string `json:"name"`
-	Chunks int    `json:"chunks"`
-}
-
 // PlanTrace is the realized chunk plan of an adaptive run: which chunk
 // prefix of the MaxTrials budget actually executed, round by round. It
 // is the replay contract — a trace plus the original (kernel, params,
@@ -35,8 +26,6 @@ type PlanTrace struct {
 	// Rounds holds the cumulative chunk count after each stopping-rule
 	// evaluation; the last entry is the executed prefix length.
 	Rounds []int `json:"rounds"`
-	// Strata carries per-stratum chunk allocations for stratified runs.
-	Strata []StratumAlloc `json:"strata,omitempty"`
 }
 
 // Chunks returns the executed chunk-prefix length.
@@ -84,25 +73,6 @@ func (t PlanTrace) Validate() error {
 	budgetChunks := Plan{Trials: t.MaxTrials}.Chunks()
 	if prev > budgetChunks {
 		return fmt.Errorf("sim: trace covers %d chunks, budget plan has only %d", prev, budgetChunks)
-	}
-	if len(t.Strata) > 0 {
-		// Stratified trace: the chunk total decomposes across strata,
-		// each stratum a prefix of its own budget-sized plan.
-		sum, trials := 0, 0
-		for i, s := range t.Strata {
-			if s.Chunks < 0 {
-				return fmt.Errorf("sim: trace stratum %d has %d chunks", i, s.Chunks)
-			}
-			sum += s.Chunks
-			trials += realizedTrials(t.MaxTrials, s.Chunks)
-		}
-		if sum != prev {
-			return fmt.Errorf("sim: trace strata cover %d chunks, rounds end at %d", sum, prev)
-		}
-		if t.Trials != trials {
-			return fmt.Errorf("sim: trace records %d trials, strata cover %d", t.Trials, trials)
-		}
-		return nil
 	}
 	if want := realizedTrials(t.MaxTrials, prev); t.Trials != want {
 		return fmt.Errorf("sim: trace records %d trials, %d chunks cover %d", t.Trials, prev, want)

@@ -1,8 +1,7 @@
-// Golden cross-checks for the coop kernel registrations: the same
+// Golden cross-checks for the coop kernel registration: the same
 // chunk-seeded plan must produce bit-identical statistics whether the
-// trials run through coop.ber.batch or coop.ber (the same SoA chunk
-// kernel) on the serial pool, the parallel pool or a 3-worker loopback
-// cluster. The reference is a 1-worker coop.ber run, which
+// trials run under coop.ber or one of its legacy aliases, on the serial
+// pool, the parallel pool or a 3-worker loopback cluster. The reference is a 1-worker coop.ber run, which
 // TestCoopKernelMatchesSequentialRuns pins to sequential coop.RunWith
 // calls.
 // This package is external so it can drive internal/cluster, which
@@ -12,8 +11,10 @@ package simkern_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/adaptive"
 	"repro/internal/cluster"
 	"repro/internal/mathx"
 	"repro/internal/sim"
@@ -32,25 +33,45 @@ func runKernel(t *testing.T, workers int, kernel string, params map[string]float
 
 // TestBatchKernelGoldenSerialAndParallel pins the registry-level
 // identity on the in-process pools: serial (1 worker) and parallel
-// (4 workers) runs of both registrations agree bit for bit with the
-// 1-worker coop.ber reference.
+// (4 workers) runs under coop.ber and each of its legacy aliases agree
+// bit for bit with the 1-worker coop.ber reference — fixed runs in
+// their statistics, adaptive runs in statistics and realized plan.
 func TestBatchKernelGoldenSerialAndParallel(t *testing.T) {
 	const trials = 2*sim.ChunkSize + 177 // uneven tail chunk
+	budget := adaptive.Budget{TargetRelCI: 0.2, MaxTrials: trials}
+	names := []string{"coop.ber"}
+	for alias, physics := range simkern.LegacyAliases() {
+		if physics == "coop.ber" {
+			names = append(names, alias)
+		}
+	}
 	for pi, params := range simkern.GoldenParams() {
 		ref := runKernel(t, 1, "coop.ber", params, trials)
+		refAd := runAdaptive(t, 1, "coop.ber", params, budget)
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("params=%d/workers=%d", pi, workers), func(t *testing.T) {
-				batch := runKernel(t, workers, "coop.ber.batch", params, trials)
-				def := runKernel(t, workers, "coop.ber", params, trials)
-				if batch != ref {
-					t.Fatalf("coop.ber.batch %+v differs from the 1-worker reference %+v", batch, ref)
-				}
-				if def != ref {
-					t.Fatalf("coop.ber %+v differs from the 1-worker reference %+v", def, ref)
+				for _, kernel := range names {
+					if got := runKernel(t, workers, kernel, params, trials); got != ref {
+						t.Fatalf("%s %+v differs from the 1-worker reference %+v", kernel, got, ref)
+					}
+					got := runAdaptive(t, workers, kernel, params, budget)
+					if got.Stats != refAd.Stats || !reflect.DeepEqual(got.Trace, refAd.Trace) {
+						t.Fatalf("adaptive %s %+v %+v differs from the 1-worker reference %+v %+v",
+							kernel, got.Stats, got.Trace, refAd.Stats, refAd.Trace)
+					}
 				}
 			})
 		}
 	}
+}
+
+func runAdaptive(t *testing.T, workers int, kernel string, params map[string]float64, b adaptive.Budget) sim.AdaptiveResult {
+	t.Helper()
+	res, err := adaptive.Run(context.Background(), sim.MonteCarlo{Seed: 3, Workers: workers}, kernel, params, b)
+	if err != nil {
+		t.Fatalf("adaptive %s: %v", kernel, err)
+	}
+	return res
 }
 
 // TestBatchKernelGoldenCluster shards coop.ber.batch across a 3-worker

@@ -12,10 +12,8 @@ import (
 func init() {
 	// Spectral-efficiency estimates are general means, so adaptive
 	// budgets stop them with the CLT rule (no Bernoulli-units cap).
-	sim.RegisterKernelCaps("cellfree.se", cellfreeSE(cellfree.CombinerMR),
-		sim.KernelCaps{Adaptive: true})
-	sim.RegisterKernelCaps("cellfree.se.mmse", cellfreeSE(cellfree.CombinerMMSE),
-		sim.KernelCaps{Adaptive: true})
+	sim.RegisterKernel("cellfree.se", sim.Kernel{Build: cellfreeSE(cellfree.CombinerMR)})
+	sim.RegisterKernel("cellfree.se.mmse", sim.Kernel{Build: cellfreeSE(cellfree.CombinerMMSE)})
 }
 
 // cellfreeSE builds the cell-free uplink SE kernels. One trial draws a
@@ -35,6 +33,11 @@ func init() {
 //	shadow_db    shadowing standard deviation in dB (default 8)
 //	realizations channel realizations per snapshot (default 1)
 //	q            SE quantile to report, in [0, 1] (default 0.5)
+//
+// cellfree.Config.Validate bounds them: at most 1024 antennas (l*n),
+// 1024 UEs and pilots, 4096 realizations, a 1e6 m square, 20 dB of
+// shadowing and an SNR within [-100, 200] dB. Inside those bounds every
+// gain stays finite and the MMSE solve stays well-posed.
 //
 // Both combiner registrations score the snapshot a trial's seed draws,
 // and the seed comes from the chunk stream, not from combiner-specific

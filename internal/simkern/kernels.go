@@ -21,23 +21,15 @@ import (
 )
 
 func init() {
-	// Capability flags are discovery metadata (GET /v1/kernels): Batch
-	// marks trials that run on the SoA batch engine, Adaptive marks
-	// estimators that are well-defined under sequential stopping, and
-	// BernoulliUnits upgrades stopping from CLT to binomial (Wilson)
-	// intervals. Each physics has one trial function; the names sharing
-	// it differ only in the stopping rule an adaptive budget picks for
+	// One entry per physics. Both BER kernels declare Bernoulli units,
+	// so adaptive budgets stop them on the Wilson rule under every
+	// name. The aliases stay because the benchmark module, its
+	// per-layer metric names and the ext-adaptive report still use
 	// them.
-	sim.RegisterKernelCaps("coop.ber", coopBERKernel,
-		sim.KernelCaps{Batch: true, Adaptive: true})
-	sim.RegisterKernelCaps("coop.ber.batch", coopBERKernel,
-		sim.KernelCaps{Batch: true, Adaptive: true})
-	sim.RegisterKernelCaps("coop.ber.adaptive", coopBERKernel,
-		sim.KernelCaps{Batch: true, Adaptive: true, BernoulliUnits: coopBits})
-	sim.RegisterKernelCaps("multihop.ber", multihopBERKernel,
-		sim.KernelCaps{Batch: true, Adaptive: true})
-	sim.RegisterKernelCaps("multihop.ber.batch", multihopBERKernel,
-		sim.KernelCaps{Batch: true, Adaptive: true, BernoulliUnits: multihopBits})
+	sim.RegisterKernel("coop.ber", sim.Kernel{Build: coopBERKernel, BernoulliUnits: coopBits,
+		Aliases: []string{"coop.ber.batch", "coop.ber.adaptive"}})
+	sim.RegisterKernel("multihop.ber", sim.Kernel{Build: multihopBERKernel, BernoulliUnits: multihopBits,
+		Aliases: []string{"multihop.ber.batch"}})
 }
 
 // coopBits returns the Bernoulli units one coop.ber trial contributes:

@@ -3,10 +3,12 @@ package simkern
 import (
 	"context"
 	"math"
+	"reflect"
 	"runtime/debug"
 	"strings"
 	"testing"
 
+	"repro/internal/adaptive"
 	"repro/internal/cellfree"
 	"repro/internal/coop"
 	"repro/internal/mathx"
@@ -61,9 +63,11 @@ func TestCoopKernelMatchesSequentialRuns(t *testing.T) {
 }
 
 // TestMultihopKernelMatchesSequentialRuns is the route kernel's
-// contract: for both registrations, n trials fold to exactly the
-// statistics of n sequential multihop.RunWith calls drawing per-trial
-// seeds from the same stream, and a zero-trial batch is an empty fold.
+// contract: under its physics name and its legacy alias, n trials fold
+// to exactly the statistics of n sequential multihop.RunWith calls
+// drawing per-trial seeds from the same stream, a zero-trial batch is
+// an empty fold, and an adaptive run realizes the same statistics and
+// plan under either name.
 func TestMultihopKernelMatchesSequentialRuns(t *testing.T) {
 	const n = 50
 	const seed = 314159
@@ -97,6 +101,20 @@ func TestMultihopKernelMatchesSequentialRuns(t *testing.T) {
 			if empty := batch(mathx.NewRand(seed), 0); empty.N() != 0 {
 				t.Fatalf("%s: zero-trial batch folded %d trials", kernel, empty.N())
 			}
+		}
+		mc := sim.MonteCarlo{Seed: seed, Workers: 2}
+		budget := adaptive.Budget{TargetRelCI: 0.3, MaxTrials: 3 * sim.ChunkSize}
+		ref, err := adaptive.Run(context.Background(), mc, "multihop.ber", params, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := adaptive.Run(context.Background(), mc, "multihop.ber.batch", params, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats != ref.Stats || !reflect.DeepEqual(got.Trace, ref.Trace) {
+			t.Fatalf("%v: adaptive multihop.ber.batch %+v %+v, multihop.ber %+v %+v",
+				params, got.Stats, got.Trace, ref.Stats, ref.Trace)
 		}
 	}
 }
@@ -198,10 +216,32 @@ func TestKernelRejectsBadParams(t *testing.T) {
 		{"cellfree.se", map[string]float64{"tau_c": 4, "tau_p": 4}},
 		{"cellfree.se.mmse", map[string]float64{"q": 1.5}},
 		{"cellfree.se.mmse", map[string]float64{"n": 128}},
+		{"cellfree.se", map[string]float64{"snr_db": 4000}},
+		{"cellfree.se", map[string]float64{"snr_db": math.NaN()}},
+		{"cellfree.se.mmse", map[string]float64{"shadow_db": 1e300}},
+		{"cellfree.se.mmse", map[string]float64{"shadow_db": 100}},
+		{"cellfree.se", map[string]float64{"square": 1e308}},
+		{"cellfree.se", map[string]float64{"square": math.Inf(1)}},
+		{"cellfree.se", map[string]float64{"realizations": 2e9}},
+		{"cellfree.se.mmse", map[string]float64{"l": 4096, "n": 64, "k": 4096}},
+		{"cellfree.se.mmse", map[string]float64{"l": 1024, "n": 4}},
 	}
 	for _, tc := range cases {
 		if _, err := sim.NewKernelBatch(tc.kernel, tc.params); err == nil {
 			t.Errorf("%s with %v: want build error, got nil", tc.kernel, tc.params)
+		}
+	}
+	// The bounds still admit ext-cellfree's full mode and the paper's
+	// own scale.
+	for _, params := range []map[string]float64{
+		{"l": 100, "n": 4, "k": 40, "tau_p": 10, "square": 1000, "realizations": 4},
+		{"l": 400, "n": 1, "k": 100, "tau_p": 10, "square": 1000, "realizations": 1000},
+		{"l": 100, "n": 4, "k": 100, "tau_p": 10, "square": 1000, "realizations": 1000},
+	} {
+		for _, kernel := range []string{"cellfree.se", "cellfree.se.mmse"} {
+			if _, err := sim.NewKernelBatch(kernel, params); err != nil {
+				t.Errorf("%s with %v: %v", kernel, params, err)
+			}
 		}
 	}
 }
@@ -261,45 +301,54 @@ func TestCellfreeKernelOrdering(t *testing.T) {
 	}
 }
 
-// TestKernelCapsAdvertised: the capability flags the serving tier
-// exposes over GET /v1/kernels match what each registration supports.
+// TestKernelCapsAdvertised: the registry lists one name per physics —
+// what GET /v1/kernels serves — only the BER physics declare Bernoulli
+// units, and every legacy name resolves to its physics' entry.
 func TestKernelCapsAdvertised(t *testing.T) {
-	for name, want := range map[string]struct {
-		batch, adaptive, bernoulli bool
-	}{
-		"coop.ber":           {true, true, false},
-		"coop.ber.batch":     {true, true, false},
-		"coop.ber.adaptive":  {true, true, true},
-		"multihop.ber":       {true, true, false},
-		"multihop.ber.batch": {true, true, true},
-		"cellfree.se":        {false, true, false},
-		"cellfree.se.mmse":   {false, true, false},
+	want := []string{"cellfree.se", "cellfree.se.mmse", "coop.ber", "multihop.ber"}
+	if got := sim.Kernels(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("Kernels() = %v, want %v", got, want)
+	}
+	for name, bernoulli := range map[string]bool{
+		"coop.ber": true, "multihop.ber": true, "cellfree.se": false, "cellfree.se.mmse": false,
 	} {
-		caps, ok := sim.KernelCapsFor(name)
-		if !ok {
-			t.Errorf("kernel %q unregistered", name)
-			continue
+		if k, _ := sim.LookupKernel(name); (k.BernoulliUnits != nil) != bernoulli {
+			t.Errorf("%s declares Bernoulli units: %v, want %v", name, k.BernoulliUnits != nil, bernoulli)
 		}
-		if caps.Batch != want.batch || caps.Adaptive != want.adaptive || (caps.BernoulliUnits != nil) != want.bernoulli {
-			t.Errorf("%s caps = {batch %v, adaptive %v, bernoulli %v}, want %+v",
-				name, caps.Batch, caps.Adaptive, caps.BernoulliUnits != nil, want)
+	}
+	params := map[string]float64{"bits": 100}
+	for alias, physics := range LegacyAliases() {
+		a, ok := sim.LookupKernel(alias)
+		p, _ := sim.LookupKernel(physics)
+		if !ok || a.BernoulliUnits == nil || a.BernoulliUnits(params) != p.BernoulliUnits(params) {
+			t.Errorf("alias %s does not resolve to %s", alias, physics)
 		}
+	}
+}
+
+// LegacyAliases maps each legacy kernel name to its physics name. The
+// external golden tests share it.
+func LegacyAliases() map[string]string {
+	return map[string]string{
+		"coop.ber.batch":     "coop.ber",
+		"coop.ber.adaptive":  "coop.ber",
+		"multihop.ber.batch": "multihop.ber",
 	}
 }
 
 // TestBernoulliUnits: the units functions convert params to the bit
 // counts the Wilson stopping rule divides by.
 func TestBernoulliUnits(t *testing.T) {
-	caps, _ := sim.KernelCapsFor("coop.ber.adaptive")
-	if got := caps.BernoulliUnits(map[string]float64{"bits": 128}); got != 128 {
+	k, _ := sim.LookupKernel("coop.ber")
+	if got := k.BernoulliUnits(map[string]float64{"bits": 128}); got != 128 {
 		t.Errorf("coop bits(128) = %g", got)
 	}
-	if got := caps.BernoulliUnits(nil); got != 64 {
+	if got := k.BernoulliUnits(nil); got != 64 {
 		t.Errorf("coop bits(default) = %g, want 64", got)
 	}
-	mcaps, _ := sim.KernelCapsFor("multihop.ber.batch")
+	mk, _ := sim.LookupKernel("multihop.ber")
 	// multihop rounds bits up to a multiple of 6*b codewords.
-	if got := mcaps.BernoulliUnits(map[string]float64{"bits": 100, "b": 1}); got != 102 {
+	if got := mk.BernoulliUnits(map[string]float64{"bits": 100, "b": 1}); got != 102 {
 		t.Errorf("multihop bits(100, b=1) = %g, want 102", got)
 	}
 }

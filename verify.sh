@@ -23,6 +23,10 @@ go test -race ./internal/obs ./internal/service ./internal/httpapi
 echo ">> go test -race ./..."
 go test -race ./...
 
+echo ">> go -C bench vet ./... && go -C bench test ./..."
+go -C bench vet ./...
+go -C bench test ./...
+
 echo ">> fuzz rng (table-seeded source vs math/rand, 10 s)"
 make fuzz-rng
 
