@@ -1,14 +1,14 @@
 # Tier-1 verification plus the race detector. `make verify` is what CI
 # and pre-merge checks should run.
 
-.PHONY: verify vet fmt-check build test race bench-module fuzz-rng bench bench-compare cogbench-ab bench-batch metrics-smoke campaign-smoke loadgen-smoke
+.PHONY: verify vet fmt-check build cross-arch test race bench-module fuzz-rng bench bench-compare cogbench-ab bench-batch metrics-smoke campaign-smoke loadgen-smoke
 
 BENCH_DATE := $(shell date +%Y-%m-%d)
 BENCH_JSON := BENCH_$(BENCH_DATE).json
 # Newest committed artifact other than today's, used as the baseline.
 BENCH_BASE := $(lastword $(sort $(filter-out $(BENCH_JSON),$(wildcard BENCH_*.json))))
 
-verify: vet fmt-check build race bench-module
+verify: vet fmt-check build cross-arch race bench-module
 
 vet:
 	go vet ./...
@@ -18,6 +18,13 @@ fmt-check:
 
 build:
 	go build ./...
+
+# Vets mathx for arm64 and builds everything for 386: the generator's
+# vector seed is amd64 assembly, and these keep the pure-Go fallback
+# it needs on every other architecture compiling.
+cross-arch:
+	GOARCH=arm64 go vet ./internal/mathx
+	GOARCH=386 go build ./...
 
 test:
 	go test ./...

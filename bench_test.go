@@ -425,8 +425,9 @@ func BenchmarkAdaptiveBudget(b *testing.B) {
 
 // BenchmarkReseed is the primitive rung under every per-trial kernel:
 // resetting a generator to a fresh seed. stdlib is math/rand's serial
-// 1,841-step Park–Miller walk; mathx is the table-driven source that
-// reproduces the same stream (internal/mathx/source.go).
+// 1,841-step Park–Miller walk; purego is the table-driven source that
+// reproduces the same stream (internal/mathx/source.go) and vector its
+// AVX2 table walk, which Reseed runs wherever the CPU has AVX2.
 func BenchmarkReseed(b *testing.B) {
 	b.Run("stdlib", func(b *testing.B) {
 		b.ReportAllocs()
@@ -435,11 +436,46 @@ func BenchmarkReseed(b *testing.B) {
 			src.Seed(int64(i))
 		}
 	})
-	b.Run("mathx", func(b *testing.B) {
+	b.Run("purego", func(b *testing.B) {
+		b.ReportAllocs()
+		rng := mathx.NewReusableRand()
+		for i := 0; i < b.N; i++ {
+			rng.ReseedPureGo(int64(i))
+		}
+	})
+	b.Run("vector", func(b *testing.B) {
+		if !mathx.VectorSeed() {
+			b.Skip("no vector seed on this host")
+		}
 		b.ReportAllocs()
 		rng := mathx.NewReusableRand()
 		for i := 0; i < b.N; i++ {
 			rng.Reseed(int64(i))
+		}
+	})
+}
+
+// BenchmarkNormFloat64s compares 1024 standard normals drawn by one
+// ReusableRand.NormFloat64s fill with the same 1024 drawn by per-call
+// NormFloat64; both return the same values.
+func BenchmarkNormFloat64s(b *testing.B) {
+	dst := make([]float64, 1024)
+	b.Run("fill", func(b *testing.B) {
+		b.ReportAllocs()
+		rng := mathx.NewReusableRand()
+		rng.Reseed(1)
+		for i := 0; i < b.N; i++ {
+			rng.NormFloat64s(dst)
+		}
+	})
+	b.Run("percall", func(b *testing.B) {
+		b.ReportAllocs()
+		rng := mathx.NewReusableRand()
+		rng.Reseed(1)
+		for i := 0; i < b.N; i++ {
+			for j := range dst {
+				dst[j] = rng.Rand.NormFloat64()
+			}
 		}
 	})
 }

@@ -80,18 +80,22 @@ func RunWith(ws *Workspace, cfg Config) (Result, error) {
 // the determinism contract both combiners share, which is what lets
 // the experiment drivers run MR and MMSE on identical snapshots.
 func (ws *Workspace) drawRealization(cfg *Config) {
-	rng := ws.rng.Rand
 	ln, k := cfg.L*cfg.N, cfg.K
 	const invSqrt2 = 1 / math.Sqrt2
+	// One fill per UE row or pilot row: the tape holds that row's
+	// normals in draw order, real then imaginary part per antenna.
+	tape := ws.tape[:2*ln]
 	for ki := 0; ki < k; ki++ {
+		ws.rng.NormFloat64s(tape)
 		for a := 0; a < ln; a++ {
 			s := math.Sqrt(ws.betaBar[(a/cfg.N)*k+ki]) * invSqrt2
-			ws.hbar.Data[a*k+ki] = complex(rng.NormFloat64()*s, rng.NormFloat64()*s)
+			ws.hbar.Data[a*k+ki] = complex(tape[2*a]*s, tape[2*a+1]*s)
 		}
 	}
 	for t := 0; t < cfg.TauP; t++ {
+		ws.rng.NormFloat64s(tape)
 		for a := 0; a < ln; a++ {
-			ws.np.Data[a*cfg.TauP+t] = complex(rng.NormFloat64()*invSqrt2, rng.NormFloat64()*invSqrt2)
+			ws.np.Data[a*cfg.TauP+t] = complex(tape[2*a]*invSqrt2, tape[2*a+1]*invSqrt2)
 		}
 	}
 }

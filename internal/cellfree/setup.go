@@ -32,6 +32,7 @@ type Workspace struct {
 	hbar *mathx.CMat // true channels, LN x K
 	np   *mathx.CMat // pilot noise, then despread pilot signal, LN x TauP
 	ghat *mathx.CMat // channel estimates, LN x K
+	tape []float64   // one row of channel or pilot-noise normals, 2*LN
 
 	// Combining state.
 	gram  *mathx.CMat      // MMSE Gram matrix, LN x LN (lower triangle)
@@ -104,6 +105,7 @@ func (ws *Workspace) ensure(cfg *Config) {
 	ws.hbar = mathx.EnsureShape(ws.hbar, ln, k)
 	ws.np = mathx.EnsureShape(ws.np, ln, cfg.TauP)
 	ws.ghat = mathx.EnsureShape(ws.ghat, ln, k)
+	ws.tape = growF(ws.tape, 2*ln)
 	if cfg.Combiner == CombinerMMSE {
 		ws.gram = mathx.EnsureShape(ws.gram, ln, ln)
 		if ws.rhs == nil {

@@ -1,56 +1,13 @@
 package channel
 
-import (
-	"math"
-	"math/rand"
-
-	"repro/internal/mathx"
-)
-
-// Batched structure-of-arrays channel draws. A batch holds one lane
-// per channel tap (lane j*mt+a for receive antenna j, transmit a) and
-// one column per block, so the batched transmit/decode kernels stream
-// contiguous taps across N blocks. Draw order is the scalar order —
-// block by block, taps row-major within a block — so a batch consumes
-// exactly the rng stream N sequential RayleighInto/Next calls would,
-// which is what keeps batched runs bit-identical to per-block ones.
-
-// RayleighBatchInto draws n iid mt-by-mr flat Rayleigh channel matrices
-// into dst (resized to mr*mt lanes by n columns): column i consumes
-// exactly the stream RayleighInto would for the i-th draw.
-func RayleighBatchInto(rng *rand.Rand, mt, mr, n int, dst *mathx.BatchCF64) *mathx.BatchCF64 {
-	dst.Resize(mr*mt, n)
-	lanes := mr * mt
-	for i := 0; i < n; i++ {
-		for l := 0; l < lanes; l++ {
-			dst.Set(l, i, mathx.ComplexCN(rng, 1))
-		}
-	}
-	return dst
-}
+import "repro/internal/mathx"
 
 // NextBatch writes the channel for one more block into column i of dst
-// (which must already be shaped mr*mt lanes by >= i+1 columns),
-// redrawing at block boundaries exactly as Next would: the same rng
-// stream, the same matrices, just scattered into SoA lanes. Mixing
-// Next and NextBatch on one process is valid — both advance the same
-// per-block state.
+// (which must already be shaped mr*mt lanes by >= i+1 columns): the
+// matrix Next returns, scattered into SoA lanes (lane j*mt+a for
+// receive antenna j, transmit antenna a). It consumes exactly Next's
+// rng stream, so mixing Next and NextBatch on one process is valid.
 func (b *BlockFading) NextBatch(dst *mathx.BatchCF64, i int) {
-	if b.blockLen <= 0 && b.k == 0 {
-		// Redraw-every-block Rayleigh (the coop default): draw straight
-		// into the column, skipping the AoS round trip. Same stream and
-		// the same 1/sqrt(2) scaling RandCN applies, so values are
-		// bit-identical; b.current goes stale but the next Next() call
-		// unconditionally redraws it.
-		const s = 1 / math.Sqrt2
-		n := dst.N
-		idx := i
-		for l := 0; l < b.mr*b.mt; l++ {
-			dst.Data[idx] = complex(b.rng.NormFloat64()*s, b.rng.NormFloat64()*s)
-			idx += n
-		}
-		return
-	}
 	h := b.Next()
 	for l, v := range h.Data {
 		dst.Set(l, i, v)

@@ -67,6 +67,7 @@ type batchScratch struct {
 	symsPtr  []*mathx.BatchCF64
 	copies   []byte // per-antenna tile bit copies, antenna-major
 	fs       []float64
+	tape     []float64 // one tile's normals, drawn in one fill
 	dec      stbc.BatchWorkspace
 }
 
@@ -172,25 +173,53 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 		if fwdOn {
 			bs.fwd.Resize(tUses*(mr-1), n)
 		}
-		for i := 0; i < n; i++ {
+		if cfg.CoherenceBlocks <= 0 {
+			// Every draw of the tile is a normal from ws.rng, so one
+			// fill takes them all and the scatter lays them out in the
+			// scalar order with the scalar multiplies.
+			perBlock := 2 * (mr*mt + tUses*mr)
 			if localFinite {
-				idx := i
-				for l := 0; l < (mt-1)*kSyms; l++ {
-					bs.locNoise.Data[idx] = complex(rng.NormFloat64()*sqLocal, rng.NormFloat64()*sqLocal)
-					idx += n
-				}
-			}
-			ws.fading.NextBatch(&bs.h, i)
-			idx := i
-			for l := 0; l < tUses*mr; l++ {
-				bs.awgn.Data[idx] = complex(rng.NormFloat64()*sqAWGN, rng.NormFloat64()*sqAWGN)
-				idx += n
+				perBlock += 2 * (mt - 1) * kSyms
 			}
 			if fwdOn {
-				idx = i
-				for l := 0; l < tUses*(mr-1); l++ {
-					bs.fwd.Data[idx] = complex(rng.NormFloat64(), rng.NormFloat64())
+				perBlock += 2 * tUses * (mr - 1)
+			}
+			if cap(bs.tape) < perBlock*n {
+				bs.tape = make([]float64, perBlock*n)
+			}
+			tape := bs.tape[:perBlock*n]
+			ws.rng.NormFloat64s(tape)
+			off := 0
+			if localFinite {
+				off = scatterCN(&bs.locNoise, tape, off, perBlock, sqLocal)
+			}
+			// channel.RayleighInto's CN(0, 1) taps.
+			off = scatterCN(&bs.h, tape, off, perBlock, 1/math.Sqrt2)
+			off = scatterCN(&bs.awgn, tape, off, perBlock, sqAWGN)
+			if fwdOn {
+				scatterCN(&bs.fwd, tape, off, perBlock, 1)
+			}
+		} else {
+			for i := 0; i < n; i++ {
+				if localFinite {
+					idx := i
+					for l := 0; l < (mt-1)*kSyms; l++ {
+						bs.locNoise.Data[idx] = complex(rng.NormFloat64()*sqLocal, rng.NormFloat64()*sqLocal)
+						idx += n
+					}
+				}
+				ws.fading.NextBatch(&bs.h, i)
+				idx := i
+				for l := 0; l < tUses*mr; l++ {
+					bs.awgn.Data[idx] = complex(rng.NormFloat64()*sqAWGN, rng.NormFloat64()*sqAWGN)
 					idx += n
+				}
+				if fwdOn {
+					idx = i
+					for l := 0; l < tUses*(mr-1); l++ {
+						bs.fwd.Data[idx] = complex(rng.NormFloat64(), rng.NormFloat64())
+						idx += n
+					}
 				}
 			}
 		}
@@ -302,6 +331,24 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 		res.LocalBER = float64(localErrs) / float64(localBits)
 	}
 	return res, nil
+}
+
+// scatterCN fills every lane of b from the tape, where block i's draws
+// start at i*stride and b's start off further in: entry i of lane l is
+// the complex draw at tape[i*stride+off+2l], both parts scaled by s.
+// It returns the offset of the draws after b's. A scale of 1 leaves
+// the draws exact, as the unscaled per-draw path does.
+func scatterCN(b *mathx.BatchCF64, tape []float64, off, stride int, s float64) int {
+	n := b.N
+	for l := 0; l < b.Lanes; l++ {
+		lane := b.Lane(l)[:n]
+		t := off + 2*l
+		for i := range lane {
+			lane[i] = complex(tape[t]*s, tape[t+1]*s)
+			t += stride
+		}
+	}
+	return off + 2*b.Lanes
 }
 
 // scaleLanes applies the per-antenna energy scale in place, the same

@@ -30,6 +30,9 @@ func batchIdentityConfigs() []Config {
 		Config{Mt: 3, Mr: 3, B: 2, SNRPerBit: 12, LocalSNRPerBit: 8, ForwardSNR: 11, Bits: 300, Seed: 11},
 		Config{Mt: 2, Mr: 2, B: 1, SNRPerBit: 8, CoherenceBlocks: 4, Bits: 400, Seed: 12},
 		Config{Mt: 4, Mr: 4, B: 2, SNRPerBit: 10, LocalSNRPerBit: 7, ForwardSNR: 13, CoherenceBlocks: 3, Bits: 600, Seed: 13},
+		// Eight tiles with every tape on: the draw pass's one fill per
+		// tile must continue the stream across tile boundaries.
+		Config{Mt: 2, Mr: 3, B: 1, SNRPerBit: 8, LocalSNRPerBit: 9, ForwardSNR: 14, Bits: 2400, Seed: 14},
 	)
 	return cfgs
 }

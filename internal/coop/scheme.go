@@ -184,24 +184,25 @@ func RunWith(ws *Workspace, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	code, err := stbc.ForTransmitters(cfg.Mt)
-	if err != nil {
-		return Result{}, err
-	}
-	bitsPerBlock := code.BlockSymbols() * cfg.B
-	blocks := cfg.Bits / bitsPerBlock
-	if blocks == 0 {
-		blocks = 1
-	}
 	ws.rng.Reseed(cfg.Seed)
 	ws.bits.CopyFrom(ws.rng)
-	rng := ws.bits.Rand
-	ws.src = growBytes(ws.src, blocks*bitsPerBlock)
-	for i := range ws.src {
-		ws.src[i] = byte(rng.Intn(2))
-	}
+	ws.src = growBytes(ws.src, SourceBits(cfg))
+	ws.bits.Bits(ws.src)
 	ws.out = growBytes(ws.out, len(ws.src))
 	return transport(ws, cfg, ws.src, ws.out)
+}
+
+// SourceBits returns the number of bits Run and RunWith transport for
+// cfg, which Result.Bits reports: cfg.Bits rounded down to whole STBC
+// blocks of BlockSymbols·B bits, and at least one block. It returns 0
+// when no code serves cfg.Mt transmitters.
+func SourceBits(cfg Config) int {
+	code, err := stbc.ForTransmitters(cfg.Mt)
+	if err != nil {
+		return 0
+	}
+	bitsPerBlock := code.BlockSymbols() * cfg.B
+	return max(1, cfg.Bits/bitsPerBlock) * bitsPerBlock
 }
 
 // TransportInto pushes the given source bits through one cooperative

@@ -243,23 +243,27 @@ func TestMonteCarloEvalsPerCell(t *testing.T) {
 	}
 }
 
-// TestMonteCarloDrawsMatchFreshMatrices: drawing every channel into one
-// reused matrix yields exactly the samples a fresh matrix per draw
-// does, for Rayleigh and Rician fading alike.
+// TestMonteCarloDrawsMatchFreshMatrices: the sample set is exactly
+// what a fresh matrix per draw gives, for Rayleigh fading (drawn a
+// block of samples per fill) and Rician fading (drawn per matrix), at
+// sample counts below, at and across the fill block.
 func TestMonteCarloDrawsMatchFreshMatrices(t *testing.T) {
 	for _, k := range []float64{0, 4} {
-		mc := &MonteCarlo{Samples: 500, Seed: 11, RicianK: k}
-		got := mc.norms(3, 2)
-		rng := mathx.NewRand(11 ^ int64(3)<<32 ^ int64(2)<<40)
-		for i, h2 := range got {
-			var h *mathx.CMat
-			if k > 0 {
-				h = channel.RicianMatrix(rng, 3, 2, k)
-			} else {
-				h = channel.Rayleigh(rng, 3, 2)
-			}
-			if want := h.FrobeniusNorm2(); h2 != want {
-				t.Fatalf("K=%v sample %d: %v, want %v", k, i, h2, want)
+		for _, shape := range [][3]int{{3, 2, 500}, {1, 1, 1}, {4, 4, 257}, {2, 1, 256}} {
+			mt, mr, n := shape[0], shape[1], shape[2]
+			mc := &MonteCarlo{Samples: n, Seed: 11, RicianK: k}
+			got := mc.norms(mt, mr)
+			rng := mathx.NewRand(11 ^ int64(mt)<<32 ^ int64(mr)<<40)
+			for i, h2 := range got {
+				var h *mathx.CMat
+				if k > 0 {
+					h = channel.RicianMatrix(rng, mt, mr, k)
+				} else {
+					h = channel.Rayleigh(rng, mt, mr)
+				}
+				if want := h.FrobeniusNorm2(); h2 != want {
+					t.Fatalf("K=%v %dx%d sample %d: %v, want %v", k, mt, mr, i, h2, want)
+				}
 			}
 		}
 	}

@@ -51,21 +51,47 @@ func (mc *MonteCarlo) norms(mt, mr int) []float64 {
 		n = 20000
 	}
 	// Seed is salted per antenna pair so pairs are independent.
-	rng := mathx.NewRand(mc.Seed ^ int64(mt)<<32 ^ int64(mr)<<40)
+	seed := mc.Seed ^ int64(mt)<<32 ^ int64(mr)<<40
 	s := make([]float64, n)
-	// Every draw lands in one reused matrix; the Into variants consume
-	// exactly the rng stream of a fresh allocation per draw.
-	var h *mathx.CMat
-	for i := range s {
-		if mc.RicianK > 0 {
+	if mc.RicianK > 0 {
+		// Every draw lands in one reused matrix; the Into variant
+		// consumes exactly the rng stream of a fresh allocation per draw.
+		rng := mathx.NewRand(seed)
+		var h *mathx.CMat
+		for i := range s {
 			h = channel.RicianMatrixInto(rng, mt, mr, mc.RicianK, h)
-		} else {
-			h = channel.RayleighInto(rng, mt, mr, h)
+			s[i] = h.FrobeniusNorm2()
 		}
-		s[i] = h.FrobeniusNorm2()
+	} else {
+		rayleighNorms(s, seed, mt*mr)
 	}
 	mc.cache[key] = s
 	return s
+}
+
+// rayleighNorms fills s with ||H||_F^2 of successive Rayleigh channels
+// of taps entries each, drawn on seed's stream: per sample, the value
+// FrobeniusNorm2 gives on a channel.RayleighInto draw. The normals come
+// one fill per block of samples.
+func rayleighNorms(s []float64, seed int64, taps int) {
+	rng := mathx.NewReusableRand()
+	rng.Reseed(seed)
+	const block = 256
+	tape := make([]float64, 2*taps*min(block, len(s)))
+	const c = 1 / math.Sqrt2 // RandCN's per-component scale
+	for lo := 0; lo < len(s); lo += block {
+		out := s[lo:min(lo+block, len(s))]
+		t := tape[:2*taps*len(out)]
+		rng.NormFloat64s(t)
+		for i := range out {
+			sum := 0.0
+			for j := 2 * taps * i; j < 2*taps*(i+1); j += 2 {
+				re, im := t[j]*c, t[j+1]*c
+				sum += re*re + im*im
+			}
+			out[i] = sum
+		}
+	}
 }
 
 // berBlock is the sample count of one partial sum in BER. The partial

@@ -36,6 +36,11 @@ func NewReusableRand() *ReusableRand {
 // Reseed resets the generator to the deterministic stream of seed.
 func (r *ReusableRand) Reseed(seed int64) { r.src.Seed(seed) }
 
+// ReseedPureGo is Reseed on the pure-Go table seed even where the host
+// has the vector one. The stream is the same; it exists so benchmarks
+// can time the two seed paths side by side.
+func (r *ReusableRand) ReseedPureGo(seed int64) { r.src.seed(seed, false) }
+
 // CopyFrom sets r to o's current position in o's stream: afterwards
 // both generators yield the same values. It forks a seeded generator
 // for the price of one state copy instead of a second Reseed. Only the

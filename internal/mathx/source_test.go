@@ -78,7 +78,131 @@ func FuzzSourceMatchesStdlib(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		checkSourceSeed(t, seed, 2000)
+		checkSeedPaths(t, new(source64), seed)
+		// The seed also picks the fill lengths, so the corpus keeps one
+		// value per entry.
+		n := int(uint64(seed) % 1500)
+		checkFills(t, seed, []int{n, 1, n / 3, 2*n + 1})
 	})
+}
+
+// checkSeedPaths seeds s with seed on the vector path (where the host
+// has one) and on the pure-Go loop, and fails unless both leave the
+// same state. s arrives holding another seed's state, so a path that
+// leaves a word unwritten shows up as a mismatch.
+func checkSeedPaths(t testing.TB, s *source64, seed int64) {
+	t.Helper()
+	s.seed(seed, hasAVX2())
+	var want source64
+	want.seed(seed^0x5a5a, false)
+	want.seed(seed, false)
+	if *s != want {
+		for i := range s.vec {
+			if s.vec[i] != want.vec[i] {
+				t.Fatalf("seed %d: vector state word %d = %d, pure Go %d", seed, i, s.vec[i], want.vec[i])
+			}
+		}
+		t.Fatalf("seed %d: vector tap/feed %d/%d, pure Go %d/%d", seed, s.tap, s.feed, want.tap, want.feed)
+	}
+}
+
+// TestVectorSeedMatchesPureGo pins the vector seed to the pure-Go loop
+// on the edge seeds and 5,000 random ones, reusing one source so each
+// seed overwrites the previous seed's state.
+func TestVectorSeedMatchesPureGo(t *testing.T) {
+	if !hasAVX2() {
+		t.Skip("no vector seed on this host")
+	}
+	var s source64
+	for _, seed := range edgeSeeds {
+		checkSeedPaths(t, &s, seed)
+	}
+	meta := rand.New(rand.NewSource(20261018))
+	for i := 0; i < 5000; i++ {
+		checkSeedPaths(t, &s, int64(meta.Uint64()))
+	}
+}
+
+// countingSource counts the source words a stdlib generator consumes,
+// which tells the ziggurat's paths apart: the rectangle takes one word
+// per variate, the tail returns |v| >= rn, and a rejected wedge takes
+// at least three words and then returns a non-tail value.
+type countingSource struct {
+	rand.Source64
+	words int
+}
+
+func (c *countingSource) Int63() int64   { c.words++; return c.Source64.Int63() }
+func (c *countingSource) Uint64() uint64 { c.words++; return c.Source64.Uint64() }
+
+// fillPaths counts the ziggurat paths the reference draws took.
+type fillPaths struct{ tail, wedgeReject int }
+
+// checkFills runs NormFloat64s and Bits at each length against a stdlib
+// generator on the same seed, interleaved with single draws of every
+// kind, and returns the ziggurat paths the normals took.
+func checkFills(t testing.TB, seed int64, lengths []int) fillPaths {
+	t.Helper()
+	r := NewReusableRand()
+	r.Reseed(seed)
+	src := &countingSource{Source64: rand.NewSource(seed).(rand.Source64)}
+	ref := rand.New(src)
+	var paths fillPaths
+	for _, n := range lengths {
+		norms := make([]float64, n)
+		r.NormFloat64s(norms)
+		for i, g := range norms {
+			before := src.words
+			w := ref.NormFloat64()
+			switch {
+			case math.Abs(w) >= rn:
+				paths.tail++
+			case src.words-before >= 3:
+				paths.wedgeReject++
+			}
+			if g != w {
+				t.Fatalf("seed %d: NormFloat64s(%d)[%d] = %v, stdlib %v", seed, n, i, g, w)
+			}
+		}
+		if g, w := r.Rand.Int63(), ref.Int63(); g != w {
+			t.Fatalf("seed %d: Int63 after NormFloat64s(%d) = %d, stdlib %d", seed, n, g, w)
+		}
+		bits := make([]byte, n)
+		r.Bits(bits)
+		for i, g := range bits {
+			if w := byte(ref.Intn(2)); g != w {
+				t.Fatalf("seed %d: Bits(%d)[%d] = %d, stdlib %d", seed, n, i, g, w)
+			}
+		}
+		if g, w := r.Rand.NormFloat64(), ref.NormFloat64(); g != w {
+			t.Fatalf("seed %d: NormFloat64 after Bits(%d) = %v, stdlib %v", seed, n, g, w)
+		}
+		if g, w := r.Rand.Float64(), ref.Float64(); g != w {
+			t.Fatalf("seed %d: Float64 after Bits(%d) = %v, stdlib %v", seed, n, g, w)
+		}
+		if g, w := r.Rand.Intn(1000+n), ref.Intn(1000+n); g != w {
+			t.Fatalf("seed %d: Intn after Bits(%d) = %d, stdlib %d", seed, n, g, w)
+		}
+	}
+	return paths
+}
+
+// TestFillsMatchStdlib pins the slice fills to stdlib single draws at
+// lengths 0, 1, odd, past one state cycle (607) and past 5,000, and
+// requires that the normals crossed both slow paths: the base-strip
+// tail and a rejected wedge.
+func TestFillsMatchStdlib(t *testing.T) {
+	lengths := []int{0, 1, 7, 611, 5003, 2, 1023}
+	var paths fillPaths
+	for _, seed := range append([]int64{1, 42, 20261018}, edgeSeeds...) {
+		p := checkFills(t, seed, lengths)
+		paths.tail += p.tail
+		paths.wedgeReject += p.wedgeReject
+	}
+	if paths.tail == 0 || paths.wedgeReject == 0 {
+		t.Fatalf("slow paths not exercised: %d tail, %d rejected wedge draws", paths.tail, paths.wedgeReject)
+	}
+	t.Logf("%d tail and %d rejected wedge draws", paths.tail, paths.wedgeReject)
 }
 
 // TestReseedUsedGenerator checks that reseeding a generator that has

@@ -126,7 +126,6 @@ func RunWith(ws *Workspace, cfg Config) (Result, error) {
 	}
 	perHop := ws.perHop[:len(cfg.Hops)]
 	ws.rng.Reseed(cfg.Seed)
-	rng := ws.rng.Rand
 	if cap(ws.seeds) < len(cfg.Hops) {
 		ws.seeds = make([]int64, len(cfg.Hops))
 	}
@@ -143,9 +142,7 @@ func RunWith(ws *Workspace, cfg Config) (Result, error) {
 		ws.src = make([]byte, bits)
 	}
 	src := ws.src[:bits]
-	for i := range src {
-		src[i] = byte(rng.Intn(2))
-	}
+	ws.rng.Bits(src)
 
 	res := Result{Bits: bits, PerHopBER: perHop}
 	cur := src

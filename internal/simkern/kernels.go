@@ -33,14 +33,15 @@ func init() {
 }
 
 // coopBits returns the Bernoulli units one coop.ber trial contributes:
-// the transmitted bit count. It lets binomial stopping rules treat the
+// the bits the hop transports, which coop.RunWith rounds down to whole
+// STBC blocks (at least one). It lets binomial stopping rules treat the
 // BER estimate as k errors in trials*bits bits.
 func coopBits(params map[string]float64) float64 {
-	bits, err := intParam(params, "bits", 64)
-	if err != nil || bits <= 0 {
+	cfg, err := coopConfig(params)
+	if err != nil {
 		return 0
 	}
-	return float64(bits)
+	return float64(coop.SourceBits(cfg))
 }
 
 // multihopBits returns the Bernoulli units one multihop.ber trial

@@ -336,6 +336,32 @@ func LegacyAliases() map[string]string {
 	}
 }
 
+// TestCoopBitsMatchTransported: coop.ber's Bernoulli units are the bits
+// a trial actually transports, Result.Bits, including payloads that
+// are not a whole number of STBC blocks (rounded down) or smaller than
+// one block (rounded up to one).
+func TestCoopBitsMatchTransported(t *testing.T) {
+	k, _ := sim.LookupKernel("coop.ber")
+	for mt := 1; mt <= 4; mt++ {
+		for _, b := range []int{1, 2, 4} {
+			for _, bits := range []int{1, 32, 33, 64} {
+				params := map[string]float64{"mt": float64(mt), "mr": 2, "b": float64(b), "bits": float64(bits)}
+				cfg, err := coopConfig(params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := coop.RunWith(coop.NewWorkspace(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := k.BernoulliUnits(params); got != float64(res.Bits) {
+					t.Errorf("mt=%d b=%d bits=%d: units %g, transported %d", mt, b, bits, got, res.Bits)
+				}
+			}
+		}
+	}
+}
+
 // TestBernoulliUnits: the units functions convert params to the bit
 // counts the Wilson stopping rule divides by.
 func TestBernoulliUnits(t *testing.T) {

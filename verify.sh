@@ -17,6 +17,10 @@ fi
 echo ">> go build ./..."
 go build ./...
 
+echo ">> cross-arch: GOARCH=arm64 go vet ./internal/mathx && GOARCH=386 go build ./..."
+GOARCH=arm64 go vet ./internal/mathx
+GOARCH=386 go build ./...
+
 echo ">> go test -race ./internal/obs ./internal/service ./internal/httpapi"
 go test -race ./internal/obs ./internal/service ./internal/httpapi
 
