@@ -41,8 +41,10 @@ bench-module:
 	go -C bench test ./...
 
 # Fuzzes the table-seeded generator source against math/rand's for
-# 10 s: any seed whose Uint64/Int63 stream or derived variates differ
-# from rand.NewSource's fails. The edge seeds are the seed corpus.
+# 10 s: any seed whose Uint64/Int63 stream, derived variates or
+# NormFloat64s/Bits fills (on the pure-Go and, where the host has it,
+# the AVX2 path) differ from rand.NewSource's fails. The edge seeds are
+# the seed corpus.
 fuzz-rng:
 	go test -run=NONE -fuzz=FuzzSourceMatchesStdlib -fuzztime=10s ./internal/mathx
 

@@ -456,8 +456,9 @@ func BenchmarkReseed(b *testing.B) {
 }
 
 // BenchmarkNormFloat64s compares 1024 standard normals drawn by one
-// ReusableRand.NormFloat64s fill with the same 1024 drawn by per-call
-// NormFloat64; both return the same values.
+// ReusableRand.NormFloat64s fill (the AVX2 step where the host has it),
+// by the pure-Go fill (fill-purego) and by per-call NormFloat64; all
+// three return the same values.
 func BenchmarkNormFloat64s(b *testing.B) {
 	dst := make([]float64, 1024)
 	b.Run("fill", func(b *testing.B) {
@@ -466,6 +467,14 @@ func BenchmarkNormFloat64s(b *testing.B) {
 		rng.Reseed(1)
 		for i := 0; i < b.N; i++ {
 			rng.NormFloat64s(dst)
+		}
+	})
+	b.Run("fill-purego", func(b *testing.B) {
+		b.ReportAllocs()
+		rng := mathx.NewReusableRand()
+		rng.Reseed(1)
+		for i := 0; i < b.N; i++ {
+			rng.NormFloat64sPureGo(dst)
 		}
 	})
 	b.Run("percall", func(b *testing.B) {

@@ -16,14 +16,73 @@ const rn = 3.442619855899
 
 // NormFloat64s fills dst with standard normal variates: exactly the
 // values len(dst) successive r.Rand.NormFloat64() calls would return,
-// leaving the generator where those calls would. It walks the source
-// state in locals and runs the ziggurat's fast path inline; on the
-// tail and wedge paths (about 3% of draws) it writes the state back and
-// finishes the variate through r.Rand, as NormFloat64 does.
-func (r *ReusableRand) NormFloat64s(dst []float64) {
+// leaving the generator where those calls would. On amd64 hosts with
+// AVX2 it runs the vector fill; elsewhere the pure-Go loop.
+func (r *ReusableRand) NormFloat64s(dst []float64) { r.normFloat64s(dst, vectorFill) }
+
+// NormFloat64sPureGo is NormFloat64s on the pure-Go loop even where the
+// host has the vector fill. The values are the same; it exists so
+// benchmarks can time the two fill paths side by side.
+func (r *ReusableRand) NormFloat64sPureGo(dst []float64) { r.normFloat64s(dst, false) }
+
+// normFloat64s is NormFloat64s on the vector path when vector is set,
+// on the pure-Go loop otherwise. The vector step (normVector) draws four
+// variates at a time inside each run of steps where neither cursor
+// wraps, and stops at the first variate that misses the ziggurat's
+// rectangle with the state advanced through that variate's step; the
+// loop finishes it here. Steps next to a wrap, and the last few
+// variates, go through the pure-Go loop.
+func (r *ReusableRand) normFloat64s(dst []float64, vector bool) {
 	s := r.src
+	if !vector {
+		s.normFloat64s(dst)
+		return
+	}
+	for n := 0; n < len(dst); {
+		run := s.vectorRun(len(dst) - n)
+		if run == 0 {
+			s.normFloat64s(dst[n : n+1])
+			n++
+			continue
+		}
+		k := normVector(&s.vec, s.tap, s.feed, dst[n:n+run])
+		n += k
+		if k == run {
+			s.tap -= run
+			s.feed -= run
+			continue
+		}
+		s.tap -= k + 1
+		s.feed -= k + 1
+		j := int32(uint32(uint64(s.vec[s.feed]) & rngMask >> 31))
+		i := j & 0x7F
+		// A rejected wedge draw's value is overwritten by the variate
+		// that starts over; storing it anyway keeps the unpredictable
+		// accept/reject outcome off a branch.
+		v, ok := s.normSlow(j, i, float64(j)*float64(wn[i]))
+		dst[n] = v
+		if ok {
+			n++
+		}
+	}
+}
+
+// vectorRun is the number of steps, a multiple of four and at most max,
+// the source takes before either cursor wraps. Vector step groups stay
+// inside such a run: there each group's four feed words, and its four
+// tap words, are contiguous, and no step reads a word another step of
+// its group writes, because the cursors stay 334 (or −273) words apart.
+func (s *source64) vectorRun(max int) int { return min(s.tap, s.feed, max) &^ 3 }
+
+// normFloat64s is the pure-Go fill, the reference the vector path is
+// tested against. It walks the source state in locals and runs the
+// ziggurat's rectangle test inline; on the tail and wedge paths (about
+// 3% of draws) it writes the cursors back and finishes the variate in
+// normSlow. A rejected wedge draw starts the variate over, as
+// NormFloat64's loop does.
+func (s *source64) normFloat64s(dst []float64) {
 	vec, tap, feed := &s.vec, s.tap, s.feed
-	for n := range dst {
+	for n := 0; n < len(dst); {
 		tap--
 		if tap < 0 {
 			tap += rngLen
@@ -40,45 +99,152 @@ func (r *ReusableRand) NormFloat64s(dst []float64) {
 		v := float64(j) * float64(wn[i])
 		if absInt32(j) >= kn[i] {
 			s.tap, s.feed = tap, feed
-			v = r.normSlow(j, i, v)
+			var ok bool
+			v, ok = s.normSlow(j, i, v)
 			tap, feed = s.tap, s.feed
+			if !ok {
+				continue
+			}
 		}
 		dst[n] = v
+		n++
 	}
 	s.tap, s.feed = tap, feed
 }
 
 // normSlow finishes a NormFloat64 whose first draw j (strip i, value x)
 // missed the ziggurat's rectangle: NormFloat64's base-strip tail and
-// wedge test, on the written-back state. A rejected wedge draw starts
-// over with a fresh NormFloat64, which is what the standard loop does.
-func (r *ReusableRand) normSlow(j, i int32, x float64) float64 {
-	rng := r.Rand
+// wedge test, drawing its uniforms from s. It reports false when the
+// wedge test rejects x, and the caller then draws a fresh variate.
+func (s *source64) normSlow(j, i int32, x float64) (float64, bool) {
 	if i == 0 {
 		for {
-			x = -math.Log(rng.Float64()) * (1.0 / rn)
-			y := -math.Log(rng.Float64())
+			x = -math.Log(s.float64()) * (1.0 / rn)
+			y := -math.Log(s.float64())
 			if y+y >= x*x {
 				break
 			}
 		}
 		if j > 0 {
-			return rn + x
+			return rn + x, true
 		}
-		return -rn - x
+		return -rn - x, true
 	}
-	if fn[i]+float32(rng.Float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
-		return x
-	}
-	return rng.NormFloat64()
+	return x, wedgeAccept(i, x, s.float64())
 }
+
+// float64 is rand.(*Rand).Float64 on s: Int63 scaled to [0, 1), with
+// the same resample on 1.
+func (s *source64) float64() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
+
+// wedgeAccept decides NormFloat64's wedge test for strip i, value x and
+// uniform u,
+//
+//	fn[i]+float32(u)*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)),
+//
+// and calls math.Exp only when a squeeze cannot. With z = −x²/2 inside
+// the strip's interval [za, zb], exp(z) lies between the tangent at the
+// interval's midpoint and the chord across it (exp is convex), so
+// lo ≤ math.Exp(z) ≤ hi once both bounds are widened by squeezeMargin.
+// Rounding to float32 is monotone, so float32(lo) ≤ float32(math.Exp(z))
+// ≤ float32(hi): a left side below float32(lo) accepts and one at or
+// above float32(hi) rejects, exactly as the full test would.
+func wedgeAccept(i int32, x, u float64) bool {
+	l := fn[i] + float32(u)*(fn[i-1]-fn[i])
+	z := -.5 * x * x
+	lo, hi, ok := wedgeSqueezes[i].bounds(z)
+	// lo ≤ hi, so the squeeze leaves the test open only when both
+	// comparisons hold; == rather than && keeps the unpredictable
+	// first comparison off a branch.
+	if !ok || float32(lo) <= l == (l < float32(hi)) {
+		return l < float32(math.Exp(z))
+	}
+	return l < float32(lo)
+}
+
+// bounds returns lo ≤ math.Exp(z) ≤ hi for z in the strip's interval,
+// and ok false outside it.
+func (q *wedgeSqueeze) bounds(z float64) (lo, hi float64, ok bool) {
+	if z < q.za || z > q.zb {
+		return 0, 0, false
+	}
+	return q.em * (1 + (z - q.zm)), q.ea + (z-q.za)*q.slope, true
+}
+
+// squeezeMargin widens the squeeze bounds. It dwarfs their float64
+// rounding and math.Exp's error, each a few parts in 10¹⁶.
+const squeezeMargin = 1e-9
+
+// wedgeSqueeze bounds exp over one strip's z interval [za, zb]: the
+// chord ea + (z−za)·slope from above and the tangent em·(1 + z−zm) at
+// the midpoint zm from below, with ea, slope and em already widened by
+// squeezeMargin.
+type wedgeSqueeze struct{ za, zb, ea, slope, zm, em float64 }
+
+// wedgeSqueezes holds each strip's squeeze. A wedge draw of strip i has
+// kn[i] ≤ |j| ≤ 2³¹, and x = float64(j)·float64(wn[i]) and z = −x²/2 are
+// monotone in |j| under rounding, so the interval's ends, computed the
+// same way from |j| = 2³¹ and |j| = kn[i], bound every z the strip can
+// produce. Strip 0 has no wedge.
+var wedgeSqueezes = func() (t [128]wedgeSqueeze) {
+	for i := 1; i < len(t); i++ {
+		zAt := func(j int32) float64 {
+			x := float64(j) * float64(wn[i])
+			return -.5 * x * x
+		}
+		za, zb := zAt(math.MinInt32), zAt(int32(kn[i]))
+		zm := za + (zb-za)/2
+		ea, eb := math.Exp(za), math.Exp(zb)
+		t[i] = wedgeSqueeze{
+			za:    za,
+			zb:    zb,
+			ea:    ea * (1 + squeezeMargin),
+			slope: (eb - ea) / (zb - za) * (1 + squeezeMargin),
+			zm:    zm,
+			em:    math.Exp(zm) * (1 - squeezeMargin),
+		}
+	}
+	return t
+}()
 
 // Bits fills dst with 0/1 values: exactly the values len(dst)
 // successive byte(r.Rand.Intn(2)) calls would return, leaving the
 // generator where those calls would. Intn(2) is bit 32 of one source
-// word (Int31() & 1), so the fill is one source step per bit.
-func (r *ReusableRand) Bits(dst []byte) {
+// word (Int31() & 1), so the fill is one source step per bit. On amd64
+// hosts with AVX2 it takes four steps at a time.
+func (r *ReusableRand) Bits(dst []byte) { r.bits(dst, vectorFill) }
+
+// bits is Bits on the vector path when vector is set, on the pure-Go
+// loop otherwise.
+func (r *ReusableRand) bits(dst []byte, vector bool) {
 	s := r.src
+	if !vector {
+		s.bits(dst)
+		return
+	}
+	for n := 0; n < len(dst); {
+		run := s.vectorRun(len(dst) - n)
+		if run == 0 {
+			s.bits(dst[n : n+1])
+			n++
+			continue
+		}
+		bitsVector(&s.vec, s.tap, s.feed, dst[n:n+run])
+		s.tap -= run
+		s.feed -= run
+		n += run
+	}
+}
+
+// bits is the pure-Go Bits fill, the reference the vector path is
+// tested against.
+func (s *source64) bits(dst []byte) {
 	vec, tap, feed := &s.vec, s.tap, s.feed
 	for n := range dst {
 		tap--

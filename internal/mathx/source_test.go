@@ -138,10 +138,30 @@ func (c *countingSource) Uint64() uint64 { c.words++; return c.Source64.Uint64()
 // fillPaths counts the ziggurat paths the reference draws took.
 type fillPaths struct{ tail, wedgeReject int }
 
+// fillVectors lists the fill paths this host can run: the pure-Go
+// loop, and the vector step where the host has AVX2.
+func fillVectors() []bool {
+	if hasAVX2() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
 // checkFills runs NormFloat64s and Bits at each length against a stdlib
 // generator on the same seed, interleaved with single draws of every
-// kind, and returns the ziggurat paths the normals took.
+// kind, once on each fill path, and returns the ziggurat paths the
+// normals took.
 func checkFills(t testing.TB, seed int64, lengths []int) fillPaths {
+	t.Helper()
+	var paths fillPaths
+	for _, vector := range fillVectors() {
+		paths = checkFillPath(t, seed, lengths, vector)
+	}
+	return paths
+}
+
+// checkFillPath is checkFills on one fill path.
+func checkFillPath(t testing.TB, seed int64, lengths []int, vector bool) fillPaths {
 	t.Helper()
 	r := NewReusableRand()
 	r.Reseed(seed)
@@ -150,7 +170,7 @@ func checkFills(t testing.TB, seed int64, lengths []int) fillPaths {
 	var paths fillPaths
 	for _, n := range lengths {
 		norms := make([]float64, n)
-		r.NormFloat64s(norms)
+		r.normFloat64s(norms, vector)
 		for i, g := range norms {
 			before := src.words
 			w := ref.NormFloat64()
@@ -161,27 +181,27 @@ func checkFills(t testing.TB, seed int64, lengths []int) fillPaths {
 				paths.wedgeReject++
 			}
 			if g != w {
-				t.Fatalf("seed %d: NormFloat64s(%d)[%d] = %v, stdlib %v", seed, n, i, g, w)
+				t.Fatalf("seed %d, vector %v: NormFloat64s(%d)[%d] = %v, stdlib %v", seed, vector, n, i, g, w)
 			}
 		}
 		if g, w := r.Rand.Int63(), ref.Int63(); g != w {
-			t.Fatalf("seed %d: Int63 after NormFloat64s(%d) = %d, stdlib %d", seed, n, g, w)
+			t.Fatalf("seed %d, vector %v: Int63 after NormFloat64s(%d) = %d, stdlib %d", seed, vector, n, g, w)
 		}
 		bits := make([]byte, n)
-		r.Bits(bits)
+		r.bits(bits, vector)
 		for i, g := range bits {
 			if w := byte(ref.Intn(2)); g != w {
-				t.Fatalf("seed %d: Bits(%d)[%d] = %d, stdlib %d", seed, n, i, g, w)
+				t.Fatalf("seed %d, vector %v: Bits(%d)[%d] = %d, stdlib %d", seed, vector, n, i, g, w)
 			}
 		}
 		if g, w := r.Rand.NormFloat64(), ref.NormFloat64(); g != w {
-			t.Fatalf("seed %d: NormFloat64 after Bits(%d) = %v, stdlib %v", seed, n, g, w)
+			t.Fatalf("seed %d, vector %v: NormFloat64 after Bits(%d) = %v, stdlib %v", seed, vector, n, g, w)
 		}
 		if g, w := r.Rand.Float64(), ref.Float64(); g != w {
-			t.Fatalf("seed %d: Float64 after Bits(%d) = %v, stdlib %v", seed, n, g, w)
+			t.Fatalf("seed %d, vector %v: Float64 after Bits(%d) = %v, stdlib %v", seed, vector, n, g, w)
 		}
 		if g, w := r.Rand.Intn(1000+n), ref.Intn(1000+n); g != w {
-			t.Fatalf("seed %d: Intn after Bits(%d) = %d, stdlib %d", seed, n, g, w)
+			t.Fatalf("seed %d, vector %v: Intn after Bits(%d) = %d, stdlib %d", seed, vector, n, g, w)
 		}
 	}
 	return paths
