@@ -1,7 +1,11 @@
-# Tier-1 verification plus the race detector. `make verify` is what CI
-# and pre-merge checks should run.
+# `make verify` is the tier-1 gate: go vet, gofmt, build, the cross-arch
+# builds, the whole test suite under the race detector (its process
+# tests boot the daemon, SIGKILL a campaign and drive the fairness load
+# run) and the bench module's vet and tests. `./verify.sh` runs it plus
+# `fuzz-rng` and `bench-compare`, the checks that take longer or write a
+# BENCH_<date>.json artifact.
 
-.PHONY: verify vet fmt-check build cross-arch test race bench-module fuzz-rng bench bench-compare cogbench-ab bench-batch metrics-smoke campaign-smoke loadgen-smoke
+.PHONY: verify vet fmt-check build cross-arch test race bench-module fuzz-rng bench bench-compare cogbench-ab bench-batch
 
 BENCH_DATE := $(shell date +%Y-%m-%d)
 BENCH_JSON := BENCH_$(BENCH_DATE).json
@@ -52,7 +56,8 @@ fuzz-rng:
 # allocs/op into BENCH_<date>.json via internal/tools/benchjson.
 # Three repetitions per benchmark; benchjson keeps each benchmark's
 # fastest repetition, which denoises the short benchmarks enough for
-# bench-compare to gate on.
+# bench-compare to gate on. A failing or panicking benchmark makes
+# benchjson exit 2 without writing the artifact, which fails the target.
 bench:
 	go test -run=NONE -bench=. -benchmem -benchtime=100x -count=3 . | go run ./internal/tools/benchjson -o $(BENCH_JSON)
 
@@ -86,23 +91,3 @@ cogbench-ab:
 # shapes and fails when the worst shape's speedup drops below 2x.
 bench-batch:
 	go test -count=1 -run '^TestBatchEngineSpeedup$$' -v ./internal/coop
-
-# Boots a cogmimod daemon, scrapes /metrics/prom and checks the core
-# metric names are exposed. A cheap end-to-end observability check.
-metrics-smoke:
-	go run ./internal/tools/metricssmoke
-
-# Drives 50 tenants — one with a 10× burst submitted first — through
-# the real HTTP stack and fails if the light tenants' p99 queue wait
-# exceeds 2× the fair share or 1× the heavy tenant's p99. Also follows
-# jobs over SSE and checks progress monotonicity. End-to-end fairness
-# check of internal/tenant scheduling.
-loadgen-smoke:
-	go run ./internal/tools/loadgen/cmd
-
-# Runs a checkpointing campaign in a child process, SIGKILLs it
-# mid-experiment, resumes from the durable checkpoints and requires the
-# resumed report to match an uninterrupted serial run byte-for-byte.
-# End-to-end crash-safety check of internal/store + internal/campaign.
-campaign-smoke:
-	go run ./internal/tools/campaignsmoke

@@ -43,7 +43,9 @@ func TestCampaignCrashHelper(t *testing.T) {
 // whole subsystem: a campaign process killed with SIGKILL — no
 // deferred cleanup, no flushes, possibly mid-write — resumes from its
 // durable checkpoints and produces a final report byte-identical to a
-// never-interrupted run.
+// never-interrupted serial run: the helper computes on 2 workers and the
+// resume on 4, so the one comparison also pins serial-vs-parallel
+// identity across the crash.
 func TestSIGKILLResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills a subprocess")
@@ -52,7 +54,7 @@ func TestSIGKILLResumeByteIdentical(t *testing.T) {
 	wantChunks := int64(spec.Experiments[0].Trials / sim.ChunkSize)
 
 	golden, _, err := (&Runner{
-		Store: openStore(t, t.TempDir()), Workers: 2, Logger: discardLogger(),
+		Store: openStore(t, t.TempDir()), Workers: 1, Logger: discardLogger(),
 	}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("golden run: %v", err)

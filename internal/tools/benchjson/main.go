@@ -6,6 +6,10 @@
 //
 //	go test -run=NONE -bench=. -benchtime=100x . | go run ./internal/tools/benchjson -o BENCH_2026-08-05.json
 //
+// A run that failed (a `--- FAIL:`, `FAIL` or `panic:` line on stdin)
+// writes no artifact and exits 2. In the pipe above the exit status is
+// benchjson's, so this is what fails `make bench` on a broken benchmark.
+//
 // Compare mode checks a new artifact against a baseline and exits
 // non-zero when any shared benchmark's ns/op regressed by more than
 // -threshold (fraction, default 0.20):
@@ -82,30 +86,36 @@ func main() {
 		return
 	}
 
-	f, err := parseBench(os.Stdin)
-	if err != nil {
+	if err := record(os.Stdin, *out, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(2)
 	}
-	if len(f.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(2)
+}
+
+// record parses benchmark output from r and writes the artifact to
+// path (BENCH_<date>.json when empty). A failed run or one without
+// benchmark lines writes nothing.
+func record(r io.Reader, path string, w io.Writer) error {
+	f, err := parseBench(r)
+	if err != nil {
+		return err
 	}
-	path := *out
+	if len(f.Benchmarks) == 0 {
+		return fmt.Errorf("no benchmark lines on stdin")
+	}
 	if path == "" {
 		path = "BENCH_" + f.Date + ".json"
 	}
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(2)
+		return err
 	}
 	data = append(data, '\n')
 	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(2)
+		return err
 	}
-	fmt.Printf("benchjson: wrote %d benchmarks to %s\n", len(f.Benchmarks), path)
+	fmt.Fprintf(w, "benchjson: wrote %d benchmarks to %s\n", len(f.Benchmarks), path)
+	return nil
 }
 
 // parseBench reads `go test -bench` output and collects benchmark
@@ -116,6 +126,10 @@ func main() {
 // The trailing -N on the name is the GOMAXPROCS suffix: it is stripped
 // so artifacts from differently sized machines line up, and the first
 // benchmark line's value is recorded in the machine stamp.
+//
+// Any failure line (see failed) makes the whole run an error: a partial
+// artifact would show the failed benchmarks to compare only as
+// "missing", which does not fail the gate.
 func parseBench(r io.Reader) (*File, error) {
 	f := &File{Date: time.Now().Format("2006-01-02"), GoVersion: runtime.Version()}
 	header := map[string]*string{
@@ -125,6 +139,9 @@ func parseBench(r io.Reader) (*File, error) {
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
+		if failed(line) {
+			return nil, fmt.Errorf("benchmark run failed: %s", strings.TrimSpace(line))
+		}
 		if res, ok := parseLine(line); ok {
 			if len(f.Benchmarks) == 0 {
 				_, f.GOMAXPROCS = splitProcs(strings.Fields(line)[0])
@@ -146,6 +163,14 @@ func parseBench(r io.Reader) (*File, error) {
 		return f.Benchmarks[i].Name < f.Benchmarks[j].Name
 	})
 	return f, nil
+}
+
+// failed reports whether line is go test's mark of a failed run: a
+// (possibly nested) `--- FAIL:` result, the package's `FAIL` summary or
+// a panic.
+func failed(line string) bool {
+	return strings.HasPrefix(strings.TrimSpace(line), "--- FAIL:") ||
+		strings.HasPrefix(line, "FAIL") || strings.HasPrefix(line, "panic:")
 }
 
 // minMerge collapses repeated benchmark names (a `go test -count=N`

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -129,6 +130,41 @@ func TestParseLineRejectsNonBench(t *testing.T) {
 	}
 	if _, ok := parseLine("BenchmarkX-4 12 5.0 widgets"); ok {
 		t.Error("accepted line without ns/op")
+	}
+}
+
+// TestRecordRefusesFailedRun: any failure mark in the benchmark output
+// fails the record step and leaves no artifact behind, even when good
+// benchmark lines came first. The pipe in `make bench` exits with
+// benchjson's status, so this is what fails the gate on a broken
+// benchmark.
+func TestRecordRefusesFailedRun(t *testing.T) {
+	const good = "BenchmarkA-8  100  5 ns/op\n"
+	for name, tail := range map[string]string{
+		"fail":        "--- FAIL: BenchmarkB-8\n    bench_test.go:9: boom\nFAIL\nexit status 1\nFAIL\trepro\t0.1s\n",
+		"nested fail": "    --- FAIL: BenchmarkB/sub-8\n",
+		"summary":     "FAIL\trepro [build failed]\n",
+		"panic":       "panic: runtime error: index out of range [3] with length 3\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "b.json")
+			var out strings.Builder
+			err := record(strings.NewReader(good+tail), path, &out)
+			if err == nil || !strings.Contains(err.Error(), "failed") {
+				t.Fatalf("record = %v, want a failed-run error (output %q)", err, out.String())
+			}
+			if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
+				t.Errorf("failed run left an artifact at %s (stat: %v)", path, statErr)
+			}
+		})
+	}
+
+	path := filepath.Join(t.TempDir(), "b.json")
+	if err := record(strings.NewReader(sample), path, io.Discard); err != nil {
+		t.Fatalf("passing run: %v", err)
+	}
+	if _, err := readFile(path); err != nil {
+		t.Fatalf("passing run wrote no readable artifact: %v", err)
 	}
 }
 

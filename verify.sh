@@ -1,49 +1,9 @@
 #!/bin/sh
-# verify.sh — the repo's tier-1 gate plus formatting and the race detector.
-# Usage: ./verify.sh  (or: make verify)
+# verify.sh — the full pre-merge gate: `make verify` (vet, gofmt, build,
+# cross-arch, go test -race ./..., bench module), then the 10 s generator
+# fuzz and the benchmark regression gate. Every step is a Makefile
+# target, defined there once.
+# Usage: ./verify.sh
 set -eu
-
-echo ">> go vet ./..."
-go vet ./...
-
-echo ">> gofmt -l ."
-unformatted=$(gofmt -l .)
-if [ -n "$unformatted" ]; then
-	echo "gofmt needed on:" >&2
-	echo "$unformatted" >&2
-	exit 1
-fi
-
-echo ">> go build ./..."
-go build ./...
-
-echo ">> cross-arch: GOARCH=arm64 go vet ./internal/mathx && GOARCH=386 go build ./..."
-GOARCH=arm64 go vet ./internal/mathx
-GOARCH=386 go build ./...
-
-echo ">> go test -race ./internal/obs ./internal/service ./internal/httpapi"
-go test -race ./internal/obs ./internal/service ./internal/httpapi
-
-echo ">> go test -race ./..."
-go test -race ./...
-
-echo ">> go -C bench vet ./... && go -C bench test ./..."
-go -C bench vet ./...
-go -C bench test ./...
-
-echo ">> fuzz rng (table-seeded source vs math/rand, 10 s)"
-make fuzz-rng
-
-echo ">> bench smoke (1 iteration)"
-go test -run=NONE -bench=. -benchtime=1x . >/dev/null
-
-echo ">> bench compare (ns/op + allocs/op gate vs committed baseline)"
-make bench-compare
-
-echo ">> campaign smoke (SIGKILL mid-experiment, resume from checkpoints)"
-go run ./internal/tools/campaignsmoke
-
-echo ">> loadgen smoke (50 tenants, one 10x-heavier, fairness + SSE)"
-go run ./internal/tools/loadgen/cmd
-
+make verify fuzz-rng bench-compare
 echo "verify: ok"
