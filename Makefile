@@ -2,15 +2,18 @@
 # builds, the whole test suite under the race detector (its process
 # tests boot the daemon, SIGKILL a campaign and drive the fairness load
 # run) and the bench module's vet and tests. `./verify.sh` runs it plus
-# `fuzz-rng` and `bench-compare`, the checks that take longer or write a
-# BENCH_<date>.json artifact.
+# `fuzz-rng`, `fuzz-lanes` and `bench-compare`, the checks that take
+# longer.
 
-.PHONY: verify vet fmt-check build cross-arch test race bench-module fuzz-rng bench bench-compare cogbench-ab bench-batch
+.PHONY: verify vet fmt-check build cross-arch test race bench-module fuzz-rng fuzz-lanes bench bench-compare cogbench-ab bench-batch
 
 BENCH_DATE := $(shell date +%Y-%m-%d)
-BENCH_JSON := BENCH_$(BENCH_DATE).json
+BENCH_TODAY := BENCH_$(BENCH_DATE).json
+# Where `make bench` records; bench-compare writes here only when it is
+# given on the command line or in the environment.
+BENCH_JSON ?= $(BENCH_TODAY)
 # Newest committed artifact other than today's, used as the baseline.
-BENCH_BASE := $(lastword $(sort $(filter-out $(BENCH_JSON),$(wildcard BENCH_*.json))))
+BENCH_BASE := $(lastword $(sort $(filter-out $(BENCH_TODAY),$(wildcard BENCH_*.json))))
 
 verify: vet fmt-check build cross-arch race bench-module
 
@@ -23,11 +26,12 @@ fmt-check:
 build:
 	go build ./...
 
-# Vets mathx for arm64 and builds everything for 386: the generator's
-# vector seed is amd64 assembly, and these keep the pure-Go fallback
-# it needs on every other architecture compiling.
+# Vets the packages with amd64 assembly for arm64 and builds everything
+# for 386: the generator's vector seed and fills and the coop hop's lane
+# kernels are amd64 assembly, and these keep the pure-Go fallbacks they
+# need on every other architecture compiling.
 cross-arch:
-	GOARCH=arm64 go vet ./internal/mathx
+	GOARCH=arm64 go vet ./internal/mathx ./internal/stbc ./internal/modulation ./internal/coop
 	GOARCH=386 go build ./...
 
 test:
@@ -52,26 +56,42 @@ bench-module:
 fuzz-rng:
 	go test -run=NONE -fuzz=FuzzSourceMatchesStdlib -fuzztime=10s ./internal/mathx
 
+# Fuzzes the coop hop's AVX2 lane kernels against their pure-Go loops
+# for 10 s: tape scatter, transmit, decode and BPSK decision on
+# arbitrary float64 lanes (signed zeros, subnormals, NaN, infinities)
+# of 0 to 13 blocks. It skips on hosts without AVX2.
+fuzz-lanes:
+	go test -run=NONE -fuzz=FuzzLaneKernels -fuzztime=10s ./internal/coop
+
 # Runs the repo-root benchmark suite and records ns/op, B/op and
-# allocs/op into BENCH_<date>.json via internal/tools/benchjson.
-# Three repetitions per benchmark; benchjson keeps each benchmark's
-# fastest repetition, which denoises the short benchmarks enough for
-# bench-compare to gate on. A failing or panicking benchmark makes
-# benchjson exit 2 without writing the artifact, which fails the target.
+# allocs/op into BENCH_<date>.json (or BENCH_JSON) via
+# internal/tools/benchjson. Three repetitions per benchmark; benchjson
+# keeps each benchmark's fastest repetition, which denoises the short
+# benchmarks enough for bench-compare to gate on. A failing or
+# panicking benchmark makes benchjson exit 2 without writing the
+# artifact, which fails the target.
+BENCH_RUN = go test -run=NONE -bench=. -benchmem -benchtime=100x -count=3 . | go run ./internal/tools/benchjson -o
 bench:
-	go test -run=NONE -bench=. -benchmem -benchtime=100x -count=3 . | go run ./internal/tools/benchjson -o $(BENCH_JSON)
+	$(BENCH_RUN) $(BENCH_JSON)
 
 # Re-measures and fails when any benchmark regressed against the newest
 # committed BENCH_*.json: ns/op grew by more than 20%, a 0-alloc
 # benchmark allocated at all, or allocs/op grew by more than 20%.
 # Benchmarks absent from the baseline are reported as "new", never as
-# failures; with no baseline at all, today's artifact simply becomes
-# the first one.
-bench-compare: bench
-	@if [ -z "$(BENCH_BASE)" ]; then \
-		echo "bench-compare: no baseline BENCH_*.json; $(BENCH_JSON) is the first artifact"; \
+# failures. The fresh run goes to a temporary directory, removed
+# afterwards, so the tree and its committed artifacts stay as they are;
+# give BENCH_JSON to keep it at that path instead.
+bench-compare:
+	@set -e; \
+	out='$(BENCH_JSON)'; \
+	if [ '$(origin BENCH_JSON)' = file ]; then \
+		dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; out="$$dir/$(BENCH_TODAY)"; \
+	fi; \
+	$(BENCH_RUN) "$$out"; \
+	if [ -z "$(BENCH_BASE)" ]; then \
+		echo "bench-compare: no baseline BENCH_*.json; record one with make bench"; \
 	else \
-		go run ./internal/tools/benchjson -compare $(BENCH_BASE) $(BENCH_JSON); \
+		go run ./internal/tools/benchjson -compare $(BENCH_BASE) "$$out"; \
 	fi
 
 # Paired A/B run of the repository benchmark: builds cogbench from

@@ -357,15 +357,28 @@ func BenchmarkCoopScheme(b *testing.B) {
 
 // BenchmarkCoopSchemeScratch is BenchmarkCoopScheme on a warmed
 // caller-owned workspace: the steady state of a Monte-Carlo worker. The
-// allocs/op column should read ~0.
+// allocs/op column should read ~0. The plain shapes run the hop's AVX2
+// lane kernels where the host has them; the -purego shapes run its
+// pure-Go lane loops, as on a host without AVX2. Both return the same
+// results.
 func BenchmarkCoopSchemeScratch(b *testing.B) {
-	for _, pair := range [][2]int{{1, 1}, {2, 2}, {4, 4}} {
-		b.Run(fmt.Sprintf("%dx%d", pair[0], pair[1]), func(b *testing.B) {
+	for _, shape := range []struct {
+		mt, mr int
+		pureGo bool
+	}{{1, 1, false}, {2, 2, false}, {4, 4, false}, {1, 1, true}, {2, 2, true}, {4, 4, true}} {
+		name := fmt.Sprintf("%dx%d", shape.mt, shape.mr)
+		if shape.pureGo {
+			name += "-purego"
+		}
+		b.Run(name, func(b *testing.B) {
 			cfg := coop.Config{
-				Mt: pair[0], Mr: pair[1], B: 1,
+				Mt: shape.mt, Mr: shape.mr, B: 1,
 				SNRPerBit: 10, Bits: 6000, Seed: 1,
 			}
 			ws := coop.NewWorkspace()
+			if shape.pureGo {
+				ws = coop.NewWorkspacePureGo()
+			}
 			if _, err := coop.RunWith(ws, cfg); err != nil {
 				b.Fatal(err)
 			}

@@ -98,6 +98,7 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 		return Result{}, err
 	}
 	rng := ws.rng.Rand
+	vector := !ws.pureGo
 	mod, err := ws.scheme(cfg.B)
 	if err != nil {
 		return Result{}, err
@@ -191,13 +192,13 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 			ws.rng.NormFloat64s(tape)
 			off := 0
 			if localFinite {
-				off = scatterCN(&bs.locNoise, tape, off, perBlock, sqLocal)
+				off = scatterCN(&bs.locNoise, tape, off, perBlock, sqLocal, vector)
 			}
 			// channel.RayleighInto's CN(0, 1) taps.
-			off = scatterCN(&bs.h, tape, off, perBlock, 1/math.Sqrt2)
-			off = scatterCN(&bs.awgn, tape, off, perBlock, sqAWGN)
+			off = scatterCN(&bs.h, tape, off, perBlock, 1/math.Sqrt2, vector)
+			off = scatterCN(&bs.awgn, tape, off, perBlock, sqAWGN, vector)
 			if fwdOn {
-				scatterCN(&bs.fwd, tape, off, perBlock, 1)
+				scatterCN(&bs.fwd, tape, off, perBlock, 1, vector)
 			}
 		} else {
 			for i := 0; i < n; i++ {
@@ -280,7 +281,7 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 			scaleLanes(&bs.syms[0], kSyms, n, scale)
 			code.EncodeBatchInto(&bs.syms[0], &bs.x)
 		}
-		code.TransmitBatchInto(&bs.x, &bs.h, &bs.awgn, &bs.y, mr)
+		code.TransmitBatchInto(&bs.x, &bs.h, &bs.awgn, &bs.y, mr, vector)
 
 		// Step 3: sample forwarding adds noise scaled by the block's
 		// mean sample power (forwardNoise in the scalar path).
@@ -315,9 +316,10 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 
 		// Joint decode and hard decisions at the head of B: estimates are
 		// rescaled by the same complex division the scalar path applies,
-		// fused into the decision pass.
-		code.DecodeBatchInto(&bs.dec, &bs.y, &bs.h, mr, &bs.est)
-		if err := mod.DemodulateBatchDivInto(&bs.est, scale, kSyms, n, dstTile); err != nil {
+		// fused into the decision pass. Decisions without a Q rail (BPSK)
+		// never read an estimate's imaginary part, so the decoder skips it.
+		code.DecodeBatchInto(&bs.dec, &bs.y, &bs.h, mr, &bs.est, mod.HasQuadrature(), vector)
+		if err := mod.DemodulateBatchDivInto(&bs.est, scale, kSyms, n, dstTile, vector); err != nil {
 			panic(err)
 		}
 		for i, v := range dstTile {
@@ -337,13 +339,24 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 // start at i*stride and b's start off further in: entry i of lane l is
 // the complex draw at tape[i*stride+off+2l], both parts scaled by s.
 // It returns the offset of the draws after b's. A scale of 1 leaves
-// the draws exact, as the unscaled per-draw path does.
-func scatterCN(b *mathx.BatchCF64, tape []float64, off, stride int, s float64) int {
+// the draws exact, as the unscaled per-draw path does. With vector set
+// and AVX2 on the host, the kernel fills each lane's whole two-entry
+// steps and the loop the odd entry at the end.
+func scatterCN(b *mathx.BatchCF64, tape []float64, off, stride int, s float64, vector bool) int {
 	n := b.N
+	v := 0
+	if vector && laneKernels {
+		v = n &^ 1
+	}
 	for l := 0; l < b.Lanes; l++ {
 		lane := b.Lane(l)[:n]
 		t := off + 2*l
-		for i := range lane {
+		if v > 0 {
+			_ = tape[t+(v-1)*stride+1] // the kernel's last read
+			scatterAVX2(lane[:v], tape[t:], stride, s)
+			t += v * stride
+		}
+		for i := v; i < n; i++ {
 			lane[i] = complex(tape[t]*s, tape[t+1]*s)
 			t += stride
 		}

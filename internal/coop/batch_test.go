@@ -33,8 +33,40 @@ func batchIdentityConfigs() []Config {
 		// Eight tiles with every tape on: the draw pass's one fill per
 		// tile must continue the stream across tile boundaries.
 		Config{Mt: 2, Mr: 3, B: 1, SNRPerBit: 8, LocalSNRPerBit: 9, ForwardSNR: 14, Bits: 2400, Seed: 14},
+		// BPSK tiles whose block count is not a multiple of four: the
+		// vector kernels' groups end early and the loops take the tail
+		// (243, 123 and 61 blocks; 512+512+6 blocks over three tiles).
+		Config{Mt: 1, Mr: 1, B: 1, SNRPerBit: 8, Bits: 243, Seed: 15},
+		Config{Mt: 2, Mr: 2, B: 1, SNRPerBit: 8, Bits: 246, Seed: 16},
+		Config{Mt: 3, Mr: 3, B: 1, SNRPerBit: 8, ForwardSNR: 12, Bits: 183, Seed: 17},
+		Config{Mt: 1, Mr: 1, B: 1, SNRPerBit: 8, Bits: 1030, Seed: 18},
 	)
+	// The benchmark workloads' shapes: fanout's ext-coopber cells (1x1
+	// and 2x2 at 0, 4, 8 and 12 dB, 128 bits) and tail-ber's coop cells
+	// (32 bits).
+	for _, geom := range [][2]int{{1, 1}, {2, 2}} {
+		for _, db := range []float64{0, 4, 8, 12} {
+			cfgs = append(cfgs, Config{
+				Mt: geom[0], Mr: geom[1], B: 1, SNRPerBit: math.Pow(10, db/10), Bits: 128, Seed: 19,
+			})
+		}
+	}
+	for _, c := range [][3]float64{{2, 2, 5}, {2, 2, 10}, {1, 1, 15}} {
+		cfgs = append(cfgs, Config{
+			Mt: int(c[0]), Mr: int(c[1]), B: 1, SNRPerBit: math.Pow(10, c[2]/10), Bits: 32, Seed: 20,
+		})
+	}
 	return cfgs
+}
+
+// workspacePaths lists the workspaces the engine runs on: a pure-Go one,
+// and, where the host has AVX2, one on the vector kernels.
+func workspacePaths() []*Workspace {
+	paths := []*Workspace{NewWorkspacePureGo()}
+	if laneKernels {
+		paths = append(paths, NewWorkspace())
+	}
+	return paths
 }
 
 // TestTransportBatchMatchesScalar is the tentpole identity: the SoA
@@ -45,7 +77,17 @@ func batchIdentityConfigs() []Config {
 // output, as a multihop route does, so the identity also holds on a
 // source that is not RunWith's own freshly drawn bits.
 func TestTransportBatchMatchesScalar(t *testing.T) {
-	ws, sc := NewWorkspace(), newScalarScratch()
+	for _, ws := range workspacePaths() {
+		t.Run(fmt.Sprintf("pureGo=%v", ws.pureGo), func(t *testing.T) {
+			checkTransportMatchesScalar(t, ws)
+		})
+	}
+}
+
+// checkTransportMatchesScalar is TestTransportBatchMatchesScalar on one
+// workspace.
+func checkTransportMatchesScalar(t *testing.T, ws *Workspace) {
+	sc := newScalarScratch()
 	for _, cfg := range batchIdentityConfigs() {
 		for ds := int64(0); ds < 3; ds++ {
 			c := cfg
@@ -96,9 +138,9 @@ func TestTransportBatchMatchesScalar(t *testing.T) {
 
 // TestTransportBatchParallelWorkers runs the batch engine on every
 // impairment combination from several goroutines at once (one
-// workspace per worker, as the pool hands out) and checks each against
-// the scalar reference engine — under -race this also proves the SoA scratch
-// holds no hidden shared state.
+// workspace per worker, as the pool hands out, half of them pure-Go)
+// and checks each against the scalar reference engine — under -race
+// this also proves the SoA scratch holds no hidden shared state.
 func TestTransportBatchParallelWorkers(t *testing.T) {
 	cfgs := batchIdentityConfigs()
 	want := make([]Result, len(cfgs))
@@ -116,13 +158,19 @@ func TestTransportBatchParallelWorkers(t *testing.T) {
 		workers = 4
 	}
 	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
+	errs := make(chan error, 2*workers)
+	for w := 0; w < 2*workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := GetWorkspace()
-			defer PutWorkspace(ws)
+			// Half the workers run pooled workspaces, on the vector
+			// kernels where the host has them; the other half pure-Go
+			// ones.
+			ws := NewWorkspacePureGo()
+			if w%2 == 0 {
+				ws = GetWorkspace()
+				defer PutWorkspace(ws)
+			}
 			for round := 0; round < 3; round++ {
 				for i, cfg := range cfgs {
 					got, err := RunWith(ws, cfg)

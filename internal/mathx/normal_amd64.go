@@ -4,7 +4,7 @@ import "math"
 
 // vectorFill selects the AVX2 NormFloat64s and Bits steps; it is set
 // once at init.
-var vectorFill = hasAVX2()
+var vectorFill = hostAVX2
 
 // normLanes holds normVector's lane constants. A four-step group's state
 // words sit in memory in reverse step order: step 1 at feed−1, step 4

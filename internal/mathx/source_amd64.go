@@ -18,7 +18,7 @@ var parkMillerLanes = func() (t [3][rngLen + 1]uint64) {
 }()
 
 // vectorSeed selects the AVX2 table seed; it is set once at init.
-var vectorSeed = hasAVX2()
+var vectorSeed = hostAVX2
 
 // seedVector writes state words 0 through vectorSeedWords−1 for the
 // reduced seed x and returns the first word it left unwritten.

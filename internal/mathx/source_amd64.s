@@ -9,14 +9,15 @@
 // (32x32->64 per lane) forms it exactly. Folding p&M + p>>31 twice
 // reduces it to [1, M-1]: the first fold leaves at most 2^32-2, the
 // second at most M, and M itself cannot occur because M is prime and
-// neither factor is 0 mod M.
+// neither factor is 0 mod M. The constant reaches X1 through VMOVQ: a
+// legacy-SSE MOVQ after the YMM broadcast stalls on some hosts.
 TEXT ·seedAVX2(SB), NOSPLIT, $0-32
 	MOVQ vec+0(FP), DI
 	MOVQ pow+8(FP), SI
 	MOVQ cooked+16(FP), DX
 	VPBROADCASTQ x+24(FP), Y0
 	MOVQ $0x7fffffff, AX
-	MOVQ AX, X1
+	VMOVQ AX, X1
 	VPBROADCASTQ X1, Y1
 	XORQ CX, CX
 	MOVQ $151, BX

@@ -29,8 +29,8 @@ func TestVectorSeedSelected(t *testing.T) {
 	if cpuReportsAVX2(t) && !vectorSeed {
 		t.Fatal("CPU reports avx2 but Seed runs the pure-Go loop")
 	}
-	if vectorSeed != hasAVX2() {
-		t.Fatalf("vectorSeed = %v, hasAVX2() = %v", vectorSeed, hasAVX2())
+	if vectorSeed != hasAVX2() || HasAVX2() != hasAVX2() {
+		t.Fatalf("vectorSeed = %v, HasAVX2() = %v, hasAVX2() = %v", vectorSeed, HasAVX2(), hasAVX2())
 	}
 }
 

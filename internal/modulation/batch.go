@@ -97,7 +97,11 @@ func (s *Scheme) ModulateBatchInto(bits []byte, dst *mathx.BatchCF64, lanes, n i
 // the decision pass. The division is the same complex division the
 // scalar path performs on each estimate, so decisions match
 // DecideSymbol(sym/div, ...) bit for bit.
-func (s *Scheme) DemodulateBatchDivInto(src *mathx.BatchCF64, div complex128, lanes, n int, dst []byte) error {
+//
+// vector lets the BPSK pass with a real divisor run the AVX2 decision
+// kernel where the host has AVX2 (mathx.HasAVX2); false keeps the
+// pure-Go loop, the reference. Both decide identically.
+func (s *Scheme) DemodulateBatchDivInto(src *mathx.BatchCF64, div complex128, lanes, n int, dst []byte, vector bool) error {
 	b := s.BitsPerSymbol
 	if len(dst) != lanes*n*b {
 		return fmt.Errorf("modulation: %d dst bits for a %dx%d batch of b=%d symbols", len(dst), lanes, n, b)
@@ -117,10 +121,19 @@ func (s *Scheme) DemodulateBatchDivInto(src *mathx.BatchCF64, div complex128, la
 		// decisions match the full division bit for bit.
 		d := real(div)
 		if b == 1 {
+			// The AVX2 kernel takes each lane's whole groups of four;
+			// the loop below finishes the rest.
+			v := 0
+			if vector && laneKernels {
+				v = n &^ 3
+			}
 			for k := 0; k < lanes; k++ {
 				lane := src.Lane(k)[:n]
-				idx := k
-				for _, y := range lane {
+				if v > 0 {
+					decideBPSK(lane[:v], d, s.scale, dst[k:], stride)
+				}
+				idx := k + v*stride
+				for _, y := range lane[v:] {
 					dst[idx] = t.iBits[pamDecide(real(y)/d/s.scale, li)]
 					idx += stride
 				}

@@ -74,6 +74,15 @@ func TestDemodulateBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// lanePaths lists the decision paths this host can run: the pure-Go
+// loop, and the AVX2 kernel where the host has it.
+func lanePaths() []bool {
+	if laneKernels {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
 // TestDemodulateBatchDivMatchesScalar pins the fused divide-then-decide
 // against DecideSymbol(sym/div) for both divisor shapes: the real
 // divisor fast path (the decoder's energy scale) and a genuinely
@@ -93,19 +102,21 @@ func TestDemodulateBatchDivMatchesScalar(t *testing.T) {
 				for i := range batch.Data {
 					batch.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 				}
-				got := make([]byte, lanes*n*b)
-				if err := s.DemodulateBatchDivInto(batch, div, lanes, n, got); err != nil {
-					t.Fatal(err)
-				}
-				want := make([]byte, b)
-				for k := 0; k < lanes; k++ {
-					for i := 0; i < n; i++ {
-						s.DecideSymbol(batch.At(k, i)/div, want)
-						base := i*lanes*b + k*b
-						for j := 0; j < b; j++ {
-							if got[base+j] != want[j] {
-								t.Fatalf("lane %d entry %d bit %d: batch %d, scalar %d",
-									k, i, j, got[base+j], want[j])
+				for _, vector := range lanePaths() {
+					got := make([]byte, lanes*n*b)
+					if err := s.DemodulateBatchDivInto(batch, div, lanes, n, got, vector); err != nil {
+						t.Fatal(err)
+					}
+					want := make([]byte, b)
+					for k := 0; k < lanes; k++ {
+						for i := 0; i < n; i++ {
+							s.DecideSymbol(batch.At(k, i)/div, want)
+							base := i*lanes*b + k*b
+							for j := 0; j < b; j++ {
+								if got[base+j] != want[j] {
+									t.Fatalf("vector %v lane %d entry %d bit %d: batch %d, scalar %d",
+										vector, k, i, j, got[base+j], want[j])
+								}
 							}
 						}
 					}

@@ -52,6 +52,11 @@ func MustNew(b int) *Scheme {
 	return s
 }
 
+// HasQuadrature reports whether symbols carry bits on the Q rail, that
+// is whether decisions read the imaginary part at all: false for BPSK,
+// whose symbols and decisions are purely real.
+func (s *Scheme) HasQuadrature() bool { return s.bq > 0 }
+
 // M returns the constellation order 2^b.
 func (s *Scheme) M() int { return 1 << s.BitsPerSymbol }
 
@@ -128,16 +133,23 @@ func pamLevel(gray uint, l int) float64 {
 	return float64(2*int(gray) - (l - 1))
 }
 
-// pamDecide maps an unnormalised coordinate back to the nearest index.
+// pamDecide maps an unnormalised coordinate back to the nearest index:
+// the rounded grid position v = (x+L−1)/2, clamped to [0, L−1]. The
+// clamp runs in float before any conversion, because converting +Inf,
+// NaN or |v| >= 2^63 to int is implementation-defined (amd64 gives the
+// minimum int, arm64 saturates): NaN decides 0 and +Inf decides L−1 on
+// every architecture. Every finite v below 2^63 decides as the rounded
+// and clamped conversion did, since v < 0.5 rounds to at most 0 and
+// v >= L−1.5 to at least L−1 (Round takes halves away from zero).
 func pamDecide(x float64, l int) uint {
-	idx := int(math.Round((x + float64(l-1)) / 2))
-	if idx < 0 {
-		idx = 0
+	v := (x + float64(l-1)) / 2
+	if !(v >= 0.5) {
+		return 0
 	}
-	if idx > l-1 {
-		idx = l - 1
+	if v >= float64(l)-1.5 {
+		return uint(l - 1)
 	}
-	return uint(idx)
+	return uint(int(math.Round(v)))
 }
 
 func grayEncode(v uint) uint { return v ^ (v >> 1) }

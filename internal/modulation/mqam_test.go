@@ -132,6 +132,83 @@ func TestDecisionClamping(t *testing.T) {
 	}
 }
 
+// roundedDecide is pamDecide as the rounded int conversion wrote it,
+// clamped after the conversion. It is the reference for finite inputs
+// whose grid position stays below 2^63 in magnitude, where the
+// conversion is defined.
+func roundedDecide(x float64, l int) uint {
+	idx := int(math.Round((x + float64(l-1)) / 2))
+	if idx < 0 {
+		idx = 0
+	}
+	if idx > l-1 {
+		idx = l - 1
+	}
+	return uint(idx)
+}
+
+// TestPamDecideMatchesRounding pins the float-clamped decision to the
+// rounded conversion on every finite input the conversion defines:
+// random values over many magnitudes, and the decision boundaries
+// x = 2k−L with their one-ulp neighbours, for every rail size a
+// scheme uses up to 16 levels.
+func TestPamDecideMatchesRounding(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, l := range []int{2, 4, 8, 16} {
+		check := func(x float64) {
+			t.Helper()
+			if got, want := pamDecide(x, l), roundedDecide(x, l); got != want {
+				t.Fatalf("L=%d x=%v: pamDecide %d, rounded %d", l, x, got, want)
+			}
+		}
+		for k := -2; k <= l+2; k++ {
+			x := float64(2*k - l)
+			for _, v := range []float64{x, math.Nextafter(x, math.Inf(1)), math.Nextafter(x, math.Inf(-1))} {
+				check(v)
+				check(v + 1) // level centres
+			}
+		}
+		for i := 0; i < 200000; i++ {
+			x := rng.NormFloat64() * math.Ldexp(1, rng.Intn(130)-66)
+			if math.Abs(x) < math.Ldexp(1, 63) {
+				check(x)
+			}
+		}
+		check(0)
+		check(math.Copysign(0, -1))
+		check(math.SmallestNonzeroFloat64)
+		check(-math.SmallestNonzeroFloat64)
+		check(math.Ldexp(1, 62))
+		check(-math.Ldexp(1, 62))
+	}
+}
+
+// TestPamDecideOutOfRange pins the decisions the int conversion left to
+// the architecture: NaN decides the bottom level, and +Inf and positions
+// past 2^63 the top one, on every GOARCH.
+func TestPamDecideOutOfRange(t *testing.T) {
+	for _, l := range []int{2, 4, 8, 16, 256} {
+		top := uint(l - 1)
+		for _, c := range []struct {
+			x    float64
+			want uint
+		}{
+			{math.NaN(), 0},
+			{math.Inf(1), top},
+			{math.Inf(-1), 0},
+			{1e19, top},
+			{-1e19, 0},
+			{math.Ldexp(1, 64), top},
+			{math.MaxFloat64, top},
+			{-math.MaxFloat64, 0},
+		} {
+			if got := pamDecide(c.x, l); got != c.want {
+				t.Errorf("L=%d: pamDecide(%v) = %d, want %d", l, c.x, got, c.want)
+			}
+		}
+	}
+}
+
 // TestQPSKBERMatchesTheory sends QPSK through AWGN and compares the
 // simulated BER to eq. (5): for b=2 the formula reduces to Q(sqrt(2*gb)).
 func TestQPSKBERMatchesTheory(t *testing.T) {

@@ -25,8 +25,7 @@ import (
 // steady-state batched decoding allocates nothing. A workspace is not
 // safe for concurrent use; keep one per worker.
 type BatchWorkspace struct {
-	acc     mathx.BatchCF64 // multi-term run accumulator
-	dot, n2 mathx.BatchF64  // matched-filter sums, lane 0 = real part, 1 = imag
+	dot, n2 mathx.BatchF64 // matched-filter sums, lane 0 = real part, 1 = imag
 }
 
 // EncodeBatchInto encodes N blocks at once: syms holds K lanes of N
@@ -110,7 +109,11 @@ func encodeCell(dst, src []complex128, e entry) {
 // added after that element's last antenna term — the same place the
 // scalar path's channel.AWGN call lands — saving a separate
 // read-modify-write pass over every y lane.
-func (c *Code) TransmitBatchInto(x, h, noise, y *mathx.BatchCF64, mr int) *mathx.BatchCF64 {
+//
+// vector lets the lane passes run the AVX2 kernels where the host has
+// AVX2 (mathx.HasAVX2); false keeps the pure-Go loops, the reference.
+// Both give the same y.
+func (c *Code) TransmitBatchInto(x, h, noise, y *mathx.BatchCF64, mr int, vector bool) *mathx.BatchCF64 {
 	n := x.N
 	bl := len(c.gen)
 	if h.Lanes != mr*c.nt || h.N != n {
@@ -120,6 +123,12 @@ func (c *Code) TransmitBatchInto(x, h, noise, y *mathx.BatchCF64, mr int) *mathx
 		panic(fmt.Sprintf("stbc: noise batch is %dx%d, need %dx%d", noise.Lanes, noise.N, bl*mr, n))
 	}
 	y.Resize(bl*mr, n).Zero()
+	// The AVX2 kernels take whole two-block steps, the pure-Go loops the
+	// odd block at the end.
+	v := 0
+	if vector && laneKernels {
+		v = n &^ 1
+	}
 	var colBuf [8]int
 	for t := 0; t < bl; t++ {
 		// Structurally zero cells transmit whole-lane zeros the scalar
@@ -146,7 +155,7 @@ func (c *Code) TransmitBatchInto(x, h, noise, y *mathx.BatchCF64, mr int) *mathx
 					x.Lane(t*c.nt + cols[0])[:n], h.Lane(j*c.nt + cols[0])[:n],
 					x.Lane(t*c.nt + cols[1])[:n], h.Lane(j*c.nt + cols[1])[:n],
 					x.Lane(t*c.nt + cols[2])[:n], h.Lane(j*c.nt + cols[2])[:n],
-					nzL)
+					nzL, v)
 				continue
 			}
 			ai := 0
@@ -154,16 +163,16 @@ func (c *Code) TransmitBatchInto(x, h, noise, y *mathx.BatchCF64, mr int) *mathx
 				mulAdd2(yL,
 					x.Lane(t*c.nt + cols[ai])[:n], h.Lane(j*c.nt + cols[ai])[:n],
 					x.Lane(t*c.nt + cols[ai+1])[:n], h.Lane(j*c.nt + cols[ai+1])[:n],
-					nil)
+					nil, v)
 			}
 			switch m - ai {
 			case 2:
 				mulAdd2(yL,
 					x.Lane(t*c.nt + cols[ai])[:n], h.Lane(j*c.nt + cols[ai])[:n],
 					x.Lane(t*c.nt + cols[ai+1])[:n], h.Lane(j*c.nt + cols[ai+1])[:n],
-					nzL)
+					nzL, v)
 			case 1:
-				mulAdd1(yL, x.Lane(t*c.nt + cols[ai])[:n], h.Lane(j*c.nt + cols[ai])[:n], nzL)
+				mulAdd1(yL, x.Lane(t*c.nt + cols[ai])[:n], h.Lane(j*c.nt + cols[ai])[:n], nzL, v)
 			default:
 				if nzL != nil {
 					for i := range yL {
@@ -186,8 +195,13 @@ func (c *Code) TransmitBatchInto(x, h, noise, y *mathx.BatchCF64, mr int) *mathx
 
 // mulAdd1 folds one antenna column into a receive lane, with the
 // optional noise tape added after the term — where the scalar AWGN
-// pass lands.
-func mulAdd1(yL, xL, hL, nzL []complex128) {
+// pass lands. The AVX2 kernel takes the first nv blocks (nv even),
+// the loop the rest.
+func mulAdd1(yL, xL, hL, nzL []complex128, nv int) {
+	if nv > 0 {
+		mulAdd1AVX2(yL[:nv], xL[:nv], hL[:nv], headOf(nzL, nv))
+		yL, xL, hL, nzL = yL[nv:], xL[nv:], hL[nv:], restOf(nzL, nv)
+	}
 	if nzL == nil {
 		for i, xv := range xL {
 			yL[i] += xv * hL[i]
@@ -203,7 +217,11 @@ func mulAdd1(yL, xL, hL, nzL []complex128) {
 
 // mulAdd2 folds two antenna columns (ascending order) into a receive
 // lane in one pass, with the optional noise tape added last.
-func mulAdd2(yL, xL0, hL0, xL1, hL1, nzL []complex128) {
+func mulAdd2(yL, xL0, hL0, xL1, hL1, nzL []complex128, nv int) {
+	if nv > 0 {
+		mulAdd2AVX2(yL[:nv], xL0[:nv], hL0[:nv], xL1[:nv], hL1[:nv], headOf(nzL, nv))
+		yL, xL0, hL0, xL1, hL1, nzL = yL[nv:], xL0[nv:], hL0[nv:], xL1[nv:], hL1[nv:], restOf(nzL, nv)
+	}
 	if nzL == nil {
 		for i := range yL {
 			v := yL[i]
@@ -223,7 +241,11 @@ func mulAdd2(yL, xL0, hL0, xL1, hL1, nzL []complex128) {
 
 // mulAdd3 folds three antenna columns (ascending order) into a receive
 // lane in one pass, with the optional noise tape added last.
-func mulAdd3(yL, xL0, hL0, xL1, hL1, xL2, hL2, nzL []complex128) {
+func mulAdd3(yL, xL0, hL0, xL1, hL1, xL2, hL2, nzL []complex128, nv int) {
+	if nv > 0 {
+		mulAdd3AVX2(yL[:nv], xL0[:nv], hL0[:nv], xL1[:nv], hL1[:nv], xL2[:nv], hL2[:nv], headOf(nzL, nv))
+		yL, xL0, hL0, xL1, hL1, xL2, hL2, nzL = yL[nv:], xL0[nv:], hL0[nv:], xL1[nv:], hL1[nv:], xL2[nv:], hL2[nv:], restOf(nzL, nv)
+	}
 	if nzL == nil {
 		for i := range yL {
 			v := yL[i]
@@ -246,9 +268,15 @@ func mulAdd3(yL, xL0, hL0, xL1, hL1, xL2, hL2, nzL []complex128) {
 // DecodeBatchInto matched-filters N received blocks at once: y holds
 // T*mr lanes (TransmitBatchInto layout), h the mr*Nt channel lanes, and
 // out receives K symbol-estimate lanes. Estimates are bit-identical to
-// DecodeInto on each block: the precompiled per-part run tables visit
+// DecodeInto on each block: the precompiled run table visits
 // exactly the terms the scalar decoder accumulates, in the same order.
-func (c *Code) DecodeBatchInto(ws *BatchWorkspace, y, h *mathx.BatchCF64, mr int, out *mathx.BatchCF64) *mathx.BatchCF64 {
+//
+// needIm false skips the imaginary-part estimate, for callers whose
+// decisions never read it (BPSK): out then holds complex(re, 0), with
+// re the same as when needIm is true. vector lets the lane passes run
+// the AVX2 kernels where the host has AVX2 (mathx.HasAVX2); false keeps
+// the pure-Go loops, the reference. Both give the same estimates.
+func (c *Code) DecodeBatchInto(ws *BatchWorkspace, y, h *mathx.BatchCF64, mr int, out *mathx.BatchCF64, needIm, vector bool) *mathx.BatchCF64 {
 	n := y.N
 	if y.Lanes != len(c.gen)*mr {
 		panic(fmt.Sprintf("stbc: receive batch has %d lanes, code uses %d", y.Lanes, len(c.gen)*mr))
@@ -259,194 +287,153 @@ func (c *Code) DecodeBatchInto(ws *BatchWorkspace, y, h *mathx.BatchCF64, mr int
 	out.Resize(c.k, n)
 	ws.dot.Resize(2, n)
 	ws.n2.Resize(2, n)
+	// Every run is one pure term (see pureRun): the complex product
+	// ce*h collapses to two scalar multiplies per part. fl(r*hre -
+	// 0*him) is r*hre whenever it is nonzero, and the signed-zero cases
+	// vanish into sums that hold +0, so the sums stay bit-identical to
+	// the scalar decoder's general product.
+	//
+	// With vector set, the AVX2 kernels take the whole groups of four
+	// blocks, [0, v), and the pure-Go loops the rest. The kernels keep a
+	// group's sums in unpack order (blocks 0, 2, 1, 3), so every pass
+	// over a symbol's sums — its runs and its divide — splits at the
+	// same v, and no entry is ever written in both orders.
+	v := 0
+	if vector && laneKernels {
+		v = n &^ 3
+	}
+	reDot, reN2 := ws.dot.Lane(0)[:n], ws.n2.Lane(0)[:n]
+	// Without the imaginary part its sums are empty lanes: the loops
+	// and kernels skip a part whose sums have no entries.
+	imDot, imN2 := ws.dot.Lane(1)[:0], ws.n2.Lane(1)[:0]
+	if needIm {
+		imDot, imN2 = ws.dot.Lane(1)[:n], ws.n2.Lane(1)[:n]
+	}
+	iv := min(v, len(imDot))
 	for k := 0; k < c.k; k++ {
-		// The real- and imaginary-part basis vectors share the exact run
-		// structure (same generator entries, different basis products),
-		// so one pass over each h/y lane feeds both parts. Each part's
-		// accumulator still sees its terms in the scalar order, keeping
-		// the sums bit-identical to two independent part passes.
-		reDot, reN2 := ws.dot.Lane(0)[:n], ws.n2.Lane(0)[:n]
-		imDot, imN2 := ws.dot.Lane(1)[:n], ws.n2.Lane(1)[:n]
-		for i := range reDot {
-			reDot[i] = 0
-			reN2[i] = 0
-			imDot[i] = 0
-			imN2[i] = 0
-		}
-		runs0, runs1 := c.perSymPart[k][0], c.perSymPart[k][1]
-		for r := range runs0 {
-			run0, run1 := runs0[r], &runs1[r]
-			yBase := run0.t * mr
-			if len(run0.terms) == 1 {
-				// Single-term run (every registered code): fuse the channel
-				// product straight into the filter sums, two receive
-				// antennas per pass. Each accumulator still sees its adds
-				// in ascending-j order, so the sums stay bit-identical to
-				// one pass per antenna.
-				a := run0.terms[0].a
-				ce0, ce1 := run0.terms[0].ce, run1.terms[0].ce
-				if imag(ce0) == 0 && real(ce1) == 0 {
-					// Every registered code lands here: generator coefs are
-					// ±1, so the real-part basis product is purely real and
-					// the imaginary-part one purely imaginary. The full
-					// complex product ce*h then collapses to two scalar
-					// multiplies per part — fl(r*hre - 0*him) is r*hre
-					// whenever it is nonzero, and the signed-zero cases
-					// vanish into accumulators that hold +0, so the sums
-					// stay bit-identical to the general product.
-					r, q := real(ce0), imag(ce1)
-					decodeRunPure(y, h, yBase, a, c.nt, mr, n, r, q, reDot, reN2, imDot, imN2)
-					continue
-				}
-				j := 0
-				for ; j+1 < mr; j += 2 {
-					yLa := y.Lane(yBase + j)[:n]
-					yLb := y.Lane(yBase + j + 1)[:n]
-					hLa := h.Lane(j*c.nt + a)[:n]
-					hLb := h.Lane((j+1)*c.nt + a)[:n]
-					for i := range yLa {
-						ya, yb := yLa[i], yLb[i]
-						acc0a := ce0 * hLa[i]
-						acc0b := ce0 * hLb[i]
-						re0a, im0a := real(acc0a), imag(acc0a)
-						re0b, im0b := real(acc0b), imag(acc0b)
-						rd := reDot[i]
-						rd += re0a * real(ya)
-						rd += im0a * imag(ya)
-						rd += re0b * real(yb)
-						rd += im0b * imag(yb)
-						reDot[i] = rd
-						rn := reN2[i]
-						rn += re0a * re0a
-						rn += im0a * im0a
-						rn += re0b * re0b
-						rn += im0b * im0b
-						reN2[i] = rn
-						acc1a := ce1 * hLa[i]
-						acc1b := ce1 * hLb[i]
-						re1a, im1a := real(acc1a), imag(acc1a)
-						re1b, im1b := real(acc1b), imag(acc1b)
-						id := imDot[i]
-						id += re1a * real(ya)
-						id += im1a * imag(ya)
-						id += re1b * real(yb)
-						id += im1b * imag(yb)
-						imDot[i] = id
-						in := imN2[i]
-						in += re1a * re1a
-						in += im1a * im1a
-						in += re1b * re1b
-						in += im1b * im1b
-						imN2[i] = in
-					}
-				}
-				for ; j < mr; j++ {
-					yL := y.Lane(yBase + j)[:n]
-					hL := h.Lane(j*c.nt + a)[:n]
-					for i, hv := range hL {
-						yv := yL[i]
-						yre, yim := real(yv), imag(yv)
-						acc0 := ce0 * hv
-						re0, im0 := real(acc0), imag(acc0)
-						reDot[i] += re0 * yre
-						reDot[i] += im0 * yim
-						reN2[i] += re0 * re0
-						reN2[i] += im0 * im0
-						acc1 := ce1 * hv
-						re1, im1 := real(acc1), imag(acc1)
-						imDot[i] += re1 * yre
-						imDot[i] += im1 * yim
-						imN2[i] += re1 * re1
-						imN2[i] += im1 * im1
-					}
-				}
-				continue
-			}
-			for j := 0; j < mr; j++ {
-				yL := y.Lane(yBase + j)[:n]
-				ws.acc.Resize(2, n)
-				acc0L := ws.acc.Lane(0)[:n]
-				acc1L := ws.acc.Lane(1)[:n]
-				for i := range acc0L {
-					acc0L[i] = 0
-					acc1L[i] = 0
-				}
-				for ti := range run0.terms {
-					hL := h.Lane(j*c.nt + run0.terms[ti].a)[:n]
-					ce0, ce1 := run0.terms[ti].ce, run1.terms[ti].ce
-					for i, hv := range hL {
-						acc0L[i] += ce0 * hv
-						acc1L[i] += ce1 * hv
-					}
-				}
-				for i, yv := range yL {
-					yre, yim := real(yv), imag(yv)
-					acc0 := acc0L[i]
-					re0, im0 := real(acc0), imag(acc0)
-					reDot[i] += re0 * yre
-					reDot[i] += im0 * yim
-					reN2[i] += re0 * re0
-					reN2[i] += im0 * im0
-					acc1 := acc1L[i]
-					re1, im1 := real(acc1), imag(acc1)
-					imDot[i] += re1 * yre
-					imDot[i] += im1 * yim
-					imN2[i] += re1 * re1
-					imN2[i] += im1 * im1
-				}
-			}
+		clear(reDot)
+		clear(reN2)
+		clear(imDot)
+		clear(imN2)
+		for _, run := range c.perSymRuns[k] {
+			decodeRunPure(y, h, run, c.nt, mr, v, reDot, reN2, imDot, imN2)
 		}
 		outL := out.Lane(k)[:n]
-		for i := range outL {
-			re, im := 0.0, 0.0
-			if reN2[i] > 0 {
-				re = reDot[i] / reN2[i]
-			}
-			if imN2[i] > 0 {
-				im = imDot[i] / imN2[i]
-			}
-			outL[i] = complex(re, im)
+		if v > 0 {
+			divideAVX2(reDot[:v], reN2[:v], imDot[:iv], imN2[:iv], outL[:v])
 		}
+		divideLanes(reDot[v:], reN2[v:], imDot[iv:], imN2[iv:], outL[v:])
 	}
 	return out
 }
 
-// decodeRunPure is the single-term matched-filter pass for the pure
-// basis-product case (ce0 real, ce1 imaginary): filter terms become
-// r*hre / r*him and -(q*him) / q*hre, halving the multiply count of
-// the general complex product while accumulating in exactly the
-// scalar decoder's order. Two receive antennas fold per pass.
-func decodeRunPure(y, h *mathx.BatchCF64, yBase, a, nt, mr, n int, r, q float64, reDot, reN2, imDot, imN2 []float64) {
-	j := 0
-	for ; j+1 < mr; j += 2 {
-		yLa := y.Lane(yBase + j)[:n]
-		yLb := y.Lane(yBase + j + 1)[:n]
-		hLa := h.Lane(j*nt + a)[:n]
-		hLb := h.Lane((j+1)*nt + a)[:n]
-		for i := range yLa {
-			ya, yb := yLa[i], yLb[i]
-			ha, hb := hLa[i], hLb[i]
-			re0a, im0a := r*real(ha), r*imag(ha)
-			re0b, im0b := r*real(hb), r*imag(hb)
-			rd := reDot[i]
-			rd += re0a * real(ya)
-			rd += im0a * imag(ya)
-			rd += re0b * real(yb)
-			rd += im0b * imag(yb)
-			reDot[i] = rd
-			rn := reN2[i]
-			rn += re0a * re0a
-			rn += im0a * im0a
-			rn += re0b * re0b
-			rn += im0b * im0b
-			reN2[i] = rn
-			re1a, im1a := -(q * imag(ha)), q*real(ha)
-			re1b, im1b := -(q * imag(hb)), q*real(hb)
+// divideLanes writes the estimates dot/n2 of each part, 0 where n2 > 0
+// fails; empty imaginary sums leave that part 0.
+func divideLanes(reDot, reN2, imDot, imN2 []float64, outL []complex128) {
+	reN2 = reN2[:len(reDot)]
+	outL = outL[:len(reDot)]
+	if len(imDot) == 0 {
+		for i, d := range reDot {
+			re := 0.0
+			if reN2[i] > 0 {
+				re = d / reN2[i]
+			}
+			outL[i] = complex(re, 0)
+		}
+		return
+	}
+	imDot, imN2 = imDot[:len(reDot)], imN2[:len(reDot)]
+	for i, d := range reDot {
+		re, im := 0.0, 0.0
+		if reN2[i] > 0 {
+			re = d / reN2[i]
+		}
+		if imN2[i] > 0 {
+			im = imDot[i] / imN2[i]
+		}
+		outL[i] = complex(re, im)
+	}
+}
+
+// decodeRunPure folds one run into the filter sums, two receive
+// antennas per pass: the AVX2 kernel over blocks [0, v), v a multiple
+// of four, then decodePureLanes over the rest. Empty imaginary sums
+// skip that part.
+func decodeRunPure(y, h *mathx.BatchCF64, run pureRun, nt, mr, v int, reDot, reN2, imDot, imN2 []float64) {
+	n := y.N
+	iv := min(v, len(imDot))
+	yBase := run.t * mr
+	for j := 0; j < mr; j += 2 {
+		ya, ha := y.Lane(yBase + j)[:n], h.Lane(j*nt + run.a)[:n]
+		var yb, hb []complex128
+		if j+1 < mr {
+			yb, hb = y.Lane(yBase + j + 1)[:n], h.Lane((j+1)*nt + run.a)[:n]
+		}
+		if v > 0 {
+			decodePureAVX2(ya[:v], headOf(yb, v), ha[:v], headOf(hb, v), run.r, run.q, reDot[:v], reN2[:v], imDot[:iv], imN2[:iv])
+		}
+		decodePureLanes(ya[v:], restOf(yb, v), ha[v:], restOf(hb, v), run.r, run.q, reDot[v:], reN2[v:], imDot[iv:], imN2[iv:])
+	}
+}
+
+// decodePureLanes folds one or two receive antennas' pure terms into the
+// filter sums of len(reDot) blocks: re-part terms r*hre and r*him,
+// im-part terms -(q*him) and q*hre, halving the multiply count of the
+// general complex product while accumulating in exactly the scalar
+// decoder's order. An empty yb means one antenna; empty imaginary sums
+// skip that part.
+func decodePureLanes(ya, yb, ha, hb []complex128, r, q float64, reDot, reN2, imDot, imN2 []float64) {
+	n := len(reDot)
+	ya, ha, reN2 = ya[:n], ha[:n], reN2[:n]
+	both := len(imDot) > 0
+	if both {
+		imDot, imN2 = imDot[:n], imN2[:n]
+	}
+	if len(yb) == 0 {
+		for i, hv := range ha {
+			yv := ya[i]
+			yre, yim := real(yv), imag(yv)
+			re0, im0 := r*real(hv), r*imag(hv)
+			reDot[i] += re0 * yre
+			reDot[i] += im0 * yim
+			reN2[i] += re0 * re0
+			reN2[i] += im0 * im0
+			if both {
+				re1, im1 := -(q * imag(hv)), q*real(hv)
+				imDot[i] += re1 * yre
+				imDot[i] += im1 * yim
+				imN2[i] += re1 * re1
+				imN2[i] += im1 * im1
+			}
+		}
+		return
+	}
+	yb, hb = yb[:n], hb[:n]
+	for i := range ya {
+		yva, yvb := ya[i], yb[i]
+		hva, hvb := ha[i], hb[i]
+		re0a, im0a := r*real(hva), r*imag(hva)
+		re0b, im0b := r*real(hvb), r*imag(hvb)
+		rd := reDot[i]
+		rd += re0a * real(yva)
+		rd += im0a * imag(yva)
+		rd += re0b * real(yvb)
+		rd += im0b * imag(yvb)
+		reDot[i] = rd
+		rn := reN2[i]
+		rn += re0a * re0a
+		rn += im0a * im0a
+		rn += re0b * re0b
+		rn += im0b * im0b
+		reN2[i] = rn
+		if both {
+			re1a, im1a := -(q * imag(hva)), q*real(hva)
+			re1b, im1b := -(q * imag(hvb)), q*real(hvb)
 			id := imDot[i]
-			id += re1a * real(ya)
-			id += im1a * imag(ya)
-			id += re1b * real(yb)
-			id += im1b * imag(yb)
+			id += re1a * real(yva)
+			id += im1a * imag(yva)
+			id += re1b * real(yvb)
+			id += im1b * imag(yvb)
 			imDot[i] = id
 			in := imN2[i]
 			in += re1a * re1a
@@ -456,22 +443,10 @@ func decodeRunPure(y, h *mathx.BatchCF64, yBase, a, nt, mr, n int, r, q float64,
 			imN2[i] = in
 		}
 	}
-	for ; j < mr; j++ {
-		yL := y.Lane(yBase + j)[:n]
-		hL := h.Lane(j*nt + a)[:n]
-		for i, hv := range hL {
-			yv := yL[i]
-			yre, yim := real(yv), imag(yv)
-			re0, im0 := r*real(hv), r*imag(hv)
-			reDot[i] += re0 * yre
-			reDot[i] += im0 * yim
-			reN2[i] += re0 * re0
-			reN2[i] += im0 * im0
-			re1, im1 := -(q * imag(hv)), q*real(hv)
-			imDot[i] += re1 * yre
-			imDot[i] += im1 * yim
-			imN2[i] += re1 * re1
-			imN2[i] += im1 * im1
-		}
-	}
 }
+
+// headOf and restOf split an optional lane at v, keeping an absent
+// (nil or empty) lane absent.
+func headOf(l []complex128, v int) []complex128 { return l[:min(v, len(l))] }
+
+func restOf(l []complex128, v int) []complex128 { return l[min(v, len(l)):] }

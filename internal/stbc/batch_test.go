@@ -14,6 +14,34 @@ func batchTestCodes() []*Code {
 	return []*Code{SISO(), Alamouti(), OSTBC3(), OSTBC4(), G3Half(), G4Half()}
 }
 
+// lanePaths lists the lane-kernel paths this host can run: the pure-Go
+// loops, and the AVX2 kernels where the host has them.
+func lanePaths() []bool {
+	if laneKernels {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// TestNewCodeRejectsImpureRuns: the batched decoder has only the
+// pure-run path, so a design with a complex coefficient, or with a
+// symbol twice in one row, must fail at construction.
+func TestNewCodeRejectsImpureRuns(t *testing.T) {
+	for name, gen := range map[string][][]entry{
+		"complex coef": {{{Sym: 0, Coef: complex(0, 1)}}},
+		"shared row":   {{{Sym: 0, Coef: 1}, {Sym: 0, Coef: 1}}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: newCode accepted the design", name)
+				}
+			}()
+			newCode(&Code{name: name, nt: len(gen[0]), k: 1, gen: gen})
+		}()
+	}
+}
+
 func randomSyms(rng interface{ NormFloat64() float64 }, k, n int) *mathx.BatchCF64 {
 	b := mathx.NewBatchCF64(k, n)
 	for i := range b.Data {
@@ -106,9 +134,9 @@ func TestTransmitBatchMatchesScalar(t *testing.T) {
 					nz.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 				}
 
-				check := func(noise *mathx.BatchCF64) {
+				check := func(noise *mathx.BatchCF64, vector bool) {
 					t.Helper()
-					code.TransmitBatchInto(&x, &h, noise, &y, mr)
+					code.TransmitBatchInto(&x, &h, noise, &y, mr, vector)
 					var xm, hm, hT, want mathx.CMat
 					blockSyms := make([]complex128, code.BlockSymbols())
 					for i := 0; i < n; i++ {
@@ -125,15 +153,17 @@ func TestTransmitBatchMatchesScalar(t *testing.T) {
 									w += noise.At(tt*mr+j, i)
 								}
 								if got := y.At(tt*mr+j, i); got != w {
-									t.Fatalf("block %d sample (%d,%d) noise=%v: batch %v, scalar %v",
-										i, tt, j, noise != nil, got, w)
+									t.Fatalf("vector %v block %d sample (%d,%d) noise=%v: batch %v, scalar %v",
+										vector, i, tt, j, noise != nil, got, w)
 								}
 							}
 						}
 					}
 				}
-				check(nil)
-				check(&nz)
+				for _, vector := range lanePaths() {
+					check(nil, vector)
+					check(&nz, vector)
+				}
 			})
 		}
 	}
@@ -159,17 +189,24 @@ func TestDecodeBatchMatchesScalar(t *testing.T) {
 					h.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 				}
 				var ws BatchWorkspace
-				code.DecodeBatchInto(&ws, &y, &h, mr, &out)
-
 				var ym, hm mathx.CMat
 				est := make([]complex128, code.BlockSymbols())
-				for i := 0; i < n; i++ {
-					y.GatherMat(i, code.BlockLen(), mr, &ym)
-					h.GatherMat(i, mr, code.Nt(), &hm)
-					est = code.DecodeInto(&ym, &hm, est)
-					for k := range est {
-						if got := out.At(k, i); got != est[k] {
-							t.Fatalf("block %d symbol %d: batch %v, scalar %v", i, k, got, est[k])
+				for _, vector := range lanePaths() {
+					for _, needIm := range []bool{true, false} {
+						code.DecodeBatchInto(&ws, &y, &h, mr, &out, needIm, vector)
+						for i := 0; i < n; i++ {
+							y.GatherMat(i, code.BlockLen(), mr, &ym)
+							h.GatherMat(i, mr, code.Nt(), &hm)
+							est = code.DecodeInto(&ym, &hm, est)
+							for k, want := range est {
+								if !needIm {
+									want = complex(real(want), 0)
+								}
+								if got := out.At(k, i); got != want {
+									t.Fatalf("vector %v needIm %v block %d symbol %d: batch %v, scalar %v",
+										vector, needIm, i, k, got, want)
+								}
+							}
 						}
 					}
 				}

@@ -37,24 +37,18 @@ type symEntry struct {
 	coef complex128
 }
 
-// batchTerm is one matched-filter term of the batched decoder: antenna
-// column a and the precomputed basis product ce = Coef * sv, where sv
-// is the (possibly conjugated) ±1/±i basis value of the part. The
-// scalar decoder computes e.coef * sv * h left-to-right, so folding
-// the exact product e.coef*sv into ce leaves every remaining operation
-// — one complex multiply by h — identical.
-type batchTerm struct {
-	a  int
-	ce complex128
-}
-
-// batchRun groups the terms of one symbol sharing generator row t,
-// exactly the row runs DecodeInto discovers by scanning; precomputing
-// them lets the batched decoder skip the scan and the per-entry
-// conjugation branch.
-type batchRun struct {
-	t     int
-	terms []batchTerm
+// pureRun is one matched-filter term of the batched decoder: the cell
+// in generator row t and antenna column a that carries the symbol, with
+// the part basis products folded to scalars. The scalar decoder forms
+// e.coef*sv*h left to right. Every design here has real coefs (±1) and
+// a symbol at most once per row, so one term is the whole row's sum and
+// e.coef*sv is real (r) for the real-part basis value sv = 1 and
+// imaginary (q·i) for the imaginary-part one sv = i, conjugation
+// included. newCode panics on a design that breaks this, so the batched
+// decoder needs no general complex-product path.
+type pureRun struct {
+	t, a int
+	r, q float64
 }
 
 // Code is an orthogonal space-time block code.
@@ -68,14 +62,14 @@ type Code struct {
 	// row-major order, precomputed at construction.
 	perSym [][]symEntry
 
-	// perSymPart[k][part] is the batched-decoder index: the row runs
-	// of symbol k with the part's basis value folded into each term.
-	perSymPart [][2][]batchRun
+	// perSymRuns[k] is the batched-decoder index: symbol k's cells in
+	// row-major order with their basis products folded in.
+	perSymRuns [][]pureRun
 }
 
 // newCode finalises a code: it indexes the generator by symbol so the
-// decode hot path never rescans it, and precompiles the per-part run
-// tables the batched decoder streams over.
+// decode hot path never rescans it, and precompiles the run table the
+// batched decoder streams over.
 func newCode(c *Code) *Code {
 	c.perSym = make([][]symEntry, c.k)
 	for t, row := range c.gen {
@@ -87,32 +81,18 @@ func newCode(c *Code) *Code {
 				symEntry{t: t, a: a, conj: e.Conj, coef: e.Coef})
 		}
 	}
-	c.perSymPart = make([][2][]batchRun, c.k)
+	c.perSymRuns = make([][]pureRun, c.k)
 	for k, entries := range c.perSym {
-		for part := 0; part < 2; part++ {
-			s := complex(1, 0)
-			if part == 1 {
-				s = complex(0, 1)
+		for i, e := range entries {
+			sv0, sv1 := complex(1, 0), complex(0, 1)
+			if e.conj {
+				sv0, sv1 = cmplx.Conj(sv0), cmplx.Conj(sv1)
 			}
-			var runs []batchRun
-			for start := 0; start < len(entries); {
-				row := entries[start].t
-				end := start + 1
-				for end < len(entries) && entries[end].t == row {
-					end++
-				}
-				run := batchRun{t: row}
-				for _, e := range entries[start:end] {
-					sv := s
-					if e.conj {
-						sv = cmplx.Conj(sv)
-					}
-					run.terms = append(run.terms, batchTerm{a: e.a, ce: e.coef * sv})
-				}
-				runs = append(runs, run)
-				start = end
+			ce0, ce1 := e.coef*sv0, e.coef*sv1
+			if (i > 0 && entries[i-1].t == e.t) || imag(ce0) != 0 || real(ce1) != 0 {
+				panic(fmt.Sprintf("stbc: %s symbol %d in row %d shares the row or has a complex coefficient", c.name, k, e.t))
 			}
-			c.perSymPart[k][part] = runs
+			c.perSymRuns[k] = append(c.perSymRuns[k], pureRun{t: e.t, a: e.a, r: real(ce0), q: imag(ce1)})
 		}
 	}
 	return c
