@@ -26,12 +26,12 @@ fmt-check:
 build:
 	go build ./...
 
-# Vets the packages with amd64 assembly for arm64 and builds everything
-# for 386: the generator's vector seed and fills and the coop hop's lane
-# kernels are amd64 assembly, and these keep the pure-Go fallbacks they
-# need on every other architecture compiling.
+# Vets the whole module for arm64 and builds it for 386: the
+# generator's vector seed and fills and the coop hop's lane kernels are
+# amd64 assembly, and these keep the pure-Go fallbacks they need on
+# every other architecture compiling, wherever such a kernel is added.
 cross-arch:
-	GOARCH=arm64 go vet ./internal/mathx ./internal/stbc ./internal/modulation ./internal/coop
+	GOARCH=arm64 go vet ./...
 	GOARCH=386 go build ./...
 
 test:

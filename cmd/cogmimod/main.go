@@ -51,8 +51,8 @@
 //	GET    /debug/traces         recent trace index (id, root, duration)
 //	GET    /healthz              liveness probe with queue/tenant/worker detail;
 //	                             503 {"status":"draining"} during shutdown
-//	GET    /metrics              expvar dump (legacy surface)
-//	GET    /metrics/prom         Prometheus text exposition
+//	GET    /metrics/prom         Prometheus text exposition; service and store
+//	                             values equal their /v1/stats fields
 //	GET    /debug/pprof/         profiling endpoints (with -pprof)
 //
 // Every response carries an X-Trace-Id header (generated, or echoed
@@ -218,7 +218,6 @@ func main() {
 	}
 	svc.WarmFromStore()
 	svc.Start()
-	httpapi.PublishMetrics(svc)
 	if *quotaRate > 0 {
 		logger.Info("per-tenant quotas on", "rate", *quotaRate, "burst", *quotaBurst)
 	}

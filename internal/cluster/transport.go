@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // A Transport moves shard requests to one worker node and health probes
@@ -83,6 +84,14 @@ func (t *HTTPTransport) ExecShard(ctx context.Context, addr string, req ShardReq
 	}
 	if want := req.ChunkHi - req.ChunkLo; len(res.Partials) != want {
 		return ShardResult{}, fmt.Errorf("cluster: worker %s returned %d partials, want %d", addr, len(res.Partials), want)
+	}
+	// A partial folds exactly its chunk's trials; any other count would
+	// merge into a wrong answer, so the shard fails and is retried.
+	plan := sim.Plan{Seed: req.Seed, Trials: req.Trials}
+	for i, p := range res.Partials {
+		if want := plan.ChunkTrials(req.ChunkLo + i); p.N != int64(want) {
+			return ShardResult{}, fmt.Errorf("cluster: worker %s returned %d trials for chunk %d, want %d", addr, p.N, req.ChunkLo+i, want)
+		}
 	}
 	return res, nil
 }

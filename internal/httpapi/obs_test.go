@@ -7,12 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/service"
+	"repro/internal/store"
 )
 
 var promSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+$`)
@@ -223,5 +225,168 @@ func TestPprofMountGated(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("pprof index status = %d with -pprof", resp2.StatusCode)
+	}
+}
+
+// promMirrors maps each per-instance sample of /metrics/prom to the
+// /v1/stats field it mirrors; storeMirrors does the same for the
+// fields of the stats' "store" object.
+var (
+	promMirrors = map[string]string{
+		`cogmimod_jobs_total{status="submitted"}`: "jobs_submitted",
+		`cogmimod_jobs_total{status="rejected"}`:  "jobs_rejected",
+		`cogmimod_jobs_total{status="done"}`:      "jobs_done",
+		`cogmimod_jobs_total{status="failed"}`:    "jobs_failed",
+		`cogmimod_jobs_total{status="canceled"}`:  "jobs_canceled",
+		"cogmimod_cache_entries":                  "cache_entries",
+		"cogmimod_cache_hits_total":               "cache_hits",
+		"cogmimod_cache_disk_hits_total":          "cache_disk_hits",
+		"cogmimod_cache_coalesced_total":          "cache_coalesced",
+		"cogmimod_cache_misses_total":             "cache_misses",
+		"cogmimod_cache_evictions_total":          "cache_evictions",
+	}
+	storeMirrors = map[string]string{
+		"cogmimod_store_puts_total":                "puts",
+		`cogmimod_store_gets_total{result="hit"}`:  "hits",
+		`cogmimod_store_gets_total{result="miss"}`: "misses",
+		"cogmimod_store_quarantined_total":         "quarantined",
+		"cogmimod_store_gc_evictions_total":        "evictions",
+		"cogmimod_store_bytes":                     "bytes",
+		"cogmimod_store_entries":                   "entries",
+	}
+)
+
+// scrapeProm fetches /metrics/prom as sample → value, failing on a
+// family whose # TYPE header appears more than once.
+func scrapeProm(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics/prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]float64{}
+	typed := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name = strings.Fields(name)[0]
+			if typed[name] {
+				t.Errorf("%s: family %s rendered twice", base, name)
+			}
+			typed[name] = true
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		sample, value, _ := strings.Cut(line, " ")
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("%s: sample line %q: %v", base, line, err)
+		}
+		samples[sample] = v
+	}
+	return samples
+}
+
+// TestMetricsPromMatchesStatsPerServer boots two servers in one process,
+// one with a durable store, and drives each through a different job
+// mix: a job cancelled while queued, a computed job and cache hits.
+// Each server's job, cache and store samples must equal its own
+// /v1/stats, with no family rendered twice and no legacy /metrics dump.
+func TestMetricsPromMatchesStatsPerServer(t *testing.T) {
+	st, err := store.Open(store.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() }) // after both services stop
+
+	bases := make([]string, 2)
+	for i := range bases {
+		release := make(chan struct{})
+		runner := func(ctx context.Context, req service.Request) (string, error) {
+			if req.ID == "block" {
+				select {
+				case <-release:
+				case <-ctx.Done():
+					return "", ctx.Err()
+				}
+			}
+			return "report " + req.ID, nil
+		}
+		cfg := service.Config{Workers: 1, Runner: runner}
+		if i == 1 {
+			cfg.Store = st
+		}
+		ts, svc := newTestServer(t, cfg)
+		bases[i] = ts.URL
+
+		// The blocker holds the only worker, so the next job is still
+		// queued when it is cancelled.
+		_, blocker := postJSON(t, ts.URL+"/v1/experiments", `{"id":"block","seed":1}`)
+		_, queued := postJSON(t, ts.URL+"/v1/experiments", `{"id":"queued","seed":1}`)
+		del, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+queued["job"].(string), nil)
+		resp, err := http.DefaultClient.Do(del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		close(release)
+		if jv, err := svc.Wait(context.Background(), blocker["job"].(string)); err != nil || jv.State != service.StateDone {
+			t.Fatalf("server %d: blocker = %+v, %v", i, jv, err)
+		}
+		// One computed job, then i+1 cache hits on it.
+		for n := 0; n < i+2; n++ {
+			if resp, body := postJSON(t, ts.URL+"/v1/experiments", `{"id":"fast","seed":2,"wait":true}`); resp.StatusCode != http.StatusOK {
+				t.Fatalf("server %d: fast job: status=%d body=%v", i, resp.StatusCode, body)
+			}
+		}
+	}
+
+	submitted := make([]float64, len(bases))
+	for i, base := range bases {
+		samples := scrapeProm(t, base)
+		_, stats := getJSON(t, base+"/v1/stats")
+		for sample, field := range promMirrors {
+			if got, ok := samples[sample]; !ok || got != stats[field] {
+				t.Errorf("server %d: %s = %v (present %v), /v1/stats %s = %v", i, sample, got, ok, field, stats[field])
+			}
+		}
+		if stats["jobs_canceled"] != 1.0 {
+			t.Errorf("server %d: jobs_canceled = %v, want the one cancelled while queued", i, stats["jobs_canceled"])
+		}
+		storeStats, _ := stats["store"].(map[string]any)
+		if (storeStats != nil) != (i == 1) {
+			t.Errorf("server %d: /v1/stats store = %v", i, stats["store"])
+		}
+		for sample, field := range storeMirrors {
+			got, ok := samples[sample]
+			if storeStats == nil {
+				if ok {
+					t.Errorf("server %d has no store but renders %s", i, sample)
+				}
+				continue
+			}
+			if !ok || got != storeStats[field] {
+				t.Errorf("server %d: %s = %v (present %v), /v1/stats store.%s = %v", i, sample, got, ok, field, storeStats[field])
+			}
+		}
+		submitted[i] = samples[`cogmimod_jobs_total{status="submitted"}`]
+
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("server %d: GET /metrics = %d, want 404", i, resp.StatusCode)
+		}
+	}
+	if submitted[0] == submitted[1] {
+		t.Errorf("both servers report %v submitted jobs; each must count only its own", submitted[0])
 	}
 }

@@ -34,7 +34,6 @@ func newPersistentTestServer(t *testing.T, dir string, cfg service.Config) (*htt
 	}
 	svc.WarmFromStore()
 	svc.Start()
-	PublishMetrics(svc)
 	mgr := campaign.NewManager(st, 2, cfg.Logger)
 	mgr.ResumeAll()
 	ts := httptest.NewServer(NewMux(svc, Config{Campaigns: mgr}))

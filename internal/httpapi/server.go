@@ -1,6 +1,6 @@
 // Package httpapi is cogmimod's HTTP transport: the v1 JSON API over a
-// service.Service, the shard and campaign endpoints, both metric
-// surfaces and the observability middleware. It lives outside
+// service.Service, the shard and campaign endpoints, the Prometheus
+// exposition and the observability middleware. It lives outside
 // cmd/cogmimod so tools (internal/tools/loadgen) and tests can run the
 // real stack in-process against httptest servers.
 //
@@ -15,7 +15,6 @@ package httpapi
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -106,8 +105,8 @@ func NewMux(svc *service.Service, cfg Config) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/experiments", func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+			httpError(w, bodyErrorStatus(err), fmt.Sprintf("bad request body: %v", err))
 			return
 		}
 		if strings.TrimSpace(req.ID) == "" {
@@ -206,9 +205,9 @@ func NewMux(svc *service.Service, cfg Config) http.Handler {
 			httpError(w, http.StatusServiceUnavailable, "campaigns need durable storage: start cogmimod with -data-dir")
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("reading spec: %v", err))
+			httpError(w, bodyErrorStatus(err), fmt.Sprintf("reading spec: %v", err))
 			return
 		}
 		spec, err := campaign.ParseSpec(body)
@@ -317,8 +316,8 @@ func NewMux(svc *service.Service, cfg Config) http.Handler {
 			return
 		}
 		var req cluster.ShardRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad shard body: %v", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+			httpError(w, bodyErrorStatus(err), fmt.Sprintf("bad shard body: %v", err))
 			return
 		}
 		if err := req.Validate(); err != nil {
@@ -339,10 +338,11 @@ func NewMux(svc *service.Service, cfg Config) http.Handler {
 		writeJSON(w, http.StatusOK, res)
 	})
 
-	// expvar stays on /metrics for existing scrapers; the Prometheus
-	// text form of the obs registry is the new first-class endpoint.
-	mux.Handle("GET /metrics", expvar.Handler())
-	mux.Handle("GET /metrics/prom", obs.Default.Handler())
+	mux.HandleFunc("GET /metrics/prom", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		obs.Default.WritePrometheus(w)
+		statsRegistry(svc.Stats()).WritePrometheus(w)
+	})
 
 	if cfg.Pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -569,52 +569,69 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-// processStart anchors the uptime metric; package initialisation runs
-// once per process, so the value is a monotonic elapsed time no matter
-// how often the metric is evaluated.
+// maxBody caps every request body; a larger one answers 413.
+const maxBody = 1 << 20
+
+// bodyErrorStatus maps a body read or decode error to its status: 413
+// when the body overflowed maxBody, 400 otherwise.
+func bodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// processStart anchors cogmimod_uptime_seconds.
 var processStart = time.Now()
 
-// PublishMetrics exposes service state on both metric surfaces: the
-// legacy expvar dump at /metrics and live gauges in the obs registry at
-// /metrics/prom. It is idempotent so tests can spin up several servers
-// in one process — expvar publication happens once (expvar panics on
-// duplicates) and obs gauge callbacks rebind to the newest service.
-func PublishMetrics(svc *service.Service) {
-	if expvar.Get("cogmimod_uptime_seconds") == nil {
-		expvar.Publish("cogmimod_uptime_seconds", expvar.Func(func() any {
-			return time.Since(processStart).Seconds()
-		}))
-		expvar.Publish("cogmimod", expvar.Func(func() any {
-			return svc.Stats()
-		}))
-	}
+// statsRegistry renders one Stats snapshot as this server's service and
+// store families in a throwaway registry. Each value is the /v1/stats
+// field named in its help text, read once per scrape, so the two
+// surfaces cannot disagree and servers sharing a process do not mix
+// their counts. Store families appear only when a store backs the
+// cache.
+func statsRegistry(st service.Stats) *obs.Registry {
+	r := obs.NewRegistry()
+	counter := func(name, help string, n int64) { r.Counter(name, help).Add(n) }
+	gauge := func(name, help string, v float64) { r.Gauge(name, help).Set(v) }
 
-	obs.Default.GaugeFunc("cogmimod_uptime_seconds",
-		"Seconds since process start.",
-		func() float64 { return time.Since(processStart).Seconds() })
-	obs.Default.GaugeFunc("cogmimod_queue_depth",
-		"Jobs waiting for a worker.",
-		func() float64 { return float64(svc.Stats().QueueDepth) })
-	obs.Default.GaugeFunc("cogmimod_queue_capacity",
-		"Queue bound before submissions are rejected with 429.",
-		func() float64 { return float64(svc.Stats().QueueCapacity) })
-	obs.Default.GaugeFunc("cogmimod_workers",
-		"Worker pool size.",
-		func() float64 { return float64(svc.Stats().Workers) })
-	obs.Default.GaugeFunc("cogmimod_busy_workers",
-		"Workers currently executing a job.",
-		func() float64 { return float64(svc.Stats().BusyWorkers) })
-	obs.Default.GaugeFunc("cogmimod_active_tenants",
-		"Tenants with queued or running jobs.",
-		func() float64 { return float64(svc.Stats().ActiveTenants) })
-	obs.Default.GaugeFunc("cogmimod_cache_entries",
-		"Completed results currently cached.",
-		func() float64 { return float64(svc.Stats().CacheEntries) })
-	obs.Default.GaugeFunc("cogmimod_cache_hit_ratio",
-		"Cache hits over completed lookups (hits+misses).",
-		func() float64 { return svc.Stats().CacheHitRatio })
-	obs.Default.InfoGauge("cogmimod_build_info",
+	jobs := r.CounterVec("cogmimod_jobs_total",
+		"Jobs by lifecycle event: jobs_submitted (past the quota, queue-full rejections included), jobs_rejected (queue full) and the terminal jobs_done, jobs_failed, jobs_canceled.",
+		"status")
+	jobs.With("submitted").Add(st.Submitted)
+	jobs.With("rejected").Add(st.Rejected)
+	jobs.With(string(service.StateDone)).Add(st.Done)
+	jobs.With(string(service.StateFailed)).Add(st.Failed)
+	jobs.With(string(service.StateCanceled)).Add(st.Canceled)
+	gauge("cogmimod_queue_depth", "Jobs waiting for a worker (queue_depth).", float64(st.QueueDepth))
+	gauge("cogmimod_queue_capacity", "Queue bound before submissions are rejected with 429 (queue_capacity).", float64(st.QueueCapacity))
+	gauge("cogmimod_workers", "Worker pool size (workers).", float64(st.Workers))
+	gauge("cogmimod_busy_workers", "Workers currently executing a job (busy_workers).", float64(st.BusyWorkers))
+	gauge("cogmimod_active_tenants", "Tenants with queued or running jobs (active_tenants).", float64(st.ActiveTenants))
+	gauge("cogmimod_cache_entries", "Completed results currently cached (cache_entries).", float64(st.CacheEntries))
+	counter("cogmimod_cache_hits_total", "Result-cache lookups served from a completed entry (cache_hits).", st.CacheHits)
+	counter("cogmimod_cache_disk_hits_total", "Result-cache lookups served from the durable store instead of computing (cache_disk_hits).", st.CacheDiskHits)
+	counter("cogmimod_cache_coalesced_total", "Result-cache lookups coalesced onto another caller's in-flight computation (cache_coalesced).", st.CacheCoalesced)
+	counter("cogmimod_cache_misses_total", "Result-cache lookups that had to compute (cache_misses).", st.CacheMisses)
+	counter("cogmimod_cache_evictions_total", "Completed results evicted by the LRU bound (cache_evictions).", st.CacheEvictions)
+	gauge("cogmimod_cache_hit_ratio", "Cache hits over completed lookups, hits+misses (cache_hit_ratio).", st.CacheHitRatio)
+	if ss := st.Store; ss != nil {
+		counter("cogmimod_store_puts_total", "Entries durably written, atomic temp+rename+fsync (store.puts).", ss.Puts)
+		gets := r.CounterVec("cogmimod_store_gets_total",
+			"Store reads by outcome: hit (store.hits) or miss (store.misses); corrupt entries count as misses.",
+			"result")
+		gets.With("hit").Add(ss.Hits)
+		gets.With("miss").Add(ss.Misses)
+		counter("cogmimod_store_quarantined_total", "Corrupt manifests, index lines and objects moved to quarantine instead of panicking (store.quarantined).", ss.Quarantined)
+		counter("cogmimod_store_gc_evictions_total", "Entries evicted by the size-bounded GC (store.evictions).", ss.Evictions)
+		gauge("cogmimod_store_bytes", "Total object bytes in the durable store (store.bytes).", float64(ss.Bytes))
+		gauge("cogmimod_store_entries", "Entries indexed by the durable store (store.entries).", float64(ss.Entries))
+	}
+	gauge("cogmimod_uptime_seconds", "Seconds since process start.", time.Since(processStart).Seconds())
+	r.InfoGauge("cogmimod_build_info",
 		"Build metadata; value is always 1, the information is in the labels.",
 		obs.Label{Name: "version", Value: buildVersion()},
 		obs.Label{Name: "go_version", Value: runtime.Version()}).Set(1)
+	return r
 }

@@ -26,7 +26,6 @@ func newTestServer(t *testing.T, cfg service.Config) (*httptest.Server, *service
 		t.Fatal(err)
 	}
 	svc.Start()
-	PublishMetrics(svc)
 	ts := httptest.NewServer(NewMux(svc, Config{}))
 	t.Cleanup(func() {
 		ts.Close()
@@ -283,15 +282,6 @@ func TestValidationAndHealth(t *testing.T) {
 		t.Errorf("GET /v1/kernels = %s, want %s", got, want)
 	}
 
-	httpResp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		t.Errorf("metrics: status=%d", httpResp.StatusCode)
-	}
-
 	resp, body = getJSON(t, ts.URL+"/v1/stats")
 	if resp.StatusCode != http.StatusOK || body["queue_capacity"] == nil {
 		t.Errorf("stats: status=%d body=%v", resp.StatusCode, body)
@@ -347,5 +337,20 @@ func TestWaitingClientDisconnectCancelsJob(t *testing.T) {
 			t.Fatalf("job not cancelled after client disconnect: %+v", svc.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestOversizedBodyAnswers413 posts one byte past the 1 MiB body cap to
+// each JSON-accepting endpoint.
+func TestOversizedBodyAnswers413(t *testing.T) {
+	ts, _, _ := newPersistentTestServer(t, t.TempDir(), service.Config{Workers: 1})
+	oversized := `{"id":"` + strings.Repeat("a", maxBody) + `"}`
+	for _, path := range []string{"/v1/experiments", "/v1/shards", "/v1/campaigns"} {
+		t.Run(strings.TrimPrefix(path, "/v1/"), func(t *testing.T) {
+			resp, body := postJSON(t, ts.URL+path, oversized)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("POST %s with %d bytes: status=%d body=%v", path, len(oversized), resp.StatusCode, body)
+			}
+		})
 	}
 }

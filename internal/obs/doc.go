@@ -14,8 +14,10 @@
 // counter — so packages can declare their metrics in vars without
 // coordinating registration order. InfoGauge covers the multi-label
 // "info metric" idiom (build_info{version=...,go_version=...} 1).
-// Default is the process-wide registry that cmd/cogmimod serves at
-// GET /metrics/prom; expvar stays on /metrics for compatibility.
+// Default holds the process-wide families (histograms, tenant-labelled
+// series, Monte-Carlo, cluster and campaign counters). cmd/cogmimod's
+// GET /metrics/prom writes it, then the service's per-instance
+// families rendered into a throwaway Registry from one snapshot.
 //
 // # Logging
 //

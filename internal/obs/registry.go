@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"regexp"
 	"sort"
 	"strconv"
@@ -118,10 +117,9 @@ type family struct {
 }
 
 type series struct {
-	c  *Counter
-	g  *Gauge
-	fn func() float64 // gauge callback; takes precedence over g
-	h  *Histogram
+	c *Counter
+	g *Gauge
+	h *Histogram
 }
 
 // Registry is a set of metric families renderable as Prometheus text.
@@ -255,17 +253,6 @@ func (r *Registry) InfoGauge(name, help string, labels ...Label) *Gauge {
 	return f.get(b.String()).g
 }
 
-// GaugeFunc registers a gauge whose value is computed by fn at scrape
-// time. Re-registering rebinds the callback (last writer wins), so a
-// restarted component can re-point the gauge at its live state.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.getFamily(name, help, "gauge", "", nil)
-	s := f.get("")
-	f.mu.Lock()
-	s.fn = fn
-	f.mu.Unlock()
-}
-
 // Histogram returns the fixed-bucket histogram registered under name.
 // A nil or empty buckets slice selects DefBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
@@ -329,11 +316,7 @@ func (f *family) write(w io.Writer) {
 		case "counter":
 			sn.num, sn.isInt = float64(s.c.Value()), true
 		case "gauge":
-			if s.fn != nil {
-				sn.num = s.fn()
-			} else {
-				sn.num = s.g.Value()
-			}
+			sn.num = s.g.Value()
 		case "histogram":
 			sn.hist = s.h.Snapshot()
 		}
@@ -395,11 +378,3 @@ func escapeLabel(s string) string { return labelEscaper.Replace(s) }
 var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 
 func escapeHelp(s string) string { return helpEscaper.Replace(s) }
-
-// Handler serves the registry in the text exposition format.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
-	})
-}

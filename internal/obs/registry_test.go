@@ -76,7 +76,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("alpha_total", "a counter").Add(7)
 	r.Gauge("beta", "a gauge").Set(2.5)
-	r.GaugeFunc("gamma", "a callback gauge", func() float64 { return 42 })
 	r.CounterVec("delta_total", "labeled", "kind").With(`we"ird\v`).Inc()
 	r.Histogram("eps_seconds", "a histogram", []float64{0.1, 1}).Observe(0.5)
 
@@ -88,7 +87,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE alpha_total counter",
 		"# TYPE beta gauge",
-		"# TYPE gamma gauge",
 		"# TYPE delta_total counter",
 		"# TYPE eps_seconds histogram",
 	} {
@@ -99,7 +97,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	for _, want := range []string{
 		"alpha_total 7\n",
 		"beta 2.5\n",
-		"gamma 42\n",
 		`delta_total{kind="we\"ird\\v"} 1` + "\n",
 		`eps_seconds_bucket{le="0.1"} 0` + "\n",
 		`eps_seconds_bucket{le="1"} 1` + "\n",
@@ -133,15 +130,4 @@ func TestRegistryShapeConflictPanics(t *testing.T) {
 		}
 	}()
 	r.Gauge("shape_total", "now a gauge")
-}
-
-func TestGaugeFuncRebinds(t *testing.T) {
-	r := NewRegistry()
-	r.GaugeFunc("rebind", "x", func() float64 { return 1 })
-	r.GaugeFunc("rebind", "x", func() float64 { return 2 })
-	var b strings.Builder
-	r.WritePrometheus(&b)
-	if !strings.Contains(b.String(), "rebind 2\n") {
-		t.Fatalf("last GaugeFunc registration should win:\n%s", b.String())
-	}
 }

@@ -158,7 +158,6 @@ func (c *cache) do(ctx context.Context, key Key, compute func() (string, error))
 			c.lru.MoveToFront(el)
 			c.mu.Unlock()
 			c.stats.hits.Add(1)
-			metCacheHits.Inc()
 			return el.Value.(*entry).val, true, nil
 		}
 		if f, ok := c.inflight[key]; ok {
@@ -167,7 +166,6 @@ func (c *cache) do(ctx context.Context, key Key, compute func() (string, error))
 			case <-f.done:
 				if f.err == nil {
 					c.stats.coalesced.Add(1)
-					metCacheCoalesced.Inc()
 					return f.val, true, nil
 				}
 				// The computing caller failed or was cancelled and
@@ -192,13 +190,11 @@ func (c *cache) do(ctx context.Context, key Key, compute func() (string, error))
 				c.mu.Unlock()
 				close(f.done)
 				c.stats.diskHits.Add(1)
-				metCacheDiskHits.Inc()
 				return val, true, nil
 			}
 		}
 
 		c.stats.misses.Add(1)
-		metCacheMisses.Inc()
 		f.val, f.err = compute()
 
 		c.mu.Lock()
@@ -225,7 +221,6 @@ func (c *cache) insertLocked(key Key, val string) {
 		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*entry).key)
 		c.stats.evictions.Add(1)
-		metCacheEvictions.Inc()
 	}
 }
 

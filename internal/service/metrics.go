@@ -2,29 +2,16 @@ package service
 
 import "repro/internal/obs"
 
-// Package-level metrics in the stack's Default registry. They are
-// process-wide on purpose: several Service instances (as in tests)
-// feed the same counters, exactly like several handlers feeding one
-// Prometheus family. Gauges that need a live instance are bound in
-// cmd/cogmimod's publishMetrics instead.
+// Process-wide metrics in the stack's Default registry: histograms and
+// tenant-labelled series, which have no per-instance twin in Stats.
+// Job and cache counters are per instance only; the HTTP layer renders
+// them from one Stats snapshot per scrape, so /metrics/prom and
+// /v1/stats always agree.
 var (
-	metJobs = obs.Default.CounterVec("cogmimod_jobs_total",
-		"Jobs by lifecycle event: submitted, rejected, and the terminal states done/failed/canceled.",
-		"status")
 	metJobDuration = obs.Default.Histogram("cogmimod_job_duration_seconds",
 		"Wall-clock runtime of jobs that reached a worker, from start to terminal state.", nil)
 	metQueueWait = obs.Default.Histogram("cogmimod_job_queue_wait_seconds",
 		"Time jobs spent queued before a worker picked them up.", nil)
-	metCacheHits = obs.Default.Counter("cogmimod_cache_hits_total",
-		"Result-cache lookups served from a completed entry.")
-	metCacheDiskHits = obs.Default.Counter("cogmimod_cache_disk_hits_total",
-		"Result-cache lookups served from the durable store instead of computing.")
-	metCacheCoalesced = obs.Default.Counter("cogmimod_cache_coalesced_total",
-		"Result-cache lookups coalesced onto another caller's in-flight computation.")
-	metCacheMisses = obs.Default.Counter("cogmimod_cache_misses_total",
-		"Result-cache lookups that had to compute.")
-	metCacheEvictions = obs.Default.Counter("cogmimod_cache_evictions_total",
-		"Completed results evicted by the LRU bound.")
 	metTenantJobs = obs.Default.CounterVec("cogmimod_tenant_jobs_total",
 		"Jobs accepted into the queue, by submitting tenant.",
 		"tenant")
@@ -35,12 +22,3 @@ var (
 		"Submissions denied by per-tenant admission quotas, by tenant.",
 		"tenant")
 )
-
-// init pre-seeds the jobs_total series so every status is visible (as
-// 0) from the first scrape, before any job has moved through it.
-func init() {
-	for _, st := range []string{"submitted", "rejected",
-		string(StateDone), string(StateFailed), string(StateCanceled)} {
-		metJobs.With(st).Add(0)
-	}
-}

@@ -110,8 +110,9 @@ type job struct {
 	tracker   *obs.Tracker // set when the job starts running
 }
 
-// Stats is a point-in-time snapshot of service counters, published by
-// cmd/cogmimod under expvar.
+// Stats is a point-in-time snapshot of service counters: the one count
+// behind /v1/stats, /healthz and /metrics/prom, which the HTTP layer
+// renders from a single snapshot per request.
 type Stats struct {
 	Submitted      int64 `json:"jobs_submitted"`
 	Rejected       int64 `json:"jobs_rejected"`
@@ -138,6 +139,9 @@ type Stats struct {
 	// without running are excluded, so the value estimates how long a
 	// queued job will occupy a worker.
 	MeanJobSeconds float64 `json:"mean_job_seconds"`
+	// Store snapshots the durable store backing the cache; nil without
+	// one (no -data-dir).
+	Store *store.Stats `json:"store,omitempty"`
 }
 
 // Config sizes a Service. Zero values pick sane defaults.
@@ -442,7 +446,6 @@ func (s *Service) SubmitCtx(ctx context.Context, req Request) (JobView, error) {
 		delete(s.jobs, j.id)
 		s.mu.Unlock()
 		cancel()
-		metJobs.With("rejected").Inc()
 		s.logger.Warn("job rejected: queue full",
 			"tenant", tid, "experiment", req.ID, "error", err,
 			"trace_id", obs.TraceID(ctx))
@@ -458,7 +461,6 @@ func (s *Service) SubmitCtx(ctx context.Context, req Request) (JobView, error) {
 			return JobView{}, ErrQueueFull
 		}
 	}
-	metJobs.With("submitted").Inc()
 	metTenantJobs.With(tid).Inc()
 	s.logger.Debug("job queued",
 		"job_id", j.id, "tenant", tid, "experiment", j.req.ID, "trace_id", view.TraceID)
@@ -637,6 +639,10 @@ func (s *Service) Stats() Stats {
 	if looked := st.CacheHits + st.CacheMisses; looked > 0 {
 		st.CacheHitRatio = float64(st.CacheHits) / float64(looked)
 	}
+	if s.cfg.Store != nil {
+		ss := s.cfg.Store.Stats()
+		st.Store = &ss
+	}
 	return st
 }
 
@@ -782,7 +788,6 @@ func (s *Service) finish(j *job, st State, hit bool, msg string) {
 	case StateCanceled:
 		s.nCanceled++
 	}
-	metJobs.With(string(st)).Inc()
 	if !j.started.IsZero() {
 		d := j.finished.Sub(j.started).Seconds()
 		metJobDuration.Observe(d)

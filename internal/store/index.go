@@ -158,7 +158,6 @@ func (s *Store) loadIndex() error {
 	}
 	if bad > 0 {
 		s.quarantined += int64(bad)
-		metQuarantined.Add(int64(bad))
 		s.deadLines += bad
 		s.logger.Warn("store: skipped corrupt index lines", "lines", bad)
 	}
@@ -206,7 +205,6 @@ func (s *Store) reconcileObjects() {
 			delete(s.idx, key)
 			s.deadLines++
 			s.quarantined++
-			metQuarantined.Inc()
 			s.logger.Warn("store: indexed object missing", "key", key, "cause", r.meta.Kind)
 		}
 	}

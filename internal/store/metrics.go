@@ -2,38 +2,9 @@ package store
 
 import "repro/internal/obs"
 
-// Process-wide store metrics in the stack's Default registry, exposed
-// by cogmimod at /metrics/prom. Counters aggregate across store
-// instances (tests open many); the gauges rebind to the newest opened
-// store, exactly like cmd/cogmimod's service gauges.
-var (
-	metOpens = obs.Default.Counter("cogmimod_store_opens_total",
-		"Durable stores opened (or reopened after restart).")
-	metPuts = obs.Default.Counter("cogmimod_store_puts_total",
-		"Entries durably written (atomic temp+rename+fsync).")
-	metGets = obs.Default.CounterVec("cogmimod_store_gets_total",
-		"Store reads by outcome: hit or miss (corrupt entries count as misses).",
-		"result")
-	metQuarantined = obs.Default.Counter("cogmimod_store_quarantined_total",
-		"Corrupt manifests, index lines and objects moved to quarantine instead of panicking.")
-	metEvictions = obs.Default.Counter("cogmimod_store_gc_evictions_total",
-		"Entries evicted by the size-bounded GC.")
-)
-
-// init pre-seeds the labeled series so both outcomes scrape as 0
-// before any traffic.
-func init() {
-	metGets.With("hit").Add(0)
-	metGets.With("miss").Add(0)
-}
-
-// bindGauges points the live-state gauges at s; the most recently
-// opened store wins, matching GaugeFunc's rebind semantics.
-func bindGauges(s *Store) {
-	obs.Default.GaugeFunc("cogmimod_store_bytes",
-		"Total object bytes in the durable store.",
-		func() float64 { return float64(s.Stats().Bytes) })
-	obs.Default.GaugeFunc("cogmimod_store_entries",
-		"Entries indexed by the durable store.",
-		func() float64 { return float64(s.Stats().Entries) })
-}
+// metOpens counts store opens process-wide in the stack's Default
+// registry; a reopen after restart is exactly what it is for, so it has
+// no per-instance twin. Every other store number lives on the Store and
+// reaches /metrics/prom through Stats, via the service that holds it.
+var metOpens = obs.Default.Counter("cogmimod_store_opens_total",
+	"Durable stores opened (or reopened after restart).")

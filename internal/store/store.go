@@ -165,7 +165,6 @@ func Open(opts Options) (*Store, error) {
 	if s.deadLines > len(s.idx) {
 		s.compactLocked()
 	}
-	bindGauges(s)
 	metOpens.Inc()
 	logger.Debug("store opened", "dir", s.dir, "entries", len(s.idx), "bytes", s.bytes)
 	return s, nil
@@ -267,7 +266,6 @@ func (s *Store) Put(key string, payload []byte, meta Meta) error {
 		return err
 	}
 	s.puts++
-	metPuts.Inc()
 	s.gcLocked()
 	s.maybeCompactLocked()
 	return nil
@@ -286,7 +284,6 @@ func (s *Store) Get(key string) ([]byte, Meta, bool) {
 	r, ok := s.idx[key]
 	if !ok {
 		s.misses++
-		metGets.With("miss").Inc()
 		return nil, Meta{}, false
 	}
 	obj, err := readObject(s.objectPath(key))
@@ -296,12 +293,10 @@ func (s *Store) Get(key string) ([]byte, Meta, bool) {
 	if err != nil {
 		s.dropCorruptLocked(r, err)
 		s.misses++
-		metGets.With("miss").Inc()
 		return nil, Meta{}, false
 	}
 	s.lru.MoveToFront(r.el)
 	s.hits++
-	metGets.With("hit").Inc()
 	return obj.Payload, obj.Meta, true
 }
 
@@ -387,7 +382,6 @@ func (s *Store) quarantineFile(path, label string) {
 		os.Remove(path)
 	}
 	s.quarantined++
-	metQuarantined.Inc()
 }
 
 // gcLocked evicts least-recently-used evictable entries until the
@@ -407,7 +401,6 @@ func (s *Store) gcLocked() {
 			continue
 		}
 		s.evictions++
-		metEvictions.Inc()
 	}
 	if s.bytes > s.max {
 		s.logger.Warn("store: over byte bound but nothing evictable",

@@ -9,7 +9,11 @@
 // wait would stretch to the whole burst; under weighted-fair
 // scheduling the light tenants interleave with the heavy backlog and
 // their p99 stays within a small factor of the fair completion
-// horizon. Run asserts both views of that property:
+// horizon. The synthetic runner holds every job until the last
+// submission has landed, so the scheduler always chooses from the whole
+// backlog instead of racing the HTTP submissions; queue waits and job
+// times count from that release. Run asserts both views of that
+// property:
 //
 //   - light p99 queue wait ≤ FairShareRatio × fair share, where the
 //     fair share is jobsPerTenant × tenants × measured mean job time /
@@ -134,7 +138,13 @@ func Run(cfg Config) (Report, error) {
 	cfg = cfg.withDefaults()
 	totalJobs := (cfg.Tenants-1)*cfg.JobsPerTenant + cfg.HeavyFactor*cfg.JobsPerTenant
 
+	gate := make(chan struct{})
 	runner := func(ctx context.Context, req service.Request) (string, error) {
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return "", ctx.Err()
+		}
 		p := obs.ProgressFrom(ctx)
 		p.AddTotal(int64(cfg.ProgressSteps))
 		step := cfg.JobDuration / time.Duration(cfg.ProgressSteps)
@@ -237,7 +247,8 @@ func Run(cfg Config) (Report, error) {
 		}(i, jobID)
 	}
 
-	start := time.Now()
+	released := time.Now()
+	close(gate)
 	deadline := time.Now().Add(5 * time.Minute)
 	for {
 		st := svc.Stats()
@@ -252,37 +263,42 @@ func Run(cfg Config) (Report, error) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	wall := time.Since(start)
+	wall := time.Since(released)
 	wg.Wait()
 
-	// Collect per-job queue waits from the job views.
-	queueWait := func(jobID string) (time.Duration, error) {
-		resp, err := client.Get(ts.URL + "/v1/jobs/" + jobID)
-		if err != nil {
-			return 0, err
+	// Collect per-job queue waits and run times from the job views, both
+	// counted from the release: before it no job could run, so the
+	// scheduler's order is all a wait measures.
+	var ran time.Duration
+	sinceRelease := func(from, to time.Time) time.Duration {
+		if from.Before(released) {
+			from = released
 		}
-		defer resp.Body.Close()
-		var jv struct {
-			State   string    `json:"state"`
-			Queued  time.Time `json:"queued_at"`
-			Started time.Time `json:"started_at"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&jv); err != nil {
-			return 0, err
-		}
-		if jv.State != "done" || jv.Started.IsZero() {
-			return 0, fmt.Errorf("job %s not done: %s", jobID, jv.State)
-		}
-		return jv.Started.Sub(jv.Queued), nil
+		return max(to.Sub(from), 0)
 	}
 	collect := func(ids []string) ([]time.Duration, error) {
 		out := make([]time.Duration, 0, len(ids))
 		for _, id := range ids {
-			w, err := queueWait(id)
+			resp, err := client.Get(ts.URL + "/v1/jobs/" + id)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, w)
+			var jv struct {
+				State    string    `json:"state"`
+				Queued   time.Time `json:"queued_at"`
+				Started  time.Time `json:"started_at"`
+				Finished time.Time `json:"finished_at"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&jv)
+			resp.Body.Close()
+			if err != nil {
+				return nil, err
+			}
+			if jv.State != "done" || jv.Started.IsZero() {
+				return nil, fmt.Errorf("job %s not done: %s", id, jv.State)
+			}
+			out = append(out, sinceRelease(jv.Queued, jv.Started))
+			ran += sinceRelease(jv.Started, jv.Finished)
 		}
 		return out, nil
 	}
@@ -295,7 +311,7 @@ func Run(cfg Config) (Report, error) {
 		return Report{}, err
 	}
 
-	mean := time.Duration(svc.Stats().MeanJobSeconds * float64(time.Second))
+	mean := ran / time.Duration(totalJobs)
 	fairShare := time.Duration(float64(cfg.JobsPerTenant*cfg.Tenants) *
 		float64(mean) / float64(cfg.Workers))
 	rep := Report{
