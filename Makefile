@@ -27,12 +27,37 @@ build:
 	go build ./...
 
 # Vets the whole module for arm64 and builds it for 386: the
-# generator's vector seed and fills and the coop hop's lane kernels are
-# amd64 assembly, and these keep the pure-Go fallbacks they need on
-# every other architecture compiling, wherever such a kernel is added.
+# generator's vector seed and fills, the coop hop's lane kernels and the
+# erfc lanes are amd64 assembly, and these keep the pure-Go fallbacks
+# they need on every other architecture compiling, wherever such a
+# kernel is added. It then disassembles arm64 and amd64 builds of
+# cmd/cogmimod and cmd/ebtable (the one that links the ēb solver) and
+# fails on a fused multiply-add: on arm64 in mathx.Exp and mathx.Erfc,
+# which must be present, whose bits are defined without fusion; on
+# amd64 in any repro/ function, the assembly kernels included, since a
+# VFMADD would round once where the Go loops round twice. go tool
+# objdump does not decode VEX instructions, so the amd64 scan reads GNU
+# objdump's listing and is skipped on hosts without it.
 cross-arch:
 	GOARCH=arm64 go vet ./...
 	GOARCH=386 go build ./...
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for arch in arm64 amd64; do for cmd in cogmimod ebtable; do \
+		GOARCH=$$arch go build -o "$$dir/$$cmd-$$arch" ./cmd/$$cmd; \
+	done; done; \
+	n=$$(go tool objdump -s '^repro/internal/mathx\.(Exp|Erfc)$$' "$$dir/ebtable-arm64" | grep -c '^TEXT' || true); \
+	if [ "$$n" != 2 ]; then echo "cross-arch: arm64 ebtable links $$n of mathx.Exp, mathx.Erfc"; exit 1; fi; \
+	for cmd in cogmimod ebtable; do \
+		if go tool objdump -s '^repro/internal/mathx\.(Exp|Erfc)$$' "$$dir/$$cmd-arm64" | grep -E 'FN?M(ADD|SUB)'; then \
+			echo "cross-arch: fused multiply-add in arm64 mathx.Exp/Erfc ($$cmd)"; exit 1; fi; \
+	done; \
+	echo "cross-arch: no fused multiply-add in arm64 mathx.Exp/Erfc"; \
+	if ! command -v objdump >/dev/null; then echo "cross-arch: no GNU objdump, amd64 scan skipped"; exit 0; fi; \
+	for cmd in cogmimod ebtable; do \
+		if objdump -d --no-show-raw-insn "$$dir/$$cmd-amd64" | awk '/^[0-9a-f]+ </ { f = ($$0 ~ /<repro\//) } f' | grep -iE 'vfn?m(add|sub)'; then \
+			echo "cross-arch: VFMADD in an amd64 repro/ function ($$cmd)"; exit 1; fi; \
+	done; \
+	echo "cross-arch: no VFMADD in amd64 repro/ functions"
 
 test:
 	go test ./...
@@ -56,12 +81,14 @@ bench-module:
 fuzz-rng:
 	go test -run=NONE -fuzz=FuzzSourceMatchesStdlib -fuzztime=10s ./internal/mathx
 
-# Fuzzes the coop hop's AVX2 lane kernels against their pure-Go loops
-# for 10 s: tape scatter, transmit, decode and BPSK decision on
-# arbitrary float64 lanes (signed zeros, subnormals, NaN, infinities)
-# of 0 to 13 blocks. It skips on hosts without AVX2.
+# Fuzzes the AVX2 lane kernels against their pure-Go loops for 10 s
+# each: the coop hop's tape scatter, transmit, decode and BPSK decision
+# on arbitrary float64 lanes (signed zeros, subnormals, NaN, infinities)
+# of 0 to 13 blocks, and mathx's erfc lanes on 0 to 13 arbitrary
+# arguments and range edges. Both skip on hosts without AVX2.
 fuzz-lanes:
 	go test -run=NONE -fuzz=FuzzLaneKernels -fuzztime=10s ./internal/coop
+	go test -run=NONE -fuzz=FuzzErfcLanes -fuzztime=10s ./internal/mathx
 
 # Runs the repo-root benchmark suite and records ns/op, B/op and
 # allocs/op into BENCH_<date>.json (or BENCH_JSON) via

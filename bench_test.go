@@ -502,6 +502,47 @@ func BenchmarkNormFloat64s(b *testing.B) {
 	})
 }
 
+// BenchmarkErfcInto times one 256-argument block of mathx.ErfcInto, the
+// primitive under the Monte-Carlo ēb solver's BER, on the pure-Go loop
+// and on the AVX2 lanes; both give the same bits. The block's
+// arguments follow the mix the paper-grid table build feeds it: 31%
+// below 0.84375 (polynomial only), 3.5% below 1.25, 33% below 1/0.35
+// and 14% below 6 (a rational fit and two Exps), 4% below 28, and the
+// rest at or above 28, where erfc is 0.
+func BenchmarkErfcInto(b *testing.B) {
+	ranges := []struct{ share, lo, hi float64 }{
+		{0.31, 0, 0.84375}, {0.035, 0.84375, 1.25}, {0.33, 1.25, 1 / 0.35},
+		{0.14, 1 / 0.35, 6}, {0.04, 6, 28}, {0.145, 28, 40},
+	}
+	rng := rand.New(rand.NewSource(1))
+	src := make([]float64, 256)
+	for i := range src {
+		u := rng.Float64()
+		for _, r := range ranges {
+			if u -= r.share; u < 0 || r == ranges[len(ranges)-1] {
+				src[i] = r.lo + (r.hi-r.lo)*rng.Float64()
+				break
+			}
+		}
+	}
+	dst := make([]float64, len(src))
+	b.Run("purego", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mathx.ErfcIntoPureGo(dst, src)
+		}
+	})
+	b.Run("vector", func(b *testing.B) {
+		if !mathx.HasAVX2() {
+			b.Skip("no erfc lanes on this host")
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mathx.ErfcInto(dst, src)
+		}
+	})
+}
+
 // BenchmarkEnergyDetector measures one sensing decision.
 func BenchmarkEnergyDetector(b *testing.B) {
 	b.ReportAllocs()

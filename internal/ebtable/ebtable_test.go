@@ -2,8 +2,16 @@ package ebtable
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
+	"fmt"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/channel"
@@ -160,12 +168,23 @@ func TestMonteCarloDeterministic(t *testing.T) {
 	}
 }
 
-// TestMonteCarloBERMatchesBERAWGN: BER with the constellation constants
-// hoisted out of the sample loop is bit-identical to summing
-// modulation.BERAWGN over 256-sample blocks in block order, the
-// reduction the estimator has always used. 1000 samples leave a short
-// last block.
+// TestMonteCarloBERMatchesBERAWGN: BER is bit-identical to summing
+// modulation.BERAWGN's terms over 256-sample blocks in block order, the
+// reduction the estimator has always used, with the constellation
+// constants hoisted out of the sample loop. 1000 samples leave a short
+// last block. BERAWGN's Q runs on math.Erfc, whose last bit depends on
+// the host's FMA path, and BER on the portable mathx.Erfc: in-process
+// the oracle is BERAWGN's expression on mathx.Erfc; in the child of
+// TestMonteCarloTableWithoutFMA, where the two agree, it is
+// modulation.BERAWGN itself.
 func TestMonteCarloBERMatchesBERAWGN(t *testing.T) {
+	berAWGN := func(b int, gammaB float64) float64 {
+		pre, k := berShape(b)
+		return pre * (0.5 * mathx.Erfc(math.Sqrt(k*gammaB)/math.Sqrt2))
+	}
+	if os.Getenv(fmaOffEnv) != "" {
+		berAWGN = modulation.BERAWGN
+	}
 	mc := &MonteCarlo{Samples: 1000, Seed: 3}
 	samples := mc.norms(2, 3)
 	for _, b := range []int{1, 2, 4, 7, 16} {
@@ -175,7 +194,7 @@ func TestMonteCarloBERMatchesBERAWGN(t *testing.T) {
 			for lo := 0; lo < len(samples); lo += 256 {
 				var s float64
 				for _, h2 := range samples[lo:min(lo+256, len(samples))] {
-					s += modulation.BERAWGN(b, h2*scale)
+					s += berAWGN(b, h2*scale)
 				}
 				want += s
 			}
@@ -184,6 +203,74 @@ func TestMonteCarloBERMatchesBERAWGN(t *testing.T) {
 				t.Errorf("b=%d eb=%g: BER %v, want %v", b, eb, got, want)
 			}
 		}
+	}
+}
+
+// paperGrid is the cogbench paper grid: 96 cells.
+var paperGrid = Grid{Ps: []float64{0.01, 0.001}, Bs: []int{1, 2, 4}, Mts: []int{1, 2, 3, 4}, Mrs: []int{1, 2, 3, 4}}
+
+// fmaOffEnv names the file a child of TestMonteCarloTableWithoutFMA,
+// running under GODEBUG=cpu.fma=off, writes its table to.
+const fmaOffEnv = "EBTABLE_TEST_FMA_OFF_OUT"
+
+// paperTableHex builds the Monte-Carlo table over the cogbench paper
+// grid at seed 1 and 20000 samples and renders every cell's value in
+// hex, in key order.
+func paperTableHex(t *testing.T) string {
+	t.Helper()
+	tab, err := Build(&MonteCarlo{Samples: 20000, Seed: 1}, paperGrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]Key, 0, tab.Len())
+	for k := range tab.Vals {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b Key) int {
+		return cmp.Or(cmp.Compare(a.PIdx, b.PIdx), cmp.Compare(a.B, b.B), cmp.Compare(a.Mt, b.Mt), cmp.Compare(a.Mr, b.Mr))
+	})
+	var sb strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&sb, "%+v %x\n", k, tab.Vals[k])
+	}
+	return sb.String()
+}
+
+// TestMonteCarloTableWithoutFMA: the Monte-Carlo table does not depend
+// on the host's FMA support. The test re-executes itself with
+// GODEBUG=cpu.fma=off, as on an amd64 host without FMA; the child
+// builds the paper-grid table and runs TestMonteCarloBERMatchesBERAWGN
+// against modulation.BERAWGN, and its table must equal this process's
+// in every bit.
+func TestMonteCarloTableWithoutFMA(t *testing.T) {
+	if out := os.Getenv(fmaOffEnv); out != "" {
+		if err := os.WriteFile(out, []byte(paperTableHex(t)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skip("cpu.fma is an amd64 switch")
+	}
+	out := filepath.Join(t.TempDir(), "table.txt")
+	cmd := exec.Command(os.Args[0], "-test.count=1",
+		"-test.run=^(TestMonteCarloTableWithoutFMA|TestMonteCarloBERMatchesBERAWGN)$")
+	cmd.Env = append(os.Environ(), fmaOffEnv+"="+out, "GODEBUG=cpu.fma=off")
+	if msg, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("child under cpu.fma=off: %v\n%s", err, msg)
+	}
+	child, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(child), paperTableHex(t); got != want {
+		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("cell %d: %s under cpu.fma=off, %s here", i, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("%d cells under cpu.fma=off, %d here", len(gl), len(wl))
 	}
 }
 
@@ -232,9 +319,8 @@ func TestMonteCarloRootBrackets(t *testing.T) {
 // samples, a solve averages at most 14 BER estimates per cell;
 // bisection over the same bracket to the same tolerance takes 28.
 func TestMonteCarloEvalsPerCell(t *testing.T) {
-	grid := Grid{Ps: []float64{0.01, 0.001}, Bs: []int{1, 2, 4}, Mts: []int{1, 2, 3, 4}, Mrs: []int{1, 2, 3, 4}}
 	mc := &MonteCarlo{Seed: 1}
-	tab, err := Build(mc, grid)
+	tab, err := Build(mc, paperGrid)
 	if err != nil {
 		t.Fatal(err)
 	}

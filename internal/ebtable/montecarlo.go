@@ -102,6 +102,13 @@ const berBlock = 256
 // BER estimates the average BER at per-bit receive energy eb: the mean
 // of BER_AWGN(b, ||H||_F^2 * eb / (N0 * norm)) over the sample set,
 // where norm is mt under ConvPaper and 1 under ConvArray.
+//
+// Each term is BER_AWGN's pre * Q(sqrt(k*gamma)) with Q(x) =
+// 0.5 * Erfc(x/sqrt 2), the operations of modulation.BERAWGN in its
+// order, but on mathx.Erfc, whose bits do not depend on the host's FMA
+// support: a block's arguments are formed first, then one
+// mathx.ErfcInto call (four lanes per instruction on AVX2 hosts) turns
+// them into erfc values, which fold in sample order.
 func (mc *MonteCarlo) BER(b, mt, mr int, eb float64) float64 {
 	mc.evals.Add(1)
 	n0 := mc.N0
@@ -117,10 +124,16 @@ func (mc *MonteCarlo) BER(b, mt, mr int, eb float64) float64 {
 	scale := max(eb, 0) / (n0 * norm)
 	pre, k := berShape(b)
 	var total float64
+	var buf [berBlock]float64
 	for lo := 0; lo < len(samples); lo += berBlock {
+		e := buf[:min(berBlock, len(samples)-lo)]
+		for i, h2 := range samples[lo : lo+len(e)] {
+			e[i] = math.Sqrt(k*(h2*scale)) / math.Sqrt2
+		}
+		mathx.ErfcInto(e, e)
 		var s float64
-		for _, h2 := range samples[lo:min(lo+berBlock, len(samples))] {
-			s += pre * mathx.Q(math.Sqrt(k*(h2*scale)))
+		for _, v := range e {
+			s += float64(pre * (0.5 * v))
 		}
 		total += s
 	}
@@ -145,11 +158,11 @@ func (mc *MonteCarlo) EbBar(p float64, b, mt, mr int) (float64, error) {
 	}
 	logP := math.Log(p)
 	f := func(u float64) float64 {
-		return math.Log(max(mc.BER(b, mt, mr, math.Exp(u)), math.SmallestNonzeroFloat64)) - logP
+		return math.Log(max(mc.BER(b, mt, mr, mathx.Exp(u)), math.SmallestNonzeroFloat64)) - logP
 	}
 	u, err := mathx.Brent(f, math.Log(ebFloor), math.Log(ebCeiling), math.Log1p(1e-6))
 	if err != nil {
 		return 0, fmt.Errorf("ebtable: MC solve ēb(p=%g, b=%d, %dx%d): %w", p, b, mt, mr, err)
 	}
-	return math.Exp(u), nil
+	return mathx.Exp(u), nil
 }

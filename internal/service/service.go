@@ -478,9 +478,11 @@ func (s *Service) Job(id string) (JobView, error) {
 	return s.snapshot(j), nil
 }
 
-// Cancel cancels a job. Queued jobs flip to canceled immediately;
-// running jobs have their context cancelled and reach the canceled
-// state when the driver notices. Cancelling a terminal job is a no-op.
+// Cancel cancels a job. Queued jobs flip to canceled immediately and
+// leave the tenant scheduler, so they stop counting toward the queue
+// depth and the tenant's backlog; running jobs have their context
+// cancelled and reach the canceled state when the running experiment
+// notices. Cancelling a terminal job is a no-op.
 func (s *Service) Cancel(id string) (JobView, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -488,7 +490,8 @@ func (s *Service) Cancel(id string) (JobView, error) {
 		s.mu.Unlock()
 		return JobView{}, ErrNoSuchJob
 	}
-	if j.state == StateQueued {
+	queued := j.state == StateQueued
+	if queued {
 		j.state = StateCanceled
 		j.errMsg = "canceled before start"
 		j.finished = time.Now()
@@ -496,6 +499,10 @@ func (s *Service) Cancel(id string) (JobView, error) {
 		close(j.done)
 	}
 	s.mu.Unlock()
+	if queued {
+		// A worker that dequeued the job already skips it in run.
+		s.sched.Remove(j.req.Tenant, func(q *job) bool { return q == j })
+	}
 	j.cancel()
 	j.signal.Raise()
 	return s.snapshot(j), nil

@@ -189,6 +189,44 @@ func TestTenantQueueBoundReturnsBothSentinels(t *testing.T) {
 	}
 }
 
+// TestCancelQueuedJobLeavesQueue: a cancelled queued job no longer
+// counts toward the queue depth or its tenant's backlog, so a tenant
+// at its queue bound admits a new job once one is cancelled.
+func TestCancelQueuedJobLeavesQueue(t *testing.T) {
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	defer close(release)
+	s := startService(t, Config{
+		Workers:    1,
+		QueueDepth: 16,
+		Tenants:    tenant.Options{QueueDepth: 1},
+		Runner:     blockingRunner(started, release),
+	})
+	if _, err := s.Submit(Request{ID: "pin", Seed: 1, Tenant: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := s.Submit(Request{ID: "victim", Seed: 1, Tenant: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(Request{ID: "over", Seed: 2, Tenant: "a"}); !errors.Is(err, tenant.ErrTenantQueueFull) {
+		t.Fatalf("tenant a at its bound: err = %v, want ErrTenantQueueFull", err)
+	}
+	if _, err := s.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.QueueDepth != 0 {
+		t.Errorf("queue depth after cancelling the only queued job = %d, want 0", st.QueueDepth)
+	}
+	if got := s.Tenant("a").Queued; got != 0 {
+		t.Errorf("tenant a backlog after the cancel = %d, want 0", got)
+	}
+	if _, err := s.Submit(Request{ID: "after", Seed: 3, Tenant: "a"}); err != nil {
+		t.Fatalf("tenant a after cancelling its queued job: %v", err)
+	}
+}
+
 // TestWatchStreamsMonotonicProgressToCompletion pins the SSE data
 // source: snapshots arrive without polling, progress counts only up,
 // and the channel closes right after a terminal snapshot.

@@ -247,6 +247,27 @@ func (s *Scheduler[T]) Done(id string) {
 	s.mu.Unlock()
 }
 
+// Remove takes the first queued item of tenant id that match accepts
+// out of the queue and reports whether there was one. The item was
+// never dispatched, so the tenant's pass and running count stay as
+// they are; its backlog, the total and Active drop at once.
+func (s *Scheduler[T]) Remove(id string, match func(T) bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	q, ok := s.tenants[id]
+	if !ok {
+		return false
+	}
+	for i, e := range q.items {
+		if match(e.v) {
+			q.items = append(q.items[:i], q.items[i+1:]...)
+			s.queued--
+			return true
+		}
+	}
+	return false
+}
+
 // Close stops the scheduler: blocked Dequeues return false and further
 // Enqueues fail with ErrClosed. Queued items remain for Drain.
 func (s *Scheduler[T]) Close() {

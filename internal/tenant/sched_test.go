@@ -380,3 +380,113 @@ func TestDequeueTimedZeroOnFailure(t *testing.T) {
 		t.Fatal("closed scheduler dequeued")
 	}
 }
+
+// TestRemoveTakesQueuedItem: Remove takes one queued item out of its
+// tenant's FIFO, leaving the rest in order and the counts consistent;
+// an unknown tenant or an absent item reports false.
+func TestRemoveTakesQueuedItem(t *testing.T) {
+	s := NewScheduler[int](Options{QueueDepth: 3})
+	for i := 1; i <= 3; i++ {
+		if err := s.Enqueue("a", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Remove("b", func(int) bool { return true }) || s.Remove("a", func(v int) bool { return v == 9 }) {
+		t.Fatal("Remove reported an item that is not queued")
+	}
+	if !s.Remove("a", func(v int) bool { return v == 2 }) {
+		t.Fatal("Remove missed a queued item")
+	}
+	if got := s.Len(); got != 2 {
+		t.Fatalf("Len after Remove = %d, want 2", got)
+	}
+	if err := s.Enqueue("a", 4); err != nil {
+		t.Fatalf("tenant at its bound before Remove: %v", err)
+	}
+	var got []int
+	for range 3 {
+		v, id, ok := s.Dequeue(context.Background())
+		if !ok {
+			t.Fatal("Dequeue failed")
+		}
+		got = append(got, v)
+		s.Done(id)
+	}
+	if fmt.Sprint(got) != "[1 3 4]" {
+		t.Fatalf("dispatch order after Remove = %v, want [1 3 4]", got)
+	}
+	if s.Remove("a", func(int) bool { return true }) || s.Len() != 0 || s.Active() != 0 {
+		t.Fatalf("drained scheduler: Len %d, Active %d", s.Len(), s.Active())
+	}
+}
+
+// TestRemoveConcurrentWithDequeue: with producers, consumers and a
+// remover racing, every item leaves the scheduler exactly once, either
+// dispatched or removed.
+func TestRemoveConcurrentWithDequeue(t *testing.T) {
+	s := NewScheduler[int](Options{Workers: 2, QueueDepth: 10000})
+	const producers, perProducer = 4, 200
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				if err := s.Enqueue(fmt.Sprintf("t%d", p), p*perProducer+i); err != nil {
+					t.Errorf("enqueue: %v", err)
+					return
+				}
+			}
+		}(p)
+	}
+	removed := make(chan int, producers*perProducer)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for v := 1; v < producers*perProducer; v += 2 {
+			if s.Remove(fmt.Sprintf("t%d", v/perProducer), func(x int) bool { return x == v }) {
+				removed <- v
+			}
+		}
+	}()
+	dispatched := make(chan int, producers*perProducer)
+	var consumed sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		consumed.Add(1)
+		go func() {
+			defer consumed.Done()
+			for {
+				v, id, ok := s.Dequeue(context.Background())
+				if !ok {
+					return
+				}
+				dispatched <- v
+				s.Done(id)
+			}
+		}()
+	}
+	wg.Wait()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Len() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("backlog stuck at %d", s.Len())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.Close()
+	consumed.Wait()
+	close(removed)
+	close(dispatched)
+	seen := make(map[int]int)
+	for v := range removed {
+		seen[v]++
+	}
+	for v := range dispatched {
+		seen[v]++
+	}
+	for v := 0; v < producers*perProducer; v++ {
+		if seen[v] != 1 {
+			t.Fatalf("item %d left the scheduler %d times, want once", v, seen[v])
+		}
+	}
+}
