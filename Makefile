@@ -2,10 +2,10 @@
 # builds, the whole test suite under the race detector (its process
 # tests boot the daemon, SIGKILL a campaign and drive the fairness load
 # run) and the bench module's vet and tests. `./verify.sh` runs it plus
-# `fuzz-rng`, `fuzz-lanes` and `bench-compare`, the checks that take
-# longer.
+# `fuzz-rng`, `fuzz-lanes`, `fuzz-params` and `bench-compare`, the
+# checks that take longer.
 
-.PHONY: verify vet fmt-check build cross-arch test race bench-module fuzz-rng fuzz-lanes bench bench-compare cogbench-ab bench-batch
+.PHONY: verify vet fmt-check build cross-arch test race bench-module fuzz-rng fuzz-lanes fuzz-params bench bench-compare cogbench-ab bench-batch
 
 BENCH_DATE := $(shell date +%Y-%m-%d)
 BENCH_TODAY := BENCH_$(BENCH_DATE).json
@@ -89,6 +89,13 @@ fuzz-rng:
 fuzz-lanes:
 	go test -run=NONE -fuzz=FuzzLaneKernels -fuzztime=10s ./internal/coop
 	go test -run=NONE -fuzz=FuzzErfcLanes -fuzztime=10s ./internal/mathx
+
+# Fuzzes the adaptive-budget params boundary for 10 s: for any
+# target_ci/max_trials/min_trials values, service.BudgetFromParams must
+# fail or return a budget that Validate accepts and that round-trips
+# through service.BudgetParams unchanged.
+fuzz-params:
+	go test -run=NONE -fuzz=FuzzBudgetParams -fuzztime=10s ./internal/service
 
 # Runs the repo-root benchmark suite and records ns/op, B/op and
 # allocs/op into BENCH_<date>.json (or BENCH_JSON) via

@@ -174,21 +174,12 @@ func main() {
 		logger.Info("coordinator mode", "peers", addrs, "shards", *shards, "hedge_after", *hedgeAfter)
 	}
 	// -target-ci/-max-trials set a node-wide default adaptive budget:
-	// requests that carry no budget params run under it, while explicit
-	// per-request params always win. The wrapper composes with
-	// coordinator mode — the defaulted budget's chunk rounds still shard
-	// across peers.
-	if *targetCI > 0 {
-		def := adaptive.Budget{TargetRelCI: *targetCI, MaxTrials: *maxTrials}
-		if *maxTrials <= 0 {
-			fatal(fmt.Errorf("-target-ci needs -max-trials to bound the spend"))
-		}
-		if err := def.Validate(); err != nil {
-			fatal(err)
-		}
-		runner = service.WithDefaultBudget(runner, def)
-		logger.Info("default adaptive budget", "target_ci", *targetCI, "max_trials", *maxTrials)
-	}
+	// the service merges it into every request that carries no
+	// target_ci before keying it, so defaulted results cache under the
+	// budget they ran. It composes with coordinator mode — the
+	// defaulted budget's chunk rounds still shard across peers.
+	// service.New refuses a target without a trial cap.
+	defBudget := adaptive.Budget{TargetRelCI: *targetCI, MaxTrials: *maxTrials}
 
 	// The trace recorder is shared by the service (job/driver spans,
 	// slow-job pinning) and the HTTP layer (request spans, the
@@ -201,20 +192,24 @@ func main() {
 	}
 
 	svc, err := service.New(service.Config{
-		Workers:      *workers,
-		QueueDepth:   *queue,
-		CacheEntries: *cacheN,
-		Runner:       runner,
-		KnownIDs:     service.KnownExperimentIDs(),
-		Logger:       logger,
-		Store:        st,
-		Tenants:      tenant.Options{QueueDepth: *tenantQueue},
-		Quota:        tenant.Quota{Rate: *quotaRate, Burst: *quotaBurst},
-		Recorder:     recorder,
-		SlowTrace:    *traceSlow,
+		Workers:       *workers,
+		QueueDepth:    *queue,
+		CacheEntries:  *cacheN,
+		Runner:        runner,
+		KnownIDs:      service.KnownExperimentIDs(),
+		Logger:        logger,
+		Store:         st,
+		Tenants:       tenant.Options{QueueDepth: *tenantQueue},
+		Quota:         tenant.Quota{Rate: *quotaRate, Burst: *quotaBurst},
+		Recorder:      recorder,
+		SlowTrace:     *traceSlow,
+		DefaultBudget: defBudget,
 	})
 	if err != nil {
 		fatal(err)
+	}
+	if defBudget.Enabled() {
+		logger.Info("default adaptive budget", "target_ci", *targetCI, "max_trials", *maxTrials)
 	}
 	svc.WarmFromStore()
 	svc.Start()

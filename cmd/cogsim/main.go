@@ -90,9 +90,6 @@ func main() {
 	if err := budget.Validate(); err != nil {
 		fatal(err)
 	}
-	if *targetCI > 0 && *maxTrials <= 0 {
-		fatal(fmt.Errorf("-target-ci needs -max-trials to bound the spend"))
-	}
 
 	var lv slog.Level
 	if err := lv.UnmarshalText([]byte(*logLevel)); err != nil {
@@ -177,7 +174,7 @@ func main() {
 		}
 		stop := watch(*id)
 		report, err := runViaServer(ctx, *server, *tenantID,
-			service.Request{ID: *id, Seed: *seed, Quick: *quick, Params: budgetParams(budget)}, tracker)
+			service.Request{ID: *id, Seed: *seed, Quick: *quick, Params: service.BudgetParams(budget)}, tracker)
 		stop()
 		if err != nil {
 			fatal(err)
@@ -207,24 +204,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "cogsim: trace written to %s\n", *traceOut)
 	}
-}
-
-// budgetParams encodes an adaptive budget as request params for -server
-// submissions; the server decodes them with service.BudgetFromParams. A
-// disabled budget returns nil so the request matches pre-adaptive cache
-// keys exactly.
-func budgetParams(b adaptive.Budget) map[string]string {
-	if !b.Enabled() {
-		return nil
-	}
-	p := map[string]string{
-		"target_ci":  fmt.Sprintf("%g", b.TargetRelCI),
-		"max_trials": fmt.Sprintf("%d", b.MaxTrials),
-	}
-	if b.MinTrials > 0 {
-		p["min_trials"] = fmt.Sprintf("%d", b.MinTrials)
-	}
-	return p
 }
 
 // writeTrace ends the root span and exports the invocation's trace as

@@ -28,8 +28,13 @@ type Budget struct {
 // Enabled reports whether the budget asks for adaptive execution.
 func (b Budget) Enabled() bool { return b.TargetRelCI > 0 && b.MaxTrials > 0 }
 
-// Validate rejects budgets that could never stop or never start.
+// Validate rejects budgets that could never stop or never start, and
+// a target without a trial cap, which would otherwise run silently as
+// a fixed budget.
 func (b Budget) Validate() error {
+	if b.TargetRelCI > 0 && b.MaxTrials <= 0 {
+		return fmt.Errorf("adaptive: target relative CI %g needs a positive max trials to bound the spend", b.TargetRelCI)
+	}
 	if !b.Enabled() {
 		return nil
 	}

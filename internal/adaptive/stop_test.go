@@ -61,6 +61,8 @@ func TestBudgetValidate(t *testing.T) {
 		{Budget{TargetRelCI: 0.05, MaxTrials: 1000}, true},
 		{Budget{TargetRelCI: 1.5, MaxTrials: 1000}, false},
 		{Budget{TargetRelCI: 0.05, MaxTrials: 100, MinTrials: 200}, false},
+		{Budget{TargetRelCI: 0.05}, false}, // a target needs a cap
+		{Budget{MaxTrials: 100}, true},     // a cap alone is a fixed budget
 	} {
 		err := tc.b.Validate()
 		if (err == nil) != tc.ok {

@@ -37,15 +37,20 @@
 //	  ]
 //	}
 //
-// Registry entries run through the experiments package with a
-// checkpointing sim.Executor attached, so kernel-based experiments
-// (ext-coopber) checkpoint at chunk granularity; other drivers
-// checkpoint at whole-experiment granularity via the result store.
-// Kernel entries run the named kernel through sim.MonteCarlo.RunKernelCtx
-// under the same executor and render a one-row report. The executor's
-// one method, RunChunkRange, serves fixed runs, adaptive rounds and
-// trace replays alike from the same chunk checkpoint. Campaign IDs are content addresses of the spec, so
-// resubmitting the same spec resumes rather than restarts.
+// A registry entry is a service request: it runs through
+// service.ExperimentRunner, params (an adaptive budget among them)
+// included, with a checkpointing sim.Executor attached, so
+// kernel-based experiments (ext-coopber) checkpoint at chunk
+// granularity; other drivers checkpoint at whole-experiment
+// granularity via the result store. Kernel entries run the named
+// kernel through sim.MonteCarlo.RunKernelCtx under the same executor
+// and render a one-row report. The executor's one method,
+// RunChunkRange, serves fixed runs, adaptive rounds and trace replays
+// alike from the same chunk checkpoint. A resumed adaptive run
+// re-decides its stops from the checkpointed prefix — the rule is a
+// pure function of it — so it reaches the same rounds without
+// recomputing a chunk. Campaign IDs are content addresses of the spec,
+// so resubmitting the same spec resumes rather than restarts.
 //
 // # Storage
 //

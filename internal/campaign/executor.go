@@ -19,7 +19,11 @@ import (
 // per-chunk partials for chunks [0, len(Partials)). It stores per-chunk
 // snapshots rather than a folded prefix because sim.Executor hands back
 // one partial per chunk and sim folds them itself — resume must hand
-// back exactly the operation sequence an uninterrupted run folds.
+// back exactly the operation sequence an uninterrupted run folds. An
+// adaptive run needs nothing more: its stopping rule is a pure function
+// of the chunk prefix, so a resumed run re-decides the same rounds.
+// Older checkpoints that also carry a "trace" field decode unchanged
+// (encoding/json skips it).
 type checkpoint struct {
 	Version   int                     `json:"version"`
 	Kernel    string                  `json:"kernel"`
@@ -28,13 +32,6 @@ type checkpoint struct {
 	Trials    int                     `json:"trials"`
 	ChunkSize int                     `json:"chunk_size"`
 	Partials  []mathx.RunningSnapshot `json:"partials"`
-	// Trace is the realized plan of an adaptive run, recorded when the
-	// run completes (RecordPlanTrace). A resumed campaign replays the
-	// traced prefix instead of re-deciding the budget, so the resumed
-	// result is byte-identical to the uninterrupted one. Absent for
-	// fixed-budget runs and for checkpoints written before the trace
-	// field existed — both read back fine.
-	Trace *sim.PlanTrace `json:"trace,omitempty"`
 }
 
 const checkpointVersion = 1
@@ -132,29 +129,6 @@ func (e *ckptExecutor) RunChunkRange(ctx context.Context, run sim.KernelRun, lo,
 		out[i] = mathx.RunningFromSnapshot(ck.Partials[lo+i])
 	}
 	return out, nil
-}
-
-// RecordPlanTrace implements sim.TraceSink: the realized plan of a
-// completed adaptive run lands in the run's checkpoint, making the
-// spend auditable and the resumed campaign replayable.
-func (e *ckptExecutor) RecordPlanTrace(run sim.KernelRun, trace sim.PlanTrace) {
-	key := ckptPrefix(e.cid, e.expIdx) + runHash(run)
-	ck := e.loadFull(key, run, run.Plan().Chunks())
-	ck.Trace = &trace
-	if err := e.save(key, run, ck); err != nil {
-		obs.Logger(context.Background()).Warn("campaign: persisting plan trace", "err", err)
-	}
-}
-
-// PlanTraceFor returns the recorded plan trace of a run, if its
-// checkpoint holds one.
-func (e *ckptExecutor) PlanTraceFor(run sim.KernelRun) (sim.PlanTrace, bool) {
-	key := ckptPrefix(e.cid, e.expIdx) + runHash(run)
-	ck := e.loadFull(key, run, run.Plan().Chunks())
-	if ck.Trace == nil {
-		return sim.PlanTrace{}, false
-	}
-	return *ck.Trace, true
 }
 
 // loadFull returns the stored checkpoint for run, or an empty matching

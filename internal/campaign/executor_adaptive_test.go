@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"context"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/mathx"
@@ -28,19 +30,27 @@ func newTestExecutor(t *testing.T, every int) (*ckptExecutor, *runCounters) {
 	return &ckptExecutor{store: st, cid: "ctest", expIdx: 0, every: every, workers: 1, stats: counters}, counters
 }
 
-// TestAdaptiveRunPersistsTrace: an adaptive run under the campaign
-// executor checkpoints its chunks AND its realized plan trace; a
-// second pass serves every chunk from the checkpoint and recomputes
-// nothing, byte-identically.
-func TestAdaptiveRunPersistsTrace(t *testing.T) {
-	ex, counters := newTestExecutor(t, 2)
-	kernel := "coop.ber"
-	params := map[string]float64{"mt": 2, "mr": 2, "snr_db": 6, "bits": 16}
-	budget := 8 * sim.ChunkSize
+// The adaptive witness run: coop.ber under an 8-chunk budget that
+// ckptStop ends after the round reaching 3 chunks, i.e. at 4 chunks.
+var (
+	adaptiveKernel = "coop.ber"
+	adaptiveParams = map[string]float64{"mt": 2, "mr": 2, "snr_db": 6, "bits": 16}
+	adaptiveBudget = 8 * sim.ChunkSize
+	adaptiveStop   = ckptStop{n: 3 * sim.ChunkSize}
+)
 
+const adaptiveSeed = 21
+
+// TestAdaptiveRunResumesFromCheckpoint: an adaptive run under the
+// campaign executor checkpoints its chunks, and a second pass over the
+// same store re-decides the budget from the checkpointed prefix: it
+// serves every chunk from the checkpoint, recomputes nothing and
+// returns the same statistics.
+func TestAdaptiveRunResumesFromCheckpoint(t *testing.T) {
+	ex, counters := newTestExecutor(t, 2)
+	mc := sim.MonteCarlo{Seed: adaptiveSeed}
 	ctx := sim.WithExecutor(context.Background(), ex)
-	mc := sim.MonteCarlo{Seed: 21}
-	res, err := mc.RunAdaptiveCtx(ctx, kernel, params, budget, ckptStop{n: 3 * sim.ChunkSize})
+	res, err := mc.RunAdaptiveCtx(ctx, adaptiveKernel, adaptiveParams, adaptiveBudget, adaptiveStop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,22 +61,9 @@ func TestAdaptiveRunPersistsTrace(t *testing.T) {
 		t.Fatalf("computed %d chunks, trace covers %d", counters.chunksComputed.Load(), res.Trace.Chunks())
 	}
 
-	// The trace landed in the run's checkpoint.
-	run := sim.KernelRun{Kernel: kernel, Params: params, Seed: 21, Trials: budget}
-	stored, ok := ex.PlanTraceFor(run)
-	if !ok {
-		t.Fatal("no plan trace persisted")
-	}
-	if stored.Trials != res.Trace.Trials || stored.Chunks() != res.Trace.Chunks() || !stored.Stopped {
-		t.Fatalf("stored trace %+v != run trace %+v", stored, res.Trace)
-	}
-
-	// Second pass over the same store: everything resumes, nothing
-	// recomputes, statistics identical — the campaign-resume contract
-	// extended to adaptive runs.
 	ex2 := &ckptExecutor{store: ex.store, cid: "ctest", expIdx: 0, every: 2, workers: 1, stats: &runCounters{}}
 	ctx2 := sim.WithExecutor(context.Background(), ex2)
-	res2, err := mc.RunAdaptiveCtx(ctx2, kernel, params, budget, ckptStop{n: 3 * sim.ChunkSize})
+	res2, err := mc.RunAdaptiveCtx(ctx2, adaptiveKernel, adaptiveParams, adaptiveBudget, adaptiveStop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +76,44 @@ func TestAdaptiveRunPersistsTrace(t *testing.T) {
 	if got := ex2.stats.chunksResumed.Load(); got != int64(res.Trace.Chunks()) {
 		t.Fatalf("resume credited %d chunks, want %d", got, res.Trace.Chunks())
 	}
+}
 
-	// Replaying the persisted trace through the executor also serves
-	// from the checkpoint.
-	rep, err := mc.RunTraceCtx(ctx2, kernel, params, stored)
+// TestAdaptiveResumesCheckpointWithTraceField: checkpoints written
+// before the plan trace left the checkpoint record carry a "trace"
+// field. The fixture is such a checkpoint of the witness run; it still
+// decodes, and the run resumes from it with 0 chunks recomputed and
+// statistics equal to a fresh local run.
+func TestAdaptiveResumesCheckpointWithTraceField(t *testing.T) {
+	payload, err := os.ReadFile("testdata/adaptive-checkpoint-v1-trace.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Stats.Snapshot() != res.Stats.Snapshot() {
-		t.Fatalf("trace replay %+v != original %+v", rep.Stats.Snapshot(), res.Stats.Snapshot())
+	if !strings.Contains(string(payload), `"trace":`) {
+		t.Fatal("fixture lost its trace field")
+	}
+	ex, counters := newTestExecutor(t, 2)
+	run := sim.KernelRun{Kernel: adaptiveKernel, Params: adaptiveParams, Seed: adaptiveSeed, Trials: adaptiveBudget}
+	if err := ex.store.Put(ckptPrefix("ctest", 0)+runHash(run), payload, store.Meta{Kind: "checkpoint"}); err != nil {
+		t.Fatal(err)
+	}
+
+	mc := sim.MonteCarlo{Seed: adaptiveSeed}
+	want, err := mc.RunAdaptiveCtx(context.Background(), adaptiveKernel, adaptiveParams, adaptiveBudget, adaptiveStop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := mc.RunAdaptiveCtx(sim.WithExecutor(context.Background(), ex), adaptiveKernel, adaptiveParams, adaptiveBudget, adaptiveStop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.Snapshot() != want.Stats.Snapshot() {
+		t.Fatalf("resumed from fixture %+v != fresh run %+v", got.Stats.Snapshot(), want.Stats.Snapshot())
+	}
+	if n := counters.chunksComputed.Load(); n != 0 {
+		t.Fatalf("resume from fixture recomputed %d chunks, want 0", n)
+	}
+	if n := counters.chunksResumed.Load(); n != int64(want.Trace.Chunks()) {
+		t.Fatalf("resume from fixture credited %d chunks, want %d", n, want.Trace.Chunks())
 	}
 }
 

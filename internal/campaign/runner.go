@@ -175,13 +175,9 @@ func (r *Runner) runExperiment(ctx context.Context, cid string, i int, e Experim
 	rctx = sim.WithExecutor(rctx, ex)
 
 	if e.ID != "" {
-		rep, rerr := experiments.RunCtx(rctx, e.ID, experiments.Options{
-			Seed: e.Seed, Quick: e.Quick, Workers: r.Workers,
-		})
-		if rerr == nil {
-			section = rep.String()
-		}
-		err = rerr
+		req := e.request()
+		req.Workers = r.Workers
+		section, err = service.ExperimentRunner(rctx, req)
 	} else {
 		section, err = r.runKernelEntry(rctx, e)
 	}
@@ -231,14 +227,12 @@ func (r *Runner) runKernelEntry(ctx context.Context, e Experiment) (string, erro
 }
 
 // resultKey maps an entry onto its durable result address. Registry
-// entries use the service's canonical request key so a campaign result
-// doubles as a warm cogmimod cache entry; kernel entries use the run's
-// content hash.
+// entries use the service's canonical key of the request they run, so
+// a campaign result doubles as a warm cogmimod cache entry; kernel
+// entries use the run's content hash.
 func resultKey(e Experiment) (string, store.Meta) {
 	if e.ID != "" {
-		key := service.CanonicalKey(service.Request{
-			ID: e.ID, Seed: e.Seed, Quick: e.Quick, Params: e.Params,
-		})
+		key := service.CanonicalKey(e.request())
 		return string(key), store.Meta{Kind: "result", Experiment: e.ID, Seed: e.Seed}
 	}
 	run := sim.KernelRun{Kernel: e.Kernel, Params: e.KernelParams, Seed: e.Seed, Trials: e.Trials}

@@ -183,6 +183,68 @@ func TestRegistryEntryStoresServiceKey(t *testing.T) {
 	}
 }
 
+// TestBudgetedEntryStoresItsRequestResult: a registry entry with
+// budget params is the service request whose key it is stored under.
+// The campaign stores byte-for-byte what service.ExperimentRunner
+// returns for that request, and a Service on the same store serves it
+// for the same request without computing.
+func TestBudgetedEntryStoresItsRequestResult(t *testing.T) {
+	req := service.Request{ID: "ext-coopber", Seed: 1, Quick: true,
+		Params: map[string]string{"target_ci": "0.5", "max_trials": "6144"}}
+	want, err := service.ExperimentRunner(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed, err := service.ExperimentRunner(context.Background(), service.Request{ID: req.ID, Seed: req.Seed, Quick: req.Quick})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fixed == want {
+		t.Fatal("budget left the report unchanged; the test needs a budget that stops early")
+	}
+
+	st := openStore(t, t.TempDir())
+	spec := Spec{Name: "budgeted", Experiments: []Experiment{{ID: req.ID, Seed: req.Seed, Quick: req.Quick, Params: req.Params}}}
+	if _, _, err := (&Runner{Store: st, Workers: 2, Logger: discardLogger()}).Run(context.Background(), spec); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	key := service.CanonicalKey(req)
+	payload, _, ok := st.Get(string(key))
+	if !ok {
+		t.Fatal("result not stored under the request's canonical key")
+	}
+	if string(payload) != want {
+		t.Fatalf("stored report differs from the request's report:\n%s\nwant:\n%s", payload, want)
+	}
+
+	svc, err := service.New(service.Config{
+		Workers: 1, Store: st, Logger: discardLogger(),
+		Runner: func(ctx context.Context, r service.Request) (string, error) {
+			t.Errorf("service computed %+v instead of serving the stored result", r)
+			return "", context.Canceled
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	defer svc.Stop(context.Background())
+	jv, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := svc.Wait(context.Background(), jv.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.Key != key || done.State != service.StateDone || !done.CacheHit {
+		t.Fatalf("service job = %+v, want a cache hit on %s", done, key)
+	}
+	if got, ok := svc.Result(key); !ok || got != want {
+		t.Fatalf("service served %q, want the request's report", got)
+	}
+}
+
 func TestManagerLifecycleAndRestartVisibility(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/service"
 	"repro/internal/sim"
 )
 
@@ -44,6 +45,13 @@ type Experiment struct {
 	Trials       int                `json:"trials,omitempty"`
 }
 
+// request is the service request a registry entry runs as: its result
+// is stored under that request's canonical key, so the entry's budget
+// params both reach the run and key its result.
+func (e Experiment) request() service.Request {
+	return service.Request{ID: e.ID, Seed: e.Seed, Quick: e.Quick, Params: e.Params}
+}
+
 // DisplayName returns the entry's human label.
 func (e Experiment) DisplayName() string {
 	if e.Name != "" {
@@ -71,7 +79,9 @@ func ParseSpec(data []byte) (Spec, error) {
 }
 
 // Validate checks the spec against the experiment and kernel
-// registries.
+// registries, and decodes each registry entry's budget params with
+// service.BudgetFromParams, so a malformed or unbounded budget fails
+// before any entry runs.
 func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("campaign: spec has no name")
@@ -99,6 +109,9 @@ func (s Spec) Validate() error {
 			}
 			if e.Trials != 0 {
 				return fmt.Errorf("campaign: experiment %d: trials budget only applies to kernel entries", i)
+			}
+			if _, err := service.BudgetFromParams(e.Params); err != nil {
+				return fmt.Errorf("campaign: experiment %d: %w", i, err)
 			}
 		default:
 			if _, ok := sim.LookupKernel(e.Kernel); !ok {

@@ -19,6 +19,8 @@ func TestParseSpecValidation(t *testing.T) {
 		{"kernel without trials", `{"name":"x","experiments":[{"kernel":"coop.ber","seed":1}]}`, "trials budget"},
 		{"trials on registry entry", `{"name":"x","experiments":[{"id":"fig6a","seed":1,"trials":5}]}`, "only applies to kernel"},
 		{"negative checkpoint interval", `{"name":"x","checkpoint_chunks":-1,"experiments":[{"id":"fig6a","seed":1}]}`, "checkpoint_chunks"},
+		{"unbounded budget", `{"name":"x","experiments":[{"id":"ext-coopber","seed":1,"params":{"target_ci":"0.05"}}]}`, "max trials"},
+		{"malformed budget", `{"name":"x","experiments":[{"id":"ext-coopber","seed":1,"params":{"target_ci":"tight","max_trials":"4096"}}]}`, "bad target_ci"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -31,14 +33,15 @@ func TestParseSpecValidation(t *testing.T) {
 
 	good := `{"name":"ok","experiments":[
 		{"id":"fig6a","seed":1,"quick":true},
+		{"id":"ext-coopber","seed":1,"quick":true,"params":{"target_ci":"0.5","max_trials":"6144"}},
 		{"kernel":"coop.ber","seed":2,"kernel_params":{"mt":2,"mr":2,"snr_db":8,"bits":16},"trials":4096},
 		{"kernel":"multihop.ber.batch","seed":3,"trials":4096}]}`
 	spec, err := ParseSpec([]byte(good))
 	if err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
-	if len(spec.Experiments) != 3 {
-		t.Fatalf("parsed %d experiments, want 3", len(spec.Experiments))
+	if len(spec.Experiments) != 4 {
+		t.Fatalf("parsed %d experiments, want 4", len(spec.Experiments))
 	}
 }
 

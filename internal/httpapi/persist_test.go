@@ -158,6 +158,25 @@ func TestCampaignEndpoints(t *testing.T) {
 	}
 }
 
+// TestCampaignBadBudgetRejected: a registry entry whose budget params
+// are malformed or unbounded fails the spec with 400; nothing starts.
+func TestCampaignBadBudgetRejected(t *testing.T) {
+	ts, _, mgr := newPersistentTestServer(t, t.TempDir(), service.Config{Workers: 1})
+	for _, params := range []string{
+		`{"target_ci":"0.05"}`,
+		`{"target_ci":"0.05","max_trials":"lots"}`,
+	} {
+		spec := `{"name":"bad-budget","experiments":[{"id":"ext-coopber","seed":1,"quick":true,"params":` + params + `}]}`
+		resp, body := postJSON(t, ts.URL+"/v1/campaigns", spec)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("params %s: status=%d body=%v, want 400", params, resp.StatusCode, body)
+		}
+	}
+	if list := mgr.List(); len(list) != 0 {
+		t.Errorf("rejected specs started campaigns: %v", list)
+	}
+}
+
 func TestCampaignEndpointsWithoutStore(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{Workers: 1})
 	resp, body := postJSON(t, ts.URL+"/v1/campaigns", `{"name":"x","experiments":[{"id":"fig6a","seed":1}]}`)

@@ -118,7 +118,8 @@ func NewMux(svc *service.Service, cfg Config) http.Handler {
 		var qe *service.QuotaError
 		switch {
 		case errors.Is(err, service.ErrUnknownExperiment),
-			errors.Is(err, service.ErrBadTenant):
+			errors.Is(err, service.ErrBadTenant),
+			errors.Is(err, service.ErrBadParams):
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		case errors.As(err, &qe):

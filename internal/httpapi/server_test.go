@@ -247,6 +247,25 @@ func TestQueueSaturationReturns429(t *testing.T) {
 	}
 }
 
+// TestBadBudgetParamsRejected: a budget the service cannot decode, or
+// a target without a trial cap, is refused at submission with 400
+// instead of being queued to fail (or run unbudgeted) on a worker.
+func TestBadBudgetParamsRejected(t *testing.T) {
+	ts, svc := newTestServer(t, service.Config{Workers: 1})
+	for _, params := range []string{
+		`{"target_ci":"0.05"}`,
+		`{"target_ci":"tight","max_trials":"4096"}`,
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/experiments", `{"id":"ext-coopber","seed":1,"quick":true,"params":`+params+`}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("params %s: status=%d body=%v, want 400", params, resp.StatusCode, body)
+		}
+	}
+	if st := svc.Stats(); st.Submitted != 0 {
+		t.Errorf("rejected requests counted as submitted: %+v", st)
+	}
+}
+
 func TestValidationAndHealth(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{Workers: 1})
 

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/adaptive"
@@ -15,17 +17,25 @@ func TestBudgetFromParams(t *testing.T) {
 	if b.TargetRelCI != 0.05 || b.MaxTrials != 100000 || b.MinTrials != 256 {
 		t.Fatalf("decoded %+v", b)
 	}
-	if b, err := BudgetFromParams(nil); err != nil || b.Enabled() {
-		t.Fatalf("absent params: %+v, %v", b, err)
-	}
-	// target_ci=0 explicitly disables — the escape hatch on nodes with
-	// a default budget.
-	if b, err := BudgetFromParams(map[string]string{"target_ci": "0"}); err != nil || b.Enabled() {
-		t.Fatalf("explicit zero: %+v, %v", b, err)
+	// Absent params, an explicit zero target (the escape hatch on nodes
+	// with a default budget) and a cap without a target all decode to
+	// the zero budget: none of them enables adaptive stopping.
+	for _, params := range []map[string]string{
+		nil,
+		{"target_ci": "0"},
+		{"target_ci": "0", "max_trials": "4096"},
+		{"max_trials": "4096", "min_trials": "64"},
+	} {
+		if b, err := BudgetFromParams(params); err != nil || b != (adaptive.Budget{}) {
+			t.Errorf("params %v: %+v, %v; want the zero budget", params, b, err)
+		}
 	}
 	for _, params := range []map[string]string{
 		{"target_ci": "nope"},
 		{"target_ci": "-0.1"},
+		{"target_ci": "NaN", "max_trials": "100"},
+		{"target_ci": "0.05"}, // a target without a cap
+		{"target_ci": "0.05", "max_trials": "0"},
 		{"max_trials": "x"},
 		{"max_trials": "-5"},
 		{"min_trials": "-1"},
@@ -38,45 +48,139 @@ func TestBudgetFromParams(t *testing.T) {
 	}
 }
 
-func TestWithDefaultBudget(t *testing.T) {
-	var seen map[string]string
-	inner := func(ctx context.Context, req Request) (string, error) {
-		seen = req.Params
-		return "", nil
+// FuzzBudgetParams pins the budget boundary: for any params,
+// BudgetFromParams either fails or returns a budget that Validate
+// accepts and that survives a BudgetParams round trip unchanged.
+func FuzzBudgetParams(f *testing.F) {
+	f.Add("0.05", "131072", "256", uint8(7))
+	f.Add("0.05", "", "", uint8(1))
+	f.Add("0", "4096", "64", uint8(7))
+	f.Add("1e-320", "1", "1", uint8(7))
+	f.Add("Inf", "9223372036854775807", "", uint8(3))
+	f.Add(" 0.1", "+5", "-0", uint8(7))
+	f.Fuzz(func(t *testing.T, target, maxTrials, minTrials string, present uint8) {
+		params := map[string]string{}
+		for i, kv := range [][2]string{{"target_ci", target}, {"max_trials", maxTrials}, {"min_trials", minTrials}} {
+			if present&(1<<i) != 0 {
+				params[kv[0]] = kv[1]
+			}
+		}
+		b, err := BudgetFromParams(params)
+		if err != nil {
+			return
+		}
+		if err := b.Validate(); err != nil {
+			t.Fatalf("params %q decoded to %+v, which Validate refuses: %v", params, b, err)
+		}
+		again, err := BudgetFromParams(BudgetParams(b))
+		if err != nil || again != b {
+			t.Fatalf("params %q: %+v round-tripped to %+v, %v", params, b, again, err)
+		}
+	})
+}
+
+// budgetRecorder is a runner that records the budget each run decodes.
+type budgetRecorder struct {
+	mu   sync.Mutex
+	seen []adaptive.Budget
+}
+
+func (r *budgetRecorder) run(ctx context.Context, req Request) (string, error) {
+	b, err := BudgetFromParams(req.Params)
+	if err != nil {
+		return "", err
 	}
+	r.mu.Lock()
+	r.seen = append(r.seen, b)
+	r.mu.Unlock()
+	return req.ID + " " + req.Params["target_ci"], nil
+}
+
+func (r *budgetRecorder) last() adaptive.Budget {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seen[len(r.seen)-1]
+}
+
+// TestDefaultBudgetJoinsKey: a node's default budget is part of the
+// request it keys. A request without budget params gets the key, the
+// run and the cached result of the same request sent with the default's
+// params explicitly; "target_ci":"0" keys and runs as a fixed budget.
+func TestDefaultBudgetJoinsKey(t *testing.T) {
 	def := adaptive.Budget{TargetRelCI: 0.1, MaxTrials: 4096, MinTrials: 64}
-	wrapped := WithDefaultBudget(inner, def)
+	rec := &budgetRecorder{}
+	s := startService(t, Config{Workers: 1, Runner: rec.run, DefaultBudget: def})
 
-	// No params: the default budget is injected.
-	if _, err := wrapped(context.Background(), Request{ID: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if seen["target_ci"] != "0.1" || seen["max_trials"] != "4096" || seen["min_trials"] != "64" {
-		t.Fatalf("default not injected: %v", seen)
-	}
-
-	// Explicit budget params win untouched, including a disabling zero.
-	if _, err := wrapped(context.Background(), Request{ID: "x", Params: map[string]string{"target_ci": "0"}}); err != nil {
-		t.Fatal(err)
-	}
-	if seen["target_ci"] != "0" || seen["max_trials"] != "" {
-		t.Fatalf("explicit params overridden: %v", seen)
+	submit := func(req Request) JobView {
+		t.Helper()
+		jv, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return waitTerminal(t, s, jv.ID)
 	}
 
-	// Unrelated params survive injection.
-	if _, err := wrapped(context.Background(), Request{ID: "x", Params: map[string]string{"foo": "bar"}}); err != nil {
-		t.Fatal(err)
+	bare := submit(Request{ID: "x", Seed: 1})
+	explicit := Request{ID: "x", Seed: 1, Params: BudgetParams(def)}
+	if bare.Key != CanonicalKey(explicit) {
+		t.Fatalf("defaulted key %s != explicit-budget key %s", bare.Key, CanonicalKey(explicit))
 	}
-	if seen["foo"] != "bar" || seen["target_ci"] != "0.1" {
-		t.Fatalf("unrelated params lost: %v", seen)
+	if got := rec.last(); got != def {
+		t.Fatalf("defaulted run decoded %+v, want %+v", got, def)
+	}
+	if again := submit(explicit); again.Key != bare.Key || !again.CacheHit {
+		t.Fatalf("explicit budget = %+v, want a cache hit on %s", again, bare.Key)
 	}
 
-	// A disabled default is the identity wrapper.
-	id := WithDefaultBudget(inner, adaptive.Budget{})
-	if _, err := id(context.Background(), Request{ID: "x"}); err != nil {
+	optOut := Request{ID: "x", Seed: 1, Params: map[string]string{"target_ci": "0"}}
+	fixed := submit(optOut)
+	if fixed.Key != CanonicalKey(optOut) || fixed.Key == bare.Key {
+		t.Fatalf("opt-out key %s, want %s", fixed.Key, CanonicalKey(optOut))
+	}
+	if got := rec.last(); got.Enabled() {
+		t.Fatalf("opt-out ran budget %+v, want fixed", got)
+	}
+
+	// Unrelated params ride along with the default.
+	other := submit(Request{ID: "x", Seed: 1, Params: map[string]string{"foo": "bar"}})
+	want := BudgetParams(def)
+	want["foo"] = "bar"
+	if other.Key != CanonicalKey(Request{ID: "x", Seed: 1, Params: want}) {
+		t.Fatalf("unrelated param lost its default budget: %+v", other.Request)
+	}
+	if n := len(rec.seen); n != 3 {
+		t.Fatalf("runner ran %d times, want 3 (one cache hit)", n)
+	}
+
+	// Without a default the bare request keys as it always has.
+	plain := startService(t, Config{Workers: 1, Runner: rec.run})
+	jv, err := plain.Submit(Request{ID: "x", Seed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 0 {
-		t.Fatalf("disabled default injected params: %v", seen)
+	if jv.Key != CanonicalKey(Request{ID: "x", Seed: 1}) || jv.Request.Params != nil {
+		t.Fatalf("no-default submit = %+v", jv)
+	}
+}
+
+// TestSubmitRejectsBadBudget: a budget BudgetFromParams refuses fails
+// at submission with ErrBadParams, before a job exists or a worker
+// runs; so does a service configured with such a default.
+func TestSubmitRejectsBadBudget(t *testing.T) {
+	rec := &budgetRecorder{}
+	s := startService(t, Config{Workers: 1, Runner: rec.run})
+	for _, params := range []map[string]string{
+		{"target_ci": "0.05"},
+		{"target_ci": "abc", "max_trials": "4096"},
+	} {
+		if _, err := s.Submit(Request{ID: "x", Seed: 1, Params: params}); !errors.Is(err, ErrBadParams) {
+			t.Errorf("params %v: err = %v, want ErrBadParams", params, err)
+		}
+	}
+	if st := s.Stats(); st.Submitted != 0 || st.Failed != 0 {
+		t.Fatalf("stats after rejections = %+v", st)
+	}
+	if _, err := New(Config{Runner: rec.run, DefaultBudget: adaptive.Budget{TargetRelCI: 0.1}}); err == nil {
+		t.Fatal("New accepted a default target without a trial cap")
 	}
 }

@@ -26,7 +26,10 @@ type Key string
 //	1 (unversioned): coop.ber and multihop.ber stopped adaptive budgets
 //	  on the CLT rule.
 //	2: every BER kernel stops adaptive budgets on the Wilson rule.
-const keyVersion = 2
+//	3: campaign entries honour their budget params, and a node's
+//	  default budget joins the request before it is keyed; under 2 both
+//	  filed a report under the key of a different budget.
+const keyVersion = 3
 
 // CanonicalKey hashes a request into its content address. The hash
 // covers the experiment ID, seed, quick flag and every solver parameter

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,15 +50,26 @@ func TestCanonicalKeySeparatesRequests(t *testing.T) {
 
 // TestCanonicalKeyPinned pins the content address of one budgeted
 // ext-coopber request. The key feeds durable stores and campaign
-// results, so it may change only together with keyVersion; the
-// unversioned hash of the same request (a55fac3d…, from before the BER
-// kernels stopped on the Wilson rule) must never come back.
+// results, so it may change only together with keyVersion, and the
+// hashes of earlier versions must never come back: the unversioned one
+// (from before the BER kernels stopped on the Wilson rule) and
+// version 2's (from before campaign entries and a node's default budget
+// keyed the budget they ran).
 func TestCanonicalKeyPinned(t *testing.T) {
 	req := Request{ID: "ext-coopber", Seed: 1, Quick: true,
 		Params: map[string]string{"target_ci": "0.05", "max_trials": "131072"}}
-	const want = "8b843193096179ca85cc867390cb7bc61d740604ef115e7b75a703861203138d"
-	if got := CanonicalKey(req); got != want {
+	const want = "5a2a492fc537b84a287c083a7831f0e20b60133f4bed30c52fbe773c8ab6ddae"
+	got := CanonicalKey(req)
+	if got != want {
 		t.Fatalf("CanonicalKey = %s, want %s", got, want)
+	}
+	for _, retired := range []string{
+		"a55fac3d", // unversioned
+		"8b843193096179ca85cc867390cb7bc61d740604ef115e7b75a703861203138d", // version 2
+	} {
+		if strings.HasPrefix(string(got), retired) {
+			t.Fatalf("CanonicalKey %s is a retired key version's hash", got)
+		}
 	}
 }
 

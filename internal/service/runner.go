@@ -29,65 +29,60 @@ func ExperimentRunner(ctx context.Context, req Request) (string, error) {
 }
 
 // BudgetFromParams decodes the adaptive budget riding in a request's
-// solver parameters. Budget params participate in the result cache key
-// like any other param, so two requests with different targets never
-// share a cached artifact. Absent keys return the zero (disabled)
-// budget.
+// params ("target_ci", "max_trials", "min_trials"); it is the one
+// decoder of a budget, and BudgetParams the one encoder. Budget params
+// participate in the result cache key like any other param, so two
+// requests with different targets never share a cached artifact. A
+// malformed value or a budget Validate refuses is an error; absent keys,
+// and any other budget that does not enable adaptive stopping, decode
+// to the zero (disabled) budget.
 func BudgetFromParams(params map[string]string) (adaptive.Budget, error) {
 	var b adaptive.Budget
 	if v, ok := params["target_ci"]; ok {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
-			return b, fmt.Errorf("service: bad target_ci %q", v)
+		if err != nil || !(f >= 0) {
+			return adaptive.Budget{}, fmt.Errorf("service: bad target_ci %q", v)
 		}
 		b.TargetRelCI = f
 	}
 	if v, ok := params["max_trials"]; ok {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			return b, fmt.Errorf("service: bad max_trials %q", v)
+			return adaptive.Budget{}, fmt.Errorf("service: bad max_trials %q", v)
 		}
 		b.MaxTrials = n
 	}
 	if v, ok := params["min_trials"]; ok {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			return b, fmt.Errorf("service: bad min_trials %q", v)
+			return adaptive.Budget{}, fmt.Errorf("service: bad min_trials %q", v)
 		}
 		b.MinTrials = n
 	}
 	if err := b.Validate(); err != nil {
 		return adaptive.Budget{}, err
 	}
+	if !b.Enabled() {
+		return adaptive.Budget{}, nil
+	}
 	return b, nil
 }
 
-// WithDefaultBudget wraps a Runner so requests carrying no budget
-// params run under the given default adaptive budget. Requests with an
-// explicit target_ci always win — including "target_ci":"0", which
-// callers can send to force fixed budgets on a defaulted node. The
-// injected params are visible to the wrapped runner only; the cache key
-// was computed from the original request, so a node's default budget is
-// node configuration, exactly like its -peers topology.
-func WithDefaultBudget(inner Runner, def adaptive.Budget) Runner {
-	if !def.Enabled() {
-		return inner
+// BudgetParams encodes a budget as the request params BudgetFromParams
+// decodes back to it. A disabled budget encodes to nil, so a request
+// without a budget keys exactly like one that never had the concept.
+func BudgetParams(b adaptive.Budget) map[string]string {
+	if !b.Enabled() {
+		return nil
 	}
-	return func(ctx context.Context, req Request) (string, error) {
-		if _, ok := req.Params["target_ci"]; !ok {
-			params := make(map[string]string, len(req.Params)+3)
-			for k, v := range req.Params {
-				params[k] = v
-			}
-			params["target_ci"] = strconv.FormatFloat(def.TargetRelCI, 'g', -1, 64)
-			params["max_trials"] = strconv.Itoa(def.MaxTrials)
-			if def.MinTrials > 0 {
-				params["min_trials"] = strconv.Itoa(def.MinTrials)
-			}
-			req.Params = params
-		}
-		return inner(ctx, req)
+	p := map[string]string{
+		"target_ci":  strconv.FormatFloat(b.TargetRelCI, 'g', -1, 64),
+		"max_trials": strconv.Itoa(b.MaxTrials),
 	}
+	if b.MinTrials > 0 {
+		p["min_trials"] = strconv.Itoa(b.MinTrials)
+	}
+	return p
 }
 
 // KnownExperimentIDs lists the IDs ExperimentRunner accepts, for

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/adaptive"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/tenant"
@@ -190,6 +193,13 @@ type Config struct {
 	// jobs: a job that ran (not a cache hit) for at least this long has
 	// its trace pinned against eviction and its trace id logged.
 	SlowTrace time.Duration
+	// DefaultBudget is the node-wide adaptive budget for requests that
+	// carry no "target_ci" param. Submit merges its params
+	// (BudgetParams) into the request before keying it, so a defaulted
+	// result caches under the key of the budget it ran; any explicit
+	// target_ci, "0" included, wins. The zero value leaves requests as
+	// they are.
+	DefaultBudget adaptive.Budget
 }
 
 // Service schedules experiment jobs onto a bounded worker pool,
@@ -202,6 +212,9 @@ type Service struct {
 	logger  *slog.Logger
 	sched   *tenant.Scheduler[*job]
 	limiter *tenant.Limiter
+	// defaultParams is BudgetParams(cfg.DefaultBudget): nil when no
+	// default applies.
+	defaultParams map[string]string
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -231,6 +244,7 @@ var (
 	ErrUnknownExperiment = errors.New("service: unknown experiment id")
 	ErrNoSuchJob         = errors.New("service: no such job")
 	ErrBadTenant         = errors.New("service: invalid tenant id")
+	ErrBadParams         = errors.New("service: invalid request params")
 	// ErrQuotaExceeded matches (via errors.Is) the *QuotaError returned
 	// when a tenant's token bucket is empty.
 	ErrQuotaExceeded = errors.New("service: tenant quota exceeded")
@@ -267,6 +281,9 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
+	if err := cfg.DefaultBudget.Validate(); err != nil {
+		return nil, fmt.Errorf("service: default budget: %w", err)
+	}
 	topts := cfg.Tenants
 	if topts.TotalDepth <= 0 {
 		topts.TotalDepth = cfg.QueueDepth
@@ -291,6 +308,8 @@ func New(cfg Config) (*Service, error) {
 		baseCtx: ctx,
 		stop:    cancel,
 		jobs:    make(map[string]*job),
+
+		defaultParams: BudgetParams(cfg.DefaultBudget),
 	}
 	if len(cfg.KnownIDs) > 0 {
 		s.known = make(map[string]bool, len(cfg.KnownIDs))
@@ -384,15 +403,27 @@ func (s *Service) Submit(req Request) (JobView, error) {
 // the HTTP request that created it. ctx does not bound the job's
 // lifetime — cancellation still goes through Cancel or Stop.
 //
-// The request's tenant is canonicalized (empty means the anonymous
-// default tenant), charged against its admission quota, and enqueued
-// on its own weighted-fair queue. Quota rejections return a
-// *QuotaError; backlog rejections return ErrQueueFull (global bound)
-// or an error wrapping both ErrQueueFull and tenant.ErrTenantQueueFull
-// (the tenant's own bound).
+// The node's default budget (Config.DefaultBudget) joins a request
+// without "target_ci" before the request is keyed, and a budget that
+// BudgetFromParams refuses fails with ErrBadParams. The request's
+// tenant is canonicalized (empty means the anonymous default tenant),
+// charged against its admission quota, and enqueued on its own
+// weighted-fair queue. Quota rejections return a *QuotaError; backlog
+// rejections return ErrQueueFull (global bound) or an error wrapping
+// both ErrQueueFull and tenant.ErrTenantQueueFull (the tenant's own
+// bound). Only accepted jobs count as submitted.
 func (s *Service) SubmitCtx(ctx context.Context, req Request) (JobView, error) {
 	if s.known != nil && !s.known[req.ID] {
 		return JobView{}, fmt.Errorf("%w: %q", ErrUnknownExperiment, req.ID)
+	}
+	if _, ok := req.Params["target_ci"]; !ok && s.defaultParams != nil {
+		params := make(map[string]string, len(req.Params)+len(s.defaultParams))
+		maps.Copy(params, req.Params)
+		maps.Copy(params, s.defaultParams)
+		req.Params = params
+	}
+	if _, err := BudgetFromParams(req.Params); err != nil {
+		return JobView{}, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
 	tid, err := tenant.Canonicalize(req.Tenant)
 	if err != nil {
@@ -432,8 +463,6 @@ func (s *Service) SubmitCtx(ctx context.Context, req Request) (JobView, error) {
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	s.forgetOldLocked()
-	s.submitted++
 	s.mu.Unlock()
 
 	// Snapshot before a worker can see the job: the caller gets the job
@@ -444,6 +473,9 @@ func (s *Service) SubmitCtx(ctx context.Context, req Request) (JobView, error) {
 		s.mu.Lock()
 		s.rejected++
 		delete(s.jobs, j.id)
+		if i := slices.Index(s.order, j.id); i >= 0 {
+			s.order = slices.Delete(s.order, i, i+1)
+		}
 		s.mu.Unlock()
 		cancel()
 		s.logger.Warn("job rejected: queue full",
@@ -461,6 +493,10 @@ func (s *Service) SubmitCtx(ctx context.Context, req Request) (JobView, error) {
 			return JobView{}, ErrQueueFull
 		}
 	}
+	s.mu.Lock()
+	s.submitted++
+	s.forgetOldLocked()
+	s.mu.Unlock()
 	metTenantJobs.With(tid).Inc()
 	s.logger.Debug("job queued",
 		"job_id", j.id, "tenant", tid, "experiment", j.req.ID, "trace_id", view.TraceID)

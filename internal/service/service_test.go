@@ -188,6 +188,35 @@ func TestQueueFull(t *testing.T) {
 	}
 }
 
+// TestQueueFullNotCountedAsSubmitted: a queue-full rejection counts as
+// rejected only, and leaves nothing in the job table.
+func TestQueueFullNotCountedAsSubmitted(t *testing.T) {
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	defer close(release)
+	s := startService(t, Config{Workers: 1, QueueDepth: 1, Runner: blockingRunner(started, release)})
+
+	if _, err := s.Submit(Request{ID: "pin", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, err := s.Submit(Request{ID: "queued", Seed: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(Request{ID: "overflow", Seed: 3}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("err = %v, want ErrQueueFull", err)
+	}
+	if st := s.Stats(); st.Submitted != 2 || st.Rejected != 1 {
+		t.Errorf("submitted %d, rejected %d; want 2 and 1", st.Submitted, st.Rejected)
+	}
+	s.mu.Lock()
+	jobs, order := len(s.jobs), len(s.order)
+	s.mu.Unlock()
+	if jobs != 2 || order != 2 {
+		t.Errorf("job table %d, order %d; want 2 each", jobs, order)
+	}
+}
+
 func TestUnknownExperimentRejected(t *testing.T) {
 	s := startService(t, Config{
 		Workers:  1,

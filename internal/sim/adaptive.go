@@ -25,14 +25,6 @@ type StopRule interface {
 	Done(prefix mathx.Running) bool
 }
 
-// A TraceSink receives the realized PlanTrace of an adaptive run. An
-// executor that implements it (the campaign checkpoint executor does)
-// gets every adaptive run's trace handed over for persistence the
-// moment the run completes.
-type TraceSink interface {
-	RecordPlanTrace(run KernelRun, trace PlanTrace)
-}
-
 // AdaptiveResult pairs the statistics of an adaptive run with the
 // realized chunk plan that produced them.
 type AdaptiveResult struct {
@@ -106,10 +98,6 @@ func (mc MonteCarlo) RunAdaptiveCtx(ctx context.Context, kernel string, params m
 	}
 	span.SetAttr("trials", strconv.Itoa(trace.Trials)).
 		SetAttr("rounds", strconv.Itoa(len(trace.Rounds)))
-
-	if ts, ok := ExecutorFrom(ctx).(TraceSink); ok {
-		ts.RecordPlanTrace(run, trace)
-	}
 	return AdaptiveResult{Stats: stats, Trace: trace}, nil
 }
 
