@@ -2,10 +2,10 @@
 # builds, the whole test suite under the race detector (its process
 # tests boot the daemon, SIGKILL a campaign and drive the fairness load
 # run) and the bench module's vet and tests. `./verify.sh` runs it plus
-# `fuzz-rng`, `fuzz-lanes`, `fuzz-params` and `bench-compare`, the
-# checks that take longer.
+# `fuzz-rng`, `fuzz-lanes`, `fuzz-params`, `fuzz-shard` and
+# `bench-compare`, the checks that take longer.
 
-.PHONY: verify vet fmt-check build cross-arch test race bench-module fuzz-rng fuzz-lanes fuzz-params bench bench-compare cogbench-ab bench-batch
+.PHONY: verify vet fmt-check build cross-arch test race bench-module fuzz-rng fuzz-lanes fuzz-params fuzz-shard bench bench-compare cogbench-ab bench-batch
 
 BENCH_DATE := $(shell date +%Y-%m-%d)
 BENCH_TODAY := BENCH_$(BENCH_DATE).json
@@ -96,6 +96,13 @@ fuzz-lanes:
 # through service.BudgetParams unchanged.
 fuzz-params:
 	go test -run=NONE -fuzz=FuzzBudgetParams -fuzztime=10s ./internal/service
+
+# Fuzzes the shard wire for 10 s: for any request body a worker may
+# receive, json.Unmarshal plus ShardRequest.Validate must never panic,
+# and an accepted request must name a chunk range inside its own plan
+# and survive a re-encode unchanged.
+fuzz-shard:
+	go test -run=NONE -fuzz=FuzzShardRequest -fuzztime=10s ./internal/cluster
 
 # Runs the repo-root benchmark suite and records ns/op, B/op and
 # allocs/op into BENCH_<date>.json (or BENCH_JSON) via

@@ -25,8 +25,8 @@
 //
 // The server is multi-tenant: callers identify themselves with the
 // X-Tenant-Id header (anonymous requests map to the "default" tenant)
-// and jobs are dispatched weighted-fairly across tenants instead of
-// global FIFO, so one tenant's backlog cannot starve another. -quota-
+// and jobs are dispatched fairly, in rotation across tenants, instead
+// of global FIFO, so one tenant's backlog cannot starve another. -quota-
 // rate/-quota-burst add per-tenant token-bucket admission control;
 // over-quota submissions answer 429 with a Retry-After derived from
 // that tenant's own budget. Scheduling only reorders jobs — reports
@@ -44,7 +44,7 @@
 //	GET    /v1/campaigns         list campaigns, live and stored
 //	GET    /v1/campaigns/{id}    campaign status with per-experiment progress
 //	GET    /v1/stats             service counters as JSON
-//	GET    /v1/tenants           per-tenant queue/running/weight snapshots
+//	GET    /v1/tenants           per-tenant queue/running snapshots
 //	POST   /v1/shards            execute a Monte-Carlo chunk range (worker side)
 //	GET    /v1/traces/{id}       merged distributed trace; ?format=chrome for
 //	                             a chrome://tracing / Perfetto file
@@ -116,7 +116,7 @@ func main() {
 		traceSlow = flag.Duration("trace-slow", 10*time.Second, "pin the trace of any job slower than this (0 = off; needs -trace-buffer > 0)")
 
 		targetCI  = flag.Float64("target-ci", 0, "default adaptive stop for requests without budget params: target relative 95% CI half-width (0 = fixed budgets)")
-		maxTrials = flag.Int("max-trials", 0, "default adaptive per-cell trial cap (required with -target-ci)")
+		maxTrials = flag.Int("max-trials", 0, "default adaptive per-cell trial cap, at most 16777216 (required with -target-ci)")
 
 		peers      = flag.String("peers", "", "comma-separated worker node addresses; enables coordinator mode")
 		shards     = flag.Int("shards", 0, "shards per Monte-Carlo run in coordinator mode (0 = one per ready peer)")

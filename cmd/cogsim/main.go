@@ -74,7 +74,7 @@ func main() {
 		campSpec  = flag.String("campaign", "", "campaign spec file; runs it with durable checkpoints (needs -data-dir)")
 		dataDir   = flag.String("data-dir", "", "durable store directory for -campaign checkpoints and results")
 		targetCI  = flag.Float64("target-ci", 0, "adaptive stop: target relative 95% CI half-width, e.g. 0.05 for ±5% (0 = fixed budgets)")
-		maxTrials = flag.Int("max-trials", 0, "adaptive stop: per-cell trial budget cap (required with -target-ci)")
+		maxTrials = flag.Int("max-trials", 0, "adaptive stop: per-cell trial budget cap, at most 16777216 (required with -target-ci)")
 		minTrials = flag.Int("min-trials", 0, "adaptive stop: floor on trials before stopping may trigger")
 		progress  = flag.String("progress", "auto", "live progress line on stderr: auto, on or off")
 		logLevel  = flag.String("log-level", "warn", "log level: debug, info, warn or error")

@@ -25,12 +25,19 @@ type Budget struct {
 	MinTrials int
 }
 
+// MaxBudgetTrials is the largest MaxTrials an enabled budget may ask
+// for: 8192 chunks, 16x the largest budget the README documents. It
+// keeps every budgeted plan and every report's budget arithmetic far
+// from int overflow, and bounds what one request can make a node spend
+// on one cell.
+const MaxBudgetTrials = 1 << 24
+
 // Enabled reports whether the budget asks for adaptive execution.
 func (b Budget) Enabled() bool { return b.TargetRelCI > 0 && b.MaxTrials > 0 }
 
-// Validate rejects budgets that could never stop or never start, and
-// a target without a trial cap, which would otherwise run silently as
-// a fixed budget.
+// Validate rejects budgets that could never stop or never start, a
+// target without a trial cap, which would otherwise run silently as a
+// fixed budget, and a cap above MaxBudgetTrials.
 func (b Budget) Validate() error {
 	if b.TargetRelCI > 0 && b.MaxTrials <= 0 {
 		return fmt.Errorf("adaptive: target relative CI %g needs a positive max trials to bound the spend", b.TargetRelCI)
@@ -40,6 +47,9 @@ func (b Budget) Validate() error {
 	}
 	if b.TargetRelCI >= 1 {
 		return fmt.Errorf("adaptive: target relative CI %g >= 1", b.TargetRelCI)
+	}
+	if b.MaxTrials > MaxBudgetTrials {
+		return fmt.Errorf("adaptive: max trials %d exceeds the ceiling %d", b.MaxTrials, MaxBudgetTrials)
 	}
 	if b.MinTrials > b.MaxTrials {
 		return fmt.Errorf("adaptive: min trials %d exceeds budget %d", b.MinTrials, b.MaxTrials)

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/mathx"
@@ -63,6 +64,9 @@ func TestBudgetValidate(t *testing.T) {
 		{Budget{TargetRelCI: 0.05, MaxTrials: 100, MinTrials: 200}, false},
 		{Budget{TargetRelCI: 0.05}, false}, // a target needs a cap
 		{Budget{MaxTrials: 100}, true},     // a cap alone is a fixed budget
+		{Budget{TargetRelCI: 0.05, MaxTrials: MaxBudgetTrials}, true},
+		{Budget{TargetRelCI: 0.05, MaxTrials: MaxBudgetTrials + 1}, false},
+		{Budget{TargetRelCI: 0.05, MaxTrials: math.MaxInt}, false},
 	} {
 		err := tc.b.Validate()
 		if (err == nil) != tc.ok {

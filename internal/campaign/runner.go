@@ -16,7 +16,7 @@ import (
 )
 
 // defaultCheckpointChunks is the chunk interval between checkpoint
-// persists when neither the spec nor the runner chooses one.
+// persists when the spec does not set checkpoint_chunks.
 const defaultCheckpointChunks = 4
 
 // An Observer watches a campaign run; the cogmimod Manager uses it to
@@ -54,9 +54,6 @@ type Runner struct {
 	// Workers caps Monte-Carlo and sweep-row concurrency; 0 means
 	// GOMAXPROCS. Any value yields bit-identical reports.
 	Workers int
-	// CheckpointEvery is the default chunk interval between checkpoint
-	// persists for specs that do not set checkpoint_chunks; 0 means 4.
-	CheckpointEvery int
 	// Logger receives campaign lifecycle logs; nil means slog.Default().
 	Logger *slog.Logger
 	// Observer, when non-nil, watches experiment transitions.
@@ -88,9 +85,6 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (string, RunStats, error) {
 	logger = logger.With("campaign", cid, "name", spec.Name)
 
 	every := spec.CheckpointChunks
-	if every <= 0 {
-		every = r.CheckpointEvery
-	}
 	if every <= 0 {
 		every = defaultCheckpointChunks
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -132,8 +131,10 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 // per stopping round; the coordinator folds nothing, so the result is
 // bit-identical to a local run. It reports completed trials but never
 // grows the progress total — the run schedule in sim accounts the
-// budget. Any shard exhausting its attempts fails the whole range: a
-// partial distributed result would silently change statistics.
+// budget. Any shard exhausting its attempts fails the whole range with
+// the lowest such shard's error: a partial distributed result would
+// silently change statistics. A range whose shards all finished is
+// returned even if ctx is done by then.
 func (c *Coordinator) RunChunkRange(ctx context.Context, run sim.KernelRun, lo, hi int) ([]mathx.Running, error) {
 	plan := run.Plan()
 	chunks := plan.Chunks()
@@ -152,29 +153,23 @@ func (c *Coordinator) RunChunkRange(ctx context.Context, run sim.KernelRun, lo, 
 	progress := obs.ProgressFrom(ctx)
 	log := obs.Logger(ctx)
 	parts := make([]mathx.Running, hi-lo)
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		wg.Add(1)
-		go func(i int, sh shard) {
-			defer wg.Done()
-			abs := shard{lo: lo + sh.lo, hi: lo + sh.hi}
-			res, err := c.runShard(ctx, run, abs)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			copy(parts[sh.lo:sh.hi], res)
-			n := int64(0)
-			for ch := abs.lo; ch < abs.hi; ch++ {
-				n += int64(plan.ChunkTrials(ch))
-			}
-			progress.Add(n)
-			log.Debug("shard done", "shard", i, "chunk_lo", abs.lo, "chunk_hi", abs.hi)
-		}(i, sh)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	err := sim.Each(ctx, len(shards), len(shards), func(_, i int) error {
+		sh := shards[i]
+		abs := shard{lo: lo + sh.lo, hi: lo + sh.hi}
+		res, err := c.runShard(ctx, run, abs)
+		if err != nil {
+			return err
+		}
+		copy(parts[sh.lo:sh.hi], res)
+		n := int64(0)
+		for ch := abs.lo; ch < abs.hi; ch++ {
+			n += int64(plan.ChunkTrials(ch))
+		}
+		progress.Add(n)
+		log.Debug("shard done", "shard", i, "chunk_lo", abs.lo, "chunk_hi", abs.hi)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return parts, nil

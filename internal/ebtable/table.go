@@ -1,14 +1,15 @@
 package ebtable
 
 import (
+	"context"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"sort"
-	"sync"
+
+	"repro/internal/sim"
 )
 
 // Solver produces ēb values; Analytic, MonteCarlo and Table itself all
@@ -86,37 +87,20 @@ func Build(solver Solver, grid Grid) (*Table, error) {
 		}
 	}
 	vals := make([]float64, len(cells))
-	errs := make([]error, len(cells))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cells) {
-		workers = len(cells)
+	err := sim.Each(context.Background(), 0, len(cells), func(_, i int) error {
+		c := cells[i]
+		v, err := solver.EbBar(c.p, c.key.B, c.key.Mt, c.key.Mr)
+		if err != nil {
+			return fmt.Errorf("ebtable: building cell %+v: %w", c.key, err)
+		}
+		vals[i] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(cells) {
-					return
-				}
-				c := cells[i]
-				vals[i], errs[i] = solver.EbBar(c.p, c.key.B, c.key.Mt, c.key.Mr)
-			}
-		}()
-	}
-	wg.Wait()
 	t := &Table{Grid: grid, Vals: make(map[Key]float64, len(cells))}
 	for i, c := range cells {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("ebtable: building cell %+v: %w", c.key, errs[i])
-		}
 		t.Vals[c.key] = vals[i]
 	}
 	return t, nil

@@ -31,7 +31,7 @@ func TestRunUnknown(t *testing.T) {
 }
 
 func TestRunAllQuick(t *testing.T) {
-	reps, err := RunAll(Options{Seed: 21, Quick: true})
+	reps, err := RunAllCtx(context.Background(), Options{Seed: 21, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

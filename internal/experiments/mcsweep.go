@@ -46,12 +46,10 @@ func ExtCoopBER(ctx context.Context, opts Options) (*Report, error) {
 	}
 
 	// An enabled budget swaps the fixed trial count for sequential
-	// stopping per cell; the zero budget keeps the golden-pinned fixed
-	// path byte-identical.
+	// stopping per cell, up to the budget's own max_trials (the key
+	// covers it); the zero budget keeps the golden-pinned fixed path
+	// byte-identical.
 	budget := opts.Budget
-	if budget.Enabled() && budget.MaxTrials > trials {
-		budget.MaxTrials = trials
-	}
 	var realized atomic.Int64
 
 	// One derived seed per cell, row-major, so every cell's chunk walk

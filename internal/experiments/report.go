@@ -158,11 +158,6 @@ func RunCtx(ctx context.Context, id string, opts Options) (*Report, error) {
 	return rep, err
 }
 
-// RunAll executes every experiment in ID order.
-func RunAll(opts Options) ([]*Report, error) {
-	return RunAllCtx(context.Background(), opts)
-}
-
 // RunAllCtx executes every experiment in ID order under ctx.
 func RunAllCtx(ctx context.Context, opts Options) ([]*Report, error) {
 	var out []*Report

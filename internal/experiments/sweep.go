@@ -5,10 +5,9 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // RowArena formats report cells into one growing backing buffer and
@@ -95,60 +94,24 @@ func sweepRows(ctx context.Context, opts Options, n, cellsPerRow int, row func(a
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	arenaHint := n * cellsPerRow * 12
-
-	if workers <= 1 {
-		a := NewRowArena(arenaHint)
-		rows := make([][]string, 0, n)
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			a.BeginRow(cellsPerRow)
-			if err := row(a, i); err != nil {
-				return nil, err
-			}
-			rows = append(rows, a.Row())
-			progress.Add(1)
-		}
-		return rows, nil
-	}
-
+	arenas := make([]*RowArena, min(workers, n))
 	rows := make([][]string, n)
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a := NewRowArena(arenaHint / workers)
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				a.BeginRow(cellsPerRow)
-				if err := row(a, i); err != nil {
-					errs[i] = err
-					return
-				}
-				rows[i] = a.Row()
-				progress.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	err := sim.Each(ctx, workers, n, func(w, i int) error {
+		a := arenas[w]
+		if a == nil {
+			a = NewRowArena(n * cellsPerRow * 12 / len(arenas))
+			arenas[w] = a
 		}
+		a.BeginRow(cellsPerRow)
+		if err := row(a, i); err != nil {
+			return err
+		}
+		rows[i] = a.Row()
+		progress.Add(1)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -71,10 +71,6 @@ type Config struct {
 	// makes them answer 503, since campaigns without durable storage
 	// could not keep their crash-safety promise.
 	Campaigns *campaign.Manager
-	// EventInterval floors the snapshot rate of /v1/jobs/{id}/events
-	// streams; 0 means 100ms. Clients may ask for a slower stream with
-	// ?interval=, never a faster one.
-	EventInterval time.Duration
 	// Recorder, when non-nil, enables distributed tracing: /v1 requests
 	// run under recording http.request spans, and GET /v1/traces/{id} /
 	// GET /debug/traces serve the merged timelines. Nil keeps tracing
@@ -161,7 +157,7 @@ func NewMux(svc *service.Service, cfg Config) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		serveJobEvents(svc, cfg, w, r)
+		serveJobEvents(svc, w, r)
 	})
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -420,8 +416,8 @@ func retryAfterFor(svc *service.Service, err error, rawTenant string) string {
 	// The tenant's share of the pool, same arithmetic as the scheduler's
 	// soft concurrency caps (never below one worker).
 	share := 1.0
-	if snap.ActiveWeight > 0 {
-		share = math.Max(1, float64(workers)*float64(snap.Weight)/float64(snap.ActiveWeight))
+	if snap.Backlogged > 0 {
+		share = math.Max(1, float64(workers)/float64(snap.Backlogged))
 	}
 	secs := math.Ceil(mean * float64(snap.Queued+1) / share)
 	if secs < 1 {

@@ -247,14 +247,16 @@ func TestQueueSaturationReturns429(t *testing.T) {
 	}
 }
 
-// TestBadBudgetParamsRejected: a budget the service cannot decode, or
-// a target without a trial cap, is refused at submission with 400
-// instead of being queued to fail (or run unbudgeted) on a worker.
+// TestBadBudgetParamsRejected: a budget the service cannot decode, a
+// target without a trial cap, or a cap above the budget ceiling is
+// refused at submission with 400 instead of being queued to fail (or
+// run unbudgeted, or without bound) on a worker.
 func TestBadBudgetParamsRejected(t *testing.T) {
 	ts, svc := newTestServer(t, service.Config{Workers: 1})
 	for _, params := range []string{
 		`{"target_ci":"0.05"}`,
 		`{"target_ci":"tight","max_trials":"4096"}`,
+		`{"target_ci":"0.2","max_trials":"9223372036854775807"}`,
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/experiments", `{"id":"ext-coopber","seed":1,"quick":true,"params":`+params+`}`)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -12,10 +12,11 @@ import (
 	"repro/internal/service"
 )
 
-// defaultEventInterval floors the snapshot rate of job event streams
-// when the config leaves EventInterval zero: frequent enough to feel
-// live, coarse enough that a thousand watchers cost almost nothing.
-const defaultEventInterval = 100 * time.Millisecond
+// eventInterval floors the snapshot rate of job event streams:
+// frequent enough to feel live, coarse enough that a thousand watchers
+// cost almost nothing. Clients may ask for a slower stream with
+// ?interval=, never a faster one.
+const eventInterval = 100 * time.Millisecond
 
 // serveJobEvents streams a job's snapshots as server-sent events until
 // the job finishes or the client disconnects:
@@ -27,16 +28,13 @@ const defaultEventInterval = 100 * time.Millisecond
 // on either side of the connection. ?interval= (a Go duration) slows
 // the stream below the server floor; the terminal event always flushes
 // immediately regardless of interval.
-func serveJobEvents(svc *service.Service, cfg Config, w http.ResponseWriter, r *http.Request) {
+func serveJobEvents(svc *service.Service, w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		httpError(w, http.StatusInternalServerError, "streaming unsupported by connection")
 		return
 	}
-	interval := cfg.EventInterval
-	if interval <= 0 {
-		interval = defaultEventInterval
-	}
+	interval := eventInterval
 	if q := r.URL.Query().Get("interval"); q != "" {
 		d, err := time.ParseDuration(q)
 		if err != nil {

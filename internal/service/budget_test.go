@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -41,6 +42,8 @@ func TestBudgetFromParams(t *testing.T) {
 		{"min_trials": "-1"},
 		{"target_ci": "1.5", "max_trials": "100"},
 		{"target_ci": "0.1", "max_trials": "10", "min_trials": "20"},
+		{"target_ci": "0.2", "max_trials": "16777217"},
+		{"target_ci": "0.2", "max_trials": "9223372036854775807"},
 	} {
 		if _, err := BudgetFromParams(params); err == nil {
 			t.Errorf("params %v accepted", params)
@@ -165,15 +168,17 @@ func TestDefaultBudgetJoinsKey(t *testing.T) {
 
 // TestSubmitRejectsBadBudget: a budget BudgetFromParams refuses fails
 // at submission with ErrBadParams, before a job exists or a worker
-// runs; so does a service configured with such a default.
+// runs; so does a service configured with such a default. A cap above
+// adaptive.MaxBudgetTrials is refused, not run or cached.
 func TestSubmitRejectsBadBudget(t *testing.T) {
 	rec := &budgetRecorder{}
 	s := startService(t, Config{Workers: 1, Runner: rec.run})
 	for _, params := range []map[string]string{
 		{"target_ci": "0.05"},
 		{"target_ci": "abc", "max_trials": "4096"},
+		{"target_ci": "0.2", "max_trials": "9223372036854775807"},
 	} {
-		if _, err := s.Submit(Request{ID: "x", Seed: 1, Params: params}); !errors.Is(err, ErrBadParams) {
+		if _, err := s.Submit(Request{ID: "ext-coopber", Seed: 1, Params: params}); !errors.Is(err, ErrBadParams) {
 			t.Errorf("params %v: err = %v, want ErrBadParams", params, err)
 		}
 	}
@@ -182,5 +187,28 @@ func TestSubmitRejectsBadBudget(t *testing.T) {
 	}
 	if _, err := New(Config{Runner: rec.run, DefaultBudget: adaptive.Budget{TargetRelCI: 0.1}}); err == nil {
 		t.Fatal("New accepted a default target without a trial cap")
+	}
+}
+
+// TestMaxTrialsRunsAsKeyed: two ext-coopber requests that differ only
+// in max_trials have different keys, so they must also return different
+// reports; each runs the budget its key names. Any max_trials above the
+// quick fixed trial count (6144) shows it.
+func TestMaxTrialsRunsAsKeyed(t *testing.T) {
+	run := func(maxTrials string) string {
+		t.Helper()
+		rep, err := ExperimentRunner(context.Background(), Request{ID: "ext-coopber", Seed: 1, Quick: true,
+			Params: map[string]string{"target_ci": "0.2", "max_trials": maxTrials}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	small, large := run("6144"), run("12288")
+	if small == large {
+		t.Fatalf("max_trials 6144 and 12288 returned the same report:\n%s", large)
+	}
+	if !strings.Contains(large, "12288 trials max per cell") {
+		t.Fatalf("max_trials 12288 report does not name its own cap:\n%s", large)
 	}
 }

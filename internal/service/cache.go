@@ -29,7 +29,10 @@ type Key string
 //	3: campaign entries honour their budget params, and a node's
 //	  default budget joins the request before it is keyed; under 2 both
 //	  filed a report under the key of a different budget.
-const keyVersion = 3
+//	4: ext-coopber runs an adaptive budget to its own max_trials; under
+//	  3 it capped the budget at its fixed trial count, so every larger
+//	  max_trials filed the capped report.
+const keyVersion = 4
 
 // CanonicalKey hashes a request into its content address. The hash
 // covers the experiment ID, seed, quick flag and every solver parameter

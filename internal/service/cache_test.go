@@ -58,7 +58,7 @@ func TestCanonicalKeySeparatesRequests(t *testing.T) {
 func TestCanonicalKeyPinned(t *testing.T) {
 	req := Request{ID: "ext-coopber", Seed: 1, Quick: true,
 		Params: map[string]string{"target_ci": "0.05", "max_trials": "131072"}}
-	const want = "5a2a492fc537b84a287c083a7831f0e20b60133f4bed30c52fbe773c8ab6ddae"
+	const want = "0a309138c201d07b657feda49541ae718f0f039e5d84b0211b69d1a35ae009c6"
 	got := CanonicalKey(req)
 	if got != want {
 		t.Fatalf("CanonicalKey = %s, want %s", got, want)
@@ -66,6 +66,7 @@ func TestCanonicalKeyPinned(t *testing.T) {
 	for _, retired := range []string{
 		"a55fac3d", // unversioned
 		"8b843193096179ca85cc867390cb7bc61d740604ef115e7b75a703861203138d", // version 2
+		"5a2a492fc537b84a287c083a7831f0e20b60133f4bed30c52fbe773c8ab6ddae", // version 3
 	} {
 		if strings.HasPrefix(string(got), retired) {
 			t.Fatalf("CanonicalKey %s is a retired key version's hash", got)

@@ -174,17 +174,15 @@ type Config struct {
 	// write through to it, and WarmFromStore preloads the LRU at boot —
 	// so cache hits survive process restarts.
 	Store *store.Store
-	// Tenants configures the weighted-fair scheduler: per-tenant
-	// weights and queue bounds, and soft concurrency shares. Zero
+	// Tenants configures the fair scheduler: per-tenant and total
+	// queue bounds, and the pool behind soft concurrency shares. Zero
 	// values inherit the service-wide defaults (per-tenant queue bound
 	// = QueueDepth, share pool = Workers), which makes a single-tenant
 	// service behave exactly like the old global FIFO.
 	Tenants tenant.Options
-	// Quota is the default per-tenant admission budget (token bucket);
-	// the zero value disables admission control.
+	// Quota is every tenant's admission budget (one token bucket per
+	// tenant); the zero value disables admission control.
 	Quota tenant.Quota
-	// Quotas overrides admission budgets for specific tenants.
-	Quotas map[string]tenant.Quota
 	// Recorder, when non-nil, turns on distributed tracing: every job
 	// runs under a job.run span (parented to the submitting request's
 	// span when there was one) and its spans land in this recorder.
@@ -202,8 +200,8 @@ type Config struct {
 	DefaultBudget adaptive.Budget
 }
 
-// Service schedules experiment jobs onto a bounded worker pool,
-// weighted-fairly across tenants.
+// Service schedules experiment jobs onto a bounded worker pool, fairly
+// across tenants.
 type Service struct {
 	cfg     Config
 	runner  Runner
@@ -304,7 +302,7 @@ func New(cfg Config) (*Service, error) {
 		logger:  cfg.Logger,
 		cache:   newCache(cfg.CacheEntries),
 		sched:   tenant.NewScheduler[*job](topts),
-		limiter: tenant.NewLimiter(cfg.Quota, cfg.Quotas),
+		limiter: tenant.NewLimiter(cfg.Quota),
 		baseCtx: ctx,
 		stop:    cancel,
 		jobs:    make(map[string]*job),
@@ -407,11 +405,10 @@ func (s *Service) Submit(req Request) (JobView, error) {
 // without "target_ci" before the request is keyed, and a budget that
 // BudgetFromParams refuses fails with ErrBadParams. The request's
 // tenant is canonicalized (empty means the anonymous default tenant),
-// charged against its admission quota, and enqueued on its own
-// weighted-fair queue. Quota rejections return a *QuotaError; backlog
-// rejections return ErrQueueFull (global bound) or an error wrapping
-// both ErrQueueFull and tenant.ErrTenantQueueFull (the tenant's own
-// bound). Only accepted jobs count as submitted.
+// charged against its admission quota, and enqueued on its own fair
+// queue. Quota rejections return a *QuotaError; backlog rejections
+// return ErrQueueFull (global bound) or an error wrapping both
+// ErrQueueFull and tenant.ErrTenantQueueFull (the tenant's own bound). Only accepted jobs count as submitted.
 func (s *Service) SubmitCtx(ctx context.Context, req Request) (JobView, error) {
 	if s.known != nil && !s.known[req.ID] {
 		return JobView{}, fmt.Errorf("%w: %q", ErrUnknownExperiment, req.ID)
@@ -641,7 +638,7 @@ func (s *Service) Result(key Key) (string, bool) {
 }
 
 // Tenant snapshots one tenant's scheduler standing (backlog, running
-// jobs, weight and the active-weight context), for per-tenant
+// jobs and how many tenants share the pool), for per-tenant
 // Retry-After hints and operator introspection.
 func (s *Service) Tenant(id string) tenant.Snapshot {
 	return s.sched.Tenant(id)

@@ -145,9 +145,6 @@ func TestSchedulerFairnessAcrossTenants(t *testing.T) {
 	if _, err := s.Wait(context.Background(), light.ID); err != nil {
 		t.Fatal(err)
 	}
-	if s.Tenant("heavy").Weight != 1 {
-		t.Fatalf("tenant snapshot = %+v", s.Tenant("heavy"))
-	}
 }
 
 // TestTenantQueueBoundReturnsBothSentinels: a per-tenant overflow is

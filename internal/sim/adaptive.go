@@ -69,9 +69,10 @@ func (mc MonteCarlo) RunAdaptiveCtx(ctx context.Context, kernel string, params m
 	if chunks == 0 {
 		return AdaptiveResult{}, fmt.Errorf("sim: adaptive run needs a positive trial budget, got %d", maxTrials)
 	}
-	// Build the batch up front even when an executor will do the work:
-	// parameter errors must surface before any round is dispatched.
-	if _, err := NewKernelBatch(kernel, params); err != nil {
+	// Build the trial function up front even when an executor will do
+	// the work: parameter errors must surface before any round is
+	// dispatched.
+	if _, err := newKernelTrial(kernel, params); err != nil {
 		return AdaptiveResult{}, err
 	}
 
@@ -114,7 +115,7 @@ func (mc MonteCarlo) RunTraceCtx(ctx context.Context, kernel string, params map[
 	// Trials = MaxTrials reconstructs the original plan: chunk seeds and
 	// the final chunk's length depend on the budget, not the spend.
 	run := KernelRun{Kernel: kernel, Params: params, Seed: mc.Seed, Trials: trace.MaxTrials}
-	if _, err := NewKernelBatch(kernel, params); err != nil {
+	if _, err := newKernelTrial(kernel, params); err != nil {
 		return AdaptiveResult{}, err
 	}
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"sort"
 	"testing"
 
@@ -194,12 +195,13 @@ func TestPlanTraceValidate(t *testing.T) {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
 	for name, tr := range map[string]PlanTrace{
-		"wrong chunk size": {ChunkSize: ChunkSize + 1, MaxTrials: ChunkSize, Trials: ChunkSize, Rounds: []int{1}},
-		"no rounds":        {ChunkSize: ChunkSize, MaxTrials: ChunkSize, Trials: ChunkSize},
-		"zero budget":      {ChunkSize: ChunkSize, MaxTrials: 0, Trials: 0, Rounds: []int{1}},
-		"non-monotonic":    {ChunkSize: ChunkSize, MaxTrials: 4 * ChunkSize, Trials: 2 * ChunkSize, Rounds: []int{2, 1}},
-		"beyond budget":    {ChunkSize: ChunkSize, MaxTrials: 2 * ChunkSize, Trials: 2 * ChunkSize, Rounds: []int{1, 5}},
-		"trials mismatch":  {ChunkSize: ChunkSize, MaxTrials: 4 * ChunkSize, Trials: ChunkSize, Rounds: []int{1, 2}},
+		"wrong chunk size":  {ChunkSize: ChunkSize + 1, MaxTrials: ChunkSize, Trials: ChunkSize, Rounds: []int{1}},
+		"no rounds":         {ChunkSize: ChunkSize, MaxTrials: ChunkSize, Trials: ChunkSize},
+		"zero budget":       {ChunkSize: ChunkSize, MaxTrials: 0, Trials: 0, Rounds: []int{1}},
+		"non-monotonic":     {ChunkSize: ChunkSize, MaxTrials: 4 * ChunkSize, Trials: 2 * ChunkSize, Rounds: []int{2, 1}},
+		"beyond budget":     {ChunkSize: ChunkSize, MaxTrials: 2 * ChunkSize, Trials: 2 * ChunkSize, Rounds: []int{1, 5}},
+		"trials mismatch":   {ChunkSize: ChunkSize, MaxTrials: 4 * ChunkSize, Trials: ChunkSize, Rounds: []int{1, 2}},
+		"overflowed trials": {ChunkSize: ChunkSize, MaxTrials: math.MaxInt, Trials: math.MinInt, Rounds: []int{math.MaxInt/ChunkSize + 1}},
 	} {
 		if err := tr.Validate(); err == nil {
 			t.Errorf("%s: trace accepted", name)

@@ -42,7 +42,7 @@ type MonteCarlo struct {
 // empty statistics; a cancelled run returns the context error.
 func (mc MonteCarlo) RunKernelCtx(ctx context.Context, kernel string, params map[string]float64, trials int) (mathx.Running, error) {
 	run := KernelRun{Kernel: kernel, Params: params, Seed: mc.Seed, Trials: trials}
-	if _, err := NewKernelBatch(kernel, params); err != nil {
+	if _, err := newKernelTrial(kernel, params); err != nil {
 		return mathx.Running{}, err
 	}
 	chunks := run.Plan().Chunks()

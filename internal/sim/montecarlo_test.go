@@ -160,6 +160,26 @@ func TestChunkingCoversExactly(t *testing.T) {
 	}
 }
 
+// TestPlanNearMaxInt: the chunk count rounds up without overflowing,
+// so a budget near math.MaxInt is a long plan, never a negative one
+// that would let a run end at zero trials.
+func TestPlanNearMaxInt(t *testing.T) {
+	p := Plan{Trials: math.MaxInt}
+	last := math.MaxInt / ChunkSize
+	if got := p.Chunks(); got != last+1 {
+		t.Fatalf("Plan{MaxInt}.Chunks() = %d, want %d", got, last+1)
+	}
+	if got := p.ChunkTrials(last); got != math.MaxInt%ChunkSize {
+		t.Fatalf("last chunk covers %d trials, want %d", got, math.MaxInt%ChunkSize)
+	}
+	if got := realizedTrials(math.MaxInt, last+1); got != math.MaxInt {
+		t.Fatalf("realizedTrials over the whole MaxInt plan = %d", got)
+	}
+	if got := realizedTrials(math.MaxInt, last); got != last*ChunkSize {
+		t.Fatalf("realizedTrials one chunk short = %d, want %d", got, last*ChunkSize)
+	}
+}
+
 // TestRunBatchesDeterministicAcrossWorkers: a fixed run equals the
 // left-to-right fold of its chunk partials, whichever pool size
 // computed them.

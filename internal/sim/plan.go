@@ -24,12 +24,13 @@ type Plan struct {
 	Trials int
 }
 
-// Chunks returns the number of chunks the run decomposes into.
+// Chunks returns the number of chunks the run decomposes into. It
+// rounds up without adding to Trials, so no trial count overflows.
 func (p Plan) Chunks() int {
 	if p.Trials <= 0 {
 		return 0
 	}
-	return (p.Trials + ChunkSize - 1) / ChunkSize
+	return p.Trials/ChunkSize + min(1, p.Trials%ChunkSize)
 }
 
 // ChunkTrials returns the number of trials chunk c covers: ChunkSize for

@@ -41,10 +41,11 @@ func (t PlanTrace) Saved() int { return t.MaxTrials - t.Trials }
 
 // realizedTrials maps an executed chunk-prefix length back to trials
 // under the budget's plan: every prefix chunk is full except possibly
-// the budget's own final chunk.
+// the budget's own final chunk. A prefix short of the budget's plan
+// holds fewer than maxTrials trials, so its product cannot overflow.
 func realizedTrials(maxTrials, chunks int) int {
-	if n := chunks * ChunkSize; n < maxTrials {
-		return n
+	if chunks < (Plan{Trials: maxTrials}).Chunks() {
+		return chunks * ChunkSize
 	}
 	return maxTrials
 }

@@ -10,15 +10,16 @@
 //     string, for anonymous callers) onto a validated tenant id that is
 //     carried through job metadata, logs and metrics.
 //
-//   - Scheduler: a weighted-fair queue of per-tenant FIFOs using stride
-//     scheduling. Each tenant advances a virtual "pass" by 1/weight per
-//     dispatched job, and the scheduler always serves the eligible
-//     tenant with the smallest pass — so over any window tenants
-//     receive service proportional to their weights, and a tenant with
-//     a huge backlog cannot starve one with a small backlog. Soft
-//     concurrency shares additionally cap how many of the pool's
-//     workers one tenant occupies while others are waiting; the cap is
-//     work-conserving and lifts when no other tenant has work.
+//   - Scheduler: a fair queue of per-tenant FIFOs served in rotation.
+//     Each tenant advances a "pass" by one per dispatched job, and the
+//     scheduler always serves the eligible tenant with the smallest
+//     pass — so while tenants stay backlogged they receive equal
+//     service, and a tenant with a huge backlog cannot starve one with
+//     a small backlog. A tenant returning from idle joins at the
+//     current pass, so it banks no credit. Soft concurrency shares
+//     additionally cap a tenant at an equal share of the pool's
+//     workers while others are waiting; the cap is work-conserving and
+//     lifts when no other tenant has work.
 //
 //   - Limiter: per-tenant token-bucket admission control. Each tenant
 //     refills at Rate jobs/second up to a Burst budget; a rejected

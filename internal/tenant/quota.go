@@ -39,9 +39,8 @@ type bucket struct {
 // Limiter applies per-tenant token-bucket admission control. The zero
 // value is not usable; call NewLimiter.
 type Limiter struct {
-	def       Quota
-	overrides map[string]Quota
-	now       func() time.Time // injectable clock for tests
+	q   Quota
+	now func() time.Time // injectable clock for tests
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
@@ -52,28 +51,14 @@ type Limiter struct {
 // state a long-idle tenant's bucket would have refilled to.
 const maxIdleBuckets = 4096
 
-// NewLimiter builds a Limiter with a default quota and optional
-// per-tenant overrides. A nil result means admission control is off
-// entirely (no default and no overrides), letting callers skip the
-// check cheaply.
-func NewLimiter(def Quota, overrides map[string]Quota) *Limiter {
-	if !def.Enabled() && len(overrides) == 0 {
+// NewLimiter builds a Limiter that gives every tenant its own bucket
+// of quota q. A nil result means admission control is off (q is not
+// enabled), letting callers skip the check cheaply.
+func NewLimiter(q Quota) *Limiter {
+	if !q.Enabled() {
 		return nil
 	}
-	return &Limiter{
-		def:       def,
-		overrides: overrides,
-		now:       time.Now,
-		buckets:   make(map[string]*bucket),
-	}
-}
-
-// quotaFor resolves the quota applying to a tenant.
-func (l *Limiter) quotaFor(id string) Quota {
-	if q, ok := l.overrides[id]; ok {
-		return q
-	}
-	return l.def
+	return &Limiter{q: q, now: time.Now, buckets: make(map[string]*bucket)}
 }
 
 // Allow spends one token from tenant id's bucket. When the bucket is
@@ -84,10 +69,7 @@ func (l *Limiter) Allow(id string) (retryAfter time.Duration, ok bool) {
 	if l == nil {
 		return 0, true
 	}
-	q := l.quotaFor(id)
-	if !q.Enabled() {
-		return 0, true
-	}
+	q := l.q
 	now := l.now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -116,12 +98,8 @@ func (l *Limiter) Allow(id string) (retryAfter time.Duration, ok bool) {
 // pruneLocked drops buckets that have refilled to their full burst —
 // tenants idle long enough that forgetting them changes nothing.
 func (l *Limiter) pruneLocked(now time.Time) {
+	q := l.q
 	for id, b := range l.buckets {
-		q := l.quotaFor(id)
-		if !q.Enabled() {
-			delete(l.buckets, id)
-			continue
-		}
 		tokens := math.Min(q.burst(), b.tokens+now.Sub(b.last).Seconds()*q.Rate)
 		if tokens >= q.burst() {
 			delete(l.buckets, id)

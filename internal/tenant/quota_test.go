@@ -10,8 +10,8 @@ type fakeClock struct{ t time.Time }
 
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-func newTestLimiter(def Quota, per map[string]Quota) (*Limiter, *fakeClock) {
-	l := NewLimiter(def, per)
+func newTestLimiter(q Quota) (*Limiter, *fakeClock) {
+	l := NewLimiter(q)
 	c := &fakeClock{t: time.Unix(1000, 0)}
 	if l != nil {
 		l.now = c.now
@@ -20,7 +20,7 @@ func newTestLimiter(def Quota, per map[string]Quota) (*Limiter, *fakeClock) {
 }
 
 func TestLimiterBurstThenRefill(t *testing.T) {
-	l, clock := newTestLimiter(Quota{Rate: 2, Burst: 3}, nil)
+	l, clock := newTestLimiter(Quota{Rate: 2, Burst: 3})
 	// The full burst budget is available immediately.
 	for i := 0; i < 3; i++ {
 		if retry, ok := l.Allow("a"); !ok {
@@ -52,7 +52,7 @@ func TestLimiterBurstThenRefill(t *testing.T) {
 }
 
 func TestLimiterIsolatesTenants(t *testing.T) {
-	l, _ := newTestLimiter(Quota{Rate: 1, Burst: 1}, nil)
+	l, _ := newTestLimiter(Quota{Rate: 1, Burst: 1})
 	if _, ok := l.Allow("a"); !ok {
 		t.Fatal("a's first submission denied")
 	}
@@ -65,42 +65,18 @@ func TestLimiterIsolatesTenants(t *testing.T) {
 	}
 }
 
-func TestLimiterOverridesAndDisabled(t *testing.T) {
-	l, _ := newTestLimiter(Quota{Rate: 1, Burst: 1}, map[string]Quota{
-		"vip":  {Rate: 100, Burst: 10},
-		"free": {Rate: 1, Burst: 1},
-		"inf":  {}, // explicit zero quota = unlimited for this tenant
-	})
-	for i := 0; i < 10; i++ {
-		if _, ok := l.Allow("vip"); !ok {
-			t.Fatalf("vip burst submission %d denied", i)
-		}
-	}
-	if _, ok := l.Allow("free"); !ok {
-		t.Fatal("free first submission denied")
-	}
-	if _, ok := l.Allow("free"); ok {
-		t.Fatal("free second submission admitted")
-	}
-	for i := 0; i < 50; i++ {
-		if _, ok := l.Allow("inf"); !ok {
-			t.Fatal("zero-quota override should disable limiting")
-		}
-	}
-}
-
 func TestNilLimiterAdmitsEverything(t *testing.T) {
 	var l *Limiter
 	if retry, ok := l.Allow("anyone"); !ok || retry != 0 {
 		t.Fatalf("nil limiter = (%v, %t)", retry, ok)
 	}
-	if NewLimiter(Quota{}, nil) != nil {
-		t.Fatal("NewLimiter with no quotas should return nil")
+	if NewLimiter(Quota{}) != nil {
+		t.Fatal("NewLimiter with a disabled quota should return nil")
 	}
 }
 
 func TestLimiterDefaultBurst(t *testing.T) {
-	l, _ := newTestLimiter(Quota{Rate: 2.5}, nil) // Burst 0 -> ceil(2.5) = 3
+	l, _ := newTestLimiter(Quota{Rate: 2.5}) // Burst 0 -> ceil(2.5) = 3
 	admitted := 0
 	for i := 0; i < 5; i++ {
 		if _, ok := l.Allow("a"); ok {

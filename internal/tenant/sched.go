@@ -18,16 +18,9 @@ var (
 	ErrClosed          = errors.New("tenant: scheduler closed")
 )
 
-// Options sizes a Scheduler. The zero value gives every tenant weight
-// 1, a 256-entry per-tenant queue, no global bound and no concurrency
-// caps.
+// Options sizes a Scheduler. The zero value gives every tenant a
+// 256-entry queue, no global bound and no concurrency caps.
 type Options struct {
-	// DefaultWeight is the weight of tenants absent from Weights;
-	// 0 means 1. A weight-2 tenant receives twice the service of a
-	// weight-1 tenant while both have queued work.
-	DefaultWeight int
-	// Weights overrides per-tenant weights.
-	Weights map[string]int
 	// QueueDepth bounds each tenant's own backlog; 0 means 256.
 	QueueDepth int
 	// TotalDepth bounds the backlog summed over all tenants;
@@ -35,7 +28,7 @@ type Options struct {
 	TotalDepth int
 	// Workers, when positive, enables soft concurrency shares: while
 	// several tenants have queued work, a tenant already running at
-	// least ceil(Workers·weight/activeWeight) jobs is passed over in
+	// least ceil(Workers/activeTenants) jobs is passed over in
 	// favor of tenants under their share. The cap is work-conserving —
 	// it lifts when no under-share tenant has work.
 	Workers int
@@ -56,33 +49,29 @@ type entry[T any] struct {
 	at time.Time
 }
 
-// tq is one tenant's FIFO plus its stride-scheduling state.
+// tq is one tenant's FIFO plus its round-robin state.
 type tq[T any] struct {
-	weight  int
-	pass    float64 // virtual time already consumed
+	pass    int // dispatches charged, counted from the virtual time it joined at
 	items   []entry[T]
 	running int
 }
 
-// Scheduler is a weighted-fair multi-queue: Enqueue appends to the
-// submitting tenant's FIFO, Dequeue serves tenants in stride order.
+// Scheduler is a fair multi-queue: Enqueue appends to the submitting
+// tenant's FIFO, Dequeue serves the tenant that has been served least.
 // All methods are safe for concurrent use.
 type Scheduler[T any] struct {
 	opts Options
 
 	mu      sync.Mutex
 	tenants map[string]*tq[T]
-	queued  int     // total items across tenants
-	vtime   float64 // pass of the most recently dispatched tenant
+	queued  int // total items across tenants
+	vtime   int // pass of the most recently dispatched tenant
 	wake    chan struct{}
 	closed  bool
 }
 
 // NewScheduler builds a Scheduler from opts.
 func NewScheduler[T any](opts Options) *Scheduler[T] {
-	if opts.DefaultWeight <= 0 {
-		opts.DefaultWeight = 1
-	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 256
 	}
@@ -93,21 +82,13 @@ func NewScheduler[T any](opts Options) *Scheduler[T] {
 	}
 }
 
-// Weight reports the configured weight for a tenant id.
-func (s *Scheduler[T]) Weight(id string) int {
-	if w, ok := s.opts.Weights[id]; ok && w > 0 {
-		return w
-	}
-	return s.opts.DefaultWeight
-}
-
 func (s *Scheduler[T]) tenantLocked(id string) *tq[T] {
 	q, ok := s.tenants[id]
 	if !ok {
 		if len(s.tenants) >= maxIdleTenants {
 			s.pruneLocked()
 		}
-		q = &tq[T]{weight: s.Weight(id)}
+		q = &tq[T]{}
 		s.tenants[id] = q
 	}
 	return q
@@ -153,41 +134,20 @@ func (s *Scheduler[T]) Enqueue(id string, v T) error {
 	return nil
 }
 
-// pickLocked dispatches the next item in stride order, or reports
-// false when nothing is eligible. Pass 0 honors concurrency shares;
-// pass 1 ignores them so capacity is never left idle while work waits.
+// pickLocked dispatches the next item in pass order, or reports
+// false when nothing is eligible. Phase 0 honors concurrency shares;
+// phase 1 ignores them so capacity is never left idle while work waits.
 func (s *Scheduler[T]) pickLocked() (v T, id string, wait time.Duration, ok bool) {
-	activeWeight, activeTenants := 0, 0
-	for _, q := range s.tenants {
-		if len(q.items) > 0 {
-			activeWeight += q.weight
-			activeTenants++
-		}
-	}
-	if activeTenants == 0 {
+	active := s.backloggedLocked()
+	if active == 0 {
 		return v, "", 0, false
 	}
+	share := max(1, (s.opts.Workers+active-1)/active)
 	overShare := func(q *tq[T]) bool {
-		if s.opts.Workers <= 0 || activeTenants <= 1 {
-			return false
-		}
-		share := (s.opts.Workers*q.weight + activeWeight - 1) / activeWeight
-		if share < 1 {
-			share = 1
-		}
-		return q.running >= share
+		return s.opts.Workers > 0 && active > 1 && q.running >= share
 	}
 	for phase := 0; phase < 2; phase++ {
-		var best *tq[T]
-		bestID := ""
-		for tid, q := range s.tenants {
-			if len(q.items) == 0 || (phase == 0 && overShare(q)) {
-				continue
-			}
-			if best == nil || q.pass < best.pass || (q.pass == best.pass && tid < bestID) {
-				best, bestID = q, tid
-			}
-		}
+		best, bestID := s.nextLocked(func(q *tq[T]) bool { return phase == 0 && overShare(q) })
 		if best == nil {
 			continue
 		}
@@ -195,11 +155,25 @@ func (s *Scheduler[T]) pickLocked() (v T, id string, wait time.Duration, ok bool
 		e, best.items = best.items[0], best.items[1:]
 		s.queued--
 		s.vtime = best.pass
-		best.pass += 1 / float64(best.weight)
+		best.pass++
 		best.running++
 		return e.v, bestID, time.Since(e.at), true
 	}
 	return v, "", 0, false
+}
+
+// nextLocked returns the backlogged tenant with the smallest pass that
+// skip does not pass over, ties going to the smaller id, or nil.
+func (s *Scheduler[T]) nextLocked(skip func(*tq[T]) bool) (best *tq[T], bestID string) {
+	for tid, q := range s.tenants {
+		if len(q.items) == 0 || skip(q) {
+			continue
+		}
+		if best == nil || q.pass < best.pass || (q.pass == best.pass && tid < bestID) {
+			best, bestID = q, tid
+		}
+	}
+	return best, bestID
 }
 
 // Dequeue blocks until an item is dispatchable, the scheduler closes,
@@ -285,23 +259,14 @@ func (s *Scheduler[T]) Drain() []T {
 	defer s.mu.Unlock()
 	var out []T
 	for {
-		var best *tq[T]
-		bestID := ""
-		for tid, q := range s.tenants {
-			if len(q.items) == 0 {
-				continue
-			}
-			if best == nil || q.pass < best.pass || (q.pass == best.pass && tid < bestID) {
-				best, bestID = q, tid
-			}
-		}
+		best, _ := s.nextLocked(func(*tq[T]) bool { return false })
 		if best == nil {
 			return out
 		}
 		var e entry[T]
 		e, best.items = best.items[0], best.items[1:]
 		s.queued--
-		best.pass += 1 / float64(best.weight)
+		best.pass++
 		out = append(out, e.v)
 	}
 }
@@ -327,34 +292,37 @@ func (s *Scheduler[T]) Active() int {
 	return n
 }
 
+// backloggedLocked counts the tenants with queued work.
+func (s *Scheduler[T]) backloggedLocked() int {
+	n := 0
+	for _, q := range s.tenants {
+		if len(q.items) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Snapshot is a point-in-time view of one tenant's standing in the
 // scheduler, plus the share context needed to price its backlog.
 type Snapshot struct {
 	ID      string `json:"tenant"`
 	Queued  int    `json:"queued"`
 	Running int    `json:"running"`
-	Weight  int    `json:"weight"`
-	// ActiveWeight sums the weights of tenants with queued work (this
-	// tenant included when it has any); the tenant's fair share of the
-	// pool is Weight/ActiveWeight.
-	ActiveWeight int `json:"active_weight"`
+	// Backlogged counts the tenants with queued work (this tenant
+	// included when it has any); the tenant's fair share of the pool is
+	// 1/Backlogged.
+	Backlogged int `json:"backlogged_tenants"`
 }
 
-// Tenant snapshots one tenant. Unknown ids report zero backlog and the
-// weight they would be assigned.
+// Tenant snapshots one tenant. Unknown ids report zero backlog.
 func (s *Scheduler[T]) Tenant(id string) Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := Snapshot{ID: id, Weight: s.Weight(id)}
-	for tid, q := range s.tenants {
-		if len(q.items) > 0 {
-			snap.ActiveWeight += q.weight
-		}
-		if tid == id {
-			snap.Queued = len(q.items)
-			snap.Running = q.running
-			snap.Weight = q.weight
-		}
+	snap := Snapshot{ID: id, Backlogged: s.backloggedLocked()}
+	if q, ok := s.tenants[id]; ok {
+		snap.Queued = len(q.items)
+		snap.Running = q.running
 	}
 	return snap
 }
@@ -365,20 +333,12 @@ func (s *Scheduler[T]) Depths() []Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Snapshot, 0, len(s.tenants))
-	activeWeight := 0
-	for _, q := range s.tenants {
-		if len(q.items) > 0 {
-			activeWeight += q.weight
-		}
-	}
+	backlogged := s.backloggedLocked()
 	for tid, q := range s.tenants {
 		if len(q.items) == 0 && q.running == 0 {
 			continue
 		}
-		out = append(out, Snapshot{
-			ID: tid, Queued: len(q.items), Running: q.running,
-			Weight: q.weight, ActiveWeight: activeWeight,
-		})
+		out = append(out, Snapshot{ID: tid, Queued: len(q.items), Running: q.running, Backlogged: backlogged})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

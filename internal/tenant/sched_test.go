@@ -66,33 +66,6 @@ func TestStrideInterleavesTenants(t *testing.T) {
 	}
 }
 
-// TestWeightsSkewService pins proportional sharing: over a window
-// where both tenants stay backlogged, a weight-3 tenant is served ~3x
-// as often as a weight-1 tenant.
-func TestWeightsSkewService(t *testing.T) {
-	s := NewScheduler[int](Options{Weights: map[string]int{"gold": 3}})
-	for i := 0; i < 30; i++ {
-		if err := s.Enqueue("gold", i); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Enqueue("bronze", i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	counts := map[string]int{}
-	for i := 0; i < 20; i++ {
-		_, id, ok := s.Dequeue(context.Background())
-		if !ok {
-			t.Fatal("scheduler empty early")
-		}
-		counts[id]++
-		s.Done(id)
-	}
-	if counts["gold"] != 15 || counts["bronze"] != 5 {
-		t.Fatalf("service split = %v over 20 dispatches, want 3:1 (15:5)", counts)
-	}
-}
-
 // TestReturningTenantCannotBankCredit: a tenant that sat idle while
 // another consumed service re-enters at the current virtual time — it
 // does not get a catch-up monopoly.
@@ -239,7 +212,7 @@ func TestCloseAndDrain(t *testing.T) {
 }
 
 func TestSnapshotsAndActive(t *testing.T) {
-	s := NewScheduler[int](Options{Weights: map[string]int{"w2": 2}})
+	s := NewScheduler[int](Options{})
 	if got := s.Active(); got != 0 {
 		t.Fatalf("active on empty = %d", got)
 	}
@@ -255,10 +228,10 @@ func TestSnapshotsAndActive(t *testing.T) {
 		t.Fatalf("active = %d, want 2", got)
 	}
 	snap := s.Tenant("w2")
-	if snap.Queued != 3 || snap.Weight != 2 || snap.ActiveWeight != 3 {
+	if snap.Queued != 3 || snap.Backlogged != 2 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
-	if unknown := s.Tenant("ghost"); unknown.Queued != 0 || unknown.Weight != 1 {
+	if unknown := s.Tenant("ghost"); unknown.Queued != 0 || unknown.Backlogged != 2 {
 		t.Fatalf("unknown tenant snapshot = %+v", unknown)
 	}
 	depths := s.Depths()

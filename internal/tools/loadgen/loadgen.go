@@ -6,7 +6,7 @@
 // its entire burst — an order of magnitude more jobs than anyone else —
 // before any light tenant shows up. Under the old global FIFO the
 // heavy backlog would run first and every light tenant's p99 queue
-// wait would stretch to the whole burst; under weighted-fair
+// wait would stretch to the whole burst; under fair
 // scheduling the light tenants interleave with the heavy backlog and
 // their p99 stays within a small factor of the fair completion
 // horizon. The synthetic runner holds every job until the last

@@ -1,9 +1,9 @@
 #!/bin/sh
 # verify.sh — the full pre-merge gate: `make verify` (vet, gofmt, build,
 # cross-arch, go test -race ./..., bench module), then the 10 s generator,
-# lane-kernel and budget-params fuzzes and the benchmark regression
-# gate. Every step is a Makefile target, defined there once.
+# lane-kernel, budget-params and shard-wire fuzzes and the benchmark
+# regression gate. Every step is a Makefile target, defined there once.
 # Usage: ./verify.sh
 set -eu
-make verify fuzz-rng fuzz-lanes fuzz-params bench-compare
+make verify fuzz-rng fuzz-lanes fuzz-params fuzz-shard bench-compare
 echo "verify: ok"
