@@ -1,11 +1,12 @@
 # `make verify` is the tier-1 gate: go vet, gofmt, build, the cross-arch
 # builds, the whole test suite under the race detector (its process
 # tests boot the daemon, SIGKILL a campaign and drive the fairness load
-# run) and the bench module's vet and tests. `./verify.sh` runs it plus
+# run), the short suite again with every AVX2 kernel off (purego) and
+# the bench module's vet and tests. `./verify.sh` runs it plus
 # `fuzz-rng`, `fuzz-lanes`, `fuzz-params`, `fuzz-shard` and
 # `bench-compare`, the checks that take longer.
 
-.PHONY: verify vet fmt-check build cross-arch test race bench-module fuzz-rng fuzz-lanes fuzz-params fuzz-shard bench bench-compare cogbench-ab bench-batch
+.PHONY: verify vet fmt-check build cross-arch test race purego bench-module fuzz-rng fuzz-lanes fuzz-params fuzz-shard bench bench-compare cogbench-ab bench-batch
 
 BENCH_DATE := $(shell date +%Y-%m-%d)
 BENCH_TODAY := BENCH_$(BENCH_DATE).json
@@ -15,7 +16,7 @@ BENCH_JSON ?= $(BENCH_TODAY)
 # Newest committed artifact other than today's, used as the baseline.
 BENCH_BASE := $(lastword $(sort $(filter-out $(BENCH_TODAY),$(wildcard BENCH_*.json))))
 
-verify: vet fmt-check build cross-arch race bench-module
+verify: vet fmt-check build cross-arch race purego bench-module
 
 vet:
 	go vet ./...
@@ -65,6 +66,15 @@ test:
 race:
 	go test -race ./...
 
+# Runs the short suite with AVX2 off: mathx.HasAVX2, the one switch
+# every vector path keys on, honours the runtime's GODEBUG cpu options,
+# so the generator's seed and fills, the erfc lanes and the coop hop's
+# lane passes all take their pure-Go loops, as on a host without AVX2,
+# and every golden must still hold. cpu.fma stays on: without it
+# cellfree.se.mmse moves bits through math.Pow.
+purego:
+	GODEBUG=cpu.avx2=off go test -short ./...
+
 # Vets and tests the benchmark module (bench/, its own go.mod). Its
 # workloads run kernels under their legacy names (coop.ber.batch,
 # coop.ber.adaptive, multihop.ber.batch), which the registry keeps as
@@ -81,13 +91,17 @@ bench-module:
 fuzz-rng:
 	go test -run=NONE -fuzz=FuzzSourceMatchesStdlib -fuzztime=10s ./internal/mathx
 
-# Fuzzes the AVX2 lane kernels against their pure-Go loops for 10 s
-# each: the coop hop's tape scatter, transmit, decode and BPSK decision
-# on arbitrary float64 lanes (signed zeros, subnormals, NaN, infinities)
-# of 0 to 13 blocks, and mathx's erfc lanes on 0 to 13 arbitrary
-# arguments and range edges. Both skip on hosts without AVX2.
+# Fuzzes the AVX2 lane kernels for 10 s each, every one from its own
+# package: stbc's transmit and decode and modulation's BPSK decision
+# against their pure-Go loops on arbitrary float64 lanes (signed zeros,
+# subnormals, NaN, infinities) of 0 to 13 blocks, coop's tape scatter
+# likewise, and mathx's erfc lanes against scalar Erfc on 0 to 13
+# arbitrary arguments and range edges. All skip where mathx.HasAVX2 is
+# false.
 fuzz-lanes:
-	go test -run=NONE -fuzz=FuzzLaneKernels -fuzztime=10s ./internal/coop
+	go test -run=NONE -fuzz='^FuzzLaneKernels$$' -fuzztime=10s ./internal/stbc
+	go test -run=NONE -fuzz='^FuzzLaneKernels$$' -fuzztime=10s ./internal/modulation
+	go test -run=NONE -fuzz='^FuzzLaneKernels$$' -fuzztime=10s ./internal/coop
 	go test -run=NONE -fuzz=FuzzErfcLanes -fuzztime=10s ./internal/mathx
 
 # Fuzzes the adaptive-budget params boundary for 10 s: for any

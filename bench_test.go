@@ -357,28 +357,17 @@ func BenchmarkCoopScheme(b *testing.B) {
 
 // BenchmarkCoopSchemeScratch is BenchmarkCoopScheme on a warmed
 // caller-owned workspace: the steady state of a Monte-Carlo worker. The
-// allocs/op column should read ~0. The plain shapes run the hop's AVX2
-// lane kernels where the host has them; the -purego shapes run its
-// pure-Go lane loops, as on a host without AVX2. Both return the same
-// results.
+// allocs/op column should read ~0. The hop runs its AVX2 kernels where
+// mathx.HasAVX2 reports them; GODEBUG=cpu.avx2=off times the pure-Go
+// loops, as on a host without AVX2.
 func BenchmarkCoopSchemeScratch(b *testing.B) {
-	for _, shape := range []struct {
-		mt, mr int
-		pureGo bool
-	}{{1, 1, false}, {2, 2, false}, {4, 4, false}, {1, 1, true}, {2, 2, true}, {4, 4, true}} {
-		name := fmt.Sprintf("%dx%d", shape.mt, shape.mr)
-		if shape.pureGo {
-			name += "-purego"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, pair := range [][2]int{{1, 1}, {2, 2}, {4, 4}} {
+		b.Run(fmt.Sprintf("%dx%d", pair[0], pair[1]), func(b *testing.B) {
 			cfg := coop.Config{
-				Mt: shape.mt, Mr: shape.mr, B: 1,
+				Mt: pair[0], Mr: pair[1], B: 1,
 				SNRPerBit: 10, Bits: 6000, Seed: 1,
 			}
 			ws := coop.NewWorkspace()
-			if shape.pureGo {
-				ws = coop.NewWorkspacePureGo()
-			}
 			if _, err := coop.RunWith(ws, cfg); err != nil {
 				b.Fatal(err)
 			}
@@ -438,9 +427,10 @@ func BenchmarkAdaptiveBudget(b *testing.B) {
 
 // BenchmarkReseed is the primitive rung under every per-trial kernel:
 // resetting a generator to a fresh seed. stdlib is math/rand's serial
-// 1,841-step Park–Miller walk; purego is the table-driven source that
-// reproduces the same stream (internal/mathx/source.go) and vector its
-// AVX2 table walk, which Reseed runs wherever the CPU has AVX2.
+// 1,841-step Park–Miller walk; vector is the table-driven source that
+// reproduces the same stream (internal/mathx/source.go) on its AVX2
+// table walk, and skips where mathx.HasAVX2 is false, under
+// GODEBUG=cpu.avx2=off too.
 func BenchmarkReseed(b *testing.B) {
 	b.Run("stdlib", func(b *testing.B) {
 		b.ReportAllocs()
@@ -449,16 +439,9 @@ func BenchmarkReseed(b *testing.B) {
 			src.Seed(int64(i))
 		}
 	})
-	b.Run("purego", func(b *testing.B) {
-		b.ReportAllocs()
-		rng := mathx.NewReusableRand()
-		for i := 0; i < b.N; i++ {
-			rng.ReseedPureGo(int64(i))
-		}
-	})
 	b.Run("vector", func(b *testing.B) {
-		if !mathx.VectorSeed() {
-			b.Skip("no vector seed on this host")
+		if !mathx.HasAVX2() {
+			b.Skip("no AVX2 in this process")
 		}
 		b.ReportAllocs()
 		rng := mathx.NewReusableRand()
@@ -469,9 +452,9 @@ func BenchmarkReseed(b *testing.B) {
 }
 
 // BenchmarkNormFloat64s compares 1024 standard normals drawn by one
-// ReusableRand.NormFloat64s fill (the AVX2 step where the host has it),
-// by the pure-Go fill (fill-purego) and by per-call NormFloat64; all
-// three return the same values.
+// ReusableRand.NormFloat64s fill (the AVX2 step where mathx.HasAVX2
+// reports it, the pure-Go loop under GODEBUG=cpu.avx2=off) with
+// per-call NormFloat64; both return the same values.
 func BenchmarkNormFloat64s(b *testing.B) {
 	dst := make([]float64, 1024)
 	b.Run("fill", func(b *testing.B) {
@@ -480,14 +463,6 @@ func BenchmarkNormFloat64s(b *testing.B) {
 		rng.Reseed(1)
 		for i := 0; i < b.N; i++ {
 			rng.NormFloat64s(dst)
-		}
-	})
-	b.Run("fill-purego", func(b *testing.B) {
-		b.ReportAllocs()
-		rng := mathx.NewReusableRand()
-		rng.Reseed(1)
-		for i := 0; i < b.N; i++ {
-			rng.NormFloat64sPureGo(dst)
 		}
 	})
 	b.Run("percall", func(b *testing.B) {
@@ -503,8 +478,8 @@ func BenchmarkNormFloat64s(b *testing.B) {
 }
 
 // BenchmarkErfcInto times one 256-argument block of mathx.ErfcInto, the
-// primitive under the Monte-Carlo ēb solver's BER, on the pure-Go loop
-// and on the AVX2 lanes; both give the same bits. The block's
+// primitive under the Monte-Carlo ēb solver's BER, on the AVX2 lanes;
+// it skips where mathx.HasAVX2 is false. The block's
 // arguments follow the mix the paper-grid table build feeds it: 31%
 // below 0.84375 (polynomial only), 3.5% below 1.25, 33% below 1/0.35
 // and 14% below 6 (a rational fit and two Exps), 4% below 28, and the
@@ -526,15 +501,9 @@ func BenchmarkErfcInto(b *testing.B) {
 		}
 	}
 	dst := make([]float64, len(src))
-	b.Run("purego", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mathx.ErfcIntoPureGo(dst, src)
-		}
-	})
 	b.Run("vector", func(b *testing.B) {
 		if !mathx.HasAVX2() {
-			b.Skip("no erfc lanes on this host")
+			b.Skip("no AVX2 in this process")
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -98,7 +98,6 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 		return Result{}, err
 	}
 	rng := ws.rng.Rand
-	vector := !ws.pureGo
 	mod, err := ws.scheme(cfg.B)
 	if err != nil {
 		return Result{}, err
@@ -190,7 +189,7 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 			}
 			tape := bs.tape[:perBlock*n]
 			ws.rng.NormFloat64s(tape)
-			off := 0
+			off, vector := 0, mathx.HasAVX2()
 			if localFinite {
 				off = scatterCN(&bs.locNoise, tape, off, perBlock, sqLocal, vector)
 			}
@@ -281,7 +280,7 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 			scaleLanes(&bs.syms[0], kSyms, n, scale)
 			code.EncodeBatchInto(&bs.syms[0], &bs.x)
 		}
-		code.TransmitBatchInto(&bs.x, &bs.h, &bs.awgn, &bs.y, mr, vector)
+		code.TransmitBatchInto(&bs.x, &bs.h, &bs.awgn, &bs.y, mr)
 
 		// Step 3: sample forwarding adds noise scaled by the block's
 		// mean sample power (forwardNoise in the scalar path).
@@ -318,8 +317,8 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 		// rescaled by the same complex division the scalar path applies,
 		// fused into the decision pass. Decisions without a Q rail (BPSK)
 		// never read an estimate's imaginary part, so the decoder skips it.
-		code.DecodeBatchInto(&bs.dec, &bs.y, &bs.h, mr, &bs.est, mod.HasQuadrature(), vector)
-		if err := mod.DemodulateBatchDivInto(&bs.est, scale, kSyms, n, dstTile, vector); err != nil {
+		code.DecodeBatchInto(&bs.dec, &bs.y, &bs.h, mr, &bs.est, mod.HasQuadrature())
+		if err := mod.DemodulateBatchDivInto(&bs.est, scale, kSyms, n, dstTile); err != nil {
 			panic(err)
 		}
 		for i, v := range dstTile {
@@ -340,12 +339,12 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 // the complex draw at tape[i*stride+off+2l], both parts scaled by s.
 // It returns the offset of the draws after b's. A scale of 1 leaves
 // the draws exact, as the unscaled per-draw path does. With vector set
-// and AVX2 on the host, the kernel fills each lane's whole two-entry
-// steps and the loop the odd entry at the end.
+// (transport passes mathx.HasAVX2), the kernel fills each lane's whole
+// two-entry steps and the loop the odd entry at the end.
 func scatterCN(b *mathx.BatchCF64, tape []float64, off, stride int, s float64, vector bool) int {
 	n := b.N
 	v := 0
-	if vector && laneKernels {
+	if vector {
 		v = n &^ 1
 	}
 	for l := 0; l < b.Lanes; l++ {

@@ -1,10 +1,5 @@
 package coop
 
-import "repro/internal/mathx"
-
-// laneKernels selects the AVX2 tape scatter; it is set once at init.
-var laneKernels = mathx.HasAVX2()
-
 // scatterAVX2 fills lane[i] = complex(tape[i·stride]·s,
 // tape[i·stride+1]·s) for every i < len(lane), a positive even length:
 // per step one 16-byte load per entry (VINSERTF128 joins the two), one

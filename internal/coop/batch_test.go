@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/mathx"
 )
 
 // batchIdentityConfigs sweeps the impairment space the transport
@@ -59,15 +64,8 @@ func batchIdentityConfigs() []Config {
 	return cfgs
 }
 
-// workspacePaths lists the workspaces the engine runs on: a pure-Go one,
-// and, where the host has AVX2, one on the vector kernels.
-func workspacePaths() []*Workspace {
-	paths := []*Workspace{NewWorkspacePureGo()}
-	if laneKernels {
-		paths = append(paths, NewWorkspace())
-	}
-	return paths
-}
+// pureGoEnv marks a test binary re-executed under GODEBUG=cpu.avx2=off.
+const pureGoEnv = "COOP_TEST_PURE_GO"
 
 // TestTransportBatchMatchesScalar is the tentpole identity: the SoA
 // engine behind RunWith and TransportInto must reproduce the per-block
@@ -76,18 +74,38 @@ func workspacePaths() []*Workspace {
 // each. The second hop of every case relays the first hop's noisy
 // output, as a multihop route does, so the identity also holds on a
 // source that is not RunWith's own freshly drawn bits.
+//
+// pureGo=false runs the engine as this process does. Where
+// mathx.HasAVX2 is true, pureGo=true re-executes the test under
+// GODEBUG=cpu.avx2=off, so the seed, the Gaussian fill and every lane
+// pass take their pure-Go loops; elsewhere both run in this process.
 func TestTransportBatchMatchesScalar(t *testing.T) {
-	for _, ws := range workspacePaths() {
-		t.Run(fmt.Sprintf("pureGo=%v", ws.pureGo), func(t *testing.T) {
-			checkTransportMatchesScalar(t, ws)
-		})
-	}
+	t.Run("pureGo=false", checkTransportMatchesScalar)
+	t.Run("pureGo=true", func(t *testing.T) {
+		if !mathx.HasAVX2() {
+			checkTransportMatchesScalar(t)
+			return
+		}
+		if os.Getenv(pureGoEnv) != "" {
+			t.Fatalf("GODEBUG=%q left mathx.HasAVX2 on", os.Getenv("GODEBUG"))
+		}
+		args := []string{"-test.run=^TestTransportBatchMatchesScalar$/^pureGo=true$", "-test.count=1"}
+		if testing.Short() {
+			args = append(args, "-test.short")
+		}
+		cmd := exec.Command(os.Args[0], args...)
+		godebug := strings.TrimPrefix(os.Getenv("GODEBUG")+",cpu.avx2=off", ",")
+		cmd.Env = append(os.Environ(), pureGoEnv+"=1", "GODEBUG="+godebug)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("child under GODEBUG=%s: %v\n%s", godebug, err, out)
+		}
+	})
 }
 
-// checkTransportMatchesScalar is TestTransportBatchMatchesScalar on one
-// workspace.
-func checkTransportMatchesScalar(t *testing.T, ws *Workspace) {
-	sc := newScalarScratch()
+// checkTransportMatchesScalar is TestTransportBatchMatchesScalar on the
+// paths this process runs.
+func checkTransportMatchesScalar(t *testing.T) {
+	ws, sc := NewWorkspace(), newScalarScratch()
 	for _, cfg := range batchIdentityConfigs() {
 		for ds := int64(0); ds < 3; ds++ {
 			c := cfg
@@ -138,9 +156,9 @@ func checkTransportMatchesScalar(t *testing.T, ws *Workspace) {
 
 // TestTransportBatchParallelWorkers runs the batch engine on every
 // impairment combination from several goroutines at once (one
-// workspace per worker, as the pool hands out, half of them pure-Go)
-// and checks each against the scalar reference engine — under -race
-// this also proves the SoA scratch holds no hidden shared state.
+// workspace per worker, as the pool hands out) and checks each against
+// the scalar reference engine — under -race this also proves the SoA
+// scratch holds no hidden shared state.
 func TestTransportBatchParallelWorkers(t *testing.T) {
 	cfgs := batchIdentityConfigs()
 	want := make([]Result, len(cfgs))
@@ -159,18 +177,12 @@ func TestTransportBatchParallelWorkers(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 2*workers)
-	for w := 0; w < 2*workers; w++ {
+	for range 2 * workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Half the workers run pooled workspaces, on the vector
-			// kernels where the host has them; the other half pure-Go
-			// ones.
-			ws := NewWorkspacePureGo()
-			if w%2 == 0 {
-				ws = GetWorkspace()
-				defer PutWorkspace(ws)
-			}
+			ws := GetWorkspace()
+			defer PutWorkspace(ws)
 			for round := 0; round < 3; round++ {
 				for i, cfg := range cfgs {
 					got, err := RunWith(ws, cfg)

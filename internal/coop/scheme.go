@@ -121,11 +121,6 @@ type Workspace struct {
 
 	// batch holds the SoA tile buffers of the batched engine (batch.go).
 	batch batchScratch
-
-	// pureGo keeps the hop's lane passes on the pure-Go loops, which
-	// otherwise take the AVX2 kernels where the host has them. Results
-	// are the same.
-	pureGo bool
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
@@ -135,17 +130,6 @@ func NewWorkspace() *Workspace {
 		bits:   mathx.NewReusableRand(),
 		fading: channel.NewBlockFading(nil, 1, 1, 0, 0),
 	}
-}
-
-// NewWorkspacePureGo is NewWorkspace for a workspace whose lane passes
-// (transmit, decode, decisions, tape scatter) run the pure-Go loops even
-// where the host has AVX2 kernels for them. Its results are the same; it
-// exists so tests can pin both paths and benchmarks time them side by
-// side.
-func NewWorkspacePureGo() *Workspace {
-	ws := NewWorkspace()
-	ws.pureGo = true
-	return ws
 }
 
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}

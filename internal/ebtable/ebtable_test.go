@@ -255,7 +255,10 @@ func TestMonteCarloTableWithoutFMA(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "table.txt")
 	cmd := exec.Command(os.Args[0], "-test.count=1",
 		"-test.run=^(TestMonteCarloTableWithoutFMA|TestMonteCarloBERMatchesBERAWGN)$")
-	cmd.Env = append(os.Environ(), fmaOffEnv+"="+out, "GODEBUG=cpu.fma=off")
+	// The child keeps the parent's GODEBUG: os/exec passes on only the
+	// last of two GODEBUG entries.
+	godebug := strings.TrimPrefix(os.Getenv("GODEBUG")+",cpu.fma=off", ",")
+	cmd.Env = append(os.Environ(), fmaOffEnv+"="+out, "GODEBUG="+godebug)
 	if msg, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("child under cpu.fma=off: %v\n%s", err, msg)
 	}

@@ -170,16 +170,11 @@ func Erfc(x float64) float64 {
 func addMul(c, v, t float64) float64 { return c + float64(v*t) }
 
 // ErfcInto stores Erfc(src[i]) in dst[i] for every i of src; dst must
-// be at least as long and may be src itself. On amd64 hosts with AVX2
-// it runs four lanes per instruction (erfcAVX2) and the pure-Go loop
-// finishes the last len(src)%8; elsewhere the loop does all of it. The
-// bits are Erfc's either way.
-func ErfcInto(dst, src []float64) { erfcInto(dst, src, vectorErfc) }
-
-// ErfcIntoPureGo is ErfcInto on the pure-Go loop even where the host
-// has the AVX2 kernel. The values are the same; it exists so benchmarks
-// can time the two paths side by side.
-func ErfcIntoPureGo(dst, src []float64) { erfcInto(dst, src, false) }
+// be at least as long and may be src itself. Where HasAVX2 reports
+// AVX2 it runs four lanes per instruction (erfcAVX2) and the pure-Go
+// loop finishes the last len(src)%8; elsewhere the loop does all of it.
+// The bits are Erfc's either way.
+func ErfcInto(dst, src []float64) { erfcInto(dst, src, avx2) }
 
 // erfcInto is ErfcInto on the AVX2 kernel when vector is set, on the
 // pure-Go loop otherwise.

@@ -2,9 +2,6 @@ package mathx
 
 import "math"
 
-// vectorErfc selects the AVX2 erfc kernel; it is set once at init.
-var vectorErfc = hostAVX2
-
 // erfcLanes holds erfcAVX2's operands, one 32-byte row of four lanes
 // each, in the order erfc_amd64.s names them: masks and constants
 // repeated in every lane, then the rational fits.

@@ -5,17 +5,6 @@ import (
 	"unsafe"
 )
 
-// TestVectorErfcSelected fails when a host whose kernel reports AVX2
-// does not run the erfc lane kernel.
-func TestVectorErfcSelected(t *testing.T) {
-	if cpuReportsAVX2(t) && !vectorErfc {
-		t.Fatal("CPU reports avx2 but ErfcInto runs the pure-Go loop")
-	}
-	if vectorErfc != hasAVX2() {
-		t.Fatalf("vectorErfc = %v, hasAVX2() = %v", vectorErfc, hasAVX2())
-	}
-}
-
 // TestErfcLanesLayout ties erfc_amd64.s's row offsets to erfcLanes.
 func TestErfcLanesLayout(t *testing.T) {
 	for _, c := range []struct {

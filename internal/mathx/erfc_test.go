@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -97,7 +98,10 @@ func TestExpErfcMatchStdlibWithoutFMA(t *testing.T) {
 	}
 	if os.Getenv(fmaOffEnv) == "" {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestExpErfcMatchStdlibWithoutFMA$", "-test.count=1")
-		cmd.Env = append(os.Environ(), fmaOffEnv+"=1", "GODEBUG=cpu.fma=off")
+		// The child keeps the parent's GODEBUG: os/exec passes on only
+		// the last of two GODEBUG entries.
+		godebug := strings.TrimPrefix(os.Getenv("GODEBUG")+",cpu.fma=off", ",")
+		cmd.Env = append(os.Environ(), fmaOffEnv+"=1", "GODEBUG="+godebug)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("child under cpu.fma=off: %v\n%s", err, out)
 		}
@@ -153,7 +157,7 @@ func TestExpErfcNearStdlib(t *testing.T) {
 func TestErfcIntoMatchesErfc(t *testing.T) {
 	xs := append(erfcEdges(), randomArgs(5, 4000, -7, 30)...)
 	rand.New(rand.NewSource(6)).Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, vector := range []bool{false, hasAVX2()} {
+	for _, vector := range []bool{false, HasAVX2()} {
 		for n := 0; n <= 41; n++ {
 			for lo := 0; lo+n <= len(xs); lo += 97 {
 				checkErfcInto(t, xs[lo:lo+n], vector)
@@ -185,13 +189,13 @@ func checkErfcInto(t testing.TB, src []float64, vector bool) {
 	}
 }
 
-// FuzzErfcLanes compares the AVX2 kernel with the loop on arbitrary
+// FuzzErfcLanes compares the AVX2 kernel with scalar Erfc on arbitrary
 // lanes of 0 to 13 elements: a byte below 0x80 picks one of laneEdges
 // (range boundaries and their neighbours, signed zeros, subnormals,
 // NaN payloads, infinities), any other byte takes the next eight bytes
 // as a float64's raw bits. It skips on hosts without AVX2.
 func FuzzErfcLanes(f *testing.F) {
-	if !hasAVX2() {
+	if !HasAVX2() {
 		f.Skip("no AVX2 kernel on this host")
 	}
 	edges := laneEdges()

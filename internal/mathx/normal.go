@@ -16,14 +16,9 @@ const rn = 3.442619855899
 
 // NormFloat64s fills dst with standard normal variates: exactly the
 // values len(dst) successive r.Rand.NormFloat64() calls would return,
-// leaving the generator where those calls would. On amd64 hosts with
+// leaving the generator where those calls would. Where HasAVX2 reports
 // AVX2 it runs the vector fill; elsewhere the pure-Go loop.
-func (r *ReusableRand) NormFloat64s(dst []float64) { r.normFloat64s(dst, vectorFill) }
-
-// NormFloat64sPureGo is NormFloat64s on the pure-Go loop even where the
-// host has the vector fill. The values are the same; it exists so
-// benchmarks can time the two fill paths side by side.
-func (r *ReusableRand) NormFloat64sPureGo(dst []float64) { r.normFloat64s(dst, false) }
+func (r *ReusableRand) NormFloat64s(dst []float64) { r.normFloat64s(dst, avx2) }
 
 // normFloat64s is NormFloat64s on the vector path when vector is set,
 // on the pure-Go loop otherwise. The vector step (normVector) draws four
@@ -216,9 +211,9 @@ var wedgeSqueezes = func() (t [128]wedgeSqueeze) {
 // Bits fills dst with 0/1 values: exactly the values len(dst)
 // successive byte(r.Rand.Intn(2)) calls would return, leaving the
 // generator where those calls would. Intn(2) is bit 32 of one source
-// word (Int31() & 1), so the fill is one source step per bit. On amd64
-// hosts with AVX2 it takes four steps at a time.
-func (r *ReusableRand) Bits(dst []byte) { r.bits(dst, vectorFill) }
+// word (Int31() & 1), so the fill is one source step per bit. Where
+// HasAVX2 reports AVX2 it takes four steps at a time.
+func (r *ReusableRand) Bits(dst []byte) { r.bits(dst, avx2) }
 
 // bits is Bits on the vector path when vector is set, on the pure-Go
 // loop otherwise.

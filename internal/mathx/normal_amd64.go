@@ -2,10 +2,6 @@ package mathx
 
 import "math"
 
-// vectorFill selects the AVX2 NormFloat64s and Bits steps; it is set
-// once at init.
-var vectorFill = hostAVX2
-
 // normLanes holds normVector's lane constants. A four-step group's state
 // words sit in memory in reverse step order: step 1 at feed−1, step 4
 // at feed−4. perm picks the low dword of each sum in step order, split

@@ -1,8 +1,8 @@
 package mathx
 
-// vectorSeedWords is the number of state words the AVX2 seed writes:
+// seedAVX2Words is the number of state words the AVX2 seed writes:
 // every whole four-word group. seedWords finishes words 604–606.
-const vectorSeedWords = rngLen &^ 3
+const seedAVX2Words = rngLen &^ 3
 
 // parkMillerLanes is parkMillerPow transposed to lane-major rows,
 // parkMillerLanes[k][i] = parkMillerPow[i][k], so the vector seed
@@ -17,17 +17,14 @@ var parkMillerLanes = func() (t [3][rngLen + 1]uint64) {
 	return t
 }()
 
-// vectorSeed selects the AVX2 table seed; it is set once at init.
-var vectorSeed = hostAVX2
-
-// seedVector writes state words 0 through vectorSeedWords−1 for the
+// seedVector writes state words 0 through seedAVX2Words−1 for the
 // reduced seed x and returns the first word it left unwritten.
 func seedVector(vec *[rngLen]int64, x uint64) int {
 	seedAVX2(vec, &parkMillerLanes, &rngCooked, x)
-	return vectorSeedWords
+	return seedAVX2Words
 }
 
-// seedAVX2 computes, for each of the first vectorSeedWords state words,
+// seedAVX2 computes, for each of the first seedAVX2Words state words,
 // the same three Park–Miller values as seedWords (one VPMULUDQ and two
 // Mersenne folds per value, four words per step), and stores the
 // shifted, XORed and cooked word into vec. Implemented in

@@ -8,7 +8,7 @@ import (
 )
 
 // cpuReportsAVX2 reports whether the kernel lists avx2 among the CPU
-// flags, the oracle for the vector paths: Linux lists avx2 only when it
+// flags, the oracle for HasAVX2: Linux lists avx2 only when it
 // also saves the YMM state.
 func cpuReportsAVX2(t *testing.T) bool {
 	info, err := os.ReadFile("/proc/cpuinfo")
@@ -23,33 +23,20 @@ func cpuReportsAVX2(t *testing.T) bool {
 	return false
 }
 
-// TestVectorSeedSelected fails when a host whose kernel reports AVX2
-// does not run the vector seed.
-func TestVectorSeedSelected(t *testing.T) {
-	if cpuReportsAVX2(t) && !vectorSeed {
-		t.Fatal("CPU reports avx2 but Seed runs the pure-Go loop")
-	}
-	if vectorSeed != hasAVX2() || HasAVX2() != hasAVX2() {
-		t.Fatalf("vectorSeed = %v, HasAVX2() = %v, hasAVX2() = %v", vectorSeed, HasAVX2(), hasAVX2())
-	}
-}
-
-// TestVectorFillSelected fails when a host whose kernel reports AVX2
-// does not run the vector NormFloat64s and Bits fills.
-func TestVectorFillSelected(t *testing.T) {
-	if cpuReportsAVX2(t) && !vectorFill {
-		t.Fatal("CPU reports avx2 but the fills run the pure-Go loops")
-	}
-	if vectorFill != hasAVX2() {
-		t.Fatalf("vectorFill = %v, hasAVX2() = %v", vectorFill, hasAVX2())
+// TestAVX2Selected fails unless HasAVX2 is on exactly where the kernel
+// reports AVX2 and GODEBUG leaves it on: every vector path keys on it.
+func TestAVX2Selected(t *testing.T) {
+	godebug := os.Getenv("GODEBUG")
+	if want := cpuReportsAVX2(t) && !avx2Off(godebug); HasAVX2() != want {
+		t.Fatalf("GODEBUG=%q: HasAVX2() = %v, want %v", godebug, HasAVX2(), want)
 	}
 }
 
 // TestVectorSeedLayout ties the assembly's constants to the Go ones:
 // 151 four-word groups and 608-word rows (4,864-byte strides).
 func TestVectorSeedLayout(t *testing.T) {
-	if vectorSeedWords != 151*4 {
-		t.Fatalf("vectorSeedWords = %d, the assembly writes %d", vectorSeedWords, 151*4)
+	if seedAVX2Words != 151*4 {
+		t.Fatalf("seedAVX2Words = %d, the assembly writes %d", seedAVX2Words, 151*4)
 	}
 	if n := len(parkMillerLanes[0]); n*8 != 4864 {
 		t.Fatalf("lane rows hold %d words; the assembly strides 4864 bytes", n)

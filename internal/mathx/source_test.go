@@ -92,7 +92,7 @@ func FuzzSourceMatchesStdlib(f *testing.F) {
 // leaves a word unwritten shows up as a mismatch.
 func checkSeedPaths(t testing.TB, s *source64, seed int64) {
 	t.Helper()
-	s.seed(seed, hasAVX2())
+	s.seed(seed, HasAVX2())
 	var want source64
 	want.seed(seed^0x5a5a, false)
 	want.seed(seed, false)
@@ -110,7 +110,7 @@ func checkSeedPaths(t testing.TB, s *source64, seed int64) {
 // on the edge seeds and 5,000 random ones, reusing one source so each
 // seed overwrites the previous seed's state.
 func TestVectorSeedMatchesPureGo(t *testing.T) {
-	if !hasAVX2() {
+	if !HasAVX2() {
 		t.Skip("no vector seed on this host")
 	}
 	var s source64
@@ -141,7 +141,7 @@ type fillPaths struct{ tail, wedgeReject int }
 // fillVectors lists the fill paths this host can run: the pure-Go
 // loop, and the vector step where the host has AVX2.
 func fillVectors() []bool {
-	if hasAVX2() {
+	if HasAVX2() {
 		return []bool{false, true}
 	}
 	return []bool{false}

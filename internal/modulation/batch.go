@@ -98,10 +98,16 @@ func (s *Scheme) ModulateBatchInto(bits []byte, dst *mathx.BatchCF64, lanes, n i
 // scalar path performs on each estimate, so decisions match
 // DecideSymbol(sym/div, ...) bit for bit.
 //
-// vector lets the BPSK pass with a real divisor run the AVX2 decision
-// kernel where the host has AVX2 (mathx.HasAVX2); false keeps the
-// pure-Go loop, the reference. Both decide identically.
-func (s *Scheme) DemodulateBatchDivInto(src *mathx.BatchCF64, div complex128, lanes, n int, dst []byte, vector bool) error {
+// The BPSK pass with a real divisor runs the AVX2 decision kernel where
+// mathx.HasAVX2 reports it and the pure-Go loop, the reference,
+// elsewhere. Both decide identically.
+func (s *Scheme) DemodulateBatchDivInto(src *mathx.BatchCF64, div complex128, lanes, n int, dst []byte) error {
+	return s.demodulateBatchDivInto(src, div, lanes, n, dst, mathx.HasAVX2())
+}
+
+// demodulateBatchDivInto is DemodulateBatchDivInto with the BPSK pass on
+// the AVX2 kernel when vector is set, on the pure-Go loop otherwise.
+func (s *Scheme) demodulateBatchDivInto(src *mathx.BatchCF64, div complex128, lanes, n int, dst []byte, vector bool) error {
 	b := s.BitsPerSymbol
 	if len(dst) != lanes*n*b {
 		return fmt.Errorf("modulation: %d dst bits for a %dx%d batch of b=%d symbols", len(dst), lanes, n, b)
@@ -124,7 +130,7 @@ func (s *Scheme) DemodulateBatchDivInto(src *mathx.BatchCF64, div complex128, la
 			// The AVX2 kernel takes each lane's whole groups of four;
 			// the loop below finishes the rest.
 			v := 0
-			if vector && laneKernels {
+			if vector {
 				v = n &^ 3
 			}
 			for k := 0; k < lanes; k++ {

@@ -1,10 +1,5 @@
 package modulation
 
-import "repro/internal/mathx"
-
-// laneKernels selects the AVX2 decision kernel; it is set once at init.
-var laneKernels = mathx.HasAVX2()
-
 // bpskLanes maps the sign mask of a four-symbol group's decisions to the
 // four output bytes in symbol order. The kernel compares the real parts
 // in unpack order — symbols 0, 2, 1, 3 — so mask bit 1 is symbol 2 and

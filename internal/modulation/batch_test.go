@@ -74,10 +74,10 @@ func TestDemodulateBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// lanePaths lists the decision paths this host can run: the pure-Go
-// loop, and the AVX2 kernel where the host has it.
+// lanePaths lists the decision paths this process runs: the pure-Go
+// loop, and the AVX2 kernel where mathx.HasAVX2 reports it.
 func lanePaths() []bool {
-	if laneKernels {
+	if mathx.HasAVX2() {
 		return []bool{false, true}
 	}
 	return []bool{false}
@@ -104,7 +104,7 @@ func TestDemodulateBatchDivMatchesScalar(t *testing.T) {
 				}
 				for _, vector := range lanePaths() {
 					got := make([]byte, lanes*n*b)
-					if err := s.DemodulateBatchDivInto(batch, div, lanes, n, got, vector); err != nil {
+					if err := s.demodulateBatchDivInto(batch, div, lanes, n, got, vector); err != nil {
 						t.Fatal(err)
 					}
 					want := make([]byte, b)

@@ -110,10 +110,16 @@ func encodeCell(dst, src []complex128, e entry) {
 // scalar path's channel.AWGN call lands — saving a separate
 // read-modify-write pass over every y lane.
 //
-// vector lets the lane passes run the AVX2 kernels where the host has
-// AVX2 (mathx.HasAVX2); false keeps the pure-Go loops, the reference.
-// Both give the same y.
-func (c *Code) TransmitBatchInto(x, h, noise, y *mathx.BatchCF64, mr int, vector bool) *mathx.BatchCF64 {
+// The lane passes run the AVX2 kernels where mathx.HasAVX2 reports
+// them and the pure-Go loops, the reference, elsewhere. Both give the
+// same y.
+func (c *Code) TransmitBatchInto(x, h, noise, y *mathx.BatchCF64, mr int) *mathx.BatchCF64 {
+	return c.transmitBatchInto(x, h, noise, y, mr, mathx.HasAVX2())
+}
+
+// transmitBatchInto is TransmitBatchInto on the AVX2 kernels when
+// vector is set, on the pure-Go loops otherwise.
+func (c *Code) transmitBatchInto(x, h, noise, y *mathx.BatchCF64, mr int, vector bool) *mathx.BatchCF64 {
 	n := x.N
 	bl := len(c.gen)
 	if h.Lanes != mr*c.nt || h.N != n {
@@ -126,7 +132,7 @@ func (c *Code) TransmitBatchInto(x, h, noise, y *mathx.BatchCF64, mr int, vector
 	// The AVX2 kernels take whole two-block steps, the pure-Go loops the
 	// odd block at the end.
 	v := 0
-	if vector && laneKernels {
+	if vector {
 		v = n &^ 1
 	}
 	var colBuf [8]int
@@ -273,10 +279,16 @@ func mulAdd3(yL, xL0, hL0, xL1, hL1, xL2, hL2, nzL []complex128, nv int) {
 //
 // needIm false skips the imaginary-part estimate, for callers whose
 // decisions never read it (BPSK): out then holds complex(re, 0), with
-// re the same as when needIm is true. vector lets the lane passes run
-// the AVX2 kernels where the host has AVX2 (mathx.HasAVX2); false keeps
-// the pure-Go loops, the reference. Both give the same estimates.
-func (c *Code) DecodeBatchInto(ws *BatchWorkspace, y, h *mathx.BatchCF64, mr int, out *mathx.BatchCF64, needIm, vector bool) *mathx.BatchCF64 {
+// re the same as when needIm is true. The lane passes run the AVX2
+// kernels where mathx.HasAVX2 reports them and the pure-Go loops, the
+// reference, elsewhere. Both give the same estimates.
+func (c *Code) DecodeBatchInto(ws *BatchWorkspace, y, h *mathx.BatchCF64, mr int, out *mathx.BatchCF64, needIm bool) *mathx.BatchCF64 {
+	return c.decodeBatchInto(ws, y, h, mr, out, needIm, mathx.HasAVX2())
+}
+
+// decodeBatchInto is DecodeBatchInto on the AVX2 kernels when vector is
+// set, on the pure-Go loops otherwise.
+func (c *Code) decodeBatchInto(ws *BatchWorkspace, y, h *mathx.BatchCF64, mr int, out *mathx.BatchCF64, needIm, vector bool) *mathx.BatchCF64 {
 	n := y.N
 	if y.Lanes != len(c.gen)*mr {
 		panic(fmt.Sprintf("stbc: receive batch has %d lanes, code uses %d", y.Lanes, len(c.gen)*mr))
@@ -299,7 +311,7 @@ func (c *Code) DecodeBatchInto(ws *BatchWorkspace, y, h *mathx.BatchCF64, mr int
 	// over a symbol's sums — its runs and its divide — splits at the
 	// same v, and no entry is ever written in both orders.
 	v := 0
-	if vector && laneKernels {
+	if vector {
 		v = n &^ 3
 	}
 	reDot, reN2 := ws.dot.Lane(0)[:n], ws.n2.Lane(0)[:n]

@@ -1,11 +1,5 @@
 package stbc
 
-import "repro/internal/mathx"
-
-// laneKernels selects the AVX2 transmit and decode kernels; it is set
-// once at init.
-var laneKernels = mathx.HasAVX2()
-
 // decodePureAVX2 is decodePureLanes on four blocks per step, for
 // len(reDot) a positive multiple of four, with every lane at least that
 // long. Each step loads two y and two h vectors per antenna and splits

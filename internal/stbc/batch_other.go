@@ -2,12 +2,8 @@
 
 package stbc
 
-// laneKernels is false: only amd64 has the AVX2 lane kernels, so the
-// transmit and decode passes run the pure-Go loops.
-var laneKernels = false
-
-// The AVX2 kernels are never called where laneKernels is false; these
-// stand-ins do nothing.
+// The AVX2 kernels are never called: mathx.HasAVX2 is false off amd64.
+// These stand-ins do nothing.
 
 func decodePureAVX2(ya, yb, ha, hb []complex128, r, q float64, reDot, reN2, imDot, imN2 []float64) {
 }

@@ -14,10 +14,10 @@ func batchTestCodes() []*Code {
 	return []*Code{SISO(), Alamouti(), OSTBC3(), OSTBC4(), G3Half(), G4Half()}
 }
 
-// lanePaths lists the lane-kernel paths this host can run: the pure-Go
-// loops, and the AVX2 kernels where the host has them.
+// lanePaths lists the lane-kernel paths this process runs: the pure-Go
+// loops, and the AVX2 kernels where mathx.HasAVX2 reports them.
 func lanePaths() []bool {
-	if laneKernels {
+	if mathx.HasAVX2() {
 		return []bool{false, true}
 	}
 	return []bool{false}
@@ -136,7 +136,7 @@ func TestTransmitBatchMatchesScalar(t *testing.T) {
 
 				check := func(noise *mathx.BatchCF64, vector bool) {
 					t.Helper()
-					code.TransmitBatchInto(&x, &h, noise, &y, mr, vector)
+					code.transmitBatchInto(&x, &h, noise, &y, mr, vector)
 					var xm, hm, hT, want mathx.CMat
 					blockSyms := make([]complex128, code.BlockSymbols())
 					for i := 0; i < n; i++ {
@@ -193,7 +193,7 @@ func TestDecodeBatchMatchesScalar(t *testing.T) {
 				est := make([]complex128, code.BlockSymbols())
 				for _, vector := range lanePaths() {
 					for _, needIm := range []bool{true, false} {
-						code.DecodeBatchInto(&ws, &y, &h, mr, &out, needIm, vector)
+						code.decodeBatchInto(&ws, &y, &h, mr, &out, needIm, vector)
 						for i := 0; i < n; i++ {
 							y.GatherMat(i, code.BlockLen(), mr, &ym)
 							h.GatherMat(i, mr, code.Nt(), &hm)
