@@ -5,6 +5,22 @@ import (
 	"unsafe"
 )
 
+// TestVectorErfcSelected fails unless ErfcInto runs the path HasAVX2
+// selects and HasAVX2 follows the CPU and GODEBUG; either path gives
+// the pure-Go loop's values.
+func TestVectorErfcSelected(t *testing.T) {
+	requireAVX2Selected(t)
+	src := []float64{-3, -0.5, 0, 0.25, 0.84375, 1.25, 2.857, 6, 27}
+	got, want := make([]float64, len(src)), make([]float64, len(src))
+	ErfcInto(got, src)
+	erfcInto(want, src, false)
+	for i := range src {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("HasAVX2() = %v: ErfcInto(%v) = %v, pure-Go loop %v", HasAVX2(), src[i], got[i], want[i])
+		}
+	}
+}
+
 // TestErfcLanesLayout ties erfc_amd64.s's row offsets to erfcLanes.
 func TestErfcLanesLayout(t *testing.T) {
 	for _, c := range []struct {

@@ -23,12 +23,49 @@ func cpuReportsAVX2(t *testing.T) bool {
 	return false
 }
 
-// TestAVX2Selected fails unless HasAVX2 is on exactly where the kernel
-// reports AVX2 and GODEBUG leaves it on: every vector path keys on it.
-func TestAVX2Selected(t *testing.T) {
+// requireAVX2Selected fails unless HasAVX2 is on exactly where the
+// kernel reports AVX2 and GODEBUG leaves it on: every vector path keys
+// on it.
+func requireAVX2Selected(t *testing.T) {
+	t.Helper()
 	godebug := os.Getenv("GODEBUG")
 	if want := cpuReportsAVX2(t) && !avx2Off(godebug); HasAVX2() != want {
 		t.Fatalf("GODEBUG=%q: HasAVX2() = %v, want %v", godebug, HasAVX2(), want)
+	}
+}
+
+// TestVectorSeedSelected fails unless Seed runs the path HasAVX2 selects
+// and HasAVX2 follows the CPU and GODEBUG; either path leaves the
+// pure-Go loop's state.
+func TestVectorSeedSelected(t *testing.T) {
+	requireAVX2Selected(t)
+	var got, want source64
+	got.Seed(20261019)
+	want.seed(20261019, false)
+	if got != want {
+		t.Fatalf("HasAVX2() = %v: Seed state differs from the pure-Go loop's", HasAVX2())
+	}
+}
+
+// TestVectorFillSelected fails unless NormFloat64s and Bits run the path
+// HasAVX2 selects and HasAVX2 follows the CPU and GODEBUG; either path
+// gives the pure-Go loops' draws.
+func TestVectorFillSelected(t *testing.T) {
+	requireAVX2Selected(t)
+	got, want := NewReusableRand(), NewReusableRand()
+	got.Reseed(20261019)
+	want.Reseed(20261019)
+	norms, wantNorms := make([]float64, 37), make([]float64, 37)
+	got.NormFloat64s(norms)
+	want.normFloat64s(wantNorms, false)
+	bits, wantBits := make([]byte, 37), make([]byte, 37)
+	got.Bits(bits)
+	want.bits(wantBits, false)
+	for i := range norms {
+		if norms[i] != wantNorms[i] || bits[i] != wantBits[i] {
+			t.Fatalf("HasAVX2() = %v: draw %d = %v, %d; pure-Go loops %v, %d",
+				HasAVX2(), i, norms[i], bits[i], wantNorms[i], wantBits[i])
+		}
 	}
 }
 
