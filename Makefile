@@ -3,10 +3,10 @@
 # tests boot the daemon, SIGKILL a campaign and drive the fairness load
 # run), the short suite again with every AVX2 kernel off (purego) and
 # the bench module's vet and tests. `./verify.sh` runs it plus
-# `fuzz-rng`, `fuzz-lanes`, `fuzz-params`, `fuzz-shard` and
+# `fuzz-rng`, `fuzz-lanes`, `fuzz-params`, `fuzz-shard`, `reach` and
 # `bench-compare`, the checks that take longer.
 
-.PHONY: verify vet fmt-check build cross-arch test race purego bench-module fuzz-rng fuzz-lanes fuzz-params fuzz-shard bench bench-compare cogbench-ab bench-batch
+.PHONY: verify vet fmt-check build cross-arch test race purego bench-module fuzz-rng fuzz-lanes fuzz-params fuzz-shard reach bench bench-compare cogbench-ab bench-batch
 
 BENCH_DATE := $(shell date +%Y-%m-%d)
 BENCH_TODAY := BENCH_$(BENCH_DATE).json
@@ -117,6 +117,16 @@ fuzz-params:
 # and survive a re-encode unchanged.
 fuzz-shard:
 	go test -run=NONE -fuzz=FuzzShardRequest -fuzztime=10s ./internal/cluster
+
+# Fails on a function no program links: builds every main package,
+# bench/cmd/cogbench and a generated program over the root package's
+# exported API with inlining off, and compares their go tool nm symbols
+# with the functions declared in the module. A function that stays for
+# a test is listed, with the test, in internal/tools/reach/keep.txt; an
+# entry that is reached again or no longer declared fails too. It links
+# about 15 binaries, so it runs from ./verify.sh, not from verify.
+reach:
+	go run ./internal/tools/reach
 
 # Runs the repo-root benchmark suite and records ns/op, B/op and
 # allocs/op into BENCH_<date>.json (or BENCH_JSON) via

@@ -96,7 +96,7 @@ func (a *Array) ResetPhases() {
 func (a *Array) PairSpacings() []float64 {
 	out := make([]float64, len(a.Pairs))
 	for i, p := range a.Pairs {
-		out[i] = p.Spacing()
+		out[i] = p.St1.Dist(p.St2)
 	}
 	sort.Float64s(out)
 	return out

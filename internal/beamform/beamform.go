@@ -59,9 +59,6 @@ func NewNullPair(st1, st2, pr geom.Point, wavelength float64) (*Pair, error) {
 	}, nil
 }
 
-// Spacing returns the element separation r.
-func (p *Pair) Spacing() float64 { return p.St1.Dist(p.St2) }
-
 // FieldAt returns the complex field at point q under the exact model:
 // each element contributes amp * exp(j(phase - 2 pi d / w)) / 1 with d
 // its true distance to q (free-space amplitude decay is omitted, as in
@@ -91,7 +88,8 @@ func (p *Pair) AmplitudeFarField(q geom.Point) float64 {
 	// Path difference via projection on the unit look direction from the
 	// pair midpoint — the far-field limit of d2 - d1.
 	mid := geom.Midpoint(p.St1, p.St2)
-	u := q.Sub(mid).Unit()
+	look := q.Sub(mid)
+	u := look.Scale(1 / look.Norm())
 	// d_i ~ R - (P_i - mid).u, so d2 - d1 = (P1 - P2).u.
 	diff := p.St1.Sub(p.St2).Dot(u)
 	delta := p.Delta1 + 2*math.Pi*diff/p.Wavelength

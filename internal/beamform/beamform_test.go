@@ -161,7 +161,4 @@ func TestPatternLength(t *testing.T) {
 	if got := p.Pattern(make([]float64, 7), 5); len(got) != 7 {
 		t.Error("pattern length mismatch")
 	}
-	if s := p.Spacing(); s != 2 {
-		t.Errorf("Spacing = %v", s)
-	}
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"sort"
 	"strings"
@@ -240,7 +241,7 @@ func (m *Manager) Wait(ctx context.Context, id string) (Status, error) {
 		if st, found := m.storedStatus(id); found {
 			return st, nil
 		}
-		return Status{}, ErrNoSuchCampaign
+		return Status{}, fmt.Errorf("campaign: no such campaign %q", id)
 	}
 	select {
 	case <-run.done:
@@ -266,13 +267,6 @@ func (m *Manager) Stop(ctx context.Context) error {
 		return ctx.Err()
 	}
 }
-
-// ErrNoSuchCampaign reports an unknown campaign ID.
-var ErrNoSuchCampaign = errNoSuchCampaign{}
-
-type errNoSuchCampaign struct{}
-
-func (errNoSuchCampaign) Error() string { return "campaign: no such campaign" }
 
 // statusOf snapshots a live run.
 func statusOf(id string, run *campaignRun) Status {

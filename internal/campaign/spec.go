@@ -79,9 +79,11 @@ func ParseSpec(data []byte) (Spec, error) {
 }
 
 // Validate checks the spec against the experiment and kernel
-// registries, and decodes each registry entry's budget params with
-// service.BudgetFromParams, so a malformed or unbounded budget fails
-// before any entry runs.
+// registries, decodes each registry entry's budget params with
+// service.BudgetFromParams and builds each kernel entry's trials from
+// its kernel_params (Build validates and runs no trial), so a malformed
+// or unbounded budget and an out-of-range kernel parameter fail before
+// any entry runs.
 func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("campaign: spec has no name")
@@ -114,12 +116,16 @@ func (s Spec) Validate() error {
 				return fmt.Errorf("campaign: experiment %d: %w", i, err)
 			}
 		default:
-			if _, ok := sim.LookupKernel(e.Kernel); !ok {
+			k, ok := sim.LookupKernel(e.Kernel)
+			if !ok {
 				return fmt.Errorf("campaign: experiment %d: unknown kernel %q (have %s)",
 					i, e.Kernel, strings.Join(sim.Kernels(), ", "))
 			}
 			if e.Trials <= 0 {
 				return fmt.Errorf("campaign: experiment %d: kernel entry needs a positive trials budget", i)
+			}
+			if _, err := k.Build(e.KernelParams); err != nil {
+				return fmt.Errorf("campaign: experiment %d: kernel %q: %w", i, e.Kernel, err)
 			}
 		}
 	}

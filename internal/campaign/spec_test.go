@@ -21,6 +21,8 @@ func TestParseSpecValidation(t *testing.T) {
 		{"negative checkpoint interval", `{"name":"x","checkpoint_chunks":-1,"experiments":[{"id":"fig6a","seed":1}]}`, "checkpoint_chunks"},
 		{"unbounded budget", `{"name":"x","experiments":[{"id":"ext-coopber","seed":1,"params":{"target_ci":"0.05"}}]}`, "max trials"},
 		{"malformed budget", `{"name":"x","experiments":[{"id":"ext-coopber","seed":1,"params":{"target_ci":"tight","max_trials":"4096"}}]}`, "bad target_ci"},
+		{"kernel param out of range", `{"name":"x","experiments":[{"kernel":"coop.ber","kernel_params":{"mt":9},"trials":2048}]}`, "experiment 0: kernel \"coop.ber\""},
+		{"kernel bits over bound", `{"name":"x","experiments":[{"kernel":"coop.ber","kernel_params":{"bits":1e9},"trials":2048}]}`, "experiment 0: kernel \"coop.ber\""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -10,7 +10,7 @@ func TestRunDeterministic(t *testing.T) {
 		cfg := Quick()
 		cfg.Combiner = comb
 		cfg.Seed = 42
-		a, err := Run(cfg)
+		a, err := RunWith(NewWorkspace(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestWorkspaceShapeReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(cfg)
+		want, err := RunWith(NewWorkspace(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,11 +68,11 @@ func TestMMSEDominatesMR(t *testing.T) {
 		mr.Seed = seed
 		mm := mr
 		mm.Combiner = CombinerMMSE
-		a, err := Run(mr)
+		a, err := RunWith(NewWorkspace(), mr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(mm)
+		b, err := RunWith(NewWorkspace(), mm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,14 +236,12 @@ func TestValidate(t *testing.T) {
 	if err := Quick().Validate(); err != nil {
 		t.Errorf("Quick preset invalid: %v", err)
 	}
-	if err := Paper(4).Validate(); err != nil {
-		t.Errorf("Paper preset invalid: %v", err)
-	}
-	// The paper's own scale: L*N = 400 antennas, K = 100 UEs, 1000
-	// realizations per setup.
+	// The paper's own scale: L*N = 400 antennas, K = 100 UEs with 10
+	// pilots on a 1 km square, 1000 realizations per setup.
 	for _, ln := range [][2]int{{400, 1}, {100, 4}} {
-		cfg := Paper(ln[1])
-		cfg.L, cfg.K, cfg.Realizations = ln[0], 100, 1000
+		cfg := Quick()
+		cfg.L, cfg.N, cfg.K, cfg.TauP = ln[0], ln[1], 100, 10
+		cfg.SquareLength, cfg.Realizations = 1000, 1000
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("paper scale L=%d N=%d invalid: %v", ln[0], ln[1], err)
 		}

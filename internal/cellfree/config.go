@@ -20,17 +20,6 @@ const (
 	CombinerMMSE
 )
 
-func (c Combiner) String() string {
-	switch c {
-	case CombinerMR:
-		return "mr"
-	case CombinerMMSE:
-		return "mmse"
-	default:
-		return fmt.Sprintf("combiner(%d)", int(c))
-	}
-}
-
 // Config describes one cell-free scenario. Equal Configs reproduce
 // bit-identical results.
 type Config struct {
@@ -85,18 +74,6 @@ func Quick() Config {
 		Realizations:  1,
 		Seed:          1,
 	}
-}
-
-// Paper returns the Figure-6-scale preset of the cell-free exemplars:
-// L=100 APs with n antennas each serving K=40 UEs with 10 pilots on a
-// 1 km square, 4 channel realizations per setup.
-func Paper(n int) Config {
-	cfg := Quick()
-	cfg.L, cfg.N, cfg.K = 100, n, 40
-	cfg.TauP = 10
-	cfg.SquareLength = 1000
-	cfg.Realizations = 4
-	return cfg
 }
 
 // Bounds on a configuration. The sizes cap what one trial allocates

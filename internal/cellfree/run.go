@@ -11,9 +11,8 @@ import (
 // Result is one trial's outcome: the per-user uplink spectral
 // efficiencies of a single network snapshot.
 type Result struct {
-	// SE holds bit/s/Hz per UE. From RunWith it aliases workspace
-	// storage and is valid until the workspace's next trial; Run
-	// returns a private copy.
+	// SE holds bit/s/Hz per UE. It aliases workspace storage and is
+	// valid until the workspace's next trial.
 	SE []float64
 }
 
@@ -29,18 +28,6 @@ func (r Result) Quantile(q float64, scratch []float64) (float64, []float64) {
 	copy(scratch, r.SE)
 	sort.Float64s(scratch)
 	return mathx.Quantile(scratch, q), scratch
-}
-
-// Run executes one trial with a pooled workspace and returns a
-// self-contained result.
-func Run(cfg Config) (Result, error) {
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	r, err := RunWith(ws, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{SE: append([]float64(nil), r.SE...)}, nil
 }
 
 // RunWith executes one trial — setup generation, Realizations channel

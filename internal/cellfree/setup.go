@@ -2,15 +2,14 @@ package cellfree
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/mathx"
 )
 
 // Workspace holds every buffer one trial needs, so the Monte-Carlo hot
 // path allocates nothing per trial. It follows the repository's
-// workspace convention (coop.Workspace, multihop.Workspace): get one
-// from the pool, hand it to RunWith, put it back when the chunk ends.
+// workspace convention (coop.Workspace, multihop.Workspace): the
+// caller owns one per worker and hands it to RunWith for every trial.
 // A Workspace is not safe for concurrent use.
 type Workspace struct {
 	rng *mathx.ReusableRand
@@ -45,18 +44,10 @@ type Workspace struct {
 	sortb []float64        // quantile scratch
 }
 
-var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
-
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace {
 	return &Workspace{rng: mathx.NewReusableRand()}
 }
-
-// GetWorkspace takes a workspace from the package pool.
-func GetWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
-
-// PutWorkspace returns a workspace to the pool.
-func PutWorkspace(ws *Workspace) { wsPool.Put(ws) }
 
 func growF(s []float64, n int) []float64 {
 	if cap(s) < n {

@@ -7,30 +7,19 @@ import (
 	"repro/internal/mathx"
 )
 
-// Rayleigh draws an mt-by-mr flat Rayleigh block-fading channel matrix H
-// with iid CN(0, 1) entries — the channel assumed for every long-haul
-// cooperative MIMO link (Section 2.3). The matrix stays constant for a
-// codeword (block fading) and is redrawn per block.
-func Rayleigh(rng *rand.Rand, mt, mr int) *mathx.CMat {
-	return RayleighInto(rng, mt, mr, nil)
-}
-
-// RayleighInto is Rayleigh drawing into h (reshaped as needed; allocated
-// when nil), consuming exactly the same rng stream, so pooled workspaces
-// reproduce per-allocation runs bit for bit.
+// RayleighInto draws an mt-by-mr flat Rayleigh block-fading channel
+// matrix H with iid CN(0, 1) entries — the channel assumed for every
+// long-haul cooperative MIMO link (Section 2.3) — into h (reshaped as
+// needed; allocated when nil). The matrix stays constant for a codeword
+// (block fading) and is redrawn per block.
 func RayleighInto(rng *rand.Rand, mt, mr int, h *mathx.CMat) *mathx.CMat {
 	return mathx.EnsureShape(h, mr, mt).RandCN(rng)
 }
 
-// RicianMatrix draws an mt-by-mr Rician channel with K-factor k: a fixed
-// unit-modulus line-of-sight component plus scattered CN entries, each
-// entry normalised to unit mean-square gain.
-func RicianMatrix(rng *rand.Rand, mt, mr int, k float64) *mathx.CMat {
-	return RicianMatrixInto(rng, mt, mr, k, nil)
-}
-
-// RicianMatrixInto is RicianMatrix drawing into h (reshaped as needed;
-// allocated when nil), consuming exactly the same rng stream.
+// RicianMatrixInto draws an mt-by-mr Rician channel with K-factor k
+// into h (reshaped as needed; allocated when nil): a fixed unit-modulus
+// line-of-sight component plus scattered CN entries, each entry
+// normalised to unit mean-square gain.
 func RicianMatrixInto(rng *rand.Rand, mt, mr int, k float64, h *mathx.CMat) *mathx.CMat {
 	if k < 0 {
 		k = 0

@@ -74,8 +74,3 @@ func (m IndoorModel) LinkK(a, b geom.Point) float64 {
 	}
 	return k
 }
-
-// MeanGain returns the average power gain (linear) between a and b.
-func (m IndoorModel) MeanGain(a, b geom.Point) float64 {
-	return math.Pow(10, -m.PathLossDB(a, b)/10)
-}

@@ -100,8 +100,3 @@ func (p ThreeSlopePathLoss) GainDB(d float64) float64 {
 	// -LRef - 35 log10(D1/1000).
 	return -p.LRefDB - 15*math.Log10(p.D1/1000) - 20*math.Log10(km)
 }
-
-// Gain returns the linear channel gain at distance d metres.
-func (p ThreeSlopePathLoss) Gain(d float64) float64 {
-	return math.Pow(10, p.GainDB(d)/10)
-}

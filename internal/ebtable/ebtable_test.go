@@ -346,9 +346,9 @@ func TestMonteCarloDrawsMatchFreshMatrices(t *testing.T) {
 			for i, h2 := range got {
 				var h *mathx.CMat
 				if k > 0 {
-					h = channel.RicianMatrix(rng, mt, mr, k)
+					h = channel.RicianMatrixInto(rng, mt, mr, k, nil)
 				} else {
-					h = channel.Rayleigh(rng, mt, mr)
+					h = channel.RayleighInto(rng, mt, mr, nil)
 				}
 				if want := h.FrobeniusNorm2(); h2 != want {
 					t.Fatalf("K=%v %dx%d sample %d: %v, want %v", k, mt, mr, i, h2, want)

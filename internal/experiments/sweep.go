@@ -69,12 +69,6 @@ func (a *RowArena) Bool(v bool) {
 	a.endCell()
 }
 
-// String appends one preformatted cell.
-func (a *RowArena) String(s string) {
-	a.sb.WriteString(s)
-	a.endCell()
-}
-
 // sweepRows evaluates n independent sweep rows and returns them indexed
 // by row. row(a, i) must format row i's cells into a; rows may run
 // concurrently under the Options.Workers budget, but results always

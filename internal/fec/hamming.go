@@ -12,9 +12,6 @@ import "fmt"
 // positions 3, 5, 6, 7 (1-indexed) and even parity in 1, 2, 4.
 type Hamming74 struct{}
 
-// Rate returns the code rate 4/7.
-func (Hamming74) Rate() float64 { return 4.0 / 7.0 }
-
 // BlockData and BlockCoded are the block sizes in bits.
 const (
 	BlockData  = 4

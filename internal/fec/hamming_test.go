@@ -43,9 +43,6 @@ func TestLengthValidation(t *testing.T) {
 	if _, _, err := h.Decode(make([]byte, 6)); err == nil {
 		t.Error("non-multiple-of-7 should fail")
 	}
-	if h.Rate() != 4.0/7.0 {
-		t.Errorf("rate = %v", h.Rate())
-	}
 }
 
 // TestSingleErrorCorrection: flipping any one of the 7 positions in any

@@ -39,15 +39,6 @@ func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return p.Sub(q).Norm() }
 
-// Unit returns p normalised to length one; the zero vector maps to itself.
-func (p Point) Unit() Point {
-	n := p.Norm()
-	if n == 0 {
-		return p
-	}
-	return p.Scale(1 / n)
-}
-
 // Midpoint returns the midpoint of segment pq.
 func Midpoint(p, q Point) Point { return Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2} }
 
@@ -150,13 +141,6 @@ func RandomInDisc(rng *rand.Rand, c Point, radius float64) Point {
 // [x0,x1] x [y0,y1].
 func RandomInRect(rng *rand.Rand, x0, y0, x1, y1 float64) Point {
 	return Point{x0 + (x1-x0)*rng.Float64(), y0 + (y1-y0)*rng.Float64()}
-}
-
-// RandomOnCircle draws a point uniformly from the circle of the given
-// radius centred at c.
-func RandomOnCircle(rng *rand.Rand, c Point, radius float64) Point {
-	th := 2 * math.Pi * rng.Float64()
-	return Point{c.X + radius*math.Cos(th), c.Y + radius*math.Sin(th)}
 }
 
 // PolarPoint returns the point at the given radius and angle (radians,

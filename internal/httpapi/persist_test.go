@@ -1,10 +1,13 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -159,21 +162,32 @@ func TestCampaignEndpoints(t *testing.T) {
 }
 
 // TestCampaignBadBudgetRejected: a registry entry whose budget params
-// are malformed or unbounded fails the spec with 400; nothing starts.
+// are malformed or unbounded, or a kernel entry whose kernel_params are
+// out of range, fails the spec with 400; nothing starts and no spec is
+// persisted.
 func TestCampaignBadBudgetRejected(t *testing.T) {
-	ts, _, mgr := newPersistentTestServer(t, t.TempDir(), service.Config{Workers: 1})
-	for _, params := range []string{
-		`{"target_ci":"0.05"}`,
-		`{"target_ci":"0.05","max_trials":"lots"}`,
+	dir := t.TempDir()
+	ts, _, mgr := newPersistentTestServer(t, dir, service.Config{Workers: 1})
+	for _, entry := range []string{
+		`{"id":"ext-coopber","seed":1,"quick":true,"params":{"target_ci":"0.05"}}`,
+		`{"id":"ext-coopber","seed":1,"quick":true,"params":{"target_ci":"0.05","max_trials":"lots"}}`,
+		`{"kernel":"coop.ber","kernel_params":{"mt":9},"trials":2048}`,
 	} {
-		spec := `{"name":"bad-budget","experiments":[{"id":"ext-coopber","seed":1,"quick":true,"params":` + params + `}]}`
+		spec := `{"name":"bad-budget","experiments":[` + entry + `]}`
 		resp, body := postJSON(t, ts.URL+"/v1/campaigns", spec)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("params %s: status=%d body=%v, want 400", params, resp.StatusCode, body)
+			t.Errorf("entry %s: status=%d body=%v, want 400", entry, resp.StatusCode, body)
 		}
 	}
 	if list := mgr.List(); len(list) != 0 {
 		t.Errorf("rejected specs started campaigns: %v", list)
+	}
+	index, err := os.ReadFile(filepath.Join(dir, "index.log"))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	if bytes.Contains(index, []byte("campaign/")) {
+		t.Errorf("rejected specs left campaign records in the store index:\n%s", index)
 	}
 }
 

@@ -101,14 +101,6 @@ func (b *BatchF64) Resize(lanes, n int) *BatchF64 {
 	return b
 }
 
-// Zero clears every entry and returns b.
-func (b *BatchF64) Zero() *BatchF64 {
-	for i := range b.Data {
-		b.Data[i] = 0
-	}
-	return b
-}
-
 // Lane returns the contiguous slice of lane l across the batch.
 func (b *BatchF64) Lane(l int) []float64 {
 	return b.Data[l*b.N : (l+1)*b.N : (l+1)*b.N]

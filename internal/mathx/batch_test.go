@@ -81,7 +81,7 @@ func TestBatchCF64LaneBounds(t *testing.T) {
 	}
 }
 
-// TestBatchF64Shape covers the float variant's Resize/Lane/Zero.
+// TestBatchF64Shape covers the float variant's Resize/Lane.
 func TestBatchF64Shape(t *testing.T) {
 	var b BatchF64
 	b.Resize(2, 9)
@@ -90,11 +90,5 @@ func TestBatchF64Shape(t *testing.T) {
 	}
 	if b.Lane(0)[8] != 0 {
 		t.Fatal("lane 0 overlaps lane 1")
-	}
-	b.Zero()
-	for _, v := range b.Data {
-		if v != 0 {
-			t.Fatal("Zero left residue")
-		}
 	}
 }

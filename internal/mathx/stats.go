@@ -92,18 +92,6 @@ func (r *Running) StdErr() float64 {
 // interval around the mean. Experiment reports quote mean ± CI95.
 func (r *Running) CI95() float64 { return 1.959963984540054 * r.StdErr() }
 
-// Mean computes the arithmetic mean of xs (zero for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // Median returns the median of xs without modifying it.
 func Median(xs []float64) float64 {
 	n := len(xs)
@@ -140,19 +128,4 @@ func Quantile(sorted []float64, q float64) float64 {
 		return sorted[lo]
 	}
 	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
-}
-
-// MinMax returns the extrema of xs; it panics on an empty slice because
-// callers always operate on freshly generated sweeps.
-func MinMax(xs []float64) (lo, hi float64) {
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
 }

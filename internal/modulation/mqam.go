@@ -57,9 +57,6 @@ func MustNew(b int) *Scheme {
 // whose symbols and decisions are purely real.
 func (s *Scheme) HasQuadrature() bool { return s.bq > 0 }
 
-// M returns the constellation order 2^b.
-func (s *Scheme) M() int { return 1 << s.BitsPerSymbol }
-
 // Modulate maps bits (len must be a multiple of b) to unit-energy complex
 // symbols.
 func (s *Scheme) Modulate(bits []byte) ([]complex128, error) {

@@ -20,8 +20,8 @@ func TestNewValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%d): %v", b, err)
 		}
-		if s.M() != 1<<b {
-			t.Errorf("M() = %d, want %d", s.M(), 1<<b)
+		if s.BitsPerSymbol != b {
+			t.Errorf("BitsPerSymbol = %d, want %d", s.BitsPerSymbol, b)
 		}
 	}
 }

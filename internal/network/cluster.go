@@ -80,15 +80,6 @@ func DCluster(g *Graph, d float64) (*Clustering, error) {
 	return cl, nil
 }
 
-// ClusterOf returns the cluster containing the node.
-func (cl *Clustering) ClusterOf(id NodeID) *Cluster {
-	cid, ok := cl.byNode[id]
-	if !ok {
-		return nil
-	}
-	return &cl.Clusters[cid]
-}
-
 // ElectHeads picks each cluster's head: the member with the highest
 // battery, ties broken by lowest ID. Re-running after battery drain
 // implements the paper's reconfiguration.

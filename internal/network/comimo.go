@@ -143,10 +143,6 @@ func (net *CoMIMONet) buildBackbone() {
 	}
 }
 
-// BackboneParent returns the cluster's parent on the routing tree
-// (itself for a root).
-func (net *CoMIMONet) BackboneParent(id ClusterID) ClusterID { return net.parent[id] }
-
 // Route returns the cluster path from src to dst along the backbone
 // tree, or nil when they sit in different components.
 func (net *CoMIMONet) Route(src, dst ClusterID) []ClusterID {

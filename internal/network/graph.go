@@ -29,22 +29,6 @@ func NewGraph(d *Deployment, r float64) (*Graph, error) {
 	return g, nil
 }
 
-// Neighbors returns the IDs adjacent to id (shared slice; do not mutate).
-func (g *Graph) Neighbors(id NodeID) []NodeID { return g.adj[id] }
-
-// HasEdge reports whether (a, b) is in E.
-func (g *Graph) HasEdge(a, b NodeID) bool {
-	for _, n := range g.adj[a] {
-		if n == b {
-			return true
-		}
-	}
-	return false
-}
-
-// Degree returns the number of neighbours of id.
-func (g *Graph) Degree(id NodeID) int { return len(g.adj[id]) }
-
 // Components returns the connected components as slices of node IDs, in
 // deployment order within and across components.
 func (g *Graph) Components() [][]NodeID {
@@ -71,11 +55,6 @@ func (g *Graph) Components() [][]NodeID {
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-// Connected reports whether the whole graph is one component.
-func (g *Graph) Connected() bool {
-	return len(g.Deployment.Nodes) == 0 || len(g.Components()) == 1
 }
 
 // ShortestPath returns a minimum-hop path from a to b (inclusive), or nil

@@ -1,7 +1,7 @@
 // Package network implements the CoMIMONet model of Section 2.1: a graph
 // of single-antenna secondary-user nodes, its d-clustering into
-// cooperative MIMO nodes, head election, the spanning-tree routing
-// backbone over heads, and a CSMA/CA MAC for the link layer.
+// cooperative MIMO nodes, head election and the spanning-tree routing
+// backbone over heads.
 package network
 
 import (
@@ -81,13 +81,4 @@ func (d *Deployment) ByID(id NodeID) *Node {
 		}
 	}
 	return nil
-}
-
-// Positions returns the node positions in deployment order.
-func (d *Deployment) Positions() []geom.Point {
-	ps := make([]geom.Point, len(d.Nodes))
-	for i, n := range d.Nodes {
-		ps[i] = n.Pos
-	}
-	return ps
 }

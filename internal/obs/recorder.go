@@ -38,9 +38,6 @@ type SpanData struct {
 	Events   []SpanEvent `json:"events,omitempty"`
 }
 
-// Duration is the span's wall-clock extent.
-func (d SpanData) Duration() time.Duration { return d.End.Sub(d.Start) }
-
 // Attr returns the value of the named attribute, or "".
 func (d SpanData) Attr(key string) string {
 	for _, a := range d.Attrs {
@@ -276,15 +273,6 @@ func (r *TraceRecorder) Pin(id string) bool {
 	}
 	e.pinned = true
 	return true
-}
-
-// Unpin releases a pinned trace back to normal eviction.
-func (r *TraceRecorder) Unpin(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e := r.traces[id]; e != nil {
-		e.pinned = false
-	}
 }
 
 // Len reports how many traces are resident.

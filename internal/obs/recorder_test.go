@@ -65,11 +65,6 @@ func TestRecorderEvictionOrderAndPin(t *testing.T) {
 	if _, ok := r.Trace("extra"); ok {
 		t.Fatal("extra admitted despite all slots pinned")
 	}
-	r.Unpin("old")
-	r.Record(mkSpan("extra2", "e", "", "x", t0, t0))
-	if _, ok := r.Trace("old"); ok {
-		t.Fatal("unpinned old should now be evictable")
-	}
 	if r.Pin("ghost") {
 		t.Fatal("Pin(unknown) = true")
 	}
@@ -260,8 +255,8 @@ func TestSpanSetStartBackdates(t *testing.T) {
 	if len(sp) != 1 || !sp[0].Start.Equal(past) {
 		t.Fatalf("start = %v, want %v", sp[0].Start, past)
 	}
-	if sp[0].Duration() < time.Hour {
-		t.Fatalf("duration = %v, want >= 1h", sp[0].Duration())
+	if d := sp[0].End.Sub(sp[0].Start); d < time.Hour {
+		t.Fatalf("duration = %v, want >= 1h", d)
 	}
 }
 

@@ -124,12 +124,13 @@ func TestPaperSpotCheck(t *testing.T) {
 
 func TestDistancesGrowWithD1(t *testing.T) {
 	c := cfg(t, 2, 20e3)
-	sweep, err := Sweep(c, 150, 350, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sweep) != 5 {
-		t.Fatalf("%d points", len(sweep))
+	var sweep []Analysis
+	for d1 := 150.0; d1 <= 350; d1 += 50 {
+		a, err := Analyze(c, d1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep = append(sweep, a)
 	}
 	for i := 1; i < len(sweep); i++ {
 		if sweep[i].E1 <= sweep[i-1].E1 {

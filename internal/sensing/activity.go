@@ -20,7 +20,6 @@ type PUActivity struct {
 	rng      *rand.Rand
 	busyTime float64
 	lastFlip float64
-	flips    int
 }
 
 // NewPUActivity attaches an activity process to the engine, starting
@@ -52,7 +51,6 @@ func (a *PUActivity) flip() {
 	}
 	a.busy = !a.busy
 	a.lastFlip = now
-	a.flips++
 	a.scheduleFlip()
 }
 
@@ -70,14 +68,6 @@ func (a *PUActivity) DutyCycle() float64 {
 		busy += now - a.lastFlip
 	}
 	return busy / now
-}
-
-// Flips returns the number of state transitions so far.
-func (a *PUActivity) Flips() int { return a.flips }
-
-// ExpectedDutyCycle is the stationary busy fraction.
-func (a *PUActivity) ExpectedDutyCycle() float64 {
-	return a.MeanBusy / (a.MeanBusy + a.MeanIdle)
 }
 
 // ChannelSelector scans a set of primary channels with an energy

@@ -2,7 +2,8 @@
 // the repository runs on:
 //
 //   - a discrete-event engine (Engine) with a binary-heap event queue and
-//     a simulated clock, used by the CSMA/CA MAC and the testbed; and
+//     a simulated clock, which drives the primary-user activity of the
+//     cognitive cycle; and
 //   - a parallel Monte-Carlo runner (MonteCarlo) that fans trials out over
 //     a worker pool with independent, deterministically derived PRNG
 //     streams and merges the results in a fixed order, so a run is
@@ -61,17 +62,10 @@ type Engine struct {
 	queue eventHeap
 	now   float64
 	seq   uint64
-	steps uint64
 }
 
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
-
-// Steps returns the number of events fired so far.
-func (e *Engine) Steps() uint64 { return e.steps }
-
-// Pending returns the number of scheduled (uncancelled) events.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // Schedule queues fire at absolute simulated time t and returns a handle
 // that can be cancelled. Scheduling in the past panics: that is always a
@@ -108,7 +102,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := heap.Pop(&e.queue).(*Event)
 	e.now = ev.Time
-	e.steps++
 	ev.Fire()
 	return true
 }
@@ -123,15 +116,6 @@ func (e *Engine) Run(until float64) uint64 {
 	}
 	if e.now < until && len(e.queue) == 0 {
 		e.now = until
-	}
-	return fired
-}
-
-// RunAll drains the queue completely and returns the number of events fired.
-func (e *Engine) RunAll() uint64 {
-	fired := uint64(0)
-	for e.Step() {
-		fired++
 	}
 	return fired
 }

@@ -2,7 +2,7 @@
 // links are "coded with ... (such as Alamouti code)" (Section 2.3):
 // SISO passthrough, the Alamouti code for two cooperative transmitters,
 // and the rate-3/4 complex orthogonal designs for three and four
-// transmitters, plus the MRC/EGC receive combiners the testbed uses.
+// transmitters, plus a maximal-ratio receive combiner.
 //
 // Codes are described by a symbolic T-by-Nt generator whose entries are
 // 0, ±s_k, or ±conj(s_k); encoding instantiates the generator, and

@@ -94,7 +94,7 @@ func TestNoiselessRoundTrip(t *testing.T) {
 				for i := range syms {
 					syms[i] = mathx.ComplexCN(rng, 1)
 				}
-				h := channel.Rayleigh(rng, c.Nt(), mr)
+				h := channel.RayleighInto(rng, c.Nt(), mr, nil)
 				y := c.Transmit(c.Encode(syms), h)
 				got := c.Decode(y, h)
 				for i := range syms {
@@ -151,7 +151,7 @@ func TestAlamoutiDiversityOrder(t *testing.T) {
 		n0 := 1 / gb
 		errs, bits := 0, 0
 		for blk := 0; blk < 60000; blk++ {
-			h := channel.Rayleigh(rng, 2, 1)
+			h := channel.RayleighInto(rng, 2, 1, nil)
 			b := []byte{byte(rng.Intn(2)), byte(rng.Intn(2))}
 			syms, _ := mod.Modulate(b)
 			for i := range syms {
@@ -189,7 +189,7 @@ func TestOSTBCBeatsSISO(t *testing.T) {
 		scale := complex(math.Sqrt(1/float64(c.Nt())), 0)
 		errs, bits := 0, 0
 		for blk := 0; blk < 30000; blk++ {
-			h := channel.Rayleigh(rng, c.Nt(), 1)
+			h := channel.RayleighInto(rng, c.Nt(), 1, nil)
 			b := make([]byte, c.BlockSymbols())
 			for i := range b {
 				b[i] = byte(rng.Intn(2))

@@ -25,49 +25,3 @@ func MRC(y, h []complex128) complex128 {
 	}
 	return num / complex(den, 0)
 }
-
-// EGC equal-gain combines branches: each branch is co-phased but not
-// weighted by its amplitude. The Section 6.4 overlay experiments use
-// equal-gain combination at the receiver, so the testbed implements it
-// faithfully rather than substituting MRC.
-func EGC(y, h []complex128) complex128 {
-	if len(y) != len(h) {
-		panic(fmt.Sprintf("stbc: EGC branch mismatch %d vs %d", len(y), len(h)))
-	}
-	var num complex128
-	var den float64
-	for j := range y {
-		a := cmplx.Abs(h[j])
-		if a == 0 {
-			continue
-		}
-		phase := h[j] / complex(a, 0)
-		num += cmplx.Conj(phase) * y[j]
-		den += a
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / complex(den, 0)
-}
-
-// SelectionCombine picks the branch with the strongest channel gain —
-// the cheapest diversity combiner, included as a baseline for the
-// combining-ablation benchmark.
-func SelectionCombine(y, h []complex128) complex128 {
-	if len(y) != len(h) {
-		panic(fmt.Sprintf("stbc: selection branch mismatch %d vs %d", len(y), len(h)))
-	}
-	best, bestGain := complex128(0), -1.0
-	for j := range y {
-		if g := cmplx.Abs(h[j]); g > bestGain {
-			bestGain = g
-			if h[j] != 0 {
-				best = y[j] / h[j]
-			} else {
-				best = 0
-			}
-		}
-	}
-	return best
-}

@@ -22,12 +22,6 @@ func TestMRCUnbiasedNoiseless(t *testing.T) {
 		if got := MRC(y, h); cmplx.Abs(got-s) > 1e-9 {
 			t.Fatalf("MRC biased: %v vs %v", got, s)
 		}
-		if got := EGC(y, h); cmplx.Abs(got-s) > 1e-9 {
-			t.Fatalf("EGC biased: %v vs %v", got, s)
-		}
-		if got := SelectionCombine(y, h); cmplx.Abs(got-s) > 1e-9 {
-			t.Fatalf("Selection biased: %v vs %v", got, s)
-		}
 	}
 }
 
@@ -35,19 +29,11 @@ func TestCombinersDegenerate(t *testing.T) {
 	if MRC([]complex128{1}, []complex128{0}) != 0 {
 		t.Error("MRC with zero channel should return 0")
 	}
-	if EGC([]complex128{1}, []complex128{0}) != 0 {
-		t.Error("EGC with zero channel should return 0")
-	}
-	if SelectionCombine([]complex128{5}, []complex128{0}) != 0 {
-		t.Error("Selection with zero channel should return 0")
-	}
 }
 
 func TestCombinersPanicOnMismatch(t *testing.T) {
 	for name, f := range map[string]func(){
-		"MRC":       func() { MRC(make([]complex128, 2), make([]complex128, 3)) },
-		"EGC":       func() { EGC(make([]complex128, 2), make([]complex128, 3)) },
-		"Selection": func() { SelectionCombine(make([]complex128, 2), make([]complex128, 3)) },
+		"MRC": func() { MRC(make([]complex128, 2), make([]complex128, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -61,7 +47,7 @@ func TestCombinersPanicOnMismatch(t *testing.T) {
 }
 
 // TestCombinerHierarchy measures BPSK BER over 1x3 Rayleigh SIMO: MRC
-// must beat EGC, EGC must beat selection, and all must beat single-branch.
+// must beat a single branch and match the 3-branch closed form.
 func TestCombinerHierarchy(t *testing.T) {
 	rng := mathx.NewRand(62)
 	const snrDB = 6.0
@@ -69,7 +55,7 @@ func TestCombinerHierarchy(t *testing.T) {
 	n0 := 1 / gb
 	mod := modulation.MustNew(1)
 	const trials = 150000
-	var errMRC, errEGC, errSel, errSingle int
+	var errMRC, errSingle int
 	for i := 0; i < trials; i++ {
 		bit := []byte{byte(rng.Intn(2))}
 		s, _ := mod.Modulate(bit)
@@ -85,19 +71,12 @@ func TestCombinerHierarchy(t *testing.T) {
 		if decide(MRC(y, h)) {
 			errMRC++
 		}
-		if decide(EGC(y, h)) {
-			errEGC++
-		}
-		if decide(SelectionCombine(y, h)) {
-			errSel++
-		}
 		if decide(y[0] / h[0]) {
 			errSingle++
 		}
 	}
-	if !(errMRC <= errEGC && errEGC < errSel && errSel < errSingle) {
-		t.Errorf("combiner hierarchy violated: MRC=%d EGC=%d Sel=%d single=%d",
-			errMRC, errEGC, errSel, errSingle)
+	if errMRC >= errSingle {
+		t.Errorf("MRC (%d errors) should beat a single branch (%d)", errMRC, errSingle)
 	}
 	// MRC should match the 3-branch closed form.
 	got := float64(errMRC) / trials

@@ -20,7 +20,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 			for i := range syms {
 				syms[i] = mathx.ComplexCN(rng, 1)
 			}
-			h := channel.Rayleigh(rng, c.Nt(), mr)
+			h := channel.RayleighInto(rng, c.Nt(), mr, nil)
 			y := c.Transmit(c.Encode(syms), h)
 			channel.AWGN(rng, y.Data, 0.1)
 
@@ -42,7 +42,7 @@ func TestDecodeIntoAllocationFree(t *testing.T) {
 	c := Alamouti()
 	rng := mathx.NewRand(1)
 	syms := []complex128{1 + 1i, -1 + 1i}
-	h := channel.Rayleigh(rng, c.Nt(), 2)
+	h := channel.RayleighInto(rng, c.Nt(), 2, nil)
 	var x, hT, y *mathx.CMat
 	est := make([]complex128, c.BlockSymbols())
 	x = c.EncodeInto(syms, x)

@@ -64,7 +64,7 @@ func TestHalfRateNoiselessRoundTrip(t *testing.T) {
 			for i := range syms {
 				syms[i] = mathx.ComplexCN(rng, 1)
 			}
-			h := channel.Rayleigh(rng, c.Nt(), mr)
+			h := channel.RayleighInto(rng, c.Nt(), mr, nil)
 			got := c.Decode(c.Transmit(c.Encode(syms), h), h)
 			for i := range syms {
 				if cmplx.Abs(got[i]-syms[i]) > 1e-9 {
@@ -83,7 +83,7 @@ func TestHalfRateDiversity(t *testing.T) {
 		scale := complex(math.Sqrt(snr*c.Rate()/float64(c.Nt())), 0)
 		errs, bits := 0, 0
 		for blk := 0; blk < 20000; blk++ {
-			h := channel.Rayleigh(rng, c.Nt(), 1)
+			h := channel.RayleighInto(rng, c.Nt(), 1, nil)
 			b := make([]byte, c.BlockSymbols())
 			syms := make([]complex128, c.BlockSymbols())
 			for i := range b {

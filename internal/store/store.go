@@ -170,9 +170,6 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) indexPath() string    { return filepath.Join(s.dir, "index.log") }
 func (s *Store) manifestPath() string { return filepath.Join(s.dir, "MANIFEST.json") }
 

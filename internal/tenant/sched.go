@@ -57,7 +57,7 @@ type tq[T any] struct {
 }
 
 // Scheduler is a fair multi-queue: Enqueue appends to the submitting
-// tenant's FIFO, Dequeue serves the tenant that has been served least.
+// tenant's FIFO, DequeueTimed serves the tenant that has been served least.
 // All methods are safe for concurrent use.
 type Scheduler[T any] struct {
 	opts Options
@@ -102,7 +102,7 @@ func (s *Scheduler[T]) pruneLocked() {
 	}
 }
 
-// wakeAllLocked releases every blocked Dequeue so it re-examines the
+// wakeAllLocked releases every blocked DequeueTimed so it re-examines the
 // queues (close-and-replace broadcast).
 func (s *Scheduler[T]) wakeAllLocked() {
 	close(s.wake)
@@ -176,16 +176,10 @@ func (s *Scheduler[T]) nextLocked(skip func(*tq[T]) bool) (best *tq[T], bestID s
 	return best, bestID
 }
 
-// Dequeue blocks until an item is dispatchable, the scheduler closes,
-// or ctx is done. The caller owns the returned item and must call
-// Done(id) when finished with it so the tenant's concurrency share is
-// released.
-func (s *Scheduler[T]) Dequeue(ctx context.Context) (v T, id string, ok bool) {
-	v, id, _, ok = s.DequeueTimed(ctx)
-	return v, id, ok
-}
-
-// DequeueTimed is Dequeue plus the item's scheduling wait: how long it
+// DequeueTimed blocks until an item is dispatchable, the scheduler
+// closes, or ctx is done. The caller owns the returned item and must
+// call Done(id) when finished with it so the tenant's concurrency share
+// is released. It also returns the item's scheduling wait: how long it
 // sat in the fair queue between Enqueue and this dispatch. The wait
 // isolates the scheduler's contribution to end-to-end queue latency —
 // a heavy tenant over its share accrues scheduling wait even while

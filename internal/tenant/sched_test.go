@@ -16,7 +16,7 @@ func drainOrder(t *testing.T, s *Scheduler[int]) []string {
 	var order []string
 	for {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		_, id, ok := s.Dequeue(ctx)
+		_, id, _, ok := s.DequeueTimed(ctx)
 		cancel()
 		if !ok {
 			return order
@@ -78,7 +78,7 @@ func TestReturningTenantCannotBankCredit(t *testing.T) {
 	}
 	// Serve four jobs while "idler" is away.
 	for i := 0; i < 4; i++ {
-		_, id, ok := s.Dequeue(context.Background())
+		_, id, _, ok := s.DequeueTimed(context.Background())
 		if !ok || id != "busy" {
 			t.Fatalf("dispatch %d = %q, %t", i, id, ok)
 		}
@@ -93,7 +93,7 @@ func TestReturningTenantCannotBankCredit(t *testing.T) {
 	}
 	first4 := map[string]int{}
 	for i := 0; i < 4; i++ {
-		_, id, ok := s.Dequeue(context.Background())
+		_, id, _, ok := s.DequeueTimed(context.Background())
 		if !ok {
 			t.Fatal("empty early")
 		}
@@ -137,8 +137,8 @@ func TestConcurrencyShares(t *testing.T) {
 	if err := s.Enqueue("meek", 100); err != nil {
 		t.Fatal(err)
 	}
-	_, id1, _ := s.Dequeue(context.Background())
-	_, id2, _ := s.Dequeue(context.Background())
+	_, id1, _, _ := s.DequeueTimed(context.Background())
+	_, id2, _, _ := s.DequeueTimed(context.Background())
 	got := map[string]int{id1: 1}
 	got[id2]++
 	if got["hog"] != 1 || got["meek"] != 1 {
@@ -146,7 +146,7 @@ func TestConcurrencyShares(t *testing.T) {
 	}
 	// meek's job still "running"; hog may exceed its share only because
 	// nobody else has queued work now (work conservation).
-	_, id3, ok := s.Dequeue(context.Background())
+	_, id3, _, ok := s.DequeueTimed(context.Background())
 	if !ok || id3 != "hog" {
 		t.Fatalf("third dispatch = %q, %t; want hog via work conservation", id3, ok)
 	}
@@ -155,7 +155,7 @@ func TestConcurrencyShares(t *testing.T) {
 	if err := s.Enqueue("meek", 101); err != nil {
 		t.Fatal(err)
 	}
-	_, id4, ok := s.Dequeue(context.Background())
+	_, id4, _, ok := s.DequeueTimed(context.Background())
 	if !ok || id4 != "meek" {
 		t.Fatalf("dispatch with hog over share = %q, %t; want meek", id4, ok)
 	}
@@ -165,7 +165,7 @@ func TestDequeueBlocksUntilEnqueue(t *testing.T) {
 	s := NewScheduler[string](Options{})
 	got := make(chan string, 1)
 	go func() {
-		v, _, ok := s.Dequeue(context.Background())
+		v, _, _, ok := s.DequeueTimed(context.Background())
 		if ok {
 			got <- v
 		}
@@ -195,7 +195,7 @@ func TestCloseAndDrain(t *testing.T) {
 	if err := s.Enqueue("t0", 9); !errors.Is(err, ErrClosed) {
 		t.Fatalf("enqueue after close err = %v", err)
 	}
-	if _, _, ok := s.Dequeue(context.Background()); ok {
+	if _, _, _, ok := s.DequeueTimed(context.Background()); ok {
 		// Items remain after Close, but pickLocked still dispatches
 		// them; Drain is for the shutdown path that wants them failed.
 		// A dispatch here is acceptable — put it back conceptually by
@@ -239,7 +239,7 @@ func TestSnapshotsAndActive(t *testing.T) {
 		t.Fatalf("depths = %+v", depths)
 	}
 	// One dispatched job moves queued -> running but stays active.
-	_, id, _ := s.Dequeue(context.Background())
+	_, id, _, _ := s.DequeueTimed(context.Background())
 	if got := s.Active(); got != 2 {
 		t.Fatalf("active after dispatch = %d, want 2", got)
 	}
@@ -276,7 +276,7 @@ func TestSchedulerConcurrentUse(t *testing.T) {
 		go func() {
 			defer consumed.Done()
 			for {
-				_, id, ok := s.Dequeue(context.Background())
+				_, id, _, ok := s.DequeueTimed(context.Background())
 				if !ok {
 					return
 				}
@@ -378,7 +378,7 @@ func TestRemoveTakesQueuedItem(t *testing.T) {
 	}
 	var got []int
 	for range 3 {
-		v, id, ok := s.Dequeue(context.Background())
+		v, id, _, ok := s.DequeueTimed(context.Background())
 		if !ok {
 			t.Fatal("Dequeue failed")
 		}
@@ -429,7 +429,7 @@ func TestRemoveConcurrentWithDequeue(t *testing.T) {
 		go func() {
 			defer consumed.Done()
 			for {
-				v, id, ok := s.Dequeue(context.Background())
+				v, id, _, ok := s.DequeueTimed(context.Background())
 				if !ok {
 					return
 				}

@@ -18,14 +18,10 @@ type Frame struct {
 // frameOverhead is the wire overhead: 2 sequence bytes + 4 CRC bytes.
 const frameOverhead = 6
 
-// Marshal serialises the frame with its CRC-32 (IEEE) trailer.
-func (f Frame) Marshal() []byte {
-	return f.MarshalInto(nil)
-}
-
-// MarshalInto serialises the frame into dst's backing array when it has
-// the capacity, allocating only on growth. The experiment loops marshal
-// hundreds of identically-sized frames, so one buffer serves them all.
+// MarshalInto serialises the frame with its CRC-32 (IEEE) trailer into
+// dst's backing array when it has the capacity, allocating only on
+// growth. The experiment loops marshal hundreds of identically-sized
+// frames, so one buffer serves them all.
 func (f Frame) MarshalInto(dst []byte) []byte {
 	n := 2 + len(f.Payload) + 4
 	if cap(dst) < n {
@@ -40,8 +36,9 @@ func (f Frame) MarshalInto(dst []byte) []byte {
 }
 
 // FrameIntact reports whether a received buffer passes the length and
-// CRC checks. It allocates nothing — not even an error — so the PER
-// loops can call it per frame.
+// CRC checks; a mismatch is the packet-error event the PER metric
+// counts. It allocates nothing, not even an error, so the PER loops can
+// call it per frame.
 func FrameIntact(buf []byte) bool {
 	if len(buf) < frameOverhead {
 		return false
@@ -50,37 +47,8 @@ func FrameIntact(buf []byte) bool {
 	return crc32.ChecksumIEEE(body) == binary.BigEndian.Uint32(buf[len(buf)-4:])
 }
 
-// CheckFrame verifies a received buffer's length and CRC trailer,
-// describing the failure when there is one.
-func CheckFrame(buf []byte) error {
-	if len(buf) < frameOverhead {
-		return fmt.Errorf("testbed: frame too short (%d bytes)", len(buf))
-	}
-	if !FrameIntact(buf) {
-		return fmt.Errorf("testbed: CRC mismatch on frame %d", binary.BigEndian.Uint16(buf[:2]))
-	}
-	return nil
-}
-
-// UnmarshalFrame parses a received buffer, verifying the CRC. A CRC
-// mismatch is the packet-error event the PER metric counts.
-func UnmarshalFrame(buf []byte) (Frame, error) {
-	if err := CheckFrame(buf); err != nil {
-		return Frame{}, err
-	}
-	return Frame{
-		Seq:     binary.BigEndian.Uint16(buf[:2]),
-		Payload: append([]byte(nil), buf[2:len(buf)-4]...),
-	}, nil
-}
-
-// Bits expands bytes to one bit per entry, MSB first.
-func Bits(data []byte) []byte {
-	return BitsInto(nil, data)
-}
-
-// BitsInto expands bytes into dst's backing array when it has the
-// capacity, allocating only on growth.
+// BitsInto expands bytes to one bit per entry, MSB first, into dst's
+// backing array when it has the capacity, allocating only on growth.
 func BitsInto(dst, data []byte) []byte {
 	n := len(data) * 8
 	if cap(dst) < n {
@@ -95,13 +63,9 @@ func BitsInto(dst, data []byte) []byte {
 	return out
 }
 
-// Bytes packs bits (len must be a multiple of 8) back into bytes.
-func Bytes(bits []byte) ([]byte, error) {
-	return BytesInto(nil, bits)
-}
-
-// BytesInto packs bits into dst's backing array when it has the
-// capacity, allocating only on growth.
+// BytesInto packs bits (len must be a multiple of 8) back into bytes,
+// into dst's backing array when it has the capacity, allocating only on
+// growth.
 func BytesInto(dst, bits []byte) ([]byte, error) {
 	if len(bits)%8 != 0 {
 		return nil, fmt.Errorf("testbed: %d bits not a multiple of 8", len(bits))
@@ -158,12 +122,4 @@ func PaperImage(seed int64) *Image {
 		panic(err) // constants are valid by construction
 	}
 	return img
-}
-
-// BitsPerFrame returns the on-air size of one frame in bits.
-func (img *Image) BitsPerFrame() int {
-	if len(img.Frames) == 0 {
-		return 0
-	}
-	return (len(img.Frames[0].Payload) + frameOverhead) * 8
 }

@@ -1,6 +1,8 @@
 package testbed
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -34,35 +36,38 @@ func TestEnvSNR(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	f := Frame{Seq: 42, Payload: []byte("hello cognitive radio")}
-	wire := f.Marshal()
-	back, err := UnmarshalFrame(wire)
-	if err != nil {
-		t.Fatal(err)
+	wire := f.MarshalInto(nil)
+	if !FrameIntact(wire) {
+		t.Fatal("marshalled frame fails its own CRC")
 	}
-	if back.Seq != 42 || string(back.Payload) != "hello cognitive radio" {
-		t.Errorf("round trip mangled: %+v", back)
+	if seq := binary.BigEndian.Uint16(wire); seq != 42 || string(wire[2:len(wire)-4]) != "hello cognitive radio" {
+		t.Errorf("round trip mangled: seq %d, payload %q", seq, wire[2:len(wire)-4])
+	}
+	// Reusing a large enough buffer writes into it.
+	if again := f.MarshalInto(make([]byte, 0, 64)); !bytes.Equal(again, wire) {
+		t.Errorf("MarshalInto into spare capacity = %x, want %x", again, wire)
 	}
 	// A flipped bit must fail the CRC.
 	wire[3] ^= 0x10
-	if _, err := UnmarshalFrame(wire); err == nil {
+	if FrameIntact(wire) {
 		t.Error("corrupted frame should fail CRC")
 	}
 	// Too-short buffers fail cleanly.
-	if _, err := UnmarshalFrame([]byte{1, 2, 3}); err == nil {
+	if FrameIntact([]byte{1, 2, 3}) {
 		t.Error("short frame should fail")
 	}
 }
 
 func TestBitsBytes(t *testing.T) {
 	data := []byte{0xA5, 0x01, 0xFF, 0x00}
-	bits := Bits(data)
+	bits := BitsInto(nil, data)
 	if len(bits) != 32 {
 		t.Fatalf("%d bits", len(bits))
 	}
 	if bits[0] != 1 || bits[1] != 0 || bits[7] != 1 {
 		t.Errorf("0xA5 bits wrong: %v", bits[:8])
 	}
-	back, err := Bytes(bits)
+	back, err := BytesInto(nil, bits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +76,7 @@ func TestBitsBytes(t *testing.T) {
 			t.Fatalf("byte %d: %x vs %x", i, back[i], data[i])
 		}
 	}
-	if _, err := Bytes(make([]byte, 7)); err == nil {
+	if _, err := BytesInto(nil, make([]byte, 7)); err == nil {
 		t.Error("non-multiple-of-8 should fail")
 	}
 }
@@ -83,9 +88,6 @@ func TestImage(t *testing.T) {
 	}
 	if len(img.Frames[0].Payload) != 1500 {
 		t.Fatalf("payload %d bytes", len(img.Frames[0].Payload))
-	}
-	if img.BitsPerFrame() != (1500+6)*8 {
-		t.Errorf("BitsPerFrame = %d", img.BitsPerFrame())
 	}
 	// Deterministic per seed.
 	img2 := PaperImage(1)
@@ -101,9 +103,6 @@ func TestImage(t *testing.T) {
 	}
 	if _, err := NewImage(10, 0, 1); err == nil {
 		t.Error("zero payload should fail")
-	}
-	if (&Image{}).BitsPerFrame() != 0 {
-		t.Error("empty image BitsPerFrame")
 	}
 }
 
@@ -292,7 +291,7 @@ func TestFigure8Validation(t *testing.T) {
 
 func TestCorruptFrame(t *testing.T) {
 	rng := mathx.NewRand(15)
-	wire := Frame{Seq: 1, Payload: []byte("payload")}.Marshal()
+	wire := Frame{Seq: 1, Payload: []byte("payload")}.MarshalInto(nil)
 	var ws frameScratch
 	// p=0: never corrupted, and the wire itself must stay untouched.
 	for i := 0; i < 10; i++ {
@@ -307,8 +306,8 @@ func TestCorruptFrame(t *testing.T) {
 			hits++
 		}
 	}
-	if err := CheckFrame(wire); err != nil {
-		t.Fatalf("corruptFrame mutated the caller's wire: %v", err)
+	if !FrameIntact(wire) {
+		t.Fatal("corruptFrame mutated the caller's wire")
 	}
 	if hits < 49 {
 		t.Errorf("p=0.5 corrupted only %d of 50", hits)
@@ -320,7 +319,7 @@ func TestCorruptFrame(t *testing.T) {
 // through the bit-flip channel must not allocate at all.
 func TestCorruptFrameNoAllocs(t *testing.T) {
 	rng := mathx.NewRand(2)
-	wire := Frame{Seq: 3, Payload: make([]byte, 1500)}.Marshal()
+	wire := Frame{Seq: 3, Payload: make([]byte, 1500)}.MarshalInto(nil)
 	var ws frameScratch
 	corruptFrame(rng, wire, 0.01, &ws) // warm the scratch
 	avg := testing.AllocsPerRun(50, func() {

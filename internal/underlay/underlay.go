@@ -170,30 +170,3 @@ func NoiseFloorMargin(cfg Config, report HopReport) (float64, error) {
 	}
 	return float64(report.TotalPA) / float64(siso.TotalPA), nil
 }
-
-// SweepResult is one (mt, mr) series point for Figure 7.
-type SweepResult struct {
-	Mt, Mr int
-	LinkD  float64
-	Report HopReport
-}
-
-// Sweep evaluates the hop over a range of link lengths for a fixed
-// antenna pair — one curve of Figure 7.
-func Sweep(model *energy.Model, mt, mr int, intraD float64, ber float64, dLo, dHi, step float64) ([]SweepResult, error) {
-	if step <= 0 || dHi < dLo {
-		return nil, fmt.Errorf("underlay: bad sweep [%g, %g] step %g", dLo, dHi, step)
-	}
-	var out []SweepResult
-	for d := dLo; d <= dHi+1e-9; d += step {
-		r, err := Analyze(Config{
-			Model: model, Mt: mt, Mr: mr,
-			IntraD: intraD, LinkD: d, BER: ber,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepResult{Mt: mt, Mr: mr, LinkD: d, Report: r})
-	}
-	return out, nil
-}

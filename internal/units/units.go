@@ -21,14 +21,8 @@ type DBm float64
 // Watt is power in watts.
 type Watt float64
 
-// Joule is energy in joules.
-type Joule float64
-
 // JoulePerBit is an energy cost normalised per transported bit.
 type JoulePerBit float64
-
-// Meter is distance in metres.
-type Meter float64
 
 // Hertz is frequency or bandwidth in hertz.
 type Hertz float64
@@ -67,11 +61,7 @@ func MilliWatt(mw float64) Watt { return Watt(mw / 1000) }
 
 // String implementations keep experiment reports readable.
 
-func (d DB) String() string          { return fmt.Sprintf("%.2f dB", float64(d)) }
-func (d DBm) String() string         { return fmt.Sprintf("%.2f dBm", float64(d)) }
 func (w Watt) String() string        { return fmt.Sprintf("%.4g W", float64(w)) }
-func (j Joule) String() string       { return fmt.Sprintf("%.4g J", float64(j)) }
 func (j JoulePerBit) String() string { return fmt.Sprintf("%.4g J/bit", float64(j)) }
-func (m Meter) String() string       { return fmt.Sprintf("%.2f m", float64(m)) }
 func (h Hertz) String() string       { return fmt.Sprintf("%.4g Hz", float64(h)) }
 func (s Second) String() string      { return fmt.Sprintf("%.4g s", float64(s)) }
