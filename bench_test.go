@@ -4,7 +4,7 @@ package cogmimo
 // 6b, 7, 8 and Tables 1-4) regenerating the corresponding report, plus
 // the ablation benchmarks DESIGN.md calls out (ēb solver sampling and
 // table build, parallel Monte-Carlo scaling, constellation search,
-// phase models, clustering, STBC decoding, CSMA contention).
+// phase models, clustering, batched STBC decoding).
 
 import (
 	"context"
@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/beamform"
-	"repro/internal/channel"
 	"repro/internal/coop"
 	"repro/internal/ebtable"
 	"repro/internal/energy"
@@ -235,24 +234,39 @@ func BenchmarkClustering(b *testing.B) {
 	}
 }
 
-// BenchmarkSTBCDecode measures block decode cost per code.
-func BenchmarkSTBCDecode(b *testing.B) {
+// BenchmarkSTBCDecodeBatch measures the hop's decode: one tile of BPSK
+// blocks through DecodeBatchInto at mr = 2, without the imaginary parts
+// a BPSK decision never reads.
+func BenchmarkSTBCDecodeBatch(b *testing.B) {
+	const n, mr = 256, 2
 	rng := mathx.NewRand(1)
-	for _, c := range []*stbc.Code{stbc.Alamouti(), stbc.OSTBC3(), stbc.OSTBC4()} {
-		b.Run(c.Name(), func(b *testing.B) {
-			syms := make([]complex128, c.BlockSymbols())
-			for i := range syms {
-				syms[i] = mathx.ComplexCN(rng, 1)
+	for _, tc := range []struct {
+		name string
+		c    *stbc.Code
+	}{{"Alamouti", stbc.Alamouti()}, {"OSTBC3", stbc.OSTBC3()}, {"OSTBC4", stbc.OSTBC4()}} {
+		c := tc.c
+		b.Run(tc.name, func(b *testing.B) {
+			var syms, x, h, noise, y, est mathx.BatchCF64
+			var ws stbc.BatchWorkspace
+			syms.Resize(c.BlockSymbols(), n)
+			for i := range syms.Data {
+				syms.Data[i] = complex(float64(1-2*rng.Intn(2)), 0)
 			}
-			h := channel.RayleighInto(rng, c.Nt(), 2, nil)
-			y := c.Transmit(c.Encode(syms), h)
+			h.Resize(mr*c.Nt(), n)
+			for i := range h.Data {
+				h.Data[i] = mathx.ComplexCN(rng, 1)
+			}
+			noise.Resize(c.BlockLen()*mr, n)
+			for i := range noise.Data {
+				noise.Data[i] = mathx.ComplexCN(rng, 0.1)
+			}
+			c.EncodeBatchInto(&syms, &x)
+			c.TransmitBatchInto(&x, &h, &noise, &y, mr)
+			c.DecodeBatchInto(&ws, &y, &h, mr, &est, false)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				got := c.Decode(y, h)
-				if len(got) != c.BlockSymbols() {
-					b.Fatal("bad decode")
-				}
+				c.DecodeBatchInto(&ws, &y, &h, mr, &est, false)
 			}
 		})
 	}

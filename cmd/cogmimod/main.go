@@ -192,18 +192,18 @@ func main() {
 	}
 
 	svc, err := service.New(service.Config{
-		Workers:       *workers,
-		QueueDepth:    *queue,
-		CacheEntries:  *cacheN,
-		Runner:        runner,
-		KnownIDs:      service.KnownExperimentIDs(),
-		Logger:        logger,
-		Store:         st,
-		Tenants:       tenant.Options{QueueDepth: *tenantQueue},
-		Quota:         tenant.Quota{Rate: *quotaRate, Burst: *quotaBurst},
-		Recorder:      recorder,
-		SlowTrace:     *traceSlow,
-		DefaultBudget: defBudget,
+		Workers:          *workers,
+		QueueDepth:       *queue,
+		CacheEntries:     *cacheN,
+		Runner:           runner,
+		KnownIDs:         service.KnownExperimentIDs(),
+		Logger:           logger,
+		Store:            st,
+		TenantQueueDepth: *tenantQueue,
+		Quota:            tenant.Quota{Rate: *quotaRate, Burst: *quotaBurst},
+		Recorder:         recorder,
+		SlowTrace:        *traceSlow,
+		DefaultBudget:    defBudget,
 	})
 	if err != nil {
 		fatal(err)

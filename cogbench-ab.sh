@@ -6,9 +6,10 @@
 #
 # Extracts revision BASE of this repository into a scratch directory
 # (git archive: local, no network), builds cogbench from it and from the
-# working tree, and runs both on WORKLOAD once per seed with -json. The
-# order alternates per seed — base first on odd positions, the working
-# tree first on even ones — so drift in host load lands on both sides.
+# working tree (both -trimpath -buildvcs=false), and runs both on
+# WORKLOAD once per seed with -json. The order alternates per seed —
+# base first on odd positions, the working tree first on even ones — so
+# drift in host load lands on both sides.
 # Each side runs in its own checkout, so it reads its own BENCHMARK.json.
 # Every run lasts run_seconds of BENCHMARK.json. Ends with cogbench
 # -compare over the paired runs. AB_DIR names the scratch directory
@@ -27,8 +28,10 @@ mkdir -p "$dir/base" "$dir/out"
 export GOTOOLCHAIN=local GOPROXY=off
 
 git -C "$root" archive "$base" | tar -x -C "$dir/base"
-go -C "$dir/base/bench" build -o "$dir/cogbench-base" ./cmd/cogbench
-go -C "$root/bench" build -o "$dir/cogbench-new" ./cmd/cogbench
+# Both sides build without VCS stamps or checkout paths, so the two
+# binaries differ only where the sources do.
+go -C "$dir/base/bench" build -trimpath -buildvcs=false -o "$dir/cogbench-base" ./cmd/cogbench
+go -C "$root/bench" build -trimpath -buildvcs=false -o "$dir/cogbench-new" ./cmd/cogbench
 echo "cogbench-ab: base $(git -C "$root" rev-parse --short "$base") vs working tree, workload $workload, seeds $seeds, scratch $dir" >&2
 
 # run SIDE SEED: one cogbench run from SIDE's checkout; prints its

@@ -94,30 +94,6 @@ func TestRayleighStatistics(t *testing.T) {
 	}
 }
 
-func TestRicianMatrixStatistics(t *testing.T) {
-	rng := mathx.NewRand(22)
-	// Unit mean-square gain per entry for any K.
-	for _, k := range []float64{0, 1, 10, -2} {
-		var pow mathx.Running
-		for i := 0; i < 4000; i++ {
-			h := RicianMatrixInto(rng, 2, 2, k, nil)
-			pow.Add(h.FrobeniusNorm2() / 4)
-		}
-		if math.Abs(pow.Mean()-1) > 0.08 {
-			t.Errorf("K=%v: mean |h|^2 = %v, want 1", k, pow.Mean())
-		}
-	}
-	// Large K concentrates around the LOS value.
-	var dev mathx.Running
-	for i := 0; i < 2000; i++ {
-		h := RicianMatrixInto(rng, 1, 1, 1e6, nil)
-		dev.Add(h.FrobeniusNorm())
-	}
-	if dev.StdDev() > 0.01 {
-		t.Errorf("K->inf envelope stddev = %v", dev.StdDev())
-	}
-}
-
 func TestAWGNStatistics(t *testing.T) {
 	rng := mathx.NewRand(23)
 	n := make([]complex128, 200000)
@@ -137,36 +113,6 @@ func TestAWGNAddsInPlace(t *testing.T) {
 	AWGN(rng, y, 1e-6)
 	if math.Abs(real(y[0])-10) > 0.1 || math.Abs(real(y[1])-20) > 0.1 {
 		t.Errorf("AWGN should perturb, not replace: %v", y)
-	}
-}
-
-func TestBlockFadingCoherence(t *testing.T) {
-	rng := mathx.NewRand(25)
-	bf := NewBlockFading(rng, 2, 2, 3, 0)
-	h1 := bf.Next().Clone()
-	h2 := bf.Next()
-	h3 := bf.Next()
-	if !h1.Equal(h2, 0) || !h1.Equal(h3, 0) {
-		t.Error("H changed within a block")
-	}
-	h4 := bf.Next()
-	if h1.Equal(h4, 1e-12) {
-		t.Error("H did not change at block boundary")
-	}
-}
-
-func TestBlockFadingRedrawEveryUse(t *testing.T) {
-	rng := mathx.NewRand(26)
-	bf := NewBlockFading(rng, 1, 1, 0, 0)
-	a := bf.Next().At(0, 0)
-	b := bf.Next().At(0, 0)
-	if a == b {
-		t.Error("blockLen<=0 should redraw every call")
-	}
-	// Rician block fading uses the K factor.
-	bfr := NewBlockFading(rng, 1, 1, 1, 1e9)
-	if m := bfr.Next().FrobeniusNorm(); math.Abs(m-1) > 0.01 {
-		t.Errorf("huge-K Rician magnitude = %v, want ~1", m)
 	}
 }
 

@@ -59,14 +59,12 @@ type batchScratch struct {
 	y        mathx.BatchCF64 // receive samples, lane t*mr+j
 	est      mathx.BatchCF64 // decoded symbol estimates, lane k
 	awgn     mathx.BatchCF64 // long-haul noise tape, lane t*mr+j
-	fwd      mathx.BatchCF64 // forwarding noise tape, lane t*(mr-1)+j-1
 	locNoise mathx.BatchCF64 // broadcast noise tape, lane (m-1)*K+k
 	locSyms  mathx.BatchCF64 // broadcast symbols, lane k
 	noisy    mathx.BatchCF64 // broadcast symbols + noise, lane k
 	syms     []mathx.BatchCF64
 	symsPtr  []*mathx.BatchCF64
-	copies   []byte // per-antenna tile bit copies, antenna-major
-	fs       []float64
+	copies   []byte    // per-antenna tile bit copies, antenna-major
 	tape     []float64 // one tile's normals, drawn in one fill
 	dec      stbc.BatchWorkspace
 }
@@ -97,7 +95,6 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	rng := ws.rng.Rand
 	mod, err := ws.scheme(cfg.B)
 	if err != nil {
 		return Result{}, err
@@ -127,9 +124,6 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 	kSyms := code.BlockSymbols()
 	tUses := code.BlockLen()
 	localFinite := mt > 1 && cfg.LocalSNRPerBit != 0 && !math.IsInf(cfg.LocalSNRPerBit, 1)
-	fwdOn := mr > 1 && cfg.ForwardSNR > 0
-
-	ws.fading.Reset(rng, mt, mr, cfg.CoherenceBlocks, 0)
 
 	bs := &ws.batch
 	var bitErrs, localErrs, localBits int
@@ -146,9 +140,6 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 	if localFinite {
 		hotLanes += (mt-1)*kSyms + (mt+1)*kSyms
 	}
-	if fwdOn {
-		hotLanes += tUses * (mr - 1)
-	}
 	tile := tileFor(hotLanes)
 
 	for b0 := 0; b0 < blocks; b0 += tile {
@@ -161,68 +152,30 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 		tileBits := n * bitsPerBlock
 
 		// Draw pass: consume the rng exactly as the scalar loop does,
-		// block by block — broadcast noise, channel redraw, long-haul
-		// noise, forwarding noise — into SoA tapes. Fixed-variance
-		// tapes are stored pre-scaled (the scalar path also scales at
-		// draw time), so the compute passes just add them.
+		// block by block — broadcast noise, channel draw, long-haul
+		// noise. Every draw is a normal from ws.rng, so one fill takes
+		// the tile's draws; the scatter lays them out in SoA tapes in
+		// the scalar order and pre-scales them with the scalar
+		// multiplies, so the compute passes just add them.
 		bs.h.Resize(mr*mt, n)
 		bs.awgn.Resize(tUses*mr, n)
+		perBlock := 2 * (mr*mt + tUses*mr)
 		if localFinite {
 			bs.locNoise.Resize((mt-1)*kSyms, n)
+			perBlock += 2 * (mt - 1) * kSyms
 		}
-		if fwdOn {
-			bs.fwd.Resize(tUses*(mr-1), n)
+		if cap(bs.tape) < perBlock*n {
+			bs.tape = make([]float64, perBlock*n)
 		}
-		if cfg.CoherenceBlocks <= 0 {
-			// Every draw of the tile is a normal from ws.rng, so one
-			// fill takes them all and the scatter lays them out in the
-			// scalar order with the scalar multiplies.
-			perBlock := 2 * (mr*mt + tUses*mr)
-			if localFinite {
-				perBlock += 2 * (mt - 1) * kSyms
-			}
-			if fwdOn {
-				perBlock += 2 * tUses * (mr - 1)
-			}
-			if cap(bs.tape) < perBlock*n {
-				bs.tape = make([]float64, perBlock*n)
-			}
-			tape := bs.tape[:perBlock*n]
-			ws.rng.NormFloat64s(tape)
-			off, vector := 0, mathx.HasAVX2()
-			if localFinite {
-				off = scatterCN(&bs.locNoise, tape, off, perBlock, sqLocal, vector)
-			}
-			// channel.RayleighInto's CN(0, 1) taps.
-			off = scatterCN(&bs.h, tape, off, perBlock, 1/math.Sqrt2, vector)
-			off = scatterCN(&bs.awgn, tape, off, perBlock, sqAWGN, vector)
-			if fwdOn {
-				scatterCN(&bs.fwd, tape, off, perBlock, 1, vector)
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				if localFinite {
-					idx := i
-					for l := 0; l < (mt-1)*kSyms; l++ {
-						bs.locNoise.Data[idx] = complex(rng.NormFloat64()*sqLocal, rng.NormFloat64()*sqLocal)
-						idx += n
-					}
-				}
-				ws.fading.NextBatch(&bs.h, i)
-				idx := i
-				for l := 0; l < tUses*mr; l++ {
-					bs.awgn.Data[idx] = complex(rng.NormFloat64()*sqAWGN, rng.NormFloat64()*sqAWGN)
-					idx += n
-				}
-				if fwdOn {
-					idx = i
-					for l := 0; l < tUses*(mr-1); l++ {
-						bs.fwd.Data[idx] = complex(rng.NormFloat64(), rng.NormFloat64())
-						idx += n
-					}
-				}
-			}
+		tape := bs.tape[:perBlock*n]
+		ws.rng.NormFloat64s(tape)
+		off, vector := 0, mathx.HasAVX2()
+		if localFinite {
+			off = scatterCN(&bs.locNoise, tape, off, perBlock, sqLocal, vector)
 		}
+		// channel.RayleighInto's CN(0, 1) taps.
+		off = scatterCN(&bs.h, tape, off, perBlock, 1/math.Sqrt2, vector)
+		scatterCN(&bs.awgn, tape, off, perBlock, sqAWGN, vector)
 
 		// Step 1: intra-cluster broadcast. Each non-head antenna's copy
 		// is the hard decision on the head's symbols plus its own noise.
@@ -282,37 +235,6 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 		}
 		code.TransmitBatchInto(&bs.x, &bs.h, &bs.awgn, &bs.y, mr)
 
-		// Step 3: sample forwarding adds noise scaled by the block's
-		// mean sample power (forwardNoise in the scalar path).
-		if fwdOn {
-			if cap(bs.fs) < n {
-				bs.fs = make([]float64, n)
-			}
-			fs := bs.fs[:n]
-			taps := mr * mt
-			for i := range fs {
-				frob := 0.0
-				for l := 0; l < taps; l++ {
-					v := bs.h.At(l, i)
-					re, im := real(v), imag(v)
-					frob += re*re + im*im
-				}
-				meanPower := ea * frob / float64(mr)
-				variance := meanPower / cfg.ForwardSNR
-				fs[i] = math.Sqrt(variance / 2)
-			}
-			for t := 0; t < tUses; t++ {
-				for j := 1; j < mr; j++ {
-					yL := bs.y.Lane(t*mr + j)[:n]
-					nzL := bs.fwd.Lane(t*(mr-1) + j - 1)[:n]
-					for i := range yL {
-						nz := nzL[i]
-						yL[i] += complex(real(nz)*fs[i], imag(nz)*fs[i])
-					}
-				}
-			}
-		}
-
 		// Joint decode and hard decisions at the head of B: estimates are
 		// rescaled by the same complex division the scalar path applies,
 		// fused into the decision pass. Decisions without a Q rail (BPSK)
@@ -337,8 +259,7 @@ func transport(ws *Workspace, cfg Config, src, dst []byte) (Result, error) {
 // scatterCN fills every lane of b from the tape, where block i's draws
 // start at i*stride and b's start off further in: entry i of lane l is
 // the complex draw at tape[i*stride+off+2l], both parts scaled by s.
-// It returns the offset of the draws after b's. A scale of 1 leaves
-// the draws exact, as the unscaled per-draw path does. With vector set
+// It returns the offset of the draws after b's. With vector set
 // (transport passes mathx.HasAVX2), the kernel fills each lane's whole
 // two-entry steps and the loop the odd entry at the end.
 func scatterCN(b *mathx.BatchCF64, tape []float64, off, stride int, s float64, vector bool) int {

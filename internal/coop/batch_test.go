@@ -16,8 +16,8 @@ import (
 )
 
 // batchIdentityConfigs sweeps the impairment space the transport
-// branches on: every antenna geometry, multi-bit constellations, finite
-// and ideal local links, forwarding noise and channel coherence.
+// branches on: every antenna geometry, multi-bit constellations, and
+// finite and ideal local links.
 func batchIdentityConfigs() []Config {
 	var cfgs []Config
 	for _, geom := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {3, 2}, {4, 4}} {
@@ -31,19 +31,18 @@ func batchIdentityConfigs() []Config {
 		Config{Mt: 2, Mr: 2, B: 1, SNRPerBit: 8, LocalSNRPerBit: 9, Bits: 240, Seed: 7},
 		Config{Mt: 4, Mr: 2, B: 2, SNRPerBit: 10, LocalSNRPerBit: 6, Bits: 360, Seed: 8},
 		Config{Mt: 2, Mr: 2, B: 1, SNRPerBit: 8, LocalSNRPerBit: math.Inf(1), Bits: 240, Seed: 9},
-		Config{Mt: 2, Mr: 3, B: 1, SNRPerBit: 8, ForwardSNR: 14, Bits: 240, Seed: 10},
-		Config{Mt: 3, Mr: 3, B: 2, SNRPerBit: 12, LocalSNRPerBit: 8, ForwardSNR: 11, Bits: 300, Seed: 11},
-		Config{Mt: 2, Mr: 2, B: 1, SNRPerBit: 8, CoherenceBlocks: 4, Bits: 400, Seed: 12},
-		Config{Mt: 4, Mr: 4, B: 2, SNRPerBit: 10, LocalSNRPerBit: 7, ForwardSNR: 13, CoherenceBlocks: 3, Bits: 600, Seed: 13},
+		Config{Mt: 2, Mr: 3, B: 1, SNRPerBit: 8, Bits: 240, Seed: 10},
+		Config{Mt: 3, Mr: 3, B: 2, SNRPerBit: 12, LocalSNRPerBit: 8, Bits: 300, Seed: 11},
+		Config{Mt: 4, Mr: 4, B: 2, SNRPerBit: 10, LocalSNRPerBit: 7, Bits: 600, Seed: 13},
 		// Eight tiles with every tape on: the draw pass's one fill per
 		// tile must continue the stream across tile boundaries.
-		Config{Mt: 2, Mr: 3, B: 1, SNRPerBit: 8, LocalSNRPerBit: 9, ForwardSNR: 14, Bits: 2400, Seed: 14},
+		Config{Mt: 2, Mr: 3, B: 1, SNRPerBit: 8, LocalSNRPerBit: 9, Bits: 2400, Seed: 14},
 		// BPSK tiles whose block count is not a multiple of four: the
 		// vector kernels' groups end early and the loops take the tail
 		// (243, 123 and 61 blocks; 512+512+6 blocks over three tiles).
 		Config{Mt: 1, Mr: 1, B: 1, SNRPerBit: 8, Bits: 243, Seed: 15},
 		Config{Mt: 2, Mr: 2, B: 1, SNRPerBit: 8, Bits: 246, Seed: 16},
-		Config{Mt: 3, Mr: 3, B: 1, SNRPerBit: 8, ForwardSNR: 12, Bits: 183, Seed: 17},
+		Config{Mt: 3, Mr: 3, B: 1, SNRPerBit: 8, Bits: 183, Seed: 17},
 		Config{Mt: 1, Mr: 1, B: 1, SNRPerBit: 8, Bits: 1030, Seed: 18},
 	)
 	// The benchmark workloads' shapes: fanout's ext-coopber cells (1x1
@@ -110,8 +109,8 @@ func checkTransportMatchesScalar(t *testing.T) {
 		for ds := int64(0); ds < 3; ds++ {
 			c := cfg
 			c.Seed += ds * 1000003
-			name := fmt.Sprintf("%dx%d/b=%d/loc=%v/fwd=%v/coh=%d/seed=%d",
-				c.Mt, c.Mr, c.B, c.LocalSNRPerBit, c.ForwardSNR, c.CoherenceBlocks, c.Seed)
+			name := fmt.Sprintf("%dx%d/b=%d/loc=%v/seed=%d",
+				c.Mt, c.Mr, c.B, c.LocalSNRPerBit, c.Seed)
 			got, err := RunWith(ws, c)
 			if err != nil {
 				t.Fatalf("%s: batch: %v", name, err)
@@ -215,18 +214,18 @@ func TestRunWithSingleSeedPinned(t *testing.T) {
 		seed          int64
 		ber, localBER float64
 	}{
-		{0, 0.0390625, 0.04296875},
-		{1, 0.0390625, 0.03515625},
-		{2, 0.0546875, 0.05078125},
-		{3, 0.05859375, 0.0390625},
-		{-7, 0.02734375, 0.0390625},
-		{89482311, 0.0390625, 0.04296875},
-		{1 << 40, 0.05078125, 0.03125},
-		{-1 << 62, 0.05078125, 0.0390625},
+		{0, 0.04296875, 0.06640625},
+		{1, 0.05078125, 0.05078125},
+		{2, 0.05078125, 0.0390625},
+		{3, 0.0390625, 0.03515625},
+		{-7, 0.046875, 0.046875},
+		{89482311, 0.04296875, 0.06640625},
+		{1 << 40, 0.05078125, 0.015625},
+		{-1 << 62, 0.05078125, 0.05078125},
 	}
 	ws, sc := NewWorkspace(), newScalarScratch()
 	for _, p := range pinned {
-		c := Config{Mt: 2, Mr: 2, B: 2, SNRPerBit: 1.5, LocalSNRPerBit: 1.5, ForwardSNR: 6, Bits: 256, Seed: p.seed}
+		c := Config{Mt: 2, Mr: 2, B: 2, SNRPerBit: 1.5, LocalSNRPerBit: 1.5, Bits: 256, Seed: p.seed}
 		got, err := RunWith(ws, c)
 		if err != nil {
 			t.Fatal(err)

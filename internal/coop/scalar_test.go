@@ -3,7 +3,6 @@ package coop
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/channel"
 	"repro/internal/mathx"
@@ -21,9 +20,8 @@ import (
 // counterpart of Workspace: reuse keeps the speedup comparison in
 // TestBatchEngineSpeedup between two allocation-free engines.
 type scalarScratch struct {
-	rng    *mathx.ReusableRand
-	fading *channel.BlockFading
-	mods   [17]*modulation.Scheme // index = bits per symbol
+	rng  *mathx.ReusableRand
+	mods [17]*modulation.Scheme // index = bits per symbol
 
 	src     []byte
 	out     []byte
@@ -33,16 +31,14 @@ type scalarScratch struct {
 	syms    []complex128
 	est     []complex128
 	perAnt  []*mathx.CMat
+	h       *mathx.CMat
 	x       *mathx.CMat
 	hT      *mathx.CMat
 	y       *mathx.CMat
 }
 
 func newScalarScratch() *scalarScratch {
-	return &scalarScratch{
-		rng:    mathx.NewReusableRand(),
-		fading: channel.NewBlockFading(nil, 1, 1, 0, 0),
-	}
+	return &scalarScratch{rng: mathx.NewReusableRand()}
 }
 
 // scheme returns the cached modulation scheme for b bits per symbol.
@@ -112,8 +108,6 @@ func transportScalar(sc *scalarScratch, cfg Config, src, dst []byte) (Result, er
 	ea := cfg.SNRPerBit * float64(cfg.B) * code.Rate() / float64(cfg.Mt)
 	scale := complex(math.Sqrt(ea), 0)
 
-	sc.fading.Reset(rng, cfg.Mt, cfg.Mr, cfg.CoherenceBlocks, 0)
-
 	if cap(sc.copies) < cfg.Mt {
 		sc.copies = append(sc.copies[:cap(sc.copies)], make([][]byte, cfg.Mt-cap(sc.copies))...)
 	}
@@ -146,18 +140,14 @@ func transportScalar(sc *scalarScratch, cfg Config, src, dst []byte) (Result, er
 
 		// Step 2: each antenna encodes its own copy; disagreement between
 		// copies corrupts the space-time structure, exactly as it would
-		// over the air.
-		h := sc.fading.Next()
-		y := sc.transmitPerAntenna(code, mod, scale, h)
+		// over the air. Every block sees a fresh Rayleigh channel.
+		sc.h = channel.RayleighInto(rng, cfg.Mt, cfg.Mr, sc.h)
+		y := sc.transmitPerAntenna(code, mod, scale, sc.h)
 		channel.AWGN(rng, y.Data, 1)
 
-		// Step 3: members forward their samples to head y; forwarding
-		// adds noise per sample when ForwardSNR is finite.
-		if cfg.Mr > 1 && cfg.ForwardSNR > 0 {
-			forwardNoise(rng, y, ea, h, cfg.ForwardSNR)
-		}
-
-		sc.est = code.DecodeInto(y, h, sc.est)
+		// Step 3: members hand their samples to head y unchanged, and
+		// the head decodes jointly.
+		sc.est = code.DecodeInto(y, sc.h, sc.est)
 		for k, sym := range sc.est {
 			mod.DecideSymbol(sym/scale, sc.decided)
 			for j := 0; j < cfg.B; j++ {
@@ -225,17 +215,4 @@ func (sc *scalarScratch) transmitPerAntenna(code *stbc.Code, mod *modulation.Sch
 	sc.hT = h.TransposeInto(sc.hT)
 	sc.y = x.MulInto(sc.hT, sc.y)
 	return sc.y
-}
-
-// forwardNoise models Step 3: every sample travelling from a non-head
-// receiver to the head picks up noise proportional to the mean sample
-// power. Receiver 0 is the head and forwards nothing.
-func forwardNoise(rng *rand.Rand, y *mathx.CMat, ea float64, h *mathx.CMat, fwdSNR float64) {
-	meanPower := ea * h.FrobeniusNorm2() / float64(h.Rows)
-	variance := meanPower / fwdSNR
-	for t := 0; t < y.Rows; t++ {
-		for j := 1; j < y.Cols; j++ {
-			y.Set(t, j, y.At(t, j)+mathx.ComplexCN(rng, variance))
-		}
-	}
 }

@@ -4,14 +4,15 @@
 // nodes, head y).
 //
 //	Step 1  intra/local broadcast at A   (AWGN links; may corrupt copies)
-//	Step 2  long-haul mt-by-mr STBC transmission over flat Rayleigh fading
-//	Step 3  intra/local sample forwarding at B; head decodes jointly
+//	Step 2  long-haul mt-by-mr STBC transmission over flat Rayleigh fading,
+//	        a fresh channel per STBC block
+//	Step 3  ideal sample collection at B; head decodes jointly
 //
 // Unlike the energy-level analyses (internal/overlay, internal/underlay)
 // this package transports actual bits, so it exposes the effects the
 // closed forms abstract away: intra-cluster bit errors desynchronise the
-// cooperative antennas' copies, the rate-3/4 codes pay their rate
-// penalty, and sample forwarding adds noise before joint decoding.
+// cooperative antennas' copies and the rate-3/4 codes pay their rate
+// penalty.
 package coop
 
 import (
@@ -19,7 +20,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/channel"
 	"repro/internal/mathx"
 	"repro/internal/modulation"
 	"repro/internal/stbc"
@@ -38,12 +38,6 @@ type Config struct {
 	// LocalSNRPerBit is the intra-cluster per-bit SNR for Step 1's
 	// broadcast; +Inf (or 0, meaning "ideal") disables local errors.
 	LocalSNRPerBit float64
-	// ForwardSNR is the Step 3 sample-forwarding SNR (signal-to-added-
-	// noise per sample); 0 means ideal forwarding.
-	ForwardSNR float64
-	// CoherenceBlocks redraws the channel every so many STBC blocks;
-	// <= 0 redraws per block.
-	CoherenceBlocks int
 	// Bits is the number of information bits to push through the hop.
 	Bits int
 	// Seed drives all randomness.
@@ -61,8 +55,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("coop: SNR per bit %g must be positive and finite", c.SNRPerBit)
 	case !(c.LocalSNRPerBit >= 0):
 		return fmt.Errorf("coop: local SNR %g must be non-negative", c.LocalSNRPerBit)
-	case !(c.ForwardSNR >= 0):
-		return fmt.Errorf("coop: forward SNR %g must be non-negative", c.ForwardSNR)
 	case c.Bits < 1:
 		return fmt.Errorf("coop: bit count %d must be positive", c.Bits)
 	}
@@ -102,18 +94,17 @@ type Result struct {
 }
 
 // Workspace holds the reusable scratch state for one goroutine's hop
-// simulations: the generator, modulation schemes, fading process and
-// every buffer the batched engine touches. Reusing a Workspace across
-// runs makes the kernel allocation-free in steady state while consuming
-// exactly the rng stream a fresh run would, so results stay bit-identical.
+// simulations: the generator, modulation schemes and every buffer the
+// batched engine touches. Reusing a Workspace across runs makes the
+// kernel allocation-free in steady state while consuming exactly the
+// rng stream a fresh run would, so results stay bit-identical.
 // A Workspace is not safe for concurrent use; keep one per worker.
 type Workspace struct {
 	rng *mathx.ReusableRand
 	// bits is RunWith's fork of the freshly seeded rng, from which it
 	// draws the source bits while the hop draws from rng itself.
-	bits   *mathx.ReusableRand
-	fading *channel.BlockFading
-	mods   [17]*modulation.Scheme // index = bits per symbol
+	bits *mathx.ReusableRand
+	mods [17]*modulation.Scheme // index = bits per symbol
 
 	// src and out are RunWith's source and decoded bits.
 	src []byte
@@ -126,9 +117,8 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace {
 	return &Workspace{
-		rng:    mathx.NewReusableRand(),
-		bits:   mathx.NewReusableRand(),
-		fading: channel.NewBlockFading(nil, 1, 1, 0, 0),
+		rng:  mathx.NewReusableRand(),
+		bits: mathx.NewReusableRand(),
 	}
 }
 
@@ -225,14 +215,6 @@ func PredictBER(cfg Config) float64 {
 	if err != nil {
 		return math.NaN()
 	}
-	pre, k := berShape(cfg.B)
+	pre, k := modulation.BERShape(cfg.B)
 	return pre * modulation.BERRayleighMRC(cfg.Mt*cfg.Mr, k/2*cfg.SNRPerBit*code.Rate()/float64(cfg.Mt))
-}
-
-func berShape(b int) (pre, k float64) {
-	if b <= 1 {
-		return 1, 2
-	}
-	m := math.Pow(2, float64(b))
-	return 4 / float64(b) * (1 - math.Pow(2, -float64(b)/2)), 3 * float64(b) / (m - 1)
 }

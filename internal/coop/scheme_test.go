@@ -42,8 +42,6 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.SNRPerBit = math.Inf(1) },
 		func(c *Config) { c.LocalSNRPerBit = -1 },
 		func(c *Config) { c.LocalSNRPerBit = math.NaN() },
-		func(c *Config) { c.ForwardSNR = -1 },
-		func(c *Config) { c.ForwardSNR = math.NaN() },
 		func(c *Config) { c.Bits = 0 },
 	}
 	for i, mutate := range cases {
@@ -162,34 +160,6 @@ func TestLocalErrorsPropagate(t *testing.T) {
 	}
 }
 
-// TestForwardingNoiseDegrades: Step 3 sample forwarding at finite SNR
-// costs BER relative to ideal collection.
-func TestForwardingNoiseDegrades(t *testing.T) {
-	cfg := base(2, 2)
-	cfg.SNRPerBit = math.Pow(10, 0.6)
-	ideal, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ForwardSNR = 1 // 0 dB forwarding: very noisy
-	noisy, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noisy.BER <= ideal.BER {
-		t.Errorf("forwarding noise should degrade: %v vs %v", noisy.BER, ideal.BER)
-	}
-	// Very clean forwarding approaches ideal.
-	cfg.ForwardSNR = 1e6
-	clean, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(clean.BER-ideal.BER) > 0.2*ideal.BER+1e-4 {
-		t.Errorf("clean forwarding %v should match ideal %v", clean.BER, ideal.BER)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	cfg := base(2, 2)
 	cfg.Bits = 30000
@@ -215,27 +185,5 @@ func TestTinyBitCountRoundsUp(t *testing.T) {
 	}
 	if r.Bits < 2 {
 		t.Errorf("should run at least one block, got %d bits", r.Bits)
-	}
-}
-
-func TestCoherenceBlocksRespected(t *testing.T) {
-	// A long coherence time with few bits means one channel draw: the
-	// measured BER is then strongly seed-dependent, while per-block
-	// redraws average out. This is a smoke check that the knob wires
-	// through (exact distributional tests live in internal/channel).
-	cfg := base(1, 1)
-	cfg.Bits = 2000
-	cfg.CoherenceBlocks = 1 << 20
-	var spread float64
-	for seed := int64(0); seed < 4; seed++ {
-		cfg.Seed = seed
-		r, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spread += math.Abs(r.BER - PredictBER(cfg))
-	}
-	if spread == 0 {
-		t.Error("single-draw runs should scatter around the average")
 	}
 }

@@ -11,7 +11,7 @@ import (
 func TestRunWithMatchesRun(t *testing.T) {
 	cfgs := []Config{
 		{Mt: 2, Mr: 2, B: 2, SNRPerBit: 10, Bits: 1200, Seed: 7},
-		{Mt: 4, Mr: 3, B: 4, SNRPerBit: 8, LocalSNRPerBit: 12, ForwardSNR: 20, Bits: 3000, Seed: 11, CoherenceBlocks: 3},
+		{Mt: 4, Mr: 3, B: 4, SNRPerBit: 8, LocalSNRPerBit: 12, Bits: 3000, Seed: 11},
 		{Mt: 1, Mr: 1, B: 1, SNRPerBit: 6, Bits: 600, Seed: 3},
 	}
 	want := make([]Result, len(cfgs))

@@ -12,9 +12,8 @@
 //     exact expression.
 //   - MonteCarlo: the paper's "numerical analysis" — draw channel
 //     matrices once, average eq. (5)/(6) over them, and invert with
-//     Brent's method on log BER over log ēb. It generalises to
-//     non-Rayleigh fading and is the ablation baseline for the analytic
-//     path.
+//     Brent's method on log BER over log ēb. It is the ablation
+//     baseline for the analytic path.
 //
 // Preprocessing (Algorithm 1/2) builds a Table over a (p, b, mt, mr)
 // grid with either solver; the table serialises with encoding/gob for
@@ -23,7 +22,6 @@ package ebtable
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/mathx"
 	"repro/internal/modulation"
@@ -67,7 +65,7 @@ func AnalyticBER(b, mt, mr int, eb, n0 float64, conv Convention) float64 {
 		return saturationBER(b)
 	}
 	l := mt * mr
-	pre, k := berShape(b)
+	pre, k := modulation.BERShape(b)
 	norm := float64(mt)
 	if conv == ConvArray {
 		norm = 1
@@ -75,22 +73,10 @@ func AnalyticBER(b, mt, mr int, eb, n0 float64, conv Convention) float64 {
 	return pre * modulation.BERRayleighMRC(l, k/2*eb/(n0*norm))
 }
 
-// berShape returns the prefactor and Q-argument coefficient of the
-// paper's BER expressions: p = pre * Q(sqrt(k * gamma_b)).
-func berShape(b int) (pre, k float64) {
-	if b <= 1 {
-		return 1, 2
-	}
-	m := math.Pow(2, float64(b))
-	pre = 4 / float64(b) * (1 - math.Pow(2, -float64(b)/2))
-	k = 3 * float64(b) / (m - 1)
-	return pre, k
-}
-
 // saturationBER is the zero-energy limit of eq. (5)/(6): pre * 1/2.
 // BER targets at or above it are unreachable for that constellation.
 func saturationBER(b int) float64 {
-	pre, _ := berShape(b)
+	pre, _ := modulation.BERShape(b)
 	return pre / 2
 }
 

@@ -179,7 +179,7 @@ func TestMonteCarloDeterministic(t *testing.T) {
 // modulation.BERAWGN itself.
 func TestMonteCarloBERMatchesBERAWGN(t *testing.T) {
 	berAWGN := func(b int, gammaB float64) float64 {
-		pre, k := berShape(b)
+		pre, k := modulation.BERShape(b)
 		return pre * (0.5 * mathx.Erfc(math.Sqrt(k*gammaB)/math.Sqrt2))
 	}
 	if os.Getenv(fmaOffEnv) != "" {
@@ -277,34 +277,32 @@ func TestMonteCarloTableWithoutFMA(t *testing.T) {
 	}
 }
 
-// TestMonteCarloRootBrackets: over Rayleigh and Rician K=4, every p, b
-// and antenna pair, the MC root brackets the target within ±1e-6
-// relative — BER(ēb(1-1e-6)) >= p >= BER(ēb(1+1e-6)) — and agrees within
-// 1e-6 with a bisection reference solved to 1e-9.
+// TestMonteCarloRootBrackets: over every p, b and antenna pair, the MC
+// root brackets the target within ±1e-6 relative —
+// BER(ēb(1-1e-6)) >= p >= BER(ēb(1+1e-6)) — and agrees within 1e-6 with
+// a bisection reference solved to 1e-9.
 func TestMonteCarloRootBrackets(t *testing.T) {
-	for _, k := range []float64{0, 4} {
-		mc := &MonteCarlo{Samples: 500, Seed: 21, RicianK: k}
-		for _, p := range []float64{0.1, 0.01, 0.001, 0.0005} {
-			for _, b := range []int{1, 2, 4, 8, 16} {
-				for mt := 1; mt <= 4; mt++ {
-					for mr := 1; mr <= 4; mr++ {
-						eb, err := mc.EbBar(p, b, mt, mr)
-						if err != nil {
-							t.Fatalf("K=%v p=%g b=%d %dx%d: %v", k, p, b, mt, mr, err)
-						}
-						lo, hi := mc.BER(b, mt, mr, eb*(1-1e-6)), mc.BER(b, mt, mr, eb*(1+1e-6))
-						if !(lo >= p && p >= hi) {
-							t.Errorf("K=%v p=%g b=%d %dx%d: ēb=%g does not bracket: BER %g .. %g",
-								k, p, b, mt, mr, eb, lo, hi)
-						}
-						ref, err := mathx.BisectLog(func(e float64) float64 { return mc.BER(b, mt, mr, e) - p },
-							ebFloor, ebCeiling, 1e-9)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if math.Abs(eb/ref-1) > 1e-6 {
-							t.Errorf("K=%v p=%g b=%d %dx%d: ēb=%g, bisection %g", k, p, b, mt, mr, eb, ref)
-						}
+	mc := &MonteCarlo{Samples: 500, Seed: 21}
+	for _, p := range []float64{0.1, 0.01, 0.001, 0.0005} {
+		for _, b := range []int{1, 2, 4, 8, 16} {
+			for mt := 1; mt <= 4; mt++ {
+				for mr := 1; mr <= 4; mr++ {
+					eb, err := mc.EbBar(p, b, mt, mr)
+					if err != nil {
+						t.Fatalf("p=%g b=%d %dx%d: %v", p, b, mt, mr, err)
+					}
+					lo, hi := mc.BER(b, mt, mr, eb*(1-1e-6)), mc.BER(b, mt, mr, eb*(1+1e-6))
+					if !(lo >= p && p >= hi) {
+						t.Errorf("p=%g b=%d %dx%d: ēb=%g does not bracket: BER %g .. %g",
+							p, b, mt, mr, eb, lo, hi)
+					}
+					ref, err := mathx.BisectLog(func(e float64) float64 { return mc.BER(b, mt, mr, e) - p },
+						ebFloor, ebCeiling, 1e-9)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Abs(eb/ref-1) > 1e-6 {
+						t.Errorf("p=%g b=%d %dx%d: ēb=%g, bisection %g", p, b, mt, mr, eb, ref)
 					}
 				}
 			}
@@ -332,27 +330,19 @@ func TestMonteCarloEvalsPerCell(t *testing.T) {
 	}
 }
 
-// TestMonteCarloDrawsMatchFreshMatrices: the sample set is exactly
-// what a fresh matrix per draw gives, for Rayleigh fading (drawn a
-// block of samples per fill) and Rician fading (drawn per matrix), at
-// sample counts below, at and across the fill block.
+// TestMonteCarloDrawsMatchFreshMatrices: the sample set, drawn a block
+// of samples per fill, is exactly what a fresh Rayleigh matrix per draw
+// gives, at sample counts below, at and across the fill block.
 func TestMonteCarloDrawsMatchFreshMatrices(t *testing.T) {
-	for _, k := range []float64{0, 4} {
-		for _, shape := range [][3]int{{3, 2, 500}, {1, 1, 1}, {4, 4, 257}, {2, 1, 256}} {
-			mt, mr, n := shape[0], shape[1], shape[2]
-			mc := &MonteCarlo{Samples: n, Seed: 11, RicianK: k}
-			got := mc.norms(mt, mr)
-			rng := mathx.NewRand(11 ^ int64(mt)<<32 ^ int64(mr)<<40)
-			for i, h2 := range got {
-				var h *mathx.CMat
-				if k > 0 {
-					h = channel.RicianMatrixInto(rng, mt, mr, k, nil)
-				} else {
-					h = channel.RayleighInto(rng, mt, mr, nil)
-				}
-				if want := h.FrobeniusNorm2(); h2 != want {
-					t.Fatalf("K=%v %dx%d sample %d: %v, want %v", k, mt, mr, i, h2, want)
-				}
+	for _, shape := range [][3]int{{3, 2, 500}, {1, 1, 1}, {4, 4, 257}, {2, 1, 256}} {
+		mt, mr, n := shape[0], shape[1], shape[2]
+		mc := &MonteCarlo{Samples: n, Seed: 11}
+		got := mc.norms(mt, mr)
+		rng := mathx.NewRand(11 ^ int64(mt)<<32 ^ int64(mr)<<40)
+		for i, h2 := range got {
+			h := channel.RayleighInto(rng, mt, mr, nil)
+			if want := h.FrobeniusNorm2(); h2 != want {
+				t.Fatalf("%dx%d sample %d: %v, want %v", mt, mr, i, h2, want)
 			}
 		}
 	}
@@ -368,21 +358,6 @@ func TestMonteCarloDrawAllocs(t *testing.T) {
 	}
 	if small, large := allocs(100), allocs(10000); large > small {
 		t.Errorf("allocations grow with samples: %v at 100, %v at 10000", small, large)
-	}
-}
-
-func TestMonteCarloRicianNeedsLessEnergy(t *testing.T) {
-	// A strong line-of-sight component reduces fading margin, so the
-	// required ēb drops relative to Rayleigh.
-	ray := &MonteCarlo{Samples: 30000, Seed: 5}
-	ric := &MonteCarlo{Samples: 30000, Seed: 5, RicianK: 10}
-	a, err1 := ray.EbBar(0.001, 1, 1, 1)
-	b, err2 := ric.EbBar(0.001, 1, 1, 1)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if b >= a {
-		t.Errorf("Rician ēb %g should be below Rayleigh %g", b, a)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/channel"
 	"repro/internal/mathx"
+	"repro/internal/modulation"
 )
 
 // MonteCarlo estimates ēb by averaging eq. (5)/(6) over sampled channel
@@ -23,9 +23,6 @@ type MonteCarlo struct {
 	Samples int
 	// Seed drives the channel sampling.
 	Seed int64
-	// RicianK, when positive, samples Rician instead of Rayleigh fading —
-	// a what-if the closed form cannot cover.
-	RicianK float64
 	// Convention selects the gamma_b normalisation (default ConvPaper).
 	Convention Convention
 
@@ -35,7 +32,7 @@ type MonteCarlo struct {
 }
 
 // norms returns (computing once) the channel-power samples for an
-// mt-by-mr link.
+// mt-by-mr Rayleigh link.
 func (mc *MonteCarlo) norms(mt, mr int) []float64 {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
@@ -53,18 +50,7 @@ func (mc *MonteCarlo) norms(mt, mr int) []float64 {
 	// Seed is salted per antenna pair so pairs are independent.
 	seed := mc.Seed ^ int64(mt)<<32 ^ int64(mr)<<40
 	s := make([]float64, n)
-	if mc.RicianK > 0 {
-		// Every draw lands in one reused matrix; the Into variant
-		// consumes exactly the rng stream of a fresh allocation per draw.
-		rng := mathx.NewRand(seed)
-		var h *mathx.CMat
-		for i := range s {
-			h = channel.RicianMatrixInto(rng, mt, mr, mc.RicianK, h)
-			s[i] = h.FrobeniusNorm2()
-		}
-	} else {
-		rayleighNorms(s, seed, mt*mr)
-	}
+	rayleighNorms(s, seed, mt*mr)
 	mc.cache[key] = s
 	return s
 }
@@ -122,7 +108,7 @@ func (mc *MonteCarlo) BER(b, mt, mr int, eb float64) float64 {
 	}
 	// A negative energy clamps to zero SNR, as modulation.BERAWGN does.
 	scale := max(eb, 0) / (n0 * norm)
-	pre, k := berShape(b)
+	pre, k := modulation.BERShape(b)
 	var total float64
 	var buf [berBlock]float64
 	for lo := 0; lo < len(samples); lo += berBlock {

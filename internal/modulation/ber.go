@@ -17,12 +17,20 @@ func BERAWGN(b int, gammaB float64) float64 {
 	if gammaB < 0 {
 		gammaB = 0
 	}
+	pre, k := BERShape(b)
+	return pre * mathx.Q(math.Sqrt(k*gammaB))
+}
+
+// BERShape returns the prefactor and Q-argument coefficient of the
+// paper's BER expressions, p = pre * Q(sqrt(k * gammaB)): pre = 1 and
+// k = 2 for b = 1, pre = (4/b) * (1 - 2^(-b/2)) and k = 3b/(M-1) for
+// b >= 2.
+func BERShape(b int) (pre, k float64) {
 	if b <= 1 {
-		return mathx.Q(math.Sqrt(2 * gammaB))
+		return 1, 2
 	}
 	m := math.Pow(2, float64(b))
-	pre := 4 / float64(b) * (1 - math.Pow(2, -float64(b)/2))
-	return pre * mathx.Q(math.Sqrt(3*float64(b)/(m-1)*gammaB))
+	return 4 / float64(b) * (1 - math.Pow(2, -float64(b)/2)), 3 * float64(b) / (m - 1)
 }
 
 // BERRayleighBPSK is the closed-form Rayleigh-average BPSK bit error

@@ -174,12 +174,12 @@ type Config struct {
 	// write through to it, and WarmFromStore preloads the LRU at boot —
 	// so cache hits survive process restarts.
 	Store *store.Store
-	// Tenants configures the fair scheduler: per-tenant and total
-	// queue bounds, and the pool behind soft concurrency shares. Zero
-	// values inherit the service-wide defaults (per-tenant queue bound
-	// = QueueDepth, share pool = Workers), which makes a single-tenant
-	// service behave exactly like the old global FIFO.
-	Tenants tenant.Options
+	// TenantQueueDepth bounds each tenant's own backlog in the fair
+	// scheduler; 0 means QueueDepth, so a lone tenant may use the whole
+	// global queue and a single-tenant service behaves exactly like a
+	// global FIFO. The scheduler's total bound is always QueueDepth and
+	// its soft concurrency shares split Workers.
+	TenantQueueDepth int
 	// Quota is every tenant's admission budget (one token bucket per
 	// tenant); the zero value disables admission control.
 	Quota tenant.Quota
@@ -282,18 +282,16 @@ func New(cfg Config) (*Service, error) {
 	if err := cfg.DefaultBudget.Validate(); err != nil {
 		return nil, fmt.Errorf("service: default budget: %w", err)
 	}
-	topts := cfg.Tenants
-	if topts.TotalDepth <= 0 {
-		topts.TotalDepth = cfg.QueueDepth
+	// A lone tenant may use the whole global queue; the bound that
+	// protects tenants from each other is the fair scheduler plus the
+	// global depth, unless the operator sets a tighter one.
+	if cfg.TenantQueueDepth <= 0 {
+		cfg.TenantQueueDepth = cfg.QueueDepth
 	}
-	if topts.QueueDepth <= 0 {
-		// A lone tenant may use the whole global queue; the bound that
-		// protects tenants from each other is the fair scheduler plus
-		// the global depth, unless the operator sets a tighter one.
-		topts.QueueDepth = cfg.QueueDepth
-	}
-	if topts.Workers <= 0 {
-		topts.Workers = cfg.Workers
+	topts := tenant.Options{
+		QueueDepth: cfg.TenantQueueDepth,
+		TotalDepth: cfg.QueueDepth,
+		Workers:    cfg.Workers,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{

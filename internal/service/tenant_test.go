@@ -155,10 +155,10 @@ func TestTenantQueueBoundReturnsBothSentinels(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	s := startService(t, Config{
-		Workers:    1,
-		QueueDepth: 16,
-		Tenants:    tenant.Options{QueueDepth: 2},
-		Runner:     blockingRunner(started, release),
+		Workers:          1,
+		QueueDepth:       16,
+		TenantQueueDepth: 2,
+		Runner:           blockingRunner(started, release),
 	})
 	if _, err := s.Submit(Request{ID: "stall", Seed: 0, Tenant: "a"}); err != nil {
 		t.Fatal(err)
@@ -194,10 +194,10 @@ func TestCancelQueuedJobLeavesQueue(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	s := startService(t, Config{
-		Workers:    1,
-		QueueDepth: 16,
-		Tenants:    tenant.Options{QueueDepth: 1},
-		Runner:     blockingRunner(started, release),
+		Workers:          1,
+		QueueDepth:       16,
+		TenantQueueDepth: 1,
+		Runner:           blockingRunner(started, release),
 	})
 	if _, err := s.Submit(Request{ID: "pin", Seed: 1, Tenant: "a"}); err != nil {
 		t.Fatal(err)

@@ -93,49 +93,6 @@ func TestARQGoodputFallsWithAmplitude(t *testing.T) {
 	}
 }
 
-func TestCombinerAblation(t *testing.T) {
-	ber := func(combiner string) float64 {
-		x := Table2Setup(41)
-		x.Combiner = combiner
-		x.Bits = 60000
-		r, err := x.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.CoopBER
-	}
-	egc := ber("egc")
-	mrc := ber("mrc")
-	sel := ber("selection")
-	// MRC weighs branches optimally; selection throws information away.
-	if mrc > egc*1.3 {
-		t.Errorf("MRC (%v) should not trail EGC (%v) badly", mrc, egc)
-	}
-	if sel < egc/1.5 {
-		t.Errorf("selection (%v) should not beat EGC (%v) clearly", sel, egc)
-	}
-	// Default is EGC.
-	x := Table2Setup(41)
-	x.Bits = 60000
-	def, err := x.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	x.Combiner = "egc"
-	named, err := x.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def != named {
-		t.Error("default combiner should be EGC")
-	}
-	// Unknown combiner errors.
-	x.Combiner = "ratio"
-	if _, err := x.Run(); err == nil {
-		t.Error("unknown combiner should fail")
-	}
-}
-
 // TestFECImprovesMarginalPER: Hamming(7,4) under the frame path lowers
 // the packet error rate at the marginal amplitudes, where bit errors
 // are scattered enough to correct.

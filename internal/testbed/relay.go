@@ -12,22 +12,20 @@ import (
 
 // OverlayExperiment measures the BER of a primary link with and without
 // decode-and-forward SU relays, reproducing the Section 6.4 overlay
-// testbed: BPSK, equal-gain combining at the receiver, 100 000 bits.
+// testbed: BPSK, equal-gain combining at the receiver, 100 000 bits,
+// fading redrawn every coherenceBits bits.
 type OverlayExperiment struct {
 	Env    Env
 	Tx, Rx Radio
 	Relays []Radio
 	// Bits is the number of information bits (paper: 100 000).
 	Bits int
-	// CoherenceBits is the fading block length in bits.
-	CoherenceBits int
-	// Combiner selects the receive combining: "egc" (default — what the
-	// paper's testbed ran), "mrc", or "selection". The combining
-	// ablation experiment contrasts them on identical channels.
-	Combiner string
 	// Seed drives fading and noise.
 	Seed int64
 }
+
+// coherenceBits is the fading block length in bits.
+const coherenceBits = 500
 
 // OverlayResult reports both arms of the experiment.
 type OverlayResult struct {
@@ -70,14 +68,6 @@ func (x OverlayExperiment) Run() (OverlayResult, error) {
 	if x.Bits < 1 {
 		return OverlayResult{}, fmt.Errorf("testbed: bit count %d must be positive", x.Bits)
 	}
-	coh := x.CoherenceBits
-	if coh < 1 {
-		coh = 500
-	}
-	combine, err := combinerFor(x.Combiner)
-	if err != nil {
-		return OverlayResult{}, err
-	}
 	rng := mathx.NewRand(x.Seed)
 
 	direct := newLink(x.Env, x.Tx.Pos, x.Rx.Pos)
@@ -92,7 +82,7 @@ func (x OverlayExperiment) Run() (OverlayResult, error) {
 	ys := make([]complex128, 0, 1+len(x.Relays))
 	gs := make([]complex128, 0, 1+len(x.Relays))
 	for bit := 0; bit < x.Bits; bit++ {
-		if bit%coh == 0 {
+		if bit%coherenceBits == 0 {
 			direct.redraw(rng)
 			for i := range x.Relays {
 				up[i].redraw(rng)
@@ -118,7 +108,7 @@ func (x OverlayExperiment) Run() (OverlayResult, error) {
 			ys = append(ys, yr)
 			gs = append(gs, gr)
 		}
-		if combine(ys, gs) != s {
+		if egcDecide(ys, gs) != s {
 			errCoop++
 		}
 	}
@@ -136,20 +126,6 @@ func decideBPSK(y, g complex128) float64 {
 	return -1
 }
 
-// combinerFor maps a name to a multi-branch decision function.
-func combinerFor(name string) (func(ys, gs []complex128) float64, error) {
-	switch name {
-	case "", "egc":
-		return egcDecide, nil
-	case "mrc":
-		return mrcDecide, nil
-	case "selection":
-		return selectionDecide, nil
-	default:
-		return nil, fmt.Errorf("testbed: unknown combiner %q (egc, mrc, selection)", name)
-	}
-}
-
 // egcDecide co-phases each branch (equal gain, no amplitude weighting —
 // the combiner the paper's testbed uses) and decides on the sum.
 func egcDecide(ys, gs []complex128) float64 {
@@ -165,34 +141,6 @@ func egcDecide(ys, gs []complex128) float64 {
 		return 1
 	}
 	return -1
-}
-
-// mrcDecide weighs each branch by its full complex gain — optimal for
-// equal-noise branches (but not for relayed branches carrying decision
-// errors, which is why MRC's edge over EGC shrinks in relaying).
-func mrcDecide(ys, gs []complex128) float64 {
-	var sum float64
-	for i := range ys {
-		sum += real(cmplx.Conj(gs[i]) * ys[i])
-	}
-	if sum >= 0 {
-		return 1
-	}
-	return -1
-}
-
-// selectionDecide uses only the strongest branch.
-func selectionDecide(ys, gs []complex128) float64 {
-	best, bestGain := 0, -1.0
-	for i := range gs {
-		if a := cmplx.Abs(gs[i]); a > bestGain {
-			best, bestGain = i, a
-		}
-	}
-	if bestGain <= 0 {
-		return 1
-	}
-	return decideBPSK(ys[best], gs[best])
 }
 
 // Table2Setup is the single-relay overlay layout: transmitter, relay and
