@@ -126,34 +126,11 @@ type coster struct {
 }
 
 func (c coster) HopEnergy(mt, mr int, d, D float64) (units.JoulePerBit, error) {
-	if d <= 0 {
-		d = 0.1
-	}
 	best, err := c.model.OptimalMIMOB(c.ber, mt, mr, D, nil)
 	if err != nil {
 		return 0, err
 	}
-	total := units.JoulePerBit(float64(mt)) * best.Cost.Total()
-	rx, err := c.model.MIMORx(best.B)
-	if err != nil {
-		return 0, err
-	}
-	total += units.JoulePerBit(float64(mr)) * rx.Total()
-	if mt > 1 || mr > 1 {
-		lt, err := c.model.LocalTx(c.ber, best.B, d)
-		if err != nil {
-			return 0, err
-		}
-		locals := 0
-		if mt > 1 {
-			locals++
-		}
-		if mr > 1 {
-			locals += mr - 1
-		}
-		total += units.JoulePerBit(float64(locals)) * lt.Total()
-	}
-	return total, nil
+	return c.model.HopEnergy(c.ber, best.B, mt, mr, d, D)
 }
 
 func fatal(err error) {

@@ -169,9 +169,7 @@ func (r *Runner) runExperiment(ctx context.Context, cid string, i int, e Experim
 	rctx = sim.WithExecutor(rctx, ex)
 
 	if e.ID != "" {
-		req := e.request()
-		req.Workers = r.Workers
-		section, err = service.ExperimentRunner(rctx, req)
+		section, err = service.RunExperiment(rctx, e.request(), r.Workers)
 	} else {
 		section, err = r.runKernelEntry(rctx, e)
 	}

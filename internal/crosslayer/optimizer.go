@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/coop"
 	"repro/internal/energy"
-	"repro/internal/units"
 )
 
 // Hop is one route segment.
@@ -137,7 +136,7 @@ func Optimize(cfg Config) (Plan, error) {
 func hopMenu(cfg Config, h Hop) ([]option, error) {
 	var menu []option
 	for b := 1; b <= cfg.Model.P.BMax; b++ {
-		e, err := hopEnergy(cfg.Model, h, cfg.BER, b)
+		e, err := cfg.Model.HopEnergy(cfg.BER, b, h.Mt, h.Mr, h.IntraD, h.LinkD)
 		if err != nil {
 			continue
 		}
@@ -151,40 +150,6 @@ func hopMenu(cfg Config, h Hop) ([]option, error) {
 		return nil, fmt.Errorf("no feasible constellation at BER %g", cfg.BER)
 	}
 	return menu, nil
-}
-
-// hopEnergy totals the per-bit energy of one cooperative hop at fixed b
-// (Algorithm 2's accounting over all participating nodes).
-func hopEnergy(m *energy.Model, h Hop, ber float64, b int) (units.JoulePerBit, error) {
-	tx, err := m.MIMOTx(ber, b, h.Mt, h.Mr, h.LinkD)
-	if err != nil {
-		return 0, err
-	}
-	rx, err := m.MIMORx(b)
-	if err != nil {
-		return 0, err
-	}
-	total := units.JoulePerBit(float64(h.Mt))*tx.Total() +
-		units.JoulePerBit(float64(h.Mr))*rx.Total()
-	if h.Mt > 1 || h.Mr > 1 {
-		d := h.IntraD
-		if d <= 0 {
-			d = 0.1
-		}
-		lt, err := m.LocalTx(ber, b, d)
-		if err != nil {
-			return 0, err
-		}
-		locals := 0
-		if h.Mt > 1 {
-			locals++
-		}
-		if h.Mr > 1 {
-			locals += h.Mr - 1
-		}
-		total += units.JoulePerBit(float64(locals)) * lt.Total()
-	}
-	return total, nil
 }
 
 // assemble picks each hop's best option at time price lambda. Ties

@@ -64,7 +64,7 @@ func TestUnconstrainedOptimum(t *testing.T) {
 	for i, h := range c.Hops {
 		bestE := math.Inf(1)
 		for b := 1; b <= 16; b++ {
-			e, err := hopEnergy(c.Model, h, c.BER, b)
+			e, err := c.Model.HopEnergy(c.BER, b, h.Mt, h.Mr, h.IntraD, h.LinkD)
 			if err != nil {
 				continue
 			}

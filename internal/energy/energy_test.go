@@ -186,6 +186,43 @@ func TestTxCostsMoreThanRx(t *testing.T) {
 	}
 }
 
+// TestHopEnergyTerms: a hop is mt transmitters, mr receivers and one
+// local broadcast per cooperating side plus one per gathering receiver;
+// a non-cooperative hop has no local term and a zero span is priced at
+// 0.1 m.
+func TestHopEnergyTerms(t *testing.T) {
+	m := paperModel(t, 40e3)
+	const p, b, D = 1e-3, 2, 150.0
+	rx, err := m.MIMORx(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt, err := m.LocalTx(p, b, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ mt, mr, locals int }{
+		{1, 1, 0}, {2, 1, 1}, {1, 3, 2}, {3, 2, 2},
+	} {
+		tx, err := m.MIMOTx(p, b, c.mt, c.mr, D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := float64(c.mt)*float64(tx.Total()) + float64(c.mr)*float64(rx.Total()) +
+			float64(c.locals)*float64(lt.Total())
+		got, err := m.HopEnergy(p, b, c.mt, c.mr, 0, D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(float64(got)-want) > 1e-12*want {
+			t.Errorf("%dx%d: HopEnergy = %v, want %v", c.mt, c.mr, got, want)
+		}
+	}
+	if _, err := m.HopEnergy(p, 0, 2, 2, 1, D); err == nil {
+		t.Error("b = 0 accepted")
+	}
+}
+
 func TestMIMOTxDistanceRoundTrip(t *testing.T) {
 	m := paperModel(t, 40e3)
 	for _, d := range []float64{50, 150, 350} {

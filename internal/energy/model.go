@@ -105,6 +105,44 @@ func (m *Model) MIMORx(b int) (Cost, error) {
 	return Cost{Circuit: units.JoulePerBit(circ)}, nil
 }
 
+// HopEnergy totals the per-bit energy of one cooperative hop at
+// constellation b: mt long-haul transmitters (eq. 3) and mr long-haul
+// receivers (eq. 4), plus, when either side cooperates, one local
+// broadcast (eq. 1) over the intra-cluster span d for the transmit side
+// and one per non-head receiver to gather at the head (Algorithm 2's
+// accounting over all participating nodes). A degenerate cluster's
+// span d <= 0 is priced at 0.1 m. D is the long-haul link length.
+func (m *Model) HopEnergy(p float64, b, mt, mr int, d, D float64) (units.JoulePerBit, error) {
+	tx, err := m.MIMOTx(p, b, mt, mr, D)
+	if err != nil {
+		return 0, err
+	}
+	rx, err := m.MIMORx(b)
+	if err != nil {
+		return 0, err
+	}
+	total := units.JoulePerBit(float64(mt))*tx.Total() +
+		units.JoulePerBit(float64(mr))*rx.Total()
+	if mt > 1 || mr > 1 {
+		if d <= 0 {
+			d = 0.1
+		}
+		lt, err := m.LocalTx(p, b, d)
+		if err != nil {
+			return 0, err
+		}
+		locals := 0
+		if mt > 1 {
+			locals++
+		}
+		if mr > 1 {
+			locals += mr - 1
+		}
+		total += units.JoulePerBit(float64(locals)) * lt.Total()
+	}
+	return total, nil
+}
+
 // MIMOTxDistance inverts eq. (3): the longest link length D at which a
 // per-node energy budget of e suffices for target BER p with
 // constellation b on an mt-by-mr link. It returns 0 when the budget does

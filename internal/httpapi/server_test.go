@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/tenant"
 )
 
 // newTestServer spins up the full HTTP stack over a real service.
@@ -265,6 +267,29 @@ func TestBadBudgetParamsRejected(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Submitted != 0 {
 		t.Errorf("rejected requests counted as submitted: %+v", st)
+	}
+}
+
+// TestBodyCannotSetConcurrency: a body that carries "workers" is still
+// accepted, but the value never reaches the runner, so no client sets
+// how many goroutines the daemon starts. The stub runner only records
+// what it was given; no kernel runs.
+func TestBodyCannotSetConcurrency(t *testing.T) {
+	var got service.Request
+	runner := func(ctx context.Context, req service.Request) (string, error) {
+		got = req
+		return "r", nil
+	}
+	ts, _ := newTestServer(t, service.Config{Workers: 1, Runner: runner})
+	resp, body := postJSON(t, ts.URL+"/v1/experiments",
+		`{"id":"ext-coopber","seed":1,"quick":true,"params":{"snr":"10"},"workers":1073741824,"wait":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body = %v", resp.StatusCode, body)
+	}
+	want := service.Request{ID: "ext-coopber", Seed: 1, Quick: true,
+		Params: map[string]string{"snr": "10"}, Tenant: tenant.DefaultID}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("runner got %+v, want %+v", got, want)
 	}
 }
 

@@ -180,10 +180,10 @@ func (net *CoMIMONet) EdgeBetween(a, b ClusterID) (MIMOEdge, bool) {
 	return MIMOEdge{}, false
 }
 
-// HopCoster evaluates the cooperative-hop energy of Section 2.2; the
-// underlay package provides the concrete implementation over the energy
-// model. It is an interface here so routing can be tested without the
-// numeric stack.
+// HopCoster evaluates the cooperative-hop energy of Section 2.2;
+// cmd/netsim and the root package implement it with
+// energy.Model.HopEnergy. It is an interface here so routing can be
+// tested without the numeric stack.
 type HopCoster interface {
 	// HopEnergy returns the total per-bit energy for one cooperative hop
 	// with mt transmit and mr receive nodes over link length D and

@@ -40,9 +40,9 @@ const keyVersion = 4
 // or parameter ordering — or in how their JSON was laid out — collapse
 // onto the same Key. Parameter values are canonicalized first: numeric
 // spellings of the same value ("10", "10.0", "1e1", " 10 ") address
-// the same result. Workers and Tenant are excluded: both change who
-// runs the computation or how fast, never what it computes. A version
-// line (keyVersion) leads the hash.
+// the same result. Tenant is excluded: it changes who pays for the
+// computation, never what it computes. A version line (keyVersion)
+// leads the hash.
 func CanonicalKey(req Request) Key {
 	h := sha256.New()
 	fmt.Fprintf(h, "version=%d\n", keyVersion)

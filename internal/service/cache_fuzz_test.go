@@ -116,12 +116,6 @@ func TestCanonicalKeyParamOrderIrrelevant(t *testing.T) {
 	if CanonicalKey(a) != CanonicalKey(b) {
 		t.Fatal("param construction order changed the key")
 	}
-	// Workers is excluded by design: identical computation, same key.
-	c := a
-	c.Workers = 8
-	if CanonicalKey(c) != CanonicalKey(a) {
-		t.Fatal("Workers leaked into the cache key")
-	}
 }
 
 // TestCanonicalParamValueSpellings pins the numeric normalization:

@@ -15,13 +15,22 @@ import (
 // ("target_ci", "max_trials", "min_trials") are decoded into
 // experiments.Options.Budget; everything else in Params rides along in
 // the cache key only — drivers configure their own solvers today.
+// Sweep rows run at GOMAXPROCS: nothing a client sends sets the
+// daemon's concurrency.
 func ExperimentRunner(ctx context.Context, req Request) (string, error) {
+	return RunExperiment(ctx, req, 0)
+}
+
+// RunExperiment is ExperimentRunner with sweep-row and Monte-Carlo
+// concurrency capped at workers (0 means GOMAXPROCS). Reports are
+// bit-identical for every worker count.
+func RunExperiment(ctx context.Context, req Request, workers int) (string, error) {
 	budget, err := BudgetFromParams(req.Params)
 	if err != nil {
 		return "", err
 	}
 	rep, err := experiments.RunCtx(ctx, req.ID,
-		experiments.Options{Seed: req.Seed, Quick: req.Quick, Workers: req.Workers, Budget: budget})
+		experiments.Options{Seed: req.Seed, Quick: req.Quick, Workers: workers, Budget: budget})
 	if err != nil {
 		return "", err
 	}

@@ -27,15 +27,10 @@ type Request struct {
 	Seed   int64             `json:"seed"`
 	Quick  bool              `json:"quick,omitempty"`
 	Params map[string]string `json:"params,omitempty"`
-	// Workers caps sweep-row concurrency inside the driver; 0 means
-	// GOMAXPROCS. It is deliberately excluded from the cache key:
-	// reports are bit-identical for every worker budget, so runs that
-	// differ only in Workers are the same computation.
-	Workers int `json:"workers,omitempty"`
 	// Tenant names the submitting tenant for scheduling, quotas, logs
-	// and metrics; empty means the anonymous default tenant. Like
-	// Workers it is excluded from the cache key: the same computation
-	// answers every tenant, whoever paid for it first.
+	// and metrics; empty means the anonymous default tenant. It is
+	// excluded from the cache key: the same computation answers every
+	// tenant, whoever paid for it first.
 	Tenant string `json:"tenant,omitempty"`
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/fec"
 	"repro/internal/mathx"
 	"repro/internal/modulation"
 )
@@ -35,10 +34,6 @@ type UnderlayExperiment struct {
 	// over a stable 12-foot line-of-sight the carriers add near-
 	// coherently, so small jitter means close to +6 dB of array gain.
 	PhaseJitter float64
-	// UseFEC wraps every frame in Hamming(7,4) — the channel-coding
-	// block Section 2.3 omits and names as the natural extension. Coded
-	// frames are 7/4 longer on air but survive scattered bit errors.
-	UseFEC bool
 	// Seed drives fading and bit noise.
 	Seed int64
 }
@@ -102,7 +97,7 @@ func (x UnderlayExperiment) Run(amplitude float64) (PERResult, error) {
 		// Non-cooperative: single branch.
 		g1 := real(h1)*real(h1) + imag(h1)*imag(h1)
 		pDirect := modulation.GMSKBERAWGN(g1 * gamma0)
-		if x.frameLost(rng, wire, pDirect, &ws) {
+		if corruptFrame(rng, wire, pDirect, &ws) {
 			directErrs++
 		}
 
@@ -113,7 +108,7 @@ func (x UnderlayExperiment) Run(amplitude float64) (PERResult, error) {
 		sum := h1 + h2*complex(math.Cos(phi), math.Sin(phi))
 		gc := real(sum)*real(sum) + imag(sum)*imag(sum)
 		pCoop := modulation.GMSKBERAWGN(gc * gamma0)
-		if x.frameLost(rng, wire, pCoop, &ws) {
+		if corruptFrame(rng, wire, pCoop, &ws) {
 			coopErrs++
 		}
 	}
@@ -139,35 +134,6 @@ func (x UnderlayExperiment) RunTable(amplitudes []float64) ([]PERResult, error) 
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// frameLost passes one frame through the bit-flip channel, optionally
-// under Hamming(7,4), and reports whether the CRC rejects it. wire is
-// read-only; the corruption happens in ws's bit buffer.
-func (x UnderlayExperiment) frameLost(rng *rand.Rand, wire []byte, p float64, ws *frameScratch) bool {
-	if !x.UseFEC {
-		return corruptFrame(rng, wire, p, ws)
-	}
-	h := fec.Hamming74{}
-	ws.bits = BitsInto(ws.bits, wire)
-	coded, err := h.Encode(ws.bits)
-	if err != nil {
-		return true
-	}
-	for i := range coded {
-		if rng.Float64() < p {
-			coded[i] ^= 1
-		}
-	}
-	bits, _, err := h.Decode(coded)
-	if err != nil {
-		return true
-	}
-	ws.data, err = BytesInto(ws.data, bits)
-	if err != nil {
-		return true
-	}
-	return !FrameIntact(ws.data)
 }
 
 // corruptFrame flips each wire bit independently with probability p and

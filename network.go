@@ -104,43 +104,19 @@ func (n *Network) Route(src, dst int) []int {
 	return out
 }
 
-// hopCoster adapts the underlay energy accounting to network routing.
+// hopCoster prices each hop with energy.Model.HopEnergy at the
+// constellation that minimises the long-haul transmit cost.
 type hopCoster struct {
 	model *energy.Model
 	ber   float64
 }
 
 func (h hopCoster) HopEnergy(mt, mr int, d, D float64) (units.JoulePerBit, error) {
-	// Degenerate clusters have zero diameter; local steps need a
-	// positive span only when they exist.
-	if d <= 0 {
-		d = 0.1
-	}
 	best, err := h.model.OptimalMIMOB(h.ber, mt, mr, D, nil)
 	if err != nil {
 		return 0, err
 	}
-	total := units.JoulePerBit(float64(mt)) * best.Cost.Total()
-	if mt > 1 {
-		lt, err := h.model.LocalTx(h.ber, best.B, d)
-		if err != nil {
-			return 0, err
-		}
-		total += lt.Total()
-	}
-	if mr > 1 {
-		lt, err := h.model.LocalTx(h.ber, best.B, d)
-		if err != nil {
-			return 0, err
-		}
-		total += units.JoulePerBit(float64(mr-1)) * lt.Total()
-	}
-	rx, err := h.model.MIMORx(best.B)
-	if err != nil {
-		return 0, err
-	}
-	total += units.JoulePerBit(float64(mr)) * rx.Total()
-	return total, nil
+	return h.model.HopEnergy(h.ber, best.B, mt, mr, d, D)
 }
 
 // RouteTransport pushes bits through the route at symbol level: every
