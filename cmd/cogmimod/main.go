@@ -11,9 +11,10 @@
 //	cogmimod -addr :8345 -peers localhost:8346,localhost:8347
 //
 // With -peers the node becomes a cluster coordinator: kernel-based
-// Monte-Carlo experiments shard their chunk ranges across the listed
-// worker nodes (each just a plain cogmimod) and merge to results
-// bit-identical to a local run; see internal/cluster.
+// Monte-Carlo experiments split each chunk range into one shard per
+// ready worker node (each just a plain cogmimod), retry a failed shard
+// on another node, run it locally when no node is ready, and merge to
+// results bit-identical to a local run; see internal/cluster.
 //
 // With -data-dir the result cache is backed by a durable
 // content-addressed store (internal/store): computed reports survive
@@ -62,10 +63,11 @@
 // coordinator mode — per-worker shard spans merge into one timeline
 // served by GET /v1/traces/{id}. Jobs slower than -trace-slow get
 // their trace pinned against eviction and a warning naming the id.
-// A full queue answers 429 with a Retry-After
-// hint. SIGINT/SIGTERM drain the server gracefully: in-flight handlers
-// get a shutdown grace period and running jobs are cancelled between
-// sweep points.
+// A full -queue answers 429 with a Retry-After hint priced from the
+// shared backlog; one tenant may fill the queue, and the fair rotation
+// keeps the others from starving. SIGINT/SIGTERM drain the server
+// gracefully: in-flight handlers get a shutdown grace period and
+// running jobs are cancelled between sweep points.
 package main
 
 import (
@@ -108,9 +110,8 @@ func main() {
 		dataDir  = flag.String("data-dir", "", "durable result store directory; empty keeps everything in memory")
 		storeMax = flag.Int64("store-max-bytes", 256<<20, "size bound the store GC enforces over unprotected entries (0 = unbounded)")
 
-		quotaRate   = flag.Float64("quota-rate", 0, "per-tenant admission rate in jobs/second (0 = no admission control)")
-		quotaBurst  = flag.Int("quota-burst", 0, "per-tenant burst budget (0 = derive from -quota-rate)")
-		tenantQueue = flag.Int("tenant-queue", 0, "per-tenant queue bound before 429s (0 = the global -queue bound)")
+		quotaRate  = flag.Float64("quota-rate", 0, "per-tenant admission rate in jobs/second (0 = no admission control)")
+		quotaBurst = flag.Int("quota-burst", 0, "per-tenant burst budget (0 = derive from -quota-rate)")
 
 		traceBuf  = flag.Int("trace-buffer", 256, "traces kept in the in-process recorder ring (0 disables tracing)")
 		traceSlow = flag.Duration("trace-slow", 10*time.Second, "pin the trace of any job slower than this (0 = off; needs -trace-buffer > 0)")
@@ -119,8 +120,6 @@ func main() {
 		maxTrials = flag.Int("max-trials", 0, "default adaptive per-cell trial cap, at most 16777216 (required with -target-ci)")
 
 		peers      = flag.String("peers", "", "comma-separated worker node addresses; enables coordinator mode")
-		shards     = flag.Int("shards", 0, "shards per Monte-Carlo run in coordinator mode (0 = one per ready peer)")
-		hedgeAfter = flag.Duration("hedge-after", 0, "re-dispatch straggler shards after this long (0 = off)")
 		probeEvery = flag.Duration("probe-interval", 5*time.Second, "peer health probe interval in coordinator mode")
 	)
 	flag.Parse()
@@ -162,16 +161,11 @@ func main() {
 		tr := &cluster.HTTPTransport{}
 		reg := cluster.NewRegistry(tr, addrs...)
 		go reg.Run(ctx, *probeEvery)
-		co := cluster.NewCoordinator(tr, reg, cluster.Config{
-			Shards:        *shards,
-			HedgeAfter:    *hedgeAfter,
-			LocalFallback: true,
-			LocalWorkers:  *workers,
-		})
+		co := cluster.NewCoordinator(tr, reg, cluster.Config{LocalFallback: true, LocalWorkers: *workers})
 		runner = func(jctx context.Context, req service.Request) (string, error) {
 			return service.ExperimentRunner(sim.WithExecutor(jctx, co), req)
 		}
-		logger.Info("coordinator mode", "peers", addrs, "shards", *shards, "hedge_after", *hedgeAfter)
+		logger.Info("coordinator mode", "peers", addrs)
 	}
 	// -target-ci/-max-trials set a node-wide default adaptive budget:
 	// the service merges it into every request that carries no
@@ -192,18 +186,17 @@ func main() {
 	}
 
 	svc, err := service.New(service.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheEntries:     *cacheN,
-		Runner:           runner,
-		KnownIDs:         service.KnownExperimentIDs(),
-		Logger:           logger,
-		Store:            st,
-		TenantQueueDepth: *tenantQueue,
-		Quota:            tenant.Quota{Rate: *quotaRate, Burst: *quotaBurst},
-		Recorder:         recorder,
-		SlowTrace:        *traceSlow,
-		DefaultBudget:    defBudget,
+		Workers:       *workers,
+		QueueDepth:    *queue,
+		CacheEntries:  *cacheN,
+		Runner:        runner,
+		KnownIDs:      service.KnownExperimentIDs(),
+		Logger:        logger,
+		Store:         st,
+		Quota:         tenant.Quota{Rate: *quotaRate, Burst: *quotaBurst},
+		Recorder:      recorder,
+		SlowTrace:     *traceSlow,
+		DefaultBudget: defBudget,
 	})
 	if err != nil {
 		fatal(err)

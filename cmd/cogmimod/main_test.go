@@ -1,12 +1,15 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -45,34 +48,10 @@ func TestDaemonServesMetricsAndDrainsOnSIGTERM(t *testing.T) {
 		t.Skip("spawns a daemon process")
 	}
 	const grace, drain = 5 * time.Second, 200 * time.Millisecond
-
-	// Reserve a loopback port, then hand it to the daemon.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	cmd := exec.Command(os.Args[0],
-		"-addr", addr, "-workers", "1", "-log-level", "warn",
+	d := startDaemon(t, "-workers", "1", "-log-level", "warn",
 		"-data-dir", t.TempDir(),
 		"-grace", grace.String(), "-drain", drain.String())
-	cmd.Env = append(os.Environ(), daemonEnv+"=1")
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("starting daemon: %v", err)
-	}
-	var waitErr error
-	exited := make(chan struct{})
-	go func() { waitErr = cmd.Wait(); close(exited) }()
-	t.Cleanup(func() {
-		_ = cmd.Process.Kill()
-		<-exited
-	})
-
-	base := "http://" + addr
-	waitHealthy(t, base, exited)
+	base := d.base
 
 	// One quick synchronous job so jobs_total and the duration
 	// histogram reflect real traffic, not just zero-initialised series.
@@ -109,17 +88,106 @@ func TestDaemonServesMetricsAndDrainsOnSIGTERM(t *testing.T) {
 		t.Logf("scrape:\n%s", scrape)
 	}
 
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("sending SIGTERM: %v", err)
 	}
 	select {
-	case <-exited:
-		if waitErr != nil {
-			t.Fatalf("daemon did not exit cleanly on SIGTERM: %v", waitErr)
+	case <-d.exited:
+		if d.waitErr != nil {
+			t.Fatalf("daemon did not exit cleanly on SIGTERM: %v", d.waitErr)
 		}
 	case <-time.After(grace + drain):
 		t.Fatalf("daemon still running %v after SIGTERM", grace+drain)
 	}
+}
+
+// TestCoordinatorMatchesSerialGolden runs main's coordinator branch: a
+// daemon started with -peers shards ext-coopber to a worker daemon and
+// answers the serial golden report byte for byte.
+func TestCoordinatorMatchesSerialGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns two daemon processes")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", "golden", "ext-coopber_quick_seed1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := startDaemon(t, "-workers", "1", "-log-level", "warn")
+	coord := startDaemon(t, "-workers", "1", "-log-level", "warn", "-peers", worker.addr)
+
+	resp, err := http.Post(coord.base+"/v1/experiments", "application/json",
+		strings.NewReader(`{"id":"ext-coopber","seed":1,"quick":true,"wait":true}`))
+	if err != nil {
+		t.Fatalf("submitting job: %v", err)
+	}
+	var jr struct {
+		Report string `json:"report"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&jr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("job: status %d, decode error %v", resp.StatusCode, err)
+	}
+	if jr.Report != string(want) {
+		t.Fatalf("coordinator report differs from serial golden\n--- got ---\n%s--- want ---\n%s", jr.Report, want)
+	}
+
+	// A coordinator whose shards all fell back to local runs would
+	// answer the same report; the worker must have served shards.
+	resp, err = http.Get(worker.base + "/metrics/prom")
+	if err != nil {
+		t.Fatalf("scraping worker /metrics/prom: %v", err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	const served = `cogmimod_worker_shards_total{status="ok"} `
+	var n int
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, ok := strings.CutPrefix(line, served); ok {
+			n, _ = strconv.Atoi(v)
+		}
+	}
+	if n == 0 {
+		t.Fatalf("worker served no shards; scrape:\n%s", raw)
+	}
+}
+
+// daemon is the test binary re-executed as cogmimod.
+type daemon struct {
+	cmd     *exec.Cmd
+	addr    string // host:port it listens on
+	base    string // http://addr
+	exited  chan struct{}
+	waitErr error // cmd.Wait's result, valid once exited is closed
+}
+
+// startDaemon runs main() in a child process on a free loopback port
+// with the given flags, waits until /healthz answers 200 and kills the
+// process when the test ends.
+func startDaemon(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	// Reserve a loopback port, then hand it to the daemon.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	d := &daemon{addr: addr, base: "http://" + addr, exited: make(chan struct{})}
+	d.cmd = exec.Command(os.Args[0], append([]string{"-addr", addr}, args...)...)
+	d.cmd.Env = append(os.Environ(), daemonEnv+"=1")
+	d.cmd.Stderr = os.Stderr
+	if err := d.cmd.Start(); err != nil {
+		t.Fatalf("starting daemon: %v", err)
+	}
+	go func() { d.waitErr = d.cmd.Wait(); close(d.exited) }()
+	t.Cleanup(func() {
+		_ = d.cmd.Process.Kill()
+		<-d.exited
+	})
+	waitHealthy(t, d.base, d.exited)
+	return d
 }
 
 // waitHealthy polls /healthz until the daemon answers 200, failing the

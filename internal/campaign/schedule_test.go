@@ -39,7 +39,7 @@ func TestRunSchedulesAgreeAcrossExecutors(t *testing.T) {
 		{"local", func(*testing.T) sim.Executor { return nil }},
 		{"cluster", func(*testing.T) sim.Executor {
 			lb := cluster.NewLoopback("a", "b", "c")
-			return cluster.NewCoordinator(lb, cluster.NewRegistry(lb, "a", "b", "c"), cluster.Config{Shards: 3})
+			return cluster.NewCoordinator(lb, cluster.NewRegistry(lb, "a", "b", "c"), cluster.Config{})
 		}},
 		{"checkpoint", func(t *testing.T) sim.Executor {
 			ex, _ := newTestExecutor(t, 2)

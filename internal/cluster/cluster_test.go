@@ -174,7 +174,7 @@ func TestCoordinatorMatchesLocal(t *testing.T) {
 
 	lb := NewLoopback("a", "b", "c")
 	reg := NewRegistry(lb, "a", "b", "c")
-	co := NewCoordinator(lb, reg, Config{Shards: 3})
+	co := NewCoordinator(lb, reg, Config{})
 
 	parts, err := co.RunChunkRange(context.Background(), run, 0, run.Plan().Chunks())
 	if err != nil {
@@ -187,14 +187,12 @@ func TestCoordinatorMatchesLocal(t *testing.T) {
 	if got != want {
 		t.Fatalf("distributed stats differ from local:\n got %+v\nwant %+v", got, want)
 	}
-	used := 0
+	// One shard per ready worker, dealt round-robin: each worker
+	// computes exactly one.
 	for _, a := range []string{"a", "b", "c"} {
-		if lb.Node(a).Shards() > 0 {
-			used++
+		if n := lb.Node(a).Shards(); n != 1 {
+			t.Errorf("worker %s computed %d shards, want 1", a, n)
 		}
-	}
-	if used < 2 {
-		t.Fatalf("only %d workers computed shards; want the fan-out to spread", used)
 	}
 }
 
@@ -207,7 +205,7 @@ func TestCoordinatorViaExecutorContext(t *testing.T) {
 
 	lb := NewLoopback("a", "b", "c")
 	reg := NewRegistry(lb, "a", "b", "c")
-	co := NewCoordinator(lb, reg, Config{Shards: 3})
+	co := NewCoordinator(lb, reg, Config{})
 
 	ctx := sim.WithExecutor(context.Background(), co)
 	mc := sim.MonteCarlo{Seed: run.Seed}
@@ -229,7 +227,7 @@ func TestRetryReassignsFromFailedWorker(t *testing.T) {
 	lb := NewLoopback("a", "b", "c")
 	lb.Node("a").FailNext(10) // every attempt at a fails
 	reg := NewRegistry(lb, "a", "b", "c")
-	co := NewCoordinator(lb, reg, Config{Shards: 3, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond})
+	co := NewCoordinator(lb, reg, Config{})
 
 	before := metShards.With("reassigned").Value()
 	got, err := distResult(context.Background(), co, run)
@@ -259,7 +257,7 @@ func TestWorkerKilledMidRun(t *testing.T) {
 	lb := NewLoopback("a", "b", "c")
 	lb.Node("a").SetDelay(20 * time.Millisecond) // ensure kill lands mid-shard
 	reg := NewRegistry(lb, "a", "b", "c")
-	co := NewCoordinator(lb, reg, Config{Shards: 5, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond})
+	co := NewCoordinator(lb, reg, Config{})
 
 	go func() {
 		time.Sleep(5 * time.Millisecond)
@@ -274,34 +272,6 @@ func TestWorkerKilledMidRun(t *testing.T) {
 	}
 }
 
-// TestHedgingBeatsStraggler makes one worker pathologically slow and
-// expects a hedge to win without perturbing the statistics.
-func TestHedgingBeatsStraggler(t *testing.T) {
-	run := testRun()
-	want := localResult(t, run)
-
-	lb := NewLoopback("slow", "b", "c")
-	lb.Node("slow").SetDelay(10 * time.Second)
-	reg := NewRegistry(lb, "slow", "b", "c")
-	co := NewCoordinator(lb, reg, Config{Shards: 3, HedgeAfter: 10 * time.Millisecond})
-
-	before := metShards.With("hedged").Value()
-	start := time.Now()
-	got, err := distResult(context.Background(), co, run)
-	if err != nil {
-		t.Fatalf("run with straggler: %v", err)
-	}
-	if took := time.Since(start); took > 5*time.Second {
-		t.Fatalf("run took %v; hedge should have beaten the 10s straggler", took)
-	}
-	if got != want {
-		t.Fatalf("stats after hedging differ from local:\n got %+v\nwant %+v", got, want)
-	}
-	if after := metShards.With("hedged").Value(); after <= before {
-		t.Fatalf("hedged counter did not move (%d -> %d)", before, after)
-	}
-}
-
 // TestLocalFallback runs with every worker dead and LocalFallback on;
 // the fallback shards count their trials once.
 func TestLocalFallback(t *testing.T) {
@@ -312,7 +282,7 @@ func TestLocalFallback(t *testing.T) {
 	lb.Node("a").Kill()
 	reg := NewRegistry(lb, "a")
 	reg.MarkFailed("a")
-	co := NewCoordinator(lb, reg, Config{Shards: 2, LocalFallback: true, LocalWorkers: 2})
+	co := NewCoordinator(lb, reg, Config{LocalFallback: true, LocalWorkers: 2})
 
 	tracker := obs.NewTracker()
 	got, err := distResult(obs.WithProgress(context.Background(), tracker), co, run)
@@ -334,13 +304,13 @@ func TestAllWorkersDeadFailsCleanly(t *testing.T) {
 	lb := NewLoopback("a")
 	lb.Node("a").Kill()
 	reg := NewRegistry(lb, "a")
-	co := NewCoordinator(lb, reg, Config{Shards: 2, MaxAttempts: 2, RetryBase: time.Millisecond, RetryMax: time.Millisecond})
+	co := NewCoordinator(lb, reg, Config{})
 
 	_, err := distResult(context.Background(), co, run)
 	if err == nil {
 		t.Fatal("run succeeded with every worker dead")
 	}
-	if !strings.Contains(err.Error(), "failed after 2 attempts") {
+	if !strings.Contains(err.Error(), "failed after 4 attempts") {
 		t.Fatalf("error %q does not name the attempt budget", err)
 	}
 }
@@ -350,7 +320,7 @@ func TestCoordinatorHonoursCancellation(t *testing.T) {
 	lb := NewLoopback("a")
 	lb.Node("a").SetDelay(10 * time.Second)
 	reg := NewRegistry(lb, "a")
-	co := NewCoordinator(lb, reg, Config{Shards: 1})
+	co := NewCoordinator(lb, reg, Config{})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(10*time.Millisecond, cancel)
@@ -424,7 +394,7 @@ func TestAdaptiveRunAcrossCluster(t *testing.T) {
 
 	lb := NewLoopback("w1", "w2", "w3")
 	reg := NewRegistry(lb, "w1", "w2", "w3")
-	co := NewCoordinator(lb, reg, Config{Shards: 3, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond})
+	co := NewCoordinator(lb, reg, Config{})
 	ctx := sim.WithExecutor(context.Background(), co)
 
 	// Kill one worker before the run: its shards must be reassigned and
@@ -462,7 +432,7 @@ func TestCoordinatorRunChunkRange(t *testing.T) {
 	run := testRun()
 	lb := NewLoopback("a", "b")
 	reg := NewRegistry(lb, "a", "b")
-	co := NewCoordinator(lb, reg, Config{Shards: 2})
+	co := NewCoordinator(lb, reg, Config{})
 
 	mc := sim.MonteCarlo{Seed: run.Seed}
 	want, err := mc.RunKernelChunksCtx(context.Background(), run.Kernel, run.Params, run.Trials, 1, 4)

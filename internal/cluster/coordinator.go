@@ -13,26 +13,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Config tunes the coordinator's scheduling. Zero values pick sane
-// defaults; none of the knobs can affect the statistics — scheduling
-// decides where and when a chunk is computed, never what it computes.
+// Config tunes the coordinator's local fallback. Scheduling decides
+// where and when a chunk is computed, never what it computes, so no
+// field can affect the statistics.
 type Config struct {
-	// Shards is how many shards to split a run into; 0 means one per
-	// ready worker. More shards than workers is fine (they queue) and
-	// gives finer-grained reassignment when a worker dies.
-	Shards int
-	// MaxAttempts bounds dispatch attempts per shard, hedges included.
-	// Default 4.
-	MaxAttempts int
-	// RetryBase is the first backoff delay; doubles per failed attempt
-	// up to RetryMax, with ±50% jitter so a wounded cluster is not hit
-	// by synchronized retries. Defaults 50ms / 2s.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// HedgeAfter launches a duplicate attempt on a second worker when
-	// the primary has not answered within this duration; first result
-	// wins and the loser is cancelled. 0 disables hedging.
-	HedgeAfter time.Duration
 	// LocalFallback lets a shard run in-process when no worker can take
 	// it, so a coordinator with a dead peer set degrades to a slow
 	// local run instead of failing.
@@ -41,18 +25,15 @@ type Config struct {
 	LocalWorkers int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 2 * time.Second
-	}
-	return c
-}
+// Dispatch attempts per shard, and the backoff before each retry: it
+// starts at retryBase, doubles per failed attempt up to retryMax and
+// carries ±50% jitter so a wounded cluster is not hit by synchronized
+// retries.
+const (
+	maxAttempts = 4
+	retryBase   = 50 * time.Millisecond
+	retryMax    = 2 * time.Second
+)
 
 // Coordinator shards kernel runs across a worker pool. It implements
 // sim.Executor: attach it with sim.WithExecutor and every kernel run
@@ -70,7 +51,7 @@ type Coordinator struct {
 
 // NewCoordinator schedules over the registry's ready workers via tr.
 func NewCoordinator(tr Transport, reg *Registry, cfg Config) *Coordinator {
-	return &Coordinator{tr: tr, reg: reg, cfg: cfg.withDefaults(), jrng: rand.New(rand.NewSource(time.Now().UnixNano()))}
+	return &Coordinator{tr: tr, reg: reg, cfg: cfg, jrng: rand.New(rand.NewSource(time.Now().UnixNano()))}
 }
 
 // shard is one contiguous chunk range of the run.
@@ -114,9 +95,9 @@ func (c *Coordinator) pick(exclude map[string]bool) (string, bool) {
 
 // backoff returns the jittered delay before attempt n (1-based).
 func (c *Coordinator) backoff(attempt int) time.Duration {
-	d := c.cfg.RetryBase << (attempt - 1)
-	if d > c.cfg.RetryMax || d <= 0 {
-		d = c.cfg.RetryMax
+	d := retryBase << (attempt - 1)
+	if d > retryMax || d <= 0 {
+		d = retryMax
 	}
 	c.mu.Lock()
 	f := 0.5 + c.jrng.Float64() // ±50% jitter
@@ -125,11 +106,12 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 }
 
 // RunChunkRange implements sim.Executor: it splits chunks [lo, hi) of
-// the run's plan into shards, dispatches them concurrently across the
-// worker pool and returns their partials indexed from lo. A fixed run
-// issues one range covering the whole plan, an adaptive run one range
-// per stopping round; the coordinator folds nothing, so the result is
-// bit-identical to a local run. It reports completed trials but never
+// the run's plan into one shard per ready worker (at least one),
+// dispatches them concurrently across the worker pool and returns
+// their partials indexed from lo. A fixed run issues one range
+// covering the whole plan, an adaptive run one range per stopping
+// round; the coordinator folds nothing, so the result is bit-identical
+// to a local run. It reports completed trials but never
 // grows the progress total — the run schedule in sim accounts the
 // budget. Any shard exhausting its attempts fails the whole range with
 // the lowest such shard's error: a partial distributed result would
@@ -141,14 +123,7 @@ func (c *Coordinator) RunChunkRange(ctx context.Context, run sim.KernelRun, lo, 
 	if lo < 0 || hi > chunks || lo >= hi {
 		return nil, fmt.Errorf("cluster: chunk range [%d, %d) outside plan of %d chunks", lo, hi, chunks)
 	}
-	want := c.cfg.Shards
-	if want <= 0 {
-		want = len(c.reg.Ready())
-		if want == 0 {
-			want = 1
-		}
-	}
-	shards := shardRanges(hi-lo, want)
+	shards := shardRanges(hi-lo, len(c.reg.Ready()))
 
 	progress := obs.ProgressFrom(ctx)
 	log := obs.Logger(ctx)
@@ -175,8 +150,8 @@ func (c *Coordinator) RunChunkRange(ctx context.Context, run sim.KernelRun, lo, 
 	return parts, nil
 }
 
-// runShard drives one shard to completion: pick a worker, execute with
-// an optional hedge, and on failure back off and try the next worker.
+// runShard drives one shard to completion: pick a worker, execute, and
+// on failure back off and try the next worker.
 func (c *Coordinator) runShard(ctx context.Context, run sim.KernelRun, sh shard) ([]mathx.Running, error) {
 	ctx, span := obs.StartSpan(ctx, "cluster.shard")
 	defer span.End()
@@ -203,7 +178,7 @@ func (c *Coordinator) runShard(ctx context.Context, run sim.KernelRun, sh shard)
 	var lastAddr string
 	var lastDead bool
 	var lastErr error
-	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -234,8 +209,10 @@ func (c *Coordinator) runShard(ctx context.Context, run sim.KernelRun, sh shard)
 				span.Event("reassigned", obs.Attr{Key: "from", Value: lastAddr}, obs.Attr{Key: "to", Value: addr})
 				log.Info("shard reassigned off dead worker", "from", lastAddr, "to", addr, "chunk_lo", sh.lo)
 			}
-			res, err := c.execHedged(ctx, span, addr, req)
+			start := time.Now()
+			res, err := c.tr.ExecShard(ctx, addr, req)
 			if err == nil {
+				metShardDuration.Observe(time.Since(start).Seconds())
 				metShards.With("ok").Inc()
 				span.SetAttr("worker", res.WorkerID)
 				if rec := obs.RecorderFrom(ctx); rec != nil {
@@ -252,7 +229,7 @@ func (c *Coordinator) runShard(ctx context.Context, run sim.KernelRun, sh shard)
 			lastAddr, lastDead, lastErr = addr, true, err
 			log.Warn("shard attempt failed", "worker", addr, "attempt", attempt, "err", err)
 		}
-		if attempt == c.cfg.MaxAttempts {
+		if attempt == maxAttempts {
 			break
 		}
 		metShards.With("retried").Inc()
@@ -265,72 +242,5 @@ func (c *Coordinator) runShard(ctx context.Context, run sim.KernelRun, sh shard)
 		case <-t.C:
 		}
 	}
-	return nil, fmt.Errorf("cluster: shard [%d, %d) failed after %d attempts: %w", sh.lo, sh.hi, c.cfg.MaxAttempts, lastErr)
-}
-
-// execHedged runs one dispatch attempt, optionally racing a hedge
-// launched HedgeAfter into the primary's silence. The first success
-// cancels the other call; both failing returns the last error. Chunk
-// determinism makes hedging safe: both calls compute identical
-// partials, so whichever wins, the merged result is the same.
-func (c *Coordinator) execHedged(ctx context.Context, span *obs.Span, primary string, req ShardRequest) (ShardResult, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type outcome struct {
-		res  ShardResult
-		addr string
-		err  error
-	}
-	ch := make(chan outcome, 2)
-	start := time.Now()
-	exec := func(addr string) {
-		res, err := c.tr.ExecShard(hctx, addr, req)
-		ch <- outcome{res: res, addr: addr, err: err}
-	}
-	go exec(primary)
-	inflight := 1
-
-	var hedgeC <-chan time.Time
-	if c.cfg.HedgeAfter > 0 {
-		t := time.NewTimer(c.cfg.HedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	var lastErr error
-	for {
-		select {
-		case <-ctx.Done():
-			return ShardResult{}, ctx.Err()
-		case <-hedgeC:
-			hedgeC = nil
-			if addr, ok := c.pick(map[string]bool{primary: true}); ok {
-				metShards.With("hedged").Inc()
-				span.Event("hedge_fired", obs.Attr{Key: "primary", Value: primary}, obs.Attr{Key: "hedge", Value: addr})
-				obs.Logger(ctx).Info("hedging straggler shard", "primary", primary, "hedge", addr, "chunk_lo", req.ChunkLo)
-				go exec(addr)
-				inflight++
-			}
-		case o := <-ch:
-			if o.err == nil {
-				metShardDuration.Observe(time.Since(start).Seconds())
-				if inflight > 1 || o.addr != primary {
-					span.Event("hedge_won", obs.Attr{Key: "winner", Value: o.addr})
-				}
-				cancel() // first result wins; the loser sees ctx.Canceled
-				return o.res, nil
-			}
-			lastErr = o.err
-			if o.addr != primary {
-				// A failed hedge must not poison the primary's verdict,
-				// but a dead hedge target should stop being picked.
-				c.reg.MarkFailed(o.addr)
-			}
-			inflight--
-			if inflight == 0 {
-				return ShardResult{}, lastErr
-			}
-		}
-	}
+	return nil, fmt.Errorf("cluster: shard [%d, %d) failed after %d attempts: %w", sh.lo, sh.hi, maxAttempts, lastErr)
 }

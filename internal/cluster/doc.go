@@ -17,8 +17,7 @@
 // it applies to the local pool's partials. Fixed runs (one range
 // covering the plan), adaptive rounds and trace replays therefore all
 // ride the same shard machinery. Scheduling (which worker, how many
-// retries, whether a hedge won) decides where chunks are computed,
-// never what they compute.
+// retries) decides where chunks are computed, never what they compute.
 //
 // # Lifecycle
 //
@@ -28,12 +27,9 @@
 //	 With-     │  Registry ──┼──── GET /healthz ──► │              │
 //	 Executor) └─────────────┘                      └──────────────┘
 //
-//	shard lifecycle (per contiguous chunk range):
+//	shard lifecycle (one contiguous chunk range per ready worker):
 //
 //	  dispatch ──► running ──► ok ──► partials placed at chunk index
-//	     │            │
-//	     │            ├─ straggler (> HedgeAfter) ──► hedge on 2nd
-//	     │            │     worker, first result wins, loser cancelled
 //	     │            │
 //	     │            └─ error ──► worker marked Dead, shard retried
 //	     │                         with backoff+jitter on another
@@ -47,15 +43,16 @@
 //	  Ready ──(probe refused: node shutting down)───► Draining
 //	  Dead/Draining ──(probe succeeds)──────────────► Ready
 //
-// A run fails only when some shard exhausts MaxAttempts; there are no
-// partial results, because a silently shorter run would be a silently
-// different statistic.
+// A run fails only when some shard exhausts its 4 dispatch attempts
+// (backoff 50 ms doubling to 2 s); there are no partial results,
+// because a silently shorter run would be a silently different
+// statistic.
 //
 // # Transports
 //
 // HTTPTransport speaks to real cogmimod nodes (POST /v1/shards,
 // GET /healthz, trace ids via X-Trace-Id). Loopback implements the same
 // interface in-process with injectable failures — kill, transient
-// errors, stragglers, draining — so the whole retry/hedge/reassignment
+// errors, slow nodes, draining — so the whole retry/reassignment
 // machinery is exercised by `go test -race` without a socket.
 package cluster

@@ -30,7 +30,7 @@ func TestCellfreeDistributedMatchesSerialGolden(t *testing.T) {
 	lb := NewLoopback("a", "b", "c")
 	lb.Node("a").SetDelay(time.Millisecond) // widen the mid-run kill window
 	reg := NewRegistry(lb, "a", "b", "c")
-	co := NewCoordinator(lb, reg, Config{Shards: 3, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond})
+	co := NewCoordinator(lb, reg, Config{})
 
 	killed := make(chan struct{})
 	go func() {

@@ -13,8 +13,8 @@ import (
 // knobs model the failure modes the scheduler must survive: a node can
 // be killed mid-run (every in-flight and future call fails), told to
 // fail its first N shards (transient errors → retry path), delayed
-// (straggler → hedge path), or set draining (probe fails, shards
-// refused).
+// (a slow node, which widens a mid-shard kill window or a cancellation
+// window), or set draining (probe fails, shards refused).
 type LoopbackNode struct {
 	mu       sync.Mutex
 	killed   bool
@@ -48,7 +48,7 @@ func (n *LoopbackNode) FailNext(k int) {
 }
 
 // SetDelay stalls every shard execution by d before computing, to
-// simulate a straggler.
+// simulate a slow node.
 func (n *LoopbackNode) SetDelay(d time.Duration) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -7,7 +7,6 @@ import "repro/internal/obs"
 //	ok         shard completed and its partials were accepted
 //	failed     an attempt errored (each failure counts once)
 //	retried    shard was re-dispatched after a failed attempt
-//	hedged     a duplicate attempt was launched against a straggler
 //	reassigned shard moved off a worker the registry declared dead
 //	local      shard fell back to in-process execution
 var metShards = obs.Default.CounterVec("cogmimod_shards_total",
@@ -25,7 +24,7 @@ var metWorkerShards = obs.Default.CounterVec("cogmimod_worker_shards_total",
 func init() {
 	// Pre-seed the label values so dashboards see zeroes instead of
 	// absent series before the first distributed run.
-	for _, s := range []string{"ok", "failed", "retried", "hedged", "reassigned", "local"} {
+	for _, s := range []string{"ok", "failed", "retried", "reassigned", "local"} {
 		metShards.With(s)
 	}
 	for _, s := range []string{"ok", "failed"} {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -41,7 +40,7 @@ func TestDistributedTraceMergesWorkerSpans(t *testing.T) {
 	lb := NewLoopback("a", "b", "c")
 	lb.Node("a").FailNext(1) // one transient failure → one retry event
 	reg := NewRegistry(lb, "a", "b", "c")
-	co := NewCoordinator(lb, reg, Config{Shards: 3, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond})
+	co := NewCoordinator(lb, reg, Config{})
 
 	rec := obs.NewTraceRecorder(8, 4096)
 	ctx := obs.WithRecorder(context.Background(), rec)
@@ -141,7 +140,7 @@ func TestDistributedTraceOffByDefault(t *testing.T) {
 
 	lb := NewLoopback("a", "b", "c")
 	reg := NewRegistry(lb, "a", "b", "c")
-	co := NewCoordinator(lb, reg, Config{Shards: 3})
+	co := NewCoordinator(lb, reg, Config{})
 
 	ctx := sim.WithExecutor(context.Background(), co)
 	mc := sim.MonteCarlo{Seed: run.Seed}

@@ -17,12 +17,12 @@ import (
 // A Transport moves shard requests to one worker node and health probes
 // to the same node. HTTPTransport is the production implementation;
 // Loopback keeps everything in-process so the scheduler's full retry /
-// hedge / reassignment machinery runs under go test -race without
-// opening a socket.
+// reassignment machinery runs under go test -race without opening a
+// socket.
 type Transport interface {
 	// ExecShard runs the shard on the addressed worker and returns its
-	// partials. Implementations must honour ctx cancellation — the
-	// coordinator cancels losing hedge attempts through it.
+	// partials. Implementations must honour ctx cancellation — a
+	// cancelled run stops its in-flight shards through it.
 	ExecShard(ctx context.Context, addr string, req ShardRequest) (ShardResult, error)
 	// Probe reports whether the addressed worker is alive and ready to
 	// accept shards. An error or non-ready state counts as a failed
@@ -36,8 +36,8 @@ type Transport interface {
 // correlate across nodes.
 type HTTPTransport struct {
 	// Client is the underlying HTTP client; nil means a client with a
-	// 10-minute timeout (shards are long-running by design — stragglers
-	// are handled by hedging, not by short timeouts).
+	// 10-minute timeout (shards are long-running by design, so a short
+	// timeout would fail healthy work).
 	Client *http.Client
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -59,7 +58,7 @@ func TestHTTPTransportRefusesWrongTrialCounts(t *testing.T) {
 
 	want := localResult(t, run)
 	reg := NewRegistry(tr, bad.URL, good.URL)
-	co := NewCoordinator(tr, reg, Config{Shards: 3, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond})
+	co := NewCoordinator(tr, reg, Config{})
 	got, err := distResult(ctx, co, run)
 	if err != nil {
 		t.Fatalf("run with a short worker: %v", err)

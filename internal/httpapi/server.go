@@ -7,9 +7,9 @@
 // Multi-tenancy: callers name themselves with the X-Tenant-Id header
 // (or a "tenant" field in the submit body); anonymous requests map to
 // the default tenant. The id rides on the job through scheduling,
-// logs and metrics. Per-tenant quota and backlog rejections answer 429
-// with a Retry-After derived from that tenant's own standing, not the
-// global queue.
+// logs and metrics. A quota rejection answers 429 with a Retry-After
+// derived from that tenant's own token bucket; a full queue answers 429
+// with one priced from the shared backlog.
 package httpapi
 
 import (
@@ -123,7 +123,7 @@ func NewMux(svc *service.Service, cfg Config) http.Handler {
 			httpError(w, http.StatusTooManyRequests, err.Error())
 			return
 		case errors.Is(err, service.ErrQueueFull):
-			w.Header().Set("Retry-After", retryAfterFor(svc, err, req.Tenant))
+			w.Header().Set("Retry-After", retryAfterHint(svc.Stats()))
 			httpError(w, http.StatusTooManyRequests, err.Error())
 			return
 		case errors.Is(err, service.ErrStopped):
@@ -324,7 +324,7 @@ func NewMux(svc *service.Service, cfg Config) http.Handler {
 		res, err := cluster.ExecuteShard(r.Context(), cfg.NodeID, cfg.ShardWorkers, req)
 		if err != nil {
 			if r.Context().Err() != nil {
-				// Coordinator cancelled (lost hedge race or aborted run);
+				// Coordinator cancelled (aborted run or disconnect);
 				// nobody reads the response.
 				httpError(w, http.StatusServiceUnavailable, "shard cancelled")
 				return
@@ -390,42 +390,6 @@ func retrySeconds(d time.Duration) string {
 		secs = 1
 	}
 	return strconv.Itoa(secs)
-}
-
-// retryAfterFor picks the Retry-After hint for a queue-full rejection.
-// A per-tenant bound prices only that tenant's own backlog against its
-// fair share of workers; a global bound falls back to the whole queue.
-func retryAfterFor(svc *service.Service, err error, rawTenant string) string {
-	st := svc.Stats()
-	if !errors.Is(err, tenant.ErrTenantQueueFull) {
-		return retryAfterHint(st)
-	}
-	tid, cerr := tenant.Canonicalize(rawTenant)
-	if cerr != nil {
-		return retryAfterHint(st)
-	}
-	snap := svc.Tenant(tid)
-	mean := st.MeanJobSeconds
-	if mean <= 0 || math.IsNaN(mean) || math.IsInf(mean, 0) {
-		return "1"
-	}
-	workers := st.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	// The tenant's share of the pool, same arithmetic as the scheduler's
-	// soft concurrency caps (never below one worker).
-	share := 1.0
-	if snap.Backlogged > 0 {
-		share = math.Max(1, float64(workers)/float64(snap.Backlogged))
-	}
-	secs := math.Ceil(mean * float64(snap.Queued+1) / share)
-	if secs < 1 {
-		secs = 1
-	} else if secs > 60 {
-		secs = 60
-	}
-	return strconv.Itoa(int(secs))
 }
 
 // retryAfterHint estimates when a 429'd client should come back: the

@@ -26,11 +26,7 @@ func newTracedClusterServer(t *testing.T, rec *obs.TraceRecorder) (*httptest.Ser
 	t.Helper()
 	lb := cluster.NewLoopback("w1", "w2", "w3")
 	reg := cluster.NewRegistry(lb, "w1", "w2", "w3")
-	co := cluster.NewCoordinator(lb, reg, cluster.Config{
-		Shards:    3,
-		RetryBase: time.Millisecond,
-		RetryMax:  5 * time.Millisecond,
-	})
+	co := cluster.NewCoordinator(lb, reg, cluster.Config{})
 	svc, err := service.New(service.Config{
 		Workers:  2,
 		Recorder: rec,
@@ -159,22 +155,33 @@ func TestTraceEndpointMergedDistributedTimeline(t *testing.T) {
 	if job.ParentID != httpSpan.SpanID {
 		t.Fatalf("job.run parent = %q, want http.request %q", job.ParentID, httpSpan.SpanID)
 	}
-	// ext-coopber sweeps several SNR points, each a 3-shard cluster.run;
-	// every shard dispatch must parent to one of those runs.
-	runIDs := map[string]bool{}
+	// ext-coopber sweeps several SNR points, each a cluster.run split
+	// one shard per ready worker: 3 until the induced failure marks w1
+	// dead, 2 after. Every shard dispatch must parent to one of those
+	// runs.
+	perRun := map[string]int{}
 	for _, cr := range byName["cluster.run"] {
-		runIDs[cr.SpanID] = true
-	}
-	shards := byName["cluster.shard"]
-	if len(shards) < 3 || len(shards)%3 != 0 {
-		t.Fatalf("cluster.shard spans = %d, want a positive multiple of 3", len(shards))
+		perRun[cr.SpanID] = 0
 	}
 	shardIDs := map[string]bool{}
-	for _, sh := range shards {
-		if !runIDs[sh.ParentID] {
+	for _, sh := range byName["cluster.shard"] {
+		if _, ok := perRun[sh.ParentID]; !ok {
 			t.Fatalf("cluster.shard parent %q is not a cluster.run", sh.ParentID)
 		}
+		perRun[sh.ParentID]++
 		shardIDs[sh.SpanID] = true
+	}
+	full := 0
+	for id, n := range perRun {
+		if n != 2 && n != 3 {
+			t.Fatalf("cluster.run %s has %d shards, want one per ready worker (2 or 3)", id, n)
+		}
+		if n == 3 {
+			full++
+		}
+	}
+	if full == 0 {
+		t.Fatal("no cluster.run split across all 3 workers; the first run starts before any failure")
 	}
 	nodes := map[string]bool{}
 	for _, ex := range byName["shard.execute"] {

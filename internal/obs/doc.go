@@ -43,7 +43,7 @@
 // 128-bit trace id, a 64-bit span id, a parent link resolved from the
 // active span in ctx (or a WithSpanParent link across process and
 // queue boundaries, or the ctx trace id), string attributes (SetAttr),
-// and point-in-time events (Event — "retry", "hedge_fired",
+// and point-in-time events (Event — "retry", "reassigned",
 // "worker_dead", ...). End then also records a SpanData into the
 // recorder. RecordSpan is the retroactive form for intervals whose
 // start predates the observing code (queue wait). Span names become histogram label values —

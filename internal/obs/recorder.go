@@ -15,7 +15,7 @@ type Attr struct {
 }
 
 // SpanEvent is a point-in-time marker inside a span — a retry fired, a
-// hedge launched, a worker declared dead.
+// shard reassigned, a worker declared dead.
 type SpanEvent struct {
 	Name  string    `json:"name"`
 	Time  time.Time `json:"time"`

@@ -136,8 +136,8 @@ func (s *Span) SetStart(t time.Time) {
 	s.mu.Unlock()
 }
 
-// Event marks a point in time inside the span — a retry, a hedge, a
-// worker death. No-op unless recording.
+// Event marks a point in time inside the span — a retry, a
+// reassignment, a worker death. No-op unless recording.
 func (s *Span) Event(name string, attrs ...Attr) {
 	if s == nil || s.rec == nil {
 		return

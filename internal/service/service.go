@@ -148,7 +148,9 @@ type Config struct {
 	Workers int
 	// QueueDepth bounds the number of jobs waiting for a worker across
 	// all tenants; 0 means 64. Submissions beyond the bound fail with
-	// ErrQueueFull.
+	// ErrQueueFull. A lone tenant may use the whole queue, so a
+	// single-tenant service behaves exactly like a global FIFO; the fair
+	// scheduler's soft concurrency shares split Workers.
 	QueueDepth int
 	// CacheEntries bounds the completed-result cache; 0 means 256.
 	CacheEntries int
@@ -169,12 +171,6 @@ type Config struct {
 	// write through to it, and WarmFromStore preloads the LRU at boot —
 	// so cache hits survive process restarts.
 	Store *store.Store
-	// TenantQueueDepth bounds each tenant's own backlog in the fair
-	// scheduler; 0 means QueueDepth, so a lone tenant may use the whole
-	// global queue and a single-tenant service behaves exactly like a
-	// global FIFO. The scheduler's total bound is always QueueDepth and
-	// its soft concurrency shares split Workers.
-	TenantQueueDepth int
 	// Quota is every tenant's admission budget (one token bucket per
 	// tenant); the zero value disables admission control.
 	Quota tenant.Quota
@@ -277,24 +273,13 @@ func New(cfg Config) (*Service, error) {
 	if err := cfg.DefaultBudget.Validate(); err != nil {
 		return nil, fmt.Errorf("service: default budget: %w", err)
 	}
-	// A lone tenant may use the whole global queue; the bound that
-	// protects tenants from each other is the fair scheduler plus the
-	// global depth, unless the operator sets a tighter one.
-	if cfg.TenantQueueDepth <= 0 {
-		cfg.TenantQueueDepth = cfg.QueueDepth
-	}
-	topts := tenant.Options{
-		QueueDepth: cfg.TenantQueueDepth,
-		TotalDepth: cfg.QueueDepth,
-		Workers:    cfg.Workers,
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		cfg:     cfg,
 		runner:  cfg.Runner,
 		logger:  cfg.Logger,
 		cache:   newCache(cfg.CacheEntries),
-		sched:   tenant.NewScheduler[*job](topts),
+		sched:   tenant.NewScheduler[*job](tenant.Options{Depth: cfg.QueueDepth, Workers: cfg.Workers}),
 		limiter: tenant.NewLimiter(cfg.Quota),
 		baseCtx: ctx,
 		stop:    cancel,
@@ -400,8 +385,7 @@ func (s *Service) Submit(req Request) (JobView, error) {
 // tenant is canonicalized (empty means the anonymous default tenant),
 // charged against its admission quota, and enqueued on its own fair
 // queue. Quota rejections return a *QuotaError; backlog rejections
-// return ErrQueueFull (global bound) or an error wrapping both
-// ErrQueueFull and tenant.ErrTenantQueueFull (the tenant's own bound). Only accepted jobs count as submitted.
+// return ErrQueueFull. Only accepted jobs count as submitted.
 func (s *Service) SubmitCtx(ctx context.Context, req Request) (JobView, error) {
 	if s.known != nil && !s.known[req.ID] {
 		return JobView{}, fmt.Errorf("%w: %q", ErrUnknownExperiment, req.ID)
@@ -471,17 +455,10 @@ func (s *Service) SubmitCtx(ctx context.Context, req Request) (JobView, error) {
 		s.logger.Warn("job rejected: queue full",
 			"tenant", tid, "experiment", req.ID, "error", err,
 			"trace_id", obs.TraceID(ctx))
-		switch {
-		case errors.Is(err, tenant.ErrTenantQueueFull):
-			// Satisfies errors.Is for both the global sentinel (every
-			// 429 path) and the per-tenant one (so transports can hint
-			// from this tenant's own backlog).
-			return JobView{}, fmt.Errorf("tenant %q: %w (%w)", tid, tenant.ErrTenantQueueFull, ErrQueueFull)
-		case errors.Is(err, tenant.ErrClosed):
+		if errors.Is(err, tenant.ErrClosed) {
 			return JobView{}, ErrStopped
-		default:
-			return JobView{}, ErrQueueFull
 		}
+		return JobView{}, ErrQueueFull
 	}
 	s.mu.Lock()
 	s.submitted++
@@ -628,13 +605,6 @@ func (s *Service) Result(key Key) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// Tenant snapshots one tenant's scheduler standing (backlog, running
-// jobs and how many tenants share the pool), for per-tenant
-// Retry-After hints and operator introspection.
-func (s *Service) Tenant(id string) tenant.Snapshot {
-	return s.sched.Tenant(id)
 }
 
 // Tenants lists scheduler snapshots for every tenant with queued or

@@ -147,57 +147,17 @@ func TestSchedulerFairnessAcrossTenants(t *testing.T) {
 	}
 }
 
-// TestTenantQueueBoundReturnsBothSentinels: a per-tenant overflow is
-// recognizable as both a 429-able ErrQueueFull and the tenant-specific
-// sentinel.
-func TestTenantQueueBoundReturnsBothSentinels(t *testing.T) {
-	started := make(chan string, 1)
-	release := make(chan struct{})
-	defer close(release)
-	s := startService(t, Config{
-		Workers:          1,
-		QueueDepth:       16,
-		TenantQueueDepth: 2,
-		Runner:           blockingRunner(started, release),
-	})
-	if _, err := s.Submit(Request{ID: "stall", Seed: 0, Tenant: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-started:
-	case <-time.After(5 * time.Second):
-		t.Fatal("stall job never started")
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := s.Submit(Request{ID: "q", Seed: int64(i), Tenant: "a"}); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
-		}
-	}
-	_, err := s.Submit(Request{ID: "q", Seed: 9, Tenant: "a"})
-	if !errors.Is(err, ErrQueueFull) || !errors.Is(err, tenant.ErrTenantQueueFull) {
-		t.Fatalf("per-tenant overflow err = %v", err)
-	}
-	// A different tenant still has room.
-	if _, err := s.Submit(Request{ID: "q", Seed: 1, Tenant: "b"}); err != nil {
-		t.Fatalf("tenant b blocked by a's bound: %v", err)
-	}
-	if got := s.Stats().Rejected; got != 1 {
-		t.Fatalf("stats rejected = %d", got)
-	}
-}
-
 // TestCancelQueuedJobLeavesQueue: a cancelled queued job no longer
-// counts toward the queue depth or its tenant's backlog, so a tenant
-// at its queue bound admits a new job once one is cancelled.
+// counts toward the queue depth or its tenant's backlog, so a full
+// queue admits a new job once one is cancelled.
 func TestCancelQueuedJobLeavesQueue(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	defer close(release)
 	s := startService(t, Config{
-		Workers:          1,
-		QueueDepth:       16,
-		TenantQueueDepth: 1,
-		Runner:           blockingRunner(started, release),
+		Workers:    1,
+		QueueDepth: 1,
+		Runner:     blockingRunner(started, release),
 	})
 	if _, err := s.Submit(Request{ID: "pin", Seed: 1, Tenant: "a"}); err != nil {
 		t.Fatal(err)
@@ -207,8 +167,8 @@ func TestCancelQueuedJobLeavesQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(Request{ID: "over", Seed: 2, Tenant: "a"}); !errors.Is(err, tenant.ErrTenantQueueFull) {
-		t.Fatalf("tenant a at its bound: err = %v, want ErrTenantQueueFull", err)
+	if _, err := s.Submit(Request{ID: "over", Seed: 2, Tenant: "a"}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("queue at its bound: err = %v, want ErrQueueFull", err)
 	}
 	if _, err := s.Cancel(queued.ID); err != nil {
 		t.Fatal(err)
@@ -216,8 +176,8 @@ func TestCancelQueuedJobLeavesQueue(t *testing.T) {
 	if st := s.Stats(); st.QueueDepth != 0 {
 		t.Errorf("queue depth after cancelling the only queued job = %d, want 0", st.QueueDepth)
 	}
-	if got := s.Tenant("a").Queued; got != 0 {
-		t.Errorf("tenant a backlog after the cancel = %d, want 0", got)
+	if got := s.Tenants(); len(got) != 1 || got[0].ID != "a" || got[0].Queued != 0 {
+		t.Errorf("tenants after the cancel = %+v, want a alone with no backlog", got)
 	}
 	if _, err := s.Submit(Request{ID: "after", Seed: 3, Tenant: "a"}); err != nil {
 		t.Fatalf("tenant a after cancelling its queued job: %v", err)

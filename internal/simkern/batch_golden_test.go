@@ -90,7 +90,7 @@ func TestBatchKernelGoldenCluster(t *testing.T) {
 
 	lb := cluster.NewLoopback("a", "b", "c")
 	reg := cluster.NewRegistry(lb, "a", "b", "c")
-	co := cluster.NewCoordinator(lb, reg, cluster.Config{Shards: 3})
+	co := cluster.NewCoordinator(lb, reg, cluster.Config{})
 	mc := sim.MonteCarlo{Seed: run.Seed}
 	merged, err := mc.RunKernelCtx(sim.WithExecutor(context.Background(), co), run.Kernel, run.Params, run.Trials)
 	if err != nil {

@@ -8,24 +8,20 @@ import (
 	"time"
 )
 
-// Errors surfaced by Scheduler.Enqueue. Both mean "back off and retry",
-// but they name different bounds: ErrQueueFull is the global backlog
-// limit shared by everyone, ErrTenantQueueFull is one tenant's own
-// queue bound — other tenants can still submit.
+// Errors surfaced by Scheduler.Enqueue. ErrQueueFull means "back off
+// and retry": the backlog shared by every tenant is at its bound.
 var (
-	ErrQueueFull       = errors.New("tenant: global job queue is full")
-	ErrTenantQueueFull = errors.New("tenant: per-tenant job queue is full")
-	ErrClosed          = errors.New("tenant: scheduler closed")
+	ErrQueueFull = errors.New("tenant: global job queue is full")
+	ErrClosed    = errors.New("tenant: scheduler closed")
 )
 
-// Options sizes a Scheduler. The zero value gives every tenant a
-// 256-entry queue, no global bound and no concurrency caps.
+// Options sizes a Scheduler. The zero value leaves the backlog
+// unbounded and sets no concurrency caps.
 type Options struct {
-	// QueueDepth bounds each tenant's own backlog; 0 means 256.
-	QueueDepth int
-	// TotalDepth bounds the backlog summed over all tenants;
-	// 0 means unbounded.
-	TotalDepth int
+	// Depth bounds the backlog summed over all tenants; 0 means
+	// unbounded. A lone tenant may fill it: the fair rotation, not a
+	// per-tenant bound, keeps tenants from starving each other.
+	Depth int
 	// Workers, when positive, enables soft concurrency shares: while
 	// several tenants have queued work, a tenant already running at
 	// least ceil(Workers/activeTenants) jobs is passed over in
@@ -72,9 +68,6 @@ type Scheduler[T any] struct {
 
 // NewScheduler builds a Scheduler from opts.
 func NewScheduler[T any](opts Options) *Scheduler[T] {
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 256
-	}
 	return &Scheduler[T]{
 		opts:    opts,
 		tenants: make(map[string]*tq[T]),
@@ -118,13 +111,10 @@ func (s *Scheduler[T]) Enqueue(id string, v T) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.opts.TotalDepth > 0 && s.queued >= s.opts.TotalDepth {
+	if s.opts.Depth > 0 && s.queued >= s.opts.Depth {
 		return ErrQueueFull
 	}
 	q := s.tenantLocked(id)
-	if len(q.items) >= s.opts.QueueDepth {
-		return ErrTenantQueueFull
-	}
 	if len(q.items) == 0 && q.pass < s.vtime {
 		q.pass = s.vtime
 	}
@@ -298,7 +288,7 @@ func (s *Scheduler[T]) backloggedLocked() int {
 }
 
 // Snapshot is a point-in-time view of one tenant's standing in the
-// scheduler, plus the share context needed to price its backlog.
+// scheduler, plus how many tenants share the pool.
 type Snapshot struct {
 	ID      string `json:"tenant"`
 	Queued  int    `json:"queued"`
@@ -307,18 +297,6 @@ type Snapshot struct {
 	// included when it has any); the tenant's fair share of the pool is
 	// 1/Backlogged.
 	Backlogged int `json:"backlogged_tenants"`
-}
-
-// Tenant snapshots one tenant. Unknown ids report zero backlog.
-func (s *Scheduler[T]) Tenant(id string) Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := Snapshot{ID: id, Backlogged: s.backloggedLocked()}
-	if q, ok := s.tenants[id]; ok {
-		snap.Queued = len(q.items)
-		snap.Running = q.running
-	}
-	return snap
 }
 
 // Depths reports the per-tenant queued backlog for tenants with any

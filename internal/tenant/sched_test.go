@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -105,22 +106,27 @@ func TestReturningTenantCannotBankCredit(t *testing.T) {
 	}
 }
 
+// TestQueueBounds: the one bound caps the backlog summed over all
+// tenants. A lone tenant may fill it, every tenant is then refused, and
+// a dispatch frees a slot.
 func TestQueueBounds(t *testing.T) {
-	s := NewScheduler[int](Options{QueueDepth: 2, TotalDepth: 3})
-	if err := s.Enqueue("a", 1); err != nil {
-		t.Fatal(err)
+	s := NewScheduler[int](Options{Depth: 3})
+	for i := 1; i <= 3; i++ {
+		if err := s.Enqueue("a", i); err != nil {
+			t.Fatalf("lone tenant refused below the bound: %v", err)
+		}
 	}
-	if err := s.Enqueue("a", 2); err != nil {
-		t.Fatal(err)
+	if err := s.Enqueue("b", 1); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("overflow by another tenant: err = %v, want ErrQueueFull", err)
 	}
-	if err := s.Enqueue("a", 3); !errors.Is(err, ErrTenantQueueFull) {
-		t.Fatalf("per-tenant overflow err = %v", err)
+	if _, _, _, ok := s.DequeueTimed(context.Background()); !ok {
+		t.Fatal("Dequeue failed")
 	}
 	if err := s.Enqueue("b", 1); err != nil {
-		t.Fatalf("tenant b blocked by tenant a's bound: %v", err)
+		t.Fatalf("tenant b refused after a dispatch freed a slot: %v", err)
 	}
-	if err := s.Enqueue("c", 1); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("global overflow err = %v", err)
+	if err := s.Enqueue("a", 4); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("overflow by the filling tenant: err = %v, want ErrQueueFull", err)
 	}
 }
 
@@ -227,32 +233,28 @@ func TestSnapshotsAndActive(t *testing.T) {
 	if got := s.Active(); got != 2 {
 		t.Fatalf("active = %d, want 2", got)
 	}
-	snap := s.Tenant("w2")
-	if snap.Queued != 3 || snap.Backlogged != 2 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if unknown := s.Tenant("ghost"); unknown.Queued != 0 || unknown.Backlogged != 2 {
-		t.Fatalf("unknown tenant snapshot = %+v", unknown)
-	}
 	depths := s.Depths()
 	if len(depths) != 2 || depths[0].ID != "w1" || depths[1].ID != "w2" {
 		t.Fatalf("depths = %+v", depths)
+	}
+	if snap := depths[1]; snap.Queued != 3 || snap.Backlogged != 2 {
+		t.Fatalf("snapshot = %+v", snap)
 	}
 	// One dispatched job moves queued -> running but stays active.
 	_, id, _, _ := s.DequeueTimed(context.Background())
 	if got := s.Active(); got != 2 {
 		t.Fatalf("active after dispatch = %d, want 2", got)
 	}
-	snap = s.Tenant(id)
-	if snap.Running != 1 {
-		t.Fatalf("running = %+v", snap)
+	depths = s.Depths()
+	if i := slices.IndexFunc(depths, func(d Snapshot) bool { return d.ID == id }); i < 0 || depths[i].Running != 1 {
+		t.Fatalf("depths after dispatching from %s = %+v, want it running 1", id, depths)
 	}
 }
 
 // TestSchedulerConcurrentUse hammers the scheduler from many producers
 // and consumers under the race detector.
 func TestSchedulerConcurrentUse(t *testing.T) {
-	s := NewScheduler[int](Options{Workers: 4, QueueDepth: 10000})
+	s := NewScheduler[int](Options{Workers: 4, Depth: 10000})
 	const producers, perProducer = 8, 50
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -358,7 +360,7 @@ func TestDequeueTimedZeroOnFailure(t *testing.T) {
 // tenant's FIFO, leaving the rest in order and the counts consistent;
 // an unknown tenant or an absent item reports false.
 func TestRemoveTakesQueuedItem(t *testing.T) {
-	s := NewScheduler[int](Options{QueueDepth: 3})
+	s := NewScheduler[int](Options{Depth: 3})
 	for i := 1; i <= 3; i++ {
 		if err := s.Enqueue("a", i); err != nil {
 			t.Fatal(err)
@@ -374,7 +376,7 @@ func TestRemoveTakesQueuedItem(t *testing.T) {
 		t.Fatalf("Len after Remove = %d, want 2", got)
 	}
 	if err := s.Enqueue("a", 4); err != nil {
-		t.Fatalf("tenant at its bound before Remove: %v", err)
+		t.Fatalf("queue at its bound before Remove: %v", err)
 	}
 	var got []int
 	for range 3 {
@@ -397,7 +399,7 @@ func TestRemoveTakesQueuedItem(t *testing.T) {
 // remover racing, every item leaves the scheduler exactly once, either
 // dispatched or removed.
 func TestRemoveConcurrentWithDequeue(t *testing.T) {
-	s := NewScheduler[int](Options{Workers: 2, QueueDepth: 10000})
+	s := NewScheduler[int](Options{Workers: 2, Depth: 10000})
 	const producers, perProducer = 4, 200
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
